@@ -169,8 +169,10 @@ def phers(patient_phenotypes, weights) -> PhersResult:
     patients = sorted(patient_phenotypes)
     if len(patients) < 2:
         raise DataError("TOO_FEW_PATIENTS", "standardization requires at least 2 patients")
+    # Summed in sorted CURIE order: a set's order follows the hash seed,
+    # and float addition is not associative.
     raws = [
-        sum(weights.get(p, 0.0) for p in set(patient_phenotypes[patient]))
+        sum(weights.get(p, 0.0) for p in sorted(set(patient_phenotypes[patient])))
         for patient in patients
     ]
     mean = statistics.fmean(raws)

@@ -340,8 +340,8 @@ def load_umls(mrconso_path, mrsty_path) -> UmlsTables:
             cui, sab, code, text = fields[0], fields[11], fields[13], fields[14]
             if not _CUI_RE.match(cui):
                 raise ParseError("BAD_CUI", f"bad CUI {cui!r}", str(mrconso_path), lineno)
-            if not sab or not code:
-                raise ParseError("SHORT_ROW", "empty SAB or CODE", str(mrconso_path), lineno)
+            if not sab.strip() or not code.strip():
+                raise ParseError("SHORT_ROW", "blank SAB or CODE", str(mrconso_path), lineno)
             atoms[(sab, code)].add(UmlsAtom(cui=cui, sab=sab, code=code, str_text=text))
 
     sty: dict[str, set[str]] = defaultdict(set)

@@ -339,11 +339,7 @@ def run_map(cfg: RunConfig) -> Path:
         )
         # The keep-fraction cut is scoped per (domain, ontology) run.
         sim_cfg = SimilarityConfig(score_floor=cfg.tau, keep_fraction=cfg.rho)
-        kept = []
-        for ontology in ontologies:
-            group = [p for p in pairs if curie_ontology(p.curie) == ontology]
-            kept.extend(filter_pairs(group, sim_cfg))
-        best = best_per_concept(kept)
+        best = best_per_concept(filter_pairs(pairs, sim_cfg))
         best_by_concept: dict[int, dict[str, object]] = defaultdict(dict)
         for (cid, ontology), pair in best.items():
             best_by_concept[cid][ontology] = pair

@@ -1,23 +1,38 @@
-"""Bag-of-words TF-IDF vector space model and cosine scoring.
+"""Bag-of-words TF-IDF vector space model and cosine scoring on arrays.
 
 One matrix row per input string (concept and class labels/synonyms from
 both sides).  Weighting is pinned to tf(t,d) = raw count and
 idf(t) = ln((1 + N) / (1 + df(t))) + 1 with L2-normalized rows; the
 variant is recorded in the model metadata for reproducibility.
 
-Scoring walks a sparse row-by-row product, so only string pairs sharing
-at least one token are ever evaluated; orthogonal pairs score zero and
-are never candidates.  Embeddings are built for every concept whether or
-not exact alignment already succeeded: the scorer never consults
-alignment results.
+The cosine stages keep pairs as parallel numpy arrays, never as one
+object per pair:
+
+* scoring multiplies concept rows by class rows with scipy's sparse
+  product, so only string pairs sharing at least one token are ever
+  evaluated; orthogonal pairs score zero and are never candidates.  Each
+  (concept, class) keeps its best string pair, found by a stable
+  ``lexsort`` on ``concept * n_classes + class``.  Concept rows are
+  multiplied in chunks that never split a concept, so each chunk's maxima
+  are final.  Routing is a concepts x ontologies boolean mask;
+* the result is a ``PairTable`` whose concept and class columns index the
+  sorted concept ids and sorted CURIEs, so index order is id order and
+  CURIE order;
+* the floor, the per-ontology keep-fraction cut and the argmax each take
+  one ``lexsort`` ordered on (-score, concept id, CURIE rank), which gives
+  the same tie-breaks as sorting objects on those keys.  ``ScoredPair``
+  objects are built only for the winners.
+
+Embeddings are built for every concept whether or not exact alignment
+already succeeded: the scorer never consults alignment results.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -78,21 +93,74 @@ class SimilarityModel:
     idf_variant: str = IDF_VARIANT
 
 
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Scored (concept, class) pairs as parallel arrays, one entry per pair.
+
+    ``concept`` indexes ``concept_ids`` and ``cls`` indexes ``curies``;
+    both lists are sorted.  ``class_ontology`` gives each class's index
+    into the sorted ``ontologies``.  ``concept_row`` and ``class_row`` are
+    the model rows (into ``rows``) of the string pair behind each score.
+    """
+
+    concept_ids: np.ndarray
+    curies: tuple[str, ...]
+    class_ontology: np.ndarray
+    ontologies: tuple[str, ...]
+    rows: tuple[RowMeta, ...]
+    concept: np.ndarray
+    cls: np.ndarray
+    score: np.ndarray
+    concept_row: np.ndarray
+    class_row: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def take(self, index) -> "PairTable":
+        """The pairs at ``index``, in that order."""
+        return replace(
+            self,
+            concept=self.concept[index],
+            cls=self.cls[index],
+            score=self.score[index],
+            concept_row=self.concept_row[index],
+            class_row=self.class_row[index],
+        )
+
+
+class _WordTokens(dict):
+    """word -> its tokens, computed on first use."""
+
+    def __init__(self, cfg: TokenizerConfig):
+        super().__init__()
+        self.cfg = cfg
+
+    def __missing__(self, word: str) -> tuple[str, ...]:
+        tokens = self[word] = tuple(tokenize(word, self.cfg))
+        return tokens
+
+
 def build_corpus(concepts, classes, cfg: TokenizerConfig):
     """Tokenized documents for every label and synonym string on both sides.
 
     Order is deterministic: concepts sorted by id then label-first,
-    classes sorted by CURIE likewise.
+    classes sorted by CURIE likewise.  Tokens are memoized per word: a
+    normalized string is single-space separated and no token spans a
+    space, so a string's tokens are its words' tokens in order.
     """
+    words = _WordTokens(cfg)
+
+    def tokens_of(norm: str) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(map(words.__getitem__, norm.split(" "))))
+
     docs = []
     for concept in sorted(concepts, key=lambda c: c.concept_id):
         strings = [(StringRole.LABEL, concept.label)]
         strings += [(StringRole.SYNONYM, s) for s in concept.synonyms]
         for role, text in strings:
             norm = normalize_string(text)
-            docs.append(
-                (RowMeta(concept.concept_id, Side.CLINICAL, role, norm), tuple(tokenize(norm, cfg)))
-            )
+            docs.append((RowMeta(concept.concept_id, Side.CLINICAL, role, norm), tokens_of(norm)))
     for cls in sorted(classes, key=lambda k: k.curie):
         if cls.deprecated:
             continue
@@ -100,7 +168,7 @@ def build_corpus(concepts, classes, cfg: TokenizerConfig):
         strings += [(StringRole.SYNONYM, s.text) for s in cls.synonyms]
         for role, text in strings:
             norm = normalize_string(text)
-            docs.append((RowMeta(cls.curie, Side.ONTOLOGY, role, norm), tuple(tokenize(norm, cfg))))
+            docs.append((RowMeta(cls.curie, Side.ONTOLOGY, role, norm), tokens_of(norm)))
     return docs
 
 
@@ -113,31 +181,36 @@ def fit(docs) -> SimilarityModel:
     if not docs:
         raise DataError("EMPTY_CORPUS", "no documents to fit")
     n_docs = len(docs)
-    df: Counter = Counter()
-    for _, tokens in docs:
-        df.update(set(tokens))
-    vocabulary = {token: i for i, token in enumerate(sorted(df))}
-    idf = np.empty(len(vocabulary))
-    for token, col in vocabulary.items():
-        idf[col] = math.log((1.0 + n_docs) / (1.0 + df[token])) + 1.0
-
-    indptr = [0]
-    indices = []
-    data = []
-    for _, tokens in docs:
-        cells = sorted((vocabulary[t], count) for t, count in Counter(tokens).items())
-        vals = np.array([count * idf[col] for col, count in cells], dtype=np.float64)
-        norm = math.sqrt(float(np.dot(vals, vals))) if len(vals) else 0.0
-        if norm > 0:
-            vals = vals / norm
-        indices.extend(col for col, _ in cells)
-        data.extend(vals.tolist())
-        indptr.append(len(indices))
-
-    matrix = sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(n_docs, len(vocabulary)),
+    lengths = np.fromiter((len(tokens) for _, tokens in docs), dtype=np.int64, count=n_docs)
+    first_seen: dict[str, int] = {}
+    token_ids = np.fromiter(
+        (first_seen.setdefault(t, len(first_seen)) for _, tokens in docs for t in tokens),
+        dtype=np.int64,
+        count=int(lengths.sum()),
     )
+    vocabulary = {token: i for i, token in enumerate(sorted(first_seen))}
+    n_vocab = len(vocabulary)
+    column_of = np.fromiter((vocabulary[t] for t in first_seen), dtype=np.int64, count=n_vocab)
+
+    # One cell per (document, column), in row-major order; its count is the tf.
+    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    cells, counts = np.unique(doc_of * n_vocab + column_of[token_ids], return_counts=True)
+    cell_doc, indices = np.divmod(cells, n_vocab)
+    df = np.bincount(indices, minlength=n_vocab)
+    idf = np.array([math.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in df.tolist()])
+    data = counts * idf[indices]
+
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell_doc, minlength=n_docs), out=indptr[1:])
+    # Each norm is np.dot over its own row: summing squares any other way
+    # (a bincount, say) rounds differently in the last bit for some rows.
+    bounds = indptr.tolist()
+    norms = np.array(
+        [math.sqrt(float(np.dot(row := data[a:b], row))) for a, b in zip(bounds, bounds[1:])]
+    )
+    data /= np.repeat(norms, np.diff(indptr))
+
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_docs, n_vocab))
     return SimilarityModel(
         vocabulary=vocabulary, matrix=matrix, rows=tuple(meta for meta, _ in docs)
     )
@@ -150,95 +223,145 @@ def score_pair_strings(model: SimilarityModel, row_a: int, row_b: int) -> float:
     return float(a.multiply(b).sum())
 
 
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in ``keys``."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
 def score_concept_pairs(
     model: SimilarityModel,
     concepts,
     classes,
     routing=None,
     chunk_rows: int = 4096,
-) -> list[ScoredPair]:
+) -> PairTable:
     """Best cosine per (concept, class) pair over all their string rows.
 
     ``routing`` maps concept_id -> allowed ontology keys; pairs outside it
     are skipped.  Only pairs sharing at least one token appear (all other
-    scores are exactly zero).  Output is sorted by (concept_id, curie).
+    scores are exactly zero).  Scores are clamped to 1.0, and the table is
+    sorted by (concept_id, curie).  Of equal string-pair scores, the first
+    in (concept row, class row) order supplies the strings.
     """
-    concept_ids = {c.concept_id for c in concepts}
-    curies = {k.curie for k in classes if not k.deprecated}
+    concept_ids = sorted({c.concept_id for c in concepts})
+    ontology_of = {k.curie: curie_ontology(k.curie) for k in classes if not k.deprecated}
+    curies = sorted(ontology_of)
+    ontologies = sorted(set(ontology_of.values()))
+    concept_index = {cid: i for i, cid in enumerate(concept_ids)}
+    class_index = {curie: i for i, curie in enumerate(curies)}
+    ontology_index = {o: i for i, o in enumerate(ontologies)}
+    class_ontology = np.array([ontology_index[ontology_of[c]] for c in curies], dtype=np.int64)
 
-    clin_rows = []
-    onto_rows = []
+    clin_rows, clin_owner, onto_rows, onto_owner = [], [], [], []
     for i, meta in enumerate(model.rows):
-        if meta.side is Side.CLINICAL and meta.owner in concept_ids:
-            clin_rows.append(i)
-        elif meta.side is Side.ONTOLOGY and meta.owner in curies:
-            onto_rows.append(i)
-    if not clin_rows or not onto_rows:
-        return []
+        if meta.side is Side.CLINICAL:
+            owner = concept_index.get(meta.owner)
+            if owner is not None:
+                clin_rows.append(i)
+                clin_owner.append(owner)
+        elif meta.side is Side.ONTOLOGY:
+            owner = class_index.get(meta.owner)
+            if owner is not None:
+                onto_rows.append(i)
+                onto_owner.append(owner)
 
-    onto_matrix = model.matrix[onto_rows].T.tocsc()
-    onto_owner = [model.rows[i].owner for i in onto_rows]
+    allowed = None
+    if routing is not None:
+        allowed = np.zeros((len(concept_ids), len(ontologies)), dtype=bool)
+        for cid, keys in routing.items():
+            i = concept_index.get(cid)
+            if i is not None:
+                for key in keys:
+                    if key in ontology_index:
+                        allowed[i, ontology_index[key]] = True
 
-    best: dict[tuple[int, str], tuple[float, int, int]] = {}
-    for start in range(0, len(clin_rows), chunk_rows):
-        chunk = clin_rows[start : start + chunk_rows]
-        product = (model.matrix[chunk] @ onto_matrix).tocsr()
-        product.sort_indices()
-        coo = product.tocoo()
-        for local_row, col, score in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            if score == 0.0:
-                continue
-            row_i = chunk[local_row]
-            row_j = onto_rows[col]
-            concept_id = model.rows[row_i].owner
-            curie = onto_owner[col]
-            if routing is not None:
-                allowed = routing.get(concept_id)
-                if allowed is None or curie_ontology(curie) not in allowed:
-                    continue
-            key = (concept_id, curie)
-            cur = best.get(key)
-            if cur is None or score > cur[0]:
-                best[key] = (score, row_i, row_j)
+    empty = np.zeros(0, dtype=np.int64)
+    columns = [(empty, empty, np.zeros(0), empty, empty)]
+    if clin_rows and onto_rows:
+        # Group each concept's rows together; within a concept, row order stays.
+        order = np.argsort(np.array(clin_owner, dtype=np.int64), kind="stable")
+        clin_rows = np.array(clin_rows, dtype=np.int64)[order]
+        clin_owner = np.array(clin_owner, dtype=np.int64)[order]
+        onto_rows = np.array(onto_rows, dtype=np.int64)
+        onto_owner = np.array(onto_owner, dtype=np.int64)
+        onto_matrix = model.matrix[onto_rows].T.tocsc()
+        n_classes = len(curies)
 
-    pairs = []
-    for (concept_id, curie), (score, row_i, row_j) in best.items():
-        pairs.append(
-            ScoredPair(
-                concept_id=concept_id,
-                curie=curie,
-                score=min(score, 1.0),
-                concept_string=model.rows[row_i].text,
-                class_string=model.rows[row_j].text,
-            )
-        )
-    pairs.sort(key=lambda p: (p.concept_id, p.curie))
-    return pairs
+        start = 0
+        while start < len(clin_rows):
+            last = clin_owner[min(start + chunk_rows, len(clin_rows)) - 1]
+            end = int(np.searchsorted(clin_owner, last, side="right"))
+            product = (model.matrix[clin_rows[start:end]] @ onto_matrix).tocsr()
+            product.sort_indices()
+            coo = product.tocoo()
+            concept = clin_owner[start:end][coo.row]
+            cls = onto_owner[coo.col]
+            keep = coo.data != 0.0
+            if allowed is not None:
+                keep &= allowed[concept, class_ontology[cls]]
+            concept, cls, score = concept[keep], cls[keep], coo.data[keep]
+            concept_row = clin_rows[start:end][coo.row[keep]]
+            class_row = onto_rows[coo.col[keep]]
+
+            key = concept * n_classes + cls
+            order = np.lexsort((-score, key))
+            best = order[_first_of_runs(key[order])]
+            columns.append((concept[best], cls[best], score[best], concept_row[best], class_row[best]))
+            start = end
+
+    concept, cls, score, concept_row, class_row = (np.concatenate(c) for c in zip(*columns))
+    return PairTable(
+        concept_ids=np.array(concept_ids, dtype=np.int64),
+        curies=tuple(curies),
+        class_ontology=class_ontology,
+        ontologies=tuple(ontologies),
+        rows=model.rows,
+        concept=concept,
+        cls=cls,
+        score=np.minimum(score, 1.0),
+        concept_row=concept_row,
+        class_row=class_row,
+    )
 
 
-def filter_pairs(pairs, cfg: SimilarityConfig) -> list[ScoredPair]:
-    """Drop below-floor scores, then keep the top fraction of survivors.
+def filter_pairs(pairs: PairTable, cfg: SimilarityConfig) -> PairTable:
+    """Drop below-floor scores, then keep the top fraction of each ontology.
 
-    Survivors are sorted by score descending (ties: concept_id, curie
-    ascending) and the first ceil(keep_fraction * k) are kept.
+    An ontology's k survivors are sorted by score descending (ties:
+    concept_id, curie ascending) and the first ceil(keep_fraction * k)
+    are kept.  The result lists the kept pairs in that order, ontology by
+    ontology.
     """
-    survivors = [p for p in pairs if p.score >= cfg.score_floor]
-    survivors.sort(key=lambda p: (-p.score, p.concept_id, p.curie))
-    keep = math.ceil(cfg.keep_fraction * len(survivors))
-    return survivors[:keep]
+    index = np.flatnonzero(pairs.score >= cfg.score_floor)
+    ontology = pairs.class_ontology[pairs.cls[index]]
+    pair_key = pairs.concept[index] * len(pairs.curies) + pairs.cls[index]
+    order = np.lexsort((pair_key, -pairs.score[index], ontology))
+    index, ontology = index[order], ontology[order]
+    size = np.bincount(ontology, minlength=len(pairs.ontologies))
+    rank = np.arange(len(index)) - (np.cumsum(size) - size)[ontology]
+    keep = np.ceil(cfg.keep_fraction * size)
+    return pairs.take(index[rank < keep[ontology]])
 
 
-def best_per_concept(pairs) -> dict[tuple[int, str], ScoredPair]:
+def best_per_concept(pairs: PairTable) -> dict[tuple[int, str], ScoredPair]:
     """Argmax score per (concept, ontology); score ties take the smallest CURIE."""
-    best: dict[tuple[int, str], ScoredPair] = {}
-    for pair in pairs:
-        key = (pair.concept_id, curie_ontology(pair.curie))
-        cur = best.get(key)
-        if cur is None or pair.score > cur.score or (
-            pair.score == cur.score and pair.curie < cur.curie
-        ):
-            best[key] = pair
-    return best
+    ontology = pairs.class_ontology[pairs.cls]
+    group = pairs.concept * len(pairs.ontologies) + ontology
+    order = np.lexsort((pairs.cls, -pairs.score, group))
+    win = order[_first_of_runs(group[order])]
+    cids = pairs.concept_ids[pairs.concept[win]].tolist()
+    curies = [pairs.curies[i] for i in pairs.cls[win].tolist()]
+    keys = [pairs.ontologies[i] for i in ontology[win].tolist()]
+    concept_texts = [pairs.rows[i].text for i in pairs.concept_row[win].tolist()]
+    class_texts = [pairs.rows[i].text for i in pairs.class_row[win].tolist()]
+    return {
+        (cid, key): ScoredPair(cid, curie, score, concept_text, class_text)
+        for cid, key, curie, score, concept_text, class_text in zip(
+            cids, keys, curies, pairs.score[win].tolist(), concept_texts, class_texts
+        )
+    }
 
 
 def dump_model(model: SimilarityModel, path) -> None:

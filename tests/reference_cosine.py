@@ -1,0 +1,78 @@
+"""Plain nested-loop reference for the cosine stages of ``map``.
+
+It starts from ``fit``'s matrix, which criterion 4 checks against a dense
+model.  For every routed (concept, class) pair it takes the largest dot
+product over the two owners' string rows.  Each dot product adds the
+shared tokens' products one at a time in ascending column order, the
+order scipy's sparse product adds them in, so scores agree bit for bit.
+Then it clamps to 1.0, drops scores under the floor, keeps the top
+``ceil(keep_fraction * k)`` of each ontology's k survivors (ranked by score
+descending, then concept id, then CURIE) and takes the argmax per
+(concept, ontology), the smallest CURIE winning a tie.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict
+
+from termbridge.core import curie_ontology
+from termbridge.similarity import Side
+
+
+def _row(model, i):
+    start, end = model.matrix.indptr[i], model.matrix.indptr[i + 1]
+    return dict(zip(model.matrix.indices[start:end].tolist(), model.matrix.data[start:end].tolist()))
+
+
+def _dot(a, b):
+    total = 0.0
+    for col in sorted(a):
+        if col in b:
+            total += a[col] * b[col]
+    return total
+
+
+def cosine_scores(model, allowed):
+    """{(concept_id, curie): clamped best score} for routed pairs sharing a token.
+
+    ``allowed`` maps concept_id -> the ontology keys it may target.
+    """
+    rows = defaultdict(list)
+    for i, meta in enumerate(model.rows):
+        rows[meta.side, meta.owner].append(_row(model, i))
+    concept_ids = sorted({owner for side, owner in rows if side is Side.CLINICAL})
+    curies = sorted({owner for side, owner in rows if side is Side.ONTOLOGY})
+    scores = {}
+    for concept_id in concept_ids:
+        for curie in curies:
+            if curie_ontology(curie) not in allowed[concept_id]:
+                continue
+            best = 0.0
+            for a in rows[Side.CLINICAL, concept_id]:
+                for b in rows[Side.ONTOLOGY, curie]:
+                    best = max(best, _dot(a, b))
+            if best > 0.0:
+                scores[(concept_id, curie)] = min(best, 1.0)
+    return scores
+
+
+def cosine_winners(scores, score_floor, keep_fraction):
+    """{(concept_id, ontology): (curie, score)} after the floor, cut and argmax."""
+    by_ontology = defaultdict(list)
+    for (concept_id, curie), score in scores.items():
+        if score >= score_floor:
+            by_ontology[curie_ontology(curie)].append((-score, concept_id, curie))
+    winners = {}
+    for ontology, survivors in sorted(by_ontology.items()):
+        survivors.sort()
+        for neg_score, concept_id, curie in survivors[: math.ceil(keep_fraction * len(survivors))]:
+            key = (concept_id, ontology)
+            current = winners.get(key)
+            if (
+                current is None
+                or -neg_score > current[1]
+                or (-neg_score == current[1] and curie < current[0])
+            ):
+                winners[key] = (curie, -neg_score)
+    return winners

@@ -33,7 +33,15 @@ from termbridge.stats import gamma_q, wilcoxon_rank_sum_one_sided
 
 from fixtures import write_condition_fixture, write_measurement_fixture
 from test_align import oracle_align, random_fixture
-from test_similarity import ScoredPair, Side, dense_best_scores, doc, _owners
+from test_similarity import (
+    ScoredPair,
+    Side,
+    _owners,
+    dense_best_scores,
+    doc,
+    pair_table,
+    table_pairs,
+)
 from test_stats import brute_force_rank_sum_p
 
 
@@ -200,7 +208,7 @@ def test_criterion_4_similarity_oracle():
         concepts, classes = _owners(docs)
         got = {
             (p.concept_id, p.curie): p.score
-            for p in score_concept_pairs(model, concepts, classes)
+            for p in table_pairs(score_concept_pairs(model, concepts, classes))
         }
         oracle = dense_best_scores(docs)
         for key, score in oracle.items():
@@ -218,7 +226,7 @@ def test_criterion_4_similarity_oracle():
             ScoredPair(i, f"HP:{i:07d}", round(rng.random(), 6), "a", "b")
             for i in range(rng.randint(0, 40))
         ]
-        kept = filter_pairs(pairs, cfg)
+        kept = filter_pairs(pair_table(pairs), cfg)
         survivors = sum(1 for p in pairs if p.score >= cfg.score_floor)
         assert len(kept) == math.ceil(cfg.keep_fraction * survivors)
 

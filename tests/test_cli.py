@@ -1,11 +1,16 @@
 """Command-line behavior: golden outputs, determinism, exit codes, formats."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import termbridge
 from termbridge.cli import main
 from termbridge.stats import midranks
 
@@ -169,6 +174,16 @@ class TestMapCommand:
         paths = dict(condition_fixture)
         paths["concepts"] = str(bad)
         assert run_map_cli(paths, tmp_path / "out") == 2
+
+    def test_blank_mrconso_code_is_parse_error(self, tmp_path, condition_fixture, capsys):
+        lines = Path(condition_fixture["mrconso"]).read_text().splitlines()
+        fields = lines[0].split("|")
+        fields[13] = " "
+        conso = tmp_path / "MRCONSO.RRF"
+        conso.write_text("\n".join([lines[0], "|".join(fields), *lines[1:]]) + "\n")
+        paths = dict(condition_fixture, mrconso=str(conso))
+        assert run_map_cli(paths, tmp_path / "out") == 2
+        assert f"error[SHORT_ROW]: blank SAB or CODE [{conso}:2]" in capsys.readouterr().err
 
     def test_conflicting_curation_is_data_error(self, tmp_path, condition_fixture):
         dup = tmp_path / "curation.tsv"
@@ -365,6 +380,29 @@ class TestPhersCommand:
         assert z["p3"] == pytest.approx(1.0)
         payload = json.loads((out / "test.json").read_text())
         assert payload["cases"]["count"] == 1 and payload["controls"]["count"] == 2
+
+    def test_output_independent_of_hash_seed(self, tmp_path):
+        rng = random.Random(3)
+        curies = [f"HP:{i:07d}" for i in range(60)]
+        weights, patients, cohort = _write_phers_inputs(
+            tmp_path,
+            [(f"p{j:02d}", "CASE" if j % 2 else "CONTROL") for j in range(20)],
+            [(f"p{j:02d}", c) for j in range(20) for c in rng.sample(curies, 25)],
+            [(c, rng.uniform(0.0, 10.0) * 10.0 ** rng.randint(-6, 6)) for c in curies],
+        )
+        src = str(Path(termbridge.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            subprocess.run(
+                [sys.executable, "-m", "termbridge.cli", "phers", "--weights", str(weights),
+                 "--patients", str(patients), "--cohort", str(cohort), "--out", str(out)],
+                env=env, check=True, timeout=60,
+            )
+            outputs.append([(out / name).read_bytes() for name in ("phers.tsv", "test.json")])
+        assert outputs[0] == outputs[1]
 
     def test_empty_group_is_data_error(self, tmp_path):
         weights, patients, cohort = _write_phers_inputs(

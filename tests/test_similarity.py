@@ -8,6 +8,7 @@ import pytest
 
 from termbridge.errors import DataError
 from termbridge.similarity import (
+    PairTable,
     RowMeta,
     ScoredPair,
     Side,
@@ -24,13 +25,52 @@ from termbridge.similarity import (
 from termbridge.lexical import TokenizerConfig
 
 from test_align import concept, klass
-from termbridge.core import CodeRef
+from termbridge.core import CodeRef, curie_ontology
 
 
 def doc(owner, side, text, tokens=None):
     tokens = tuple(text.split()) if tokens is None else tuple(tokens)
     role = StringRole.LABEL
     return (RowMeta(owner, side, role, text), tokens)
+
+
+def pair_table(pairs):
+    """A PairTable holding ``pairs`` (ScoredPair objects) in the given order."""
+    concept_ids = sorted({p.concept_id for p in pairs})
+    curies = sorted({p.curie for p in pairs})
+    ontologies = sorted({curie_ontology(c) for c in curies})
+    rows = []
+    for p in pairs:
+        rows.append(RowMeta(p.concept_id, Side.CLINICAL, StringRole.LABEL, p.concept_string))
+        rows.append(RowMeta(p.curie, Side.ONTOLOGY, StringRole.LABEL, p.class_string))
+    return PairTable(
+        concept_ids=np.array(concept_ids, dtype=np.int64),
+        curies=tuple(curies),
+        class_ontology=np.array([ontologies.index(curie_ontology(c)) for c in curies], dtype=np.int64),
+        ontologies=tuple(ontologies),
+        rows=tuple(rows),
+        concept=np.array([concept_ids.index(p.concept_id) for p in pairs], dtype=np.int64),
+        cls=np.array([curies.index(p.curie) for p in pairs], dtype=np.int64),
+        score=np.array([p.score for p in pairs], dtype=np.float64),
+        concept_row=np.arange(0, 2 * len(pairs), 2, dtype=np.int64),
+        class_row=np.arange(1, 2 * len(pairs), 2, dtype=np.int64),
+    )
+
+
+def table_pairs(table):
+    """The rows of a PairTable as ScoredPair objects, in table order."""
+    return [
+        ScoredPair(
+            int(table.concept_ids[c]), table.curies[k], float(s), table.rows[i].text, table.rows[j].text
+        )
+        for c, k, s, i, j in zip(
+            table.concept.tolist(),
+            table.cls.tolist(),
+            table.score.tolist(),
+            table.concept_row.tolist(),
+            table.class_row.tolist(),
+        )
+    ]
 
 
 # --- dense oracle ------------------------------------------------------------
@@ -151,13 +191,15 @@ class TestScoreConceptPairs:
     def test_identical_strings_score_one(self):
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
-        pairs = {(p.concept_id, p.curie): p for p in score_concept_pairs(fit(docs), concepts, classes)}
+        table = score_concept_pairs(fit(docs), concepts, classes)
+        pairs = {(p.concept_id, p.curie): p for p in table_pairs(table)}
         assert pairs[(1, "HP:0000002")].score == pytest.approx(1.0, abs=1e-12)
 
     def test_token_disjoint_pairs_absent(self):
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
-        keys = {(p.concept_id, p.curie) for p in score_concept_pairs(fit(docs), concepts, classes)}
+        table = score_concept_pairs(fit(docs), concepts, classes)
+        keys = {(p.concept_id, p.curie) for p in table_pairs(table)}
         assert (2, "HP:0000001") not in keys  # no shared token -> cosine 0
         assert (1, "MONDO:0000003") not in keys
 
@@ -169,7 +211,8 @@ class TestScoreConceptPairs:
     def test_matches_dense_oracle(self):
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
-        got = {(p.concept_id, p.curie): p.score for p in score_concept_pairs(fit(docs), concepts, classes)}
+        table = score_concept_pairs(fit(docs), concepts, classes)
+        got = {(p.concept_id, p.curie): p.score for p in table_pairs(table)}
         oracle = dense_best_scores(docs)
         for key, score in got.items():
             assert score == pytest.approx(oracle[key], abs=1e-9)
@@ -181,7 +224,7 @@ class TestScoreConceptPairs:
         docs = _two_sided_docs()
         model = fit(docs)
         concepts, classes = _owners(docs)
-        for pair in score_concept_pairs(model, concepts, classes):
+        for pair in table_pairs(score_concept_pairs(model, concepts, classes)):
             row_texts = {(m.owner, m.text): i for i, m in enumerate(model.rows)}
             i = row_texts[(pair.concept_id, pair.concept_string)]
             j = row_texts[(pair.curie, pair.class_string)]
@@ -193,7 +236,7 @@ class TestScoreConceptPairs:
         routing = {1: frozenset({"MONDO"}), 2: frozenset({"MONDO"})}
         keys = {
             (p.concept_id, p.curie)
-            for p in score_concept_pairs(fit(docs), concepts, classes, routing)
+            for p in table_pairs(score_concept_pairs(fit(docs), concepts, classes, routing))
         }
         assert all(curie.startswith("MONDO") for _, curie in keys)
 
@@ -202,8 +245,8 @@ class TestScoreConceptPairs:
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
         model = fit(docs)
-        full = score_concept_pairs(model, concepts, classes)
-        again = score_concept_pairs(model, concepts, classes)
+        full = table_pairs(score_concept_pairs(model, concepts, classes))
+        again = table_pairs(score_concept_pairs(model, concepts, classes))
         assert full == again
 
     def test_random_corpus_matches_oracle(self):
@@ -219,7 +262,8 @@ class TestScoreConceptPairs:
                 doc(curie, Side.ONTOLOGY, "", tokens=[f"t{rng.randint(0, 25)}" for _ in range(rng.randint(1, 5))])
             )
         concepts, classes = _owners(docs)
-        got = {(p.concept_id, p.curie): p.score for p in score_concept_pairs(fit(docs), concepts, classes)}
+        table = score_concept_pairs(fit(docs), concepts, classes)
+        got = {(p.concept_id, p.curie): p.score for p in table_pairs(table)}
         oracle = dense_best_scores(docs)
         for key, score in oracle.items():
             if score > 0:
@@ -253,16 +297,16 @@ def _pair(cid, curie, score):
 class TestFilterPairs:
     def test_worked_example(self):
         pairs = [_pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.5), _pair(3, "HP:3", 0.3), _pair(4, "HP:4", 0.2)]
-        kept = filter_pairs(pairs, SimilarityConfig(0.25, 0.75))
+        kept = table_pairs(filter_pairs(pair_table(pairs), SimilarityConfig(0.25, 0.75)))
         assert [p.score for p in kept] == [0.9, 0.5, 0.3]
 
     def test_all_below_floor(self):
         pairs = [_pair(1, "HP:1", 0.1), _pair(2, "HP:2", 0.2)]
-        assert filter_pairs(pairs, SimilarityConfig(0.25, 0.75)) == []
+        assert table_pairs(filter_pairs(pair_table(pairs), SimilarityConfig(0.25, 0.75))) == []
 
     def test_keep_fraction_one_is_identity_on_survivors(self):
         pairs = [_pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.1), _pair(3, "HP:3", 0.5)]
-        kept = filter_pairs(pairs, SimilarityConfig(0.25, 1.0))
+        kept = table_pairs(filter_pairs(pair_table(pairs), SimilarityConfig(0.25, 1.0)))
         assert [p.score for p in kept] == [0.9, 0.5]
 
     def test_size_formula_randomized(self):
@@ -273,11 +317,21 @@ class TestFilterPairs:
             pairs = [
                 _pair(i, f"HP:{i:07d}", round(rng.random(), 6)) for i in range(rng.randint(0, 50))
             ]
-            kept = filter_pairs(pairs, cfg)
+            kept = table_pairs(filter_pairs(pair_table(pairs), cfg))
             survivors = [p for p in pairs if p.score >= cfg.score_floor]
             assert len(kept) == math.ceil(cfg.keep_fraction * len(survivors))
             assert set(kept) <= set(pairs)
             assert all(kept[i].score >= kept[i + 1].score for i in range(len(kept) - 1))
+
+    def test_cut_is_per_ontology(self):
+        pairs = [
+            _pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.8), _pair(3, "HP:3", 0.7), _pair(4, "HP:4", 0.6),
+            _pair(1, "MONDO:1", 0.3),
+        ]
+        kept = table_pairs(filter_pairs(pair_table(pairs), SimilarityConfig(0.25, 0.75)))
+        assert [(p.curie, p.score) for p in kept] == [
+            ("HP:1", 0.9), ("HP:2", 0.8), ("HP:3", 0.7), ("MONDO:1", 0.3)
+        ]
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -289,18 +343,18 @@ class TestFilterPairs:
 class TestBestPerConcept:
     def test_single_pair(self):
         only = _pair(1, "HP:0000001", 0.7)
-        assert best_per_concept([only]) == {(1, "HP"): only}
+        assert best_per_concept(pair_table([only])) == {(1, "HP"): only}
 
     def test_tie_breaks_to_smallest_curie(self):
         a = _pair(1, "HP:0000002", 0.7)
         b = _pair(1, "HP:0000001", 0.7)
-        assert best_per_concept([a, b])[(1, "HP")] is b
+        assert best_per_concept(pair_table([a, b]))[(1, "HP")] == b
 
     def test_separate_ontologies_kept_apart(self):
         a = _pair(1, "HP:0000001", 0.7)
         b = _pair(1, "MONDO:0000001", 0.4)
-        best = best_per_concept([a, b])
-        assert best[(1, "HP")] is a and best[(1, "MONDO")] is b
+        best = best_per_concept(pair_table([a, b]))
+        assert best[(1, "HP")] == a and best[(1, "MONDO")] == b
 
     def test_matches_argmax_oracle(self):
         rng = random.Random(8)
@@ -309,7 +363,7 @@ class TestBestPerConcept:
             for cid in range(1, 6)
             for k in range(4)
         ]
-        best = best_per_concept(pairs)
+        best = best_per_concept(pair_table(pairs))
         for cid in range(1, 6):
             mine = best[(cid, "HP")]
             group = [p for p in pairs if p.concept_id == cid]
