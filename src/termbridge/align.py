@@ -1,9 +1,8 @@
 """Exact alignment: string, code, and CUI channels over frozen indexes.
 
-Indexes are built single-writer then frozen; alignment of distinct
-concepts may run in parallel against them.  Every candidate carries one
-evidence atom per independent source, and every atom can be replayed
-against the raw inputs to reproduce the hit.
+Indexes are built once and never change afterwards.  Every candidate
+carries one evidence atom per independent source, and every atom can be
+replayed against the raw inputs to reproduce the hit.
 """
 
 from __future__ import annotations
@@ -55,13 +54,11 @@ class AlignmentIndexes:
         codes: dict[CodeRef, set[str]] = defaultdict(set)
         cuis: dict[str, set[str]] = defaultdict(set)
         ontology_of: dict[str, str] = {}
-        labels: dict[str, str] = {}
 
         for cls in classes:
             if cls.deprecated:
                 continue
             ontology_of[cls.curie] = cls.ontology
-            labels[cls.curie] = cls.label
             for text, from_definition in self._class_strings(cls):
                 key = normalize_string(text)
                 if not key:
@@ -83,7 +80,6 @@ class AlignmentIndexes:
         self.code_index = {k: frozenset(v) for k, v in codes.items()}
         self.cui_index = {k: frozenset(v) for k, v in cuis.items()}
         self.ontology_of = ontology_of
-        self.labels = labels
 
     @staticmethod
     def _class_strings(cls: OntologyClass):
@@ -100,22 +96,19 @@ def build_indexes(classes) -> AlignmentIndexes:
 
 
 class CuiBridge:
-    """Canonicalized (vocabulary, code) -> CUI lookup built from MRCONSO atoms."""
+    """Canonicalized (vocabulary, code) -> CUI lookup built from MRCONSO's
+    (SAB, CODE) -> CUIs projection."""
 
     def __init__(self, atoms_by_code, dictionary: NormalizationDictionary):
         by_ref: dict[CodeRef, set[str]] = defaultdict(set)
-        for (sab, code), atoms in atoms_by_code.items():
+        for (sab, code), cuis in atoms_by_code.items():
             ref = CodeRef(dictionary.canonical_prefix(sab), code.strip())
-            by_ref[ref].update(a.cui for a in atoms)
+            by_ref[ref].update(cuis)
         self._by_ref = {ref: tuple(sorted(group)) for ref, group in by_ref.items()}
 
     def cuis_for(self, ref: CodeRef) -> tuple[str, ...]:
+        """Every CUI whose source (SAB, CODE) canonicalizes to ``ref``."""
         return self._by_ref.get(ref, ())
-
-
-def bridge_cuis(concept: ClinicalConcept, bridge: CuiBridge) -> tuple[str, ...]:
-    """Every CUI whose source (sab, code) matches the concept's canonical code."""
-    return bridge.cuis_for(concept.code)
 
 
 def enrich_concepts(
@@ -126,7 +119,7 @@ def enrich_concepts(
     """Attach bridged CUIs and their semantic types to each concept."""
     out = {}
     for concept_id, concept in concepts.items():
-        cuis = bridge_cuis(concept, bridge)
+        cuis = bridge.cuis_for(concept.code)
         types = sorted({name for cui in cuis for name in sty_by_cui.get(cui, ())})
         out[concept_id] = replace(concept, cuis=cuis, semantic_types=tuple(types))
     return out
@@ -143,9 +136,9 @@ def _collect_hits(concept: ClinicalConcept, indexes: AlignmentIndexes, allowed) 
         for curie in indexes.cui_index.get(cui, ()):
             hits[curie].add(EvidenceAtom(EvidenceKind.CUI_MATCH, cui))
 
-    concept_strings = [(EvidenceKind.LABEL_MATCH, concept.label)]
-    concept_strings += [(EvidenceKind.SYNONYM_MATCH, s) for s in concept.synonyms]
-    for kind, text in concept_strings:
+    concept_texts = [(EvidenceKind.LABEL_MATCH, concept.label)]
+    concept_texts += [(EvidenceKind.SYNONYM_MATCH, s) for s in concept.synonyms]
+    for kind, text in concept_texts:
         key = normalize_string(text)
         if not key:
             continue

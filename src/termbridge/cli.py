@@ -46,7 +46,6 @@ def _build_parser() -> _Parser:
     p_map.add_argument(
         "--ontology", action="append", default=None, help="ontology dump (JSONL); repeatable"
     )
-    p_map.add_argument("--class-ancestors", help="class ancestor pairs (TSV)")
     p_map.add_argument("--umls-mrconso", help="MRCONSO.RRF")
     p_map.add_argument("--umls-mrsty", help="MRSTY.RRF")
     p_map.add_argument("--code-map", help="prefix normalization dictionary (CSV)")
@@ -58,7 +57,7 @@ def _build_parser() -> _Parser:
     p_map.add_argument("--domain", choices=[d.value for d in Domain])
     p_map.add_argument("--tau", type=float, help="cosine score floor (default 0.25)")
     p_map.add_argument("--rho", type=float, help="kept fraction of survivors (default 0.75)")
-    p_map.add_argument("--jobs", type=int, help="worker count (default: available parallelism)")
+    p_map.add_argument("--jobs", type=int, help="accepted and ignored; runs are single-threaded")
 
     p_cov = sub.add_parser("coverage", parents=[common], help="cross-site coverage evaluation")
     p_cov.add_argument("--mappings", help="mappings.tsv from the map command")
@@ -80,12 +79,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "out",
+# Keys whose values are file paths; RunConfig takes them under the same names.
+_PATH_KEYS = (
     "concepts",
     "ancestors",
-    "ontology",
-    "class_ancestors",
     "umls_mrconso",
     "umls_mrsty",
     "code_map",
@@ -94,20 +91,16 @@ _CONFIG_KEYS = {
     "curation",
     "measurement_scales",
     "measurement_targets",
-    "domain",
-    "tau",
-    "rho",
-    "jobs",
     "mappings",
     "prevalence",
     "newer_cdm",
     "excluded",
-    "alpha",
     "weights",
     "patients",
     "cohort",
-    "sssom_out",
-}
+)
+
+_CONFIG_KEYS = {"out", "ontology", "domain", "tau", "rho", "jobs", "alpha", "sssom_out", *_PATH_KEYS}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -136,39 +129,29 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _run_config(values: dict) -> RunConfig:
+    """A RunConfig from merged values; a value of the wrong type is BAD_CONFIG."""
     if not values.get("out"):
         raise ConfigError("MISSING_INPUT", "--out is required")
-    domain = Domain(values["domain"]) if values.get("domain") else Domain.CONDITION
     ontology = values.get("ontology") or ()
     if isinstance(ontology, str):
         ontology = (ontology,)
-    return RunConfig(
-        out_dir=values["out"],
-        concepts=values.get("concepts"),
-        ancestors=values.get("ancestors"),
-        ontology_dumps=tuple(ontology),
-        class_ancestors=values.get("class_ancestors"),
-        umls_mrconso=values.get("umls_mrconso"),
-        umls_mrsty=values.get("umls_mrsty"),
-        code_map=values.get("code_map"),
-        stopwords=values.get("stopwords"),
-        routing=values.get("routing"),
-        curation=values.get("curation"),
-        measurement_scales=values.get("measurement_scales"),
-        measurement_targets=values.get("measurement_targets"),
-        domain=domain,
-        tau=float(values.get("tau", 0.25)),
-        rho=float(values.get("rho", 0.75)),
-        jobs=int(values.get("jobs", 0)),
-        mappings=values.get("mappings"),
-        prevalence=values.get("prevalence"),
-        newer_cdm=values.get("newer_cdm"),
-        excluded=values.get("excluded"),
-        alpha=float(values.get("alpha", 0.05)),
-        weights=values.get("weights"),
-        patients=values.get("patients"),
-        cohort=values.get("cohort"),
-    )
+    paths = {key: values.get(key) for key in _PATH_KEYS}
+    try:
+        named = [values["out"], values.get("sssom_out"), *ontology, *paths.values()]
+        if not all(isinstance(p, str) for p in named if p is not None):
+            raise TypeError("paths must be strings")
+        return RunConfig(
+            out_dir=values["out"],
+            ontology_dumps=tuple(ontology),
+            domain=Domain(values["domain"]) if values.get("domain") else Domain.CONDITION,
+            tau=float(values.get("tau", 0.25)),
+            rho=float(values.get("rho", 0.75)),
+            jobs=int(values.get("jobs", 0)),
+            alpha=float(values.get("alpha", 0.05)),
+            **paths,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("BAD_CONFIG", f"bad config value: {exc}") from None
 
 
 def main(argv=None) -> int:

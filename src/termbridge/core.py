@@ -1,10 +1,10 @@
 """Shared domain types: concepts, ontology classes, mapping records, evidence.
 
-All types here are immutable after construction and safe to share read-only
-across parallel workers.  Construction-time invariants are enforced in
-``__post_init__`` for the input types; ``MappingRecord`` is deliberately
-permissive at construction so that :func:`validate_record` can report
-violations as data rather than exceptions.
+All types here are immutable after construction.  Construction-time
+invariants are enforced in ``__post_init__`` for the input types;
+``MappingRecord`` is deliberately permissive at construction so that
+:func:`validate_record` can report violations as data rather than
+exceptions.
 """
 
 from __future__ import annotations
@@ -190,7 +190,6 @@ class OntologyClass:
     definition: str | None = None
     synonyms: tuple[ClassSynonym, ...] = ()
     xrefs: tuple[CodeRef, ...] = ()
-    ancestors: tuple[str, ...] = ()
     deprecated: bool = False
 
     def __post_init__(self):

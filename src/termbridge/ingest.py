@@ -1,38 +1,49 @@
 """Parsers for every external input.
 
 All parsers stream line by line, carry 1-based line numbers on errors,
-and produce immutable indexes.  File formats:
+and produce immutable indexes.  Every TSV with a header row goes through
+``_read_rows``, which checks the header and each row's column count.
+File formats:
 
   concepts.tsv          concept_id  vocabulary  concept_code  label
                         synonyms  domain  used_in_practice  record_count
                         (synonyms pipe-delimited, booleans 0/1)
-  concept_ancestors.tsv concept_id  ancestor_concept_id
+  concept_ancestors.tsv concept_id  ancestor_concept_id (header optional)
   ontology.jsonl        one JSON object per class:
                         {"curie","ontology","label","definition",
                          "synonyms":[{"text","kind"}],"xrefs":[str],
                          "deprecated":bool}
-  class_ancestors.tsv   curie  ancestor_curie
   MRCONSO.RRF           pipe-delimited, >= 15 fields; uses 0 CUI, 11 SAB,
-                        13 CODE, 14 STR; trailing pipe tolerated
+                        13 CODE; trailing pipe tolerated
   MRSTY.RRF             pipe-delimited, >= 4 fields; uses 0 CUI, 3 STY
-  prevalence.tsv        site_id  concept_id  record_count
+  routing_policy.tsv    semantic_type  action  value
   curation.tsv          concept_id  ontology  logic  targets  evidence
                         unmapped_reason  (targets pipe-delimited CURIEs)
+  measurement_scales.tsv   concept_id  scale  reference_range_kind
+  measurement_targets.tsv  concept_id  outcome  curie  negated
+  mappings.tsv          the map command's output (MAPPINGS_HEADER)
+  prevalence.tsv        site_id  concept_id  record_count
+  id lists              one concept id per line, no header
+  weights / patients / cohort   hpo_curie  weight / patient_id  hpo_curie
+                        / patient_id  group
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from collections import defaultdict
+from dataclasses import dataclass
 
 from .core import (
     ClassSynonym,
     ClinicalConcept,
     CodeRef,
     Domain,
+    MeasurementOutcome,
+    MeasurementScale,
     OntologyClass,
+    ResultAssignment,
     SynonymKind,
     UnmappedReason,
 )
@@ -52,31 +63,22 @@ CONCEPT_HEADER = [
     "record_count",
 ]
 
+MAPPINGS_HEADER = [
+    "concept_id",
+    "domain",
+    "ontology",
+    "category",
+    "level",
+    "logic",
+    "targets",
+    "target_labels",
+    "score",
+    "evidence",
+    "unmapped_reason",
+    "outcome",
+]
+
 PREVALENCE_FLOOR = 100
-
-
-@dataclass(frozen=True)
-class UmlsAtom:
-    cui: str
-    sab: str
-    code: str
-    str_text: str
-
-    def __post_init__(self):
-        if not _CUI_RE.match(self.cui):
-            raise ValueError(f"bad CUI: {self.cui!r}")
-        if not self.sab or not self.code:
-            raise ValueError("atom requires sab and code")
-
-
-@dataclass(frozen=True)
-class SemanticTypeRow:
-    cui: str
-    sty_name: str
-
-    def __post_init__(self):
-        if not _CUI_RE.match(self.cui):
-            raise ValueError(f"bad CUI: {self.cui!r}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,45 @@ class CurationRow:
 
 
 @dataclass(frozen=True)
+class RoutingPolicy:
+    """Semantic-type driven ontology routing.
+
+    ``allow`` maps a semantic type to the ontologies its concepts may
+    target; ``exclude`` maps a semantic type to an unmapped reason.
+    Exclusion wins over allow rules.  Concepts whose semantic types carry
+    no allow rule fall back to the full configured ontology set.
+    """
+
+    allow: dict[str, frozenset[str]]
+    exclude: dict[str, UnmappedReason]
+    default_ontologies: frozenset[str]
+
+    @classmethod
+    def allow_all(cls, ontologies) -> "RoutingPolicy":
+        return cls(allow={}, exclude={}, default_ontologies=frozenset(o.upper() for o in ontologies))
+
+
+_RANGE_KINDS = {"NUMERIC", "POS_NEG", "NONE"}
+
+
+@dataclass(frozen=True)
+class ScaleRow:
+    concept_id: int
+    scale: MeasurementScale
+    reference_range_kind: str  # NUMERIC | POS_NEG | NONE
+
+    def __post_init__(self):
+        if self.reference_range_kind not in _RANGE_KINDS:
+            raise ValueError(f"bad reference_range_kind {self.reference_range_kind!r}")
+
+
+@dataclass(frozen=True)
+class AuxTarget:
+    ontology: str
+    curie: str
+
+
+@dataclass(frozen=True)
 class ConceptLoad:
     concepts: dict[int, ClinicalConcept]
     dangling_ancestors: int
@@ -114,7 +155,7 @@ class ConceptLoad:
 
 @dataclass(frozen=True)
 class UmlsTables:
-    atoms_by_code: dict[tuple[str, str], tuple[UmlsAtom, ...]]
+    atoms_by_code: dict[tuple[str, str], tuple[str, ...]]  # (SAB, CODE) -> sorted CUIs
     sty_by_cui: dict[str, tuple[str, ...]]
 
 
@@ -131,7 +172,10 @@ class CurationLoad:
 
 
 def _read_rows(path, expected_header):
-    """Yield (lineno, fields) for a TSV with a mandatory header row."""
+    """Yield (lineno, fields) for a TSV with a mandatory header row.
+
+    Every row must have exactly as many columns as the header.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
@@ -151,32 +195,40 @@ def _read_rows(path, expected_header):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
-            yield lineno, line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != len(expected_header):
+                raise ParseError(
+                    "MALFORMED_ROW", f"expected {len(expected_header)} columns", str(path), lineno
+                )
+            yield lineno, fields
 
 
-def _load_ancestor_pairs(path, parse_key, path_label):
+def _parse_reason(raw: str) -> UnmappedReason:
+    key = raw.strip().upper().replace(" ", "_").replace("-", "_")
+    try:
+        return UnmappedReason[key]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+def _load_ancestor_pairs(path):
+    """concept_id -> the ids of its ancestors."""
     pairs = defaultdict(set)
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        lineno = 1
-        if first and not first.startswith(("concept_id", "curie")):
-            # No header: treat the first line as data.
-            fh.seek(0)
-            lineno = 0
-        for offset, line in enumerate(fh, start=lineno + 1):
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
-            if not line:
+            if not line or (lineno == 1 and line.startswith("concept_id")):
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
-                raise ParseError("MALFORMED_ROW", "expected 2 columns", path_label, offset)
+                raise ParseError("MALFORMED_ROW", "expected 2 columns", str(path), lineno)
             try:
-                child, ancestor = parse_key(fields[0]), parse_key(fields[1])
+                child, ancestor = int(fields[0]), int(fields[1])
             except ValueError as exc:
-                raise ParseError("MALFORMED_ROW", str(exc), path_label, offset) from None
+                raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
             if child == ancestor:
                 raise ParseError(
-                    "MALFORMED_ROW", f"self-loop ancestor for {child}", path_label, offset
+                    "MALFORMED_ROW", f"self-loop ancestor for {child}", str(path), lineno
                 )
             pairs[child].add(ancestor)
     return pairs
@@ -197,10 +249,6 @@ def load_concepts(
     dictionary = dictionary or NormalizationDictionary.empty()
     rows: dict[int, dict] = {}
     for lineno, fields in _read_rows(path, CONCEPT_HEADER):
-        if len(fields) != len(CONCEPT_HEADER):
-            raise ParseError(
-                "MALFORMED_ROW", f"expected {len(CONCEPT_HEADER)} columns", str(path), lineno
-            )
         raw = dict(zip(CONCEPT_HEADER, fields))
         try:
             concept_id = int(raw["concept_id"])
@@ -229,7 +277,7 @@ def load_concepts(
 
     ancestor_map = {}
     if ancestors_path is not None:
-        ancestor_map = _load_ancestor_pairs(ancestors_path, int, str(ancestors_path))
+        ancestor_map = _load_ancestor_pairs(ancestors_path)
 
     dangling = 0
     concepts: dict[int, ClinicalConcept] = {}
@@ -257,11 +305,7 @@ def load_concepts(
     return ConceptLoad(concepts=concepts, dangling_ancestors=dangling)
 
 
-def load_ontology_dump(
-    path,
-    dictionary: NormalizationDictionary | None = None,
-    ancestors_path=None,
-) -> dict[str, OntologyClass]:
+def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) -> dict[str, OntologyClass]:
     """Parse a JSON-Lines ontology dump, keyed by CURIE.
 
     Xref strings are canonicalized through the prefix dictionary.
@@ -269,10 +313,6 @@ def load_ontology_dump(
     downstream must exclude them.
     """
     dictionary = dictionary or NormalizationDictionary.empty()
-    ancestor_map = {}
-    if ancestors_path is not None:
-        ancestor_map = _load_ancestor_pairs(ancestors_path, str.strip, str(ancestors_path))
-
     classes: dict[str, OntologyClass] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -312,7 +352,6 @@ def load_ontology_dump(
                     definition=obj.get("definition"),
                     synonyms=synonyms,
                     xrefs=xrefs,
-                    ancestors=tuple(sorted(ancestor_map.get(curie, ()))),
                     deprecated=bool(obj.get("deprecated", False)),
                 )
             except ValueError as exc:
@@ -323,10 +362,11 @@ def load_ontology_dump(
 def load_umls(mrconso_path, mrsty_path) -> UmlsTables:
     """Stream MRCONSO/MRSTY and retain only the bridging projections.
 
-    Peak memory is bounded by the retained index size, not file size:
-    each line is processed and discarded.
+    Peak memory is bounded by the retained index, not file size: each
+    line is processed and discarded, and a (SAB, CODE) key keeps only
+    its CUIs.
     """
-    atoms: dict[tuple[str, str], set[UmlsAtom]] = defaultdict(set)
+    cuis: dict[tuple[str, str], set[str]] = defaultdict(set)
     with open(mrconso_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -337,12 +377,12 @@ def load_umls(mrconso_path, mrsty_path) -> UmlsTables:
                 fields = fields[:-1]
             if len(fields) < 15:
                 raise ParseError("SHORT_ROW", f"{len(fields)} fields, need >= 15", str(mrconso_path), lineno)
-            cui, sab, code, text = fields[0], fields[11], fields[13], fields[14]
+            cui, sab, code = fields[0], fields[11], fields[13]
             if not _CUI_RE.match(cui):
                 raise ParseError("BAD_CUI", f"bad CUI {cui!r}", str(mrconso_path), lineno)
             if not sab.strip() or not code.strip():
                 raise ParseError("SHORT_ROW", "blank SAB or CODE", str(mrconso_path), lineno)
-            atoms[(sab, code)].add(UmlsAtom(cui=cui, sab=sab, code=code, str_text=text))
+            cuis[(sab, code)].add(cui)
 
     sty: dict[str, set[str]] = defaultdict(set)
     with open(mrsty_path, encoding="utf-8") as fh:
@@ -361,10 +401,7 @@ def load_umls(mrconso_path, mrsty_path) -> UmlsTables:
             sty[cui].add(name)
 
     return UmlsTables(
-        atoms_by_code={
-            key: tuple(sorted(group, key=lambda a: (a.cui, a.str_text)))
-            for key, group in atoms.items()
-        },
+        atoms_by_code={key: tuple(sorted(group)) for key, group in cuis.items()},
         sty_by_cui={cui: tuple(sorted(names)) for cui, names in sty.items()},
     )
 
@@ -374,8 +411,6 @@ def load_prevalence(path) -> PrevalenceLoad:
     rows = []
     floored = 0
     for lineno, fields in _read_rows(path, ["site_id", "concept_id", "record_count"]):
-        if len(fields) != 3:
-            raise ParseError("MALFORMED_ROW", "expected 3 columns", str(path), lineno)
         try:
             concept_id = int(fields[1])
             count = int(fields[2])
@@ -393,14 +428,6 @@ def load_prevalence(path) -> PrevalenceLoad:
 CURATION_HEADER = ["concept_id", "ontology", "logic", "targets", "evidence", "unmapped_reason"]
 
 
-def _parse_reason(raw: str) -> UnmappedReason:
-    key = raw.strip().upper().replace(" ", "_").replace("-", "_")
-    try:
-        return UnmappedReason[key]
-    except KeyError:
-        raise ValueError(raw) from None
-
-
 def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     """Parse manually-derived mapping rows.
 
@@ -412,8 +439,6 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     rows = []
     unknown_targets = []
     for lineno, fields in _read_rows(path, CURATION_HEADER):
-        if len(fields) != len(CURATION_HEADER):
-            raise ParseError("MALFORMED_ROW", "expected 6 columns", str(path), lineno)
         concept_raw, ontology, logic, targets_raw, evidence, reason_raw = fields
         try:
             concept_id = int(concept_raw)
@@ -458,47 +483,137 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     return CurationLoad(rows=tuple(rows), unknown_targets=tuple(sorted(set(unknown_targets))))
 
 
-def serialize_concepts(concepts: dict[int, ClinicalConcept]) -> str:
-    """Canonical TSV rendering (sorted by concept_id); inverse of load_concepts
-    minus the ancestor join, which lives in its own file."""
-    lines = ["\t".join(CONCEPT_HEADER)]
-    for concept_id in sorted(concepts):
-        c = concepts[concept_id]
-        lines.append(
-            "\t".join(
-                [
-                    str(c.concept_id),
-                    c.vocabulary,
-                    c.code.code,
-                    c.label,
-                    "|".join(c.synonyms),
-                    c.domain.value,
-                    "1" if c.used_in_practice else "0",
-                    str(c.record_count),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+ROUTING_HEADER = ["semantic_type", "action", "value"]
 
 
-def serialize_ontology(classes: dict[str, OntologyClass]) -> str:
-    """Canonical JSONL rendering (sorted by CURIE, sorted keys)."""
-    lines = []
-    for curie in sorted(classes):
-        k = classes[curie]
-        lines.append(
-            json.dumps(
-                {
-                    "curie": k.curie,
-                    "ontology": k.ontology,
-                    "label": k.label,
-                    "definition": k.definition,
-                    "synonyms": [{"text": s.text, "kind": s.kind.value} for s in k.synonyms],
-                    "xrefs": [str(x) for x in k.xrefs],
-                    "deprecated": k.deprecated,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
+def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
+    """Parse routing_policy.tsv (`semantic_type  action  value`).
+
+    ALLOW values are pipe-delimited ontology keys, EXCLUDE values an
+    unmapped reason.  A semantic type may carry at most one exclusion.
+    """
+    allow: dict[str, frozenset[str]] = {}
+    exclude: dict[str, UnmappedReason] = {}
+    for lineno, fields in _read_rows(path, ROUTING_HEADER):
+        sty, action, value = fields[0], fields[1].strip().upper(), fields[2]
+        if action == "ALLOW":
+            ontologies = frozenset(o.strip().upper() for o in value.split("|") if o.strip())
+            if not ontologies:
+                raise ParseError("MALFORMED_ROW", "ALLOW needs an ontology list", str(path), lineno)
+            allow[sty] = allow.get(sty, frozenset()) | ontologies
+        elif action == "EXCLUDE":
+            try:
+                reason = _parse_reason(value)
+            except ValueError:
+                raise ParseError("UNKNOWN_REASON", f"reason {value!r}", str(path), lineno) from None
+            if sty in exclude and exclude[sty] is not reason:
+                raise ParseError(
+                    "CONFLICTING_RULE", f"two exclusion reasons for {sty!r}", str(path), lineno
+                )
+            exclude[sty] = reason
+        else:
+            raise ParseError("MALFORMED_ROW", f"unknown action {action!r}", str(path), lineno)
+    return RoutingPolicy(
+        allow=allow,
+        exclude=exclude,
+        default_ontologies=frozenset(o.upper() for o in configured_ontologies),
+    )
+
+
+SCALE_HEADER = ["concept_id", "scale", "reference_range_kind"]
+TARGET_HEADER = ["concept_id", "outcome", "curie", "negated"]
+
+
+def load_measurement_scales(path) -> dict[int, ScaleRow]:
+    rows = {}
+    for lineno, fields in _read_rows(path, SCALE_HEADER):
+        try:
+            row = ScaleRow(
+                concept_id=int(fields[0]),
+                scale=MeasurementScale(fields[1].strip().upper()),
+                reference_range_kind=fields[2].strip().upper(),
             )
-        )
-    return "\n".join(lines) + "\n"
+        except ValueError as exc:
+            raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
+        if row.concept_id in rows:
+            raise ParseError("DUPLICATE_ID", f"concept {row.concept_id} repeated", str(path), lineno)
+        rows[row.concept_id] = row
+    return rows
+
+
+def load_measurement_targets(path):
+    """Result assignments and auxiliary targets from one file.
+
+    A row whose second column is a result outcome is an assignment; a row
+    whose second column is an ontology key is an auxiliary target (its
+    negated column must be empty or 0).
+    """
+    outcomes = {o.value for o in MeasurementOutcome}
+    assignments: dict[int, list[ResultAssignment]] = defaultdict(list)
+    aux: dict[int, list[AuxTarget]] = defaultdict(list)
+    for lineno, fields in _read_rows(path, TARGET_HEADER):
+        concept_raw, kind_raw, curie, negated_raw = (f.strip() for f in fields)
+        try:
+            concept_id = int(concept_raw)
+        except ValueError:
+            raise ParseError("MALFORMED_ROW", f"bad concept_id {concept_raw!r}", str(path), lineno) from None
+        key = kind_raw.upper()
+        if key in outcomes:
+            if negated_raw not in {"0", "1"}:
+                raise ParseError("MALFORMED_ROW", f"negated must be 0/1, got {negated_raw!r}", str(path), lineno)
+            assignments[concept_id].append(
+                ResultAssignment(
+                    outcome=MeasurementOutcome(key), curie=curie, negated=negated_raw == "1"
+                )
+            )
+        else:
+            if negated_raw not in {"", "0"}:
+                raise ParseError(
+                    "MALFORMED_ROW", "auxiliary rows cannot be negated", str(path), lineno
+                )
+            aux[concept_id].append(AuxTarget(ontology=key, curie=curie))
+    return dict(assignments), dict(aux)
+
+
+def load_mappings(path) -> list[dict[str, str]]:
+    """Rows of mappings.tsv as dicts keyed by header name."""
+    return [dict(zip(MAPPINGS_HEADER, fields)) for _, fields in _read_rows(path, MAPPINGS_HEADER)]
+
+
+def load_id_list(path) -> set[int]:
+    """Concept ids, one per line, no header."""
+    ids = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                ids.add(int(line))
+            except ValueError:
+                raise ParseError("MALFORMED_ROW", f"bad concept id {line!r}", str(path), lineno) from None
+    return ids
+
+
+def load_two_column(path, header, value_parser) -> list[tuple[str, object]]:
+    """(key, parsed value) rows of a two-column TSV."""
+    out = []
+    for lineno, (key, raw) in _read_rows(path, header):
+        try:
+            out.append((key, value_parser(raw)))
+        except ValueError as exc:
+            raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
+    return out
+
+
+def load_cohort(path) -> dict[str, str]:
+    """patient_id -> CASE or CONTROL; each patient is listed once."""
+    groups = {}
+    for lineno, (patient_id, group) in _read_rows(path, ["patient_id", "group"]):
+        group = group.strip().upper()
+        if group not in {"CASE", "CONTROL"}:
+            raise ParseError("MALFORMED_ROW", f"bad group {group!r}", str(path), lineno)
+        if patient_id in groups:
+            raise ParseError("DUPLICATE_ID", f"patient_id {patient_id!r} repeated", str(path), lineno)
+        groups[patient_id] = group
+    return groups

@@ -1,17 +1,15 @@
 """End-to-end batch runs behind the CLI: mapping, coverage, phenotype scores.
 
-The whole pipeline is seed-free and deterministic: worker scheduling never
-affects output because results are globally re-sorted before writing, and
-all serialization is stable (sorted keys, fixed float formatting).  Two
-runs on identical inputs produce byte-identical files at any worker count.
+The whole pipeline is seed-free, single-threaded and deterministic:
+records are globally sorted before writing, and all serialization is
+stable (sorted keys, fixed float formatting).  Two runs on identical
+inputs produce byte-identical files.  Every input is read by ``ingest``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,10 +35,19 @@ from .core import (
 from .errors import ConfigError, DataError, ParseError
 from .evaluate import bucket_errors, group_stats, partition_coverage, phers
 from .ingest import (
+    MAPPINGS_HEADER,
+    RoutingPolicy,
+    load_cohort,
     load_concepts,
     load_curation,
+    load_id_list,
+    load_mappings,
+    load_measurement_scales,
+    load_measurement_targets,
     load_ontology_dump,
     load_prevalence,
+    load_routing_policy,
+    load_two_column,
     load_umls,
 )
 from .lexical import (
@@ -63,31 +70,12 @@ from .similarity import (
 from .stats import bonferroni_pairwise, chi_square_yates
 from .synthesize import (
     RouteDecision,
-    RoutingPolicy,
     expand_measurements,
-    load_measurement_scales,
-    load_measurement_targets,
-    load_routing_policy,
     record_from_curation,
     render_evidence,
     route,
     synthesize,
 )
-
-MAPPINGS_HEADER = [
-    "concept_id",
-    "domain",
-    "ontology",
-    "category",
-    "level",
-    "logic",
-    "targets",
-    "target_labels",
-    "score",
-    "evidence",
-    "unmapped_reason",
-    "outcome",
-]
 
 SSSOM_HEADER = [
     "subject_id",
@@ -122,7 +110,6 @@ class RunConfig:
     concepts: str | None = None
     ancestors: str | None = None
     ontology_dumps: tuple[str, ...] = ()
-    class_ancestors: str | None = None
     umls_mrconso: str | None = None
     umls_mrsty: str | None = None
     code_map: str | None = None
@@ -134,7 +121,7 @@ class RunConfig:
     domain: Domain = Domain.CONDITION
     tau: float = 0.25
     rho: float = 0.75
-    jobs: int = 0  # 0 -> available parallelism
+    jobs: int = 0  # accepted for compatibility; runs are single-threaded
     mappings: str | None = None
     prevalence: str | None = None
     newer_cdm: str | None = None
@@ -143,9 +130,6 @@ class RunConfig:
     weights: str | None = None
     patients: str | None = None
     cohort: str | None = None
-
-    def effective_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
 def _require_paths(pairs):
@@ -162,11 +146,9 @@ def _optional_paths(pairs):
             raise ConfigError("NO_SUCH_FILE", f"--{flag}: {path} does not exist")
 
 
+# A plain loop, kept with its unused ``jobs`` because perfbench's tracer wraps this name.
 def _parallel_map(fn, items, jobs):
-    if jobs <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _fmt_score(score) -> str:
@@ -257,7 +239,6 @@ def run_map(cfg: RunConfig) -> Path:
     _optional_paths(
         [
             ("ancestors", cfg.ancestors),
-            ("class-ancestors", cfg.class_ancestors),
             ("umls-mrconso", cfg.umls_mrconso),
             ("umls-mrsty", cfg.umls_mrsty),
             ("code-map", cfg.code_map),
@@ -286,7 +267,7 @@ def run_map(cfg: RunConfig) -> Path:
 
     classes = {}
     for dump in cfg.ontology_dumps:
-        loaded = load_ontology_dump(dump, dictionary, cfg.class_ancestors)
+        loaded = load_ontology_dump(dump, dictionary)
         for curie, cls in loaded.items():
             if curie in classes:
                 raise ParseError("DUPLICATE_CURIE", f"class {curie} in two dumps", dump)
@@ -377,7 +358,7 @@ def run_map(cfg: RunConfig) -> Path:
                 ontologies,
             )
 
-        chunks = _parallel_map(process, sorted(concepts), cfg.effective_jobs())
+        chunks = _parallel_map(process, sorted(concepts), cfg.jobs)
         for chunk in chunks:
             records.extend(chunk)
 
@@ -498,44 +479,12 @@ def _map_measurement(
     return records
 
 
-def _read_mappings(path):
-    """Rows of mappings.tsv as dicts keyed by header name."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != MAPPINGS_HEADER:
-            raise ParseError("MISSING_COLUMN", "unexpected mappings.tsv header", str(path), 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(MAPPINGS_HEADER):
-                raise ParseError("MALFORMED_ROW", "bad column count", str(path), lineno)
-            rows.append(dict(zip(MAPPINGS_HEADER, fields)))
-    return rows
-
-
-def _load_id_list(path) -> set[int]:
-    ids = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ids.add(int(line))
-            except ValueError:
-                raise ParseError("MALFORMED_ROW", f"bad concept id {line!r}", str(path), lineno) from None
-    return ids
-
-
 def run_coverage(cfg: RunConfig) -> Path:
     """Coverage partition, omnibus + pairwise tests, and error buckets."""
     _require_paths([("mappings", cfg.mappings), ("prevalence", cfg.prevalence)])
     _optional_paths([("newer-cdm", cfg.newer_cdm), ("excluded", cfg.excluded)])
 
-    rows = _read_mappings(cfg.mappings)
+    rows = load_mappings(cfg.mappings)
     mapped_ids = {int(r["concept_id"]) for r in rows if r["category"] != "Unmapped"}
     prevalence = load_prevalence(cfg.prevalence)
     report = partition_coverage(mapped_ids, prevalence.rows)
@@ -549,8 +498,8 @@ def run_coverage(cfg: RunConfig) -> Path:
         omnibus = chi_square_yates(table)
     pairwise = bonferroni_pairwise(site_tables, cfg.alpha)
 
-    newer = _load_id_list(cfg.newer_cdm) if cfg.newer_cdm else set()
-    excluded = _load_id_list(cfg.excluded) if cfg.excluded else set()
+    newer = load_id_list(cfg.newer_cdm) if cfg.newer_cdm else set()
+    excluded = load_id_list(cfg.excluded) if cfg.excluded else set()
     buckets = bucket_errors(report.site_only, newer, excluded, prevalence.rows)
 
     out_dir = Path(cfg.out_dir)
@@ -627,26 +576,6 @@ def run_coverage(cfg: RunConfig) -> Path:
     return out_dir
 
 
-def _read_two_column(path, header, value_parser):
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first.split("\t") != header:
-            raise ParseError("MISSING_COLUMN", f"expected header {header}", str(path), 1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError("MALFORMED_ROW", "expected 2 columns", str(path), lineno)
-            try:
-                out.append((fields[0], value_parser(fields[1])))
-            except ValueError as exc:
-                raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
-    return out
-
-
 def run_phers(cfg: RunConfig) -> Path:
     """Standardized phenotype risk scores plus the one-sided rank-sum test."""
     from .stats import wilcoxon_rank_sum_one_sided
@@ -654,16 +583,9 @@ def run_phers(cfg: RunConfig) -> Path:
     _require_paths(
         [("weights", cfg.weights), ("patients", cfg.patients), ("cohort", cfg.cohort)]
     )
-    weights = dict(_read_two_column(cfg.weights, ["hpo_curie", "weight"], float))
-    phenotype_rows = _read_two_column(cfg.patients, ["patient_id", "hpo_curie"], str)
-    cohort_rows = _read_two_column(cfg.cohort, ["patient_id", "group"], str)
-
-    groups = {}
-    for patient_id, group in cohort_rows:
-        group = group.strip().upper()
-        if group not in {"CASE", "CONTROL"}:
-            raise ParseError("MALFORMED_ROW", f"bad group {group!r}", str(cfg.cohort))
-        groups[patient_id] = group
+    weights = dict(load_two_column(cfg.weights, ["hpo_curie", "weight"], float))
+    phenotype_rows = load_two_column(cfg.patients, ["patient_id", "hpo_curie"], str)
+    groups = load_cohort(cfg.cohort)
     phenotypes: dict[str, set[str]] = {pid: set() for pid in groups}
     for patient_id, curie in phenotype_rows:
         if patient_id in phenotypes:
@@ -716,7 +638,7 @@ def export_sssom(mappings_path, concepts_path, out_path) -> Path:
     """
     _require_paths([("mappings", mappings_path), ("concepts", concepts_path)])
     concepts = load_concepts(concepts_path).concepts
-    rows = _read_mappings(mappings_path)
+    rows = load_mappings(mappings_path)
 
     lines = ["\t".join(SSSOM_HEADER)]
     for row in rows:

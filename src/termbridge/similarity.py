@@ -3,7 +3,7 @@
 One matrix row per input string (concept and class labels/synonyms from
 both sides).  Weighting is pinned to tf(t,d) = raw count and
 idf(t) = ln((1 + N) / (1 + df(t))) + 1 with L2-normalized rows; the
-variant is recorded in the model metadata for reproducibility.
+variant (``IDF_VARIANT``) is recorded in summary.json for reproducibility.
 
 The cosine stages keep pairs as parallel numpy arrays, never as one
 object per pair:
@@ -11,8 +11,8 @@ object per pair:
 * scoring multiplies concept rows by class rows with scipy's sparse
   product, so only string pairs sharing at least one token are ever
   evaluated; orthogonal pairs score zero and are never candidates.  Each
-  (concept, class) keeps its best string pair, found by a stable
-  ``lexsort`` on ``concept * n_classes + class``.  Concept rows are
+  (concept, class) keeps the best score over its string pairs, found by
+  a ``lexsort`` on ``concept * n_classes + class``.  Concept rows are
   multiplied in chunks that never split a concept, so each chunk's maxima
   are final.  Routing is a concepts x ontologies boolean mask;
 * the result is a ``PairTable`` whose concept and class columns index the
@@ -81,8 +81,6 @@ class ScoredPair:
     concept_id: int
     curie: str
     score: float
-    concept_string: str
-    class_string: str
 
 
 @dataclass
@@ -90,7 +88,6 @@ class SimilarityModel:
     vocabulary: dict[str, int]
     matrix: sparse.csr_matrix
     rows: tuple[RowMeta, ...]
-    idf_variant: str = IDF_VARIANT
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,20 +96,16 @@ class PairTable:
 
     ``concept`` indexes ``concept_ids`` and ``cls`` indexes ``curies``;
     both lists are sorted.  ``class_ontology`` gives each class's index
-    into the sorted ``ontologies``.  ``concept_row`` and ``class_row`` are
-    the model rows (into ``rows``) of the string pair behind each score.
+    into the sorted ``ontologies``.
     """
 
     concept_ids: np.ndarray
     curies: tuple[str, ...]
     class_ontology: np.ndarray
     ontologies: tuple[str, ...]
-    rows: tuple[RowMeta, ...]
     concept: np.ndarray
     cls: np.ndarray
     score: np.ndarray
-    concept_row: np.ndarray
-    class_row: np.ndarray
 
     def __len__(self) -> int:
         return len(self.score)
@@ -120,12 +113,7 @@ class PairTable:
     def take(self, index) -> "PairTable":
         """The pairs at ``index``, in that order."""
         return replace(
-            self,
-            concept=self.concept[index],
-            cls=self.cls[index],
-            score=self.score[index],
-            concept_row=self.concept_row[index],
-            class_row=self.class_row[index],
+            self, concept=self.concept[index], cls=self.cls[index], score=self.score[index]
         )
 
 
@@ -216,13 +204,6 @@ def fit(docs) -> SimilarityModel:
     )
 
 
-def score_pair_strings(model: SimilarityModel, row_a: int, row_b: int) -> float:
-    """Cosine of two model rows (exact dot product of normalized rows)."""
-    a = model.matrix.getrow(row_a)
-    b = model.matrix.getrow(row_b)
-    return float(a.multiply(b).sum())
-
-
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
     """Mask of the first element of each run of equal values in ``keys``."""
     first = np.ones(len(keys), dtype=bool)
@@ -242,8 +223,7 @@ def score_concept_pairs(
     ``routing`` maps concept_id -> allowed ontology keys; pairs outside it
     are skipped.  Only pairs sharing at least one token appear (all other
     scores are exactly zero).  Scores are clamped to 1.0, and the table is
-    sorted by (concept_id, curie).  Of equal string-pair scores, the first
-    in (concept row, class row) order supplies the strings.
+    sorted by (concept_id, curie).
     """
     concept_ids = sorted({c.concept_id for c in concepts})
     ontology_of = {k.curie: curie_ontology(k.curie) for k in classes if not k.deprecated}
@@ -278,7 +258,7 @@ def score_concept_pairs(
                         allowed[i, ontology_index[key]] = True
 
     empty = np.zeros(0, dtype=np.int64)
-    columns = [(empty, empty, np.zeros(0), empty, empty)]
+    columns = [(empty, empty, np.zeros(0))]
     if clin_rows and onto_rows:
         # Group each concept's rows together; within a concept, row order stays.
         order = np.argsort(np.array(clin_owner, dtype=np.int64), kind="stable")
@@ -302,27 +282,22 @@ def score_concept_pairs(
             if allowed is not None:
                 keep &= allowed[concept, class_ontology[cls]]
             concept, cls, score = concept[keep], cls[keep], coo.data[keep]
-            concept_row = clin_rows[start:end][coo.row[keep]]
-            class_row = onto_rows[coo.col[keep]]
 
             key = concept * n_classes + cls
             order = np.lexsort((-score, key))
             best = order[_first_of_runs(key[order])]
-            columns.append((concept[best], cls[best], score[best], concept_row[best], class_row[best]))
+            columns.append((concept[best], cls[best], score[best]))
             start = end
 
-    concept, cls, score, concept_row, class_row = (np.concatenate(c) for c in zip(*columns))
+    concept, cls, score = (np.concatenate(c) for c in zip(*columns))
     return PairTable(
         concept_ids=np.array(concept_ids, dtype=np.int64),
         curies=tuple(curies),
         class_ontology=class_ontology,
         ontologies=tuple(ontologies),
-        rows=model.rows,
         concept=concept,
         cls=cls,
         score=np.minimum(score, 1.0),
-        concept_row=concept_row,
-        class_row=class_row,
     )
 
 
@@ -354,27 +329,8 @@ def best_per_concept(pairs: PairTable) -> dict[tuple[int, str], ScoredPair]:
     cids = pairs.concept_ids[pairs.concept[win]].tolist()
     curies = [pairs.curies[i] for i in pairs.cls[win].tolist()]
     keys = [pairs.ontologies[i] for i in ontology[win].tolist()]
-    concept_texts = [pairs.rows[i].text for i in pairs.concept_row[win].tolist()]
-    class_texts = [pairs.rows[i].text for i in pairs.class_row[win].tolist()]
     return {
-        (cid, key): ScoredPair(cid, curie, score, concept_text, class_text)
-        for cid, key, curie, score, concept_text, class_text in zip(
-            cids, keys, curies, pairs.score[win].tolist(), concept_texts, class_texts
-        )
+        (cid, key): ScoredPair(cid, curie, score)
+        for cid, key, curie, score in zip(cids, keys, curies, pairs.score[win].tolist())
     }
 
-
-def dump_model(model: SimilarityModel, path) -> None:
-    """Sorted text dump (vocabulary, rows, non-zeros) for diff-based review."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# idf_variant\t{model.idf_variant}\n")
-        fh.write(f"# documents\t{model.matrix.shape[0]}\tvocabulary\t{model.matrix.shape[1]}\n")
-        for token in sorted(model.vocabulary):
-            fh.write(f"V\t{token}\t{model.vocabulary[token]}\n")
-        csr = model.matrix.tocsr()
-        for i, meta in enumerate(model.rows):
-            row = csr.getrow(i)
-            cells = " ".join(
-                f"{col}:{val:.12g}" for col, val in zip(row.indices.tolist(), row.data.tolist())
-            )
-            fh.write(f"R\t{i}\t{meta.side.value}\t{meta.owner}\t{meta.role.value}\t{cells}\n")

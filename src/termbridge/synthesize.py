@@ -39,28 +39,9 @@ from .core import (
     canonical_evidence,
     curie_ontology,
 )
-from .errors import DataError, ParseError
-from .ingest import CurationRow, _parse_reason, _read_rows
+from .errors import DataError
+from .ingest import CurationRow, RoutingPolicy, ScaleRow
 from .lexical import TokenizerConfig, normalize_string, tokenize
-
-
-@dataclass(frozen=True)
-class RoutingPolicy:
-    """Semantic-type driven ontology routing.
-
-    ``allow`` maps a semantic type to the ontologies its concepts may
-    target; ``exclude`` maps a semantic type to an unmapped reason.
-    Exclusion wins over allow rules.  Concepts whose semantic types carry
-    no allow rule fall back to the full configured ontology set.
-    """
-
-    allow: dict[str, frozenset[str]]
-    exclude: dict[str, UnmappedReason]
-    default_ontologies: frozenset[str]
-
-    @classmethod
-    def allow_all(cls, ontologies) -> "RoutingPolicy":
-        return cls(allow={}, exclude={}, default_ontologies=frozenset(o.upper() for o in ontologies))
 
 
 @dataclass(frozen=True)
@@ -89,45 +70,6 @@ def route(concept: ClinicalConcept, policy: RoutingPolicy) -> RouteDecision:
     if not ruled:
         return RouteDecision(allowed=policy.default_ontologies)
     return RouteDecision(allowed=frozenset(allowed) & policy.default_ontologies)
-
-
-ROUTING_HEADER = ["semantic_type", "action", "value"]
-
-
-def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
-    """Parse routing_policy.tsv (`semantic_type  action  value`).
-
-    ALLOW values are pipe-delimited ontology keys, EXCLUDE values an
-    unmapped reason.  A semantic type may carry at most one exclusion.
-    """
-    allow: dict[str, frozenset[str]] = {}
-    exclude: dict[str, UnmappedReason] = {}
-    for lineno, fields in _read_rows(path, ROUTING_HEADER):
-        if len(fields) != 3:
-            raise ParseError("MALFORMED_ROW", "expected 3 columns", str(path), lineno)
-        sty, action, value = fields[0], fields[1].strip().upper(), fields[2]
-        if action == "ALLOW":
-            ontologies = frozenset(o.strip().upper() for o in value.split("|") if o.strip())
-            if not ontologies:
-                raise ParseError("MALFORMED_ROW", "ALLOW needs an ontology list", str(path), lineno)
-            allow[sty] = allow.get(sty, frozenset()) | ontologies
-        elif action == "EXCLUDE":
-            try:
-                reason = _parse_reason(value)
-            except ValueError:
-                raise ParseError("UNKNOWN_REASON", f"reason {value!r}", str(path), lineno) from None
-            if sty in exclude and exclude[sty] is not reason:
-                raise ParseError(
-                    "CONFLICTING_RULE", f"two exclusion reasons for {sty!r}", str(path), lineno
-                )
-            exclude[sty] = reason
-        else:
-            raise ParseError("MALFORMED_ROW", f"unknown action {action!r}", str(path), lineno)
-    return RoutingPolicy(
-        allow=allow,
-        exclude=exclude,
-        default_ontologies=frozenset(o.upper() for o in configured_ontologies),
-    )
 
 
 def _and_logic(n: int) -> str:
@@ -286,83 +228,6 @@ def synthesize(
 
 # --- measurement result expansion -----------------------------------------
 
-SCALE_HEADER = ["concept_id", "scale", "reference_range_kind"]
-TARGET_HEADER = ["concept_id", "outcome", "curie", "negated"]
-
-_RANGE_KINDS = {"NUMERIC", "POS_NEG", "NONE"}
-
-
-@dataclass(frozen=True)
-class ScaleRow:
-    concept_id: int
-    scale: MeasurementScale
-    reference_range_kind: str  # NUMERIC | POS_NEG | NONE
-
-    def __post_init__(self):
-        if self.reference_range_kind not in _RANGE_KINDS:
-            raise ValueError(f"bad reference_range_kind {self.reference_range_kind!r}")
-
-
-@dataclass(frozen=True)
-class AuxTarget:
-    ontology: str
-    curie: str
-
-
-def load_measurement_scales(path) -> dict[int, ScaleRow]:
-    rows = {}
-    for lineno, fields in _read_rows(path, SCALE_HEADER):
-        if len(fields) != 3:
-            raise ParseError("MALFORMED_ROW", "expected 3 columns", str(path), lineno)
-        try:
-            row = ScaleRow(
-                concept_id=int(fields[0]),
-                scale=MeasurementScale(fields[1].strip().upper()),
-                reference_range_kind=fields[2].strip().upper(),
-            )
-        except ValueError as exc:
-            raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
-        if row.concept_id in rows:
-            raise ParseError("DUPLICATE_ID", f"concept {row.concept_id} repeated", str(path), lineno)
-        rows[row.concept_id] = row
-    return rows
-
-
-def load_measurement_targets(path):
-    """Result assignments and auxiliary targets from one file.
-
-    A row whose second column is a result outcome is an assignment; a row
-    whose second column is an ontology key is an auxiliary target (its
-    negated column must be empty or 0).
-    """
-    outcomes = {o.value for o in MeasurementOutcome}
-    assignments: dict[int, list[ResultAssignment]] = defaultdict(list)
-    aux: dict[int, list[AuxTarget]] = defaultdict(list)
-    for lineno, fields in _read_rows(path, TARGET_HEADER):
-        if len(fields) != 4:
-            raise ParseError("MALFORMED_ROW", "expected 4 columns", str(path), lineno)
-        concept_raw, kind_raw, curie, negated_raw = (f.strip() for f in fields)
-        try:
-            concept_id = int(concept_raw)
-        except ValueError:
-            raise ParseError("MALFORMED_ROW", f"bad concept_id {concept_raw!r}", str(path), lineno) from None
-        key = kind_raw.upper()
-        if key in outcomes:
-            if negated_raw not in {"0", "1"}:
-                raise ParseError("MALFORMED_ROW", f"negated must be 0/1, got {negated_raw!r}", str(path), lineno)
-            assignments[concept_id].append(
-                ResultAssignment(
-                    outcome=MeasurementOutcome(key), curie=curie, negated=negated_raw == "1"
-                )
-            )
-        else:
-            if negated_raw not in {"", "0"}:
-                raise ParseError(
-                    "MALFORMED_ROW", "auxiliary rows cannot be negated", str(path), lineno
-                )
-            aux[concept_id].append(AuxTarget(ontology=key, curie=curie))
-    return dict(assignments), dict(aux)
-
 
 def derive_result_type(concept: ClinicalConcept, scale_row: ScaleRow | None) -> ResultType:
     """Result typing, in order: explicit reference-range data, then ordinal
@@ -520,17 +385,3 @@ def render_evidence(record: MappingRecord) -> str:
             raise DataError("EVIDENCE_DELIMITER", f"payload contains '|': {atom.payload!r}")
     return "|".join(f"{a.kind.value}:{a.payload}" for a in atoms)
 
-
-def parse_evidence(text: str) -> tuple[EvidenceAtom, ...]:
-    """Inverse of render_evidence (parse(render(e)) == canonical e)."""
-    if not text:
-        return ()
-    atoms = []
-    for part in text.split("|"):
-        kind_raw, _, payload = part.partition(":")
-        try:
-            kind = EvidenceKind(kind_raw)
-        except ValueError:
-            raise DataError("BAD_EVIDENCE", f"unknown evidence kind {kind_raw!r}") from None
-        atoms.append(EvidenceAtom(kind, payload))
-    return tuple(atoms)

@@ -223,7 +223,7 @@ def test_criterion_4_similarity_oracle():
             keep_fraction=rng.choice([0.25, 0.5, 0.75, 1.0]),
         )
         pairs = [
-            ScoredPair(i, f"HP:{i:07d}", round(rng.random(), 6), "a", "b")
+            ScoredPair(i, f"HP:{i:07d}", round(rng.random(), 6))
             for i in range(rng.randint(0, 40))
         ]
         kept = filter_pairs(pair_table(pairs), cfg)

@@ -9,7 +9,6 @@ from termbridge.align import (
     CuiBridge,
     align_concept,
     align_via_ancestors,
-    bridge_cuis,
     build_indexes,
     enrich_concepts,
 )
@@ -95,27 +94,22 @@ class TestBuildIndexes:
 class TestBridgeCuis:
     def _bridge(self):
         atoms = {
-            ("SNOMEDCT_US", "70305005"): (
-                type("A", (), {"cui": "C0596028"})(),
-            ),
-            ("SNOMEDCT_US", "999"): (
-                type("A", (), {"cui": "C0000002"})(),
-                type("A", (), {"cui": "C0000001"})(),
-            ),
+            ("SNOMEDCT_US", "70305005"): ("C0596028",),
+            ("SNOMEDCT_US", "999"): ("C0000002", "C0000001"),
         }
         return CuiBridge(atoms, NormalizationDictionary([("SNOMEDCT_US", "SNOMED")]))
 
     def test_fixture_atom(self):
         c = concept(22945, CodeRef("SNOMED", "70305005"), "Horizontal overbite")
-        assert bridge_cuis(c, self._bridge()) == ("C0596028",)
+        assert self._bridge().cuis_for(c.code) == ("C0596028",)
 
     def test_absent(self):
         c = concept(1, CodeRef("SNOMED", "404"), "missing")
-        assert bridge_cuis(c, self._bridge()) == ()
+        assert self._bridge().cuis_for(c.code) == ()
 
     def test_two_cuis_sorted(self):
         c = concept(2, CodeRef("SNOMED", "999"), "double")
-        assert bridge_cuis(c, self._bridge()) == ("C0000001", "C0000002")
+        assert self._bridge().cuis_for(c.code) == ("C0000001", "C0000002")
 
     def test_enrich_attaches_cuis_and_types(self):
         c = concept(22945, CodeRef("SNOMED", "70305005"), "Horizontal overbite")

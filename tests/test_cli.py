@@ -17,7 +17,7 @@ from termbridge.stats import midranks
 from fixtures import CODE_MAP_CSV
 
 
-def run_map_cli(paths, out_dir, extra=()):
+def map_args(paths, out_dir, extra=()):
     args = [
         "map",
         "--concepts", paths["concepts"],
@@ -36,8 +36,28 @@ def run_map_cli(paths, out_dir, extra=()):
         args += ["--curation", paths["curation"]]
     if "stopwords" in paths:
         args += ["--stopwords", paths["stopwords"]]
-    args += list(extra)
-    return main(args)
+    return args + list(extra)
+
+
+def run_map_cli(paths, out_dir, extra=()):
+    return main(map_args(paths, out_dir, extra))
+
+
+def outputs_under_hash_seeds(tmp_path, make_argv, names):
+    """Bytes of the named outputs of ``make_argv(out)`` run as a subprocess
+    under PYTHONHASHSEED 1 and 2, one list per seed."""
+    src = str(Path(termbridge.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-m", "termbridge.cli", *make_argv(out)],
+            env=env, check=True, timeout=60,
+        )
+        outputs.append([(out / name).read_bytes() for name in names])
+    return outputs
 
 
 def read_rows(path):
@@ -210,6 +230,21 @@ class TestMapCommand:
         config_path.write_text(json.dumps(config))
         assert main(["map", "--config", str(config_path)]) == 0
         assert (tmp_path / "from_config" / "mappings.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "bad", [{"tau": "abc"}, {"jobs": [1]}, {"ontology": 5}], ids=["tau", "jobs", "ontology"]
+    )
+    def test_bad_config_value_is_config_error(self, condition_fixture, tmp_path, capsys, bad):
+        config = {
+            "concepts": condition_fixture["concepts"],
+            "ontology": [condition_fixture["ontology"]],
+            "out": str(tmp_path / "out"),
+            **bad,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["map", "--config", str(config_path)]) == 1
+        assert "error[BAD_CONFIG]" in capsys.readouterr().err
 
     def test_flags_override_config(self, condition_fixture, tmp_path):
         config = {
@@ -390,19 +425,39 @@ class TestPhersCommand:
             [(f"p{j:02d}", c) for j in range(20) for c in rng.sample(curies, 25)],
             [(c, rng.uniform(0.0, 10.0) * 10.0 ** rng.randint(-6, 6)) for c in curies],
         )
-        src = str(Path(termbridge.__file__).resolve().parents[1])
-        outputs = []
-        for seed in ("1", "2"):
-            out = tmp_path / f"seed{seed}"
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-            subprocess.run(
-                [sys.executable, "-m", "termbridge.cli", "phers", "--weights", str(weights),
-                 "--patients", str(patients), "--cohort", str(cohort), "--out", str(out)],
-                env=env, check=True, timeout=60,
-            )
-            outputs.append([(out / name).read_bytes() for name in ("phers.tsv", "test.json")])
+        outputs = outputs_under_hash_seeds(
+            tmp_path,
+            lambda out: ["phers", "--weights", str(weights), "--patients", str(patients),
+                         "--cohort", str(cohort), "--out", str(out)],
+            ("phers.tsv", "test.json"),
+        )
         assert outputs[0] == outputs[1]
+
+    def test_repeated_patient_is_parse_error(self, tmp_path, capsys):
+        weights, patients, cohort = _write_phers_inputs(
+            tmp_path,
+            [("p1", "CASE"), ("p2", "CONTROL"), ("p3", "CONTROL"), ("p1", "CASE")],
+            [("p1", "HP:1"), ("p2", "HP:2")],
+            [("HP:1", 1.0), ("HP:2", 2.0)],
+        )
+        assert main(
+            ["phers", "--weights", str(weights), "--patients", str(patients), "--cohort", str(cohort), "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error[DUPLICATE_ID]" in err and f"[{cohort}:5]" in err
+
+    def test_bad_group_error_has_line(self, tmp_path, capsys):
+        weights, patients, cohort = _write_phers_inputs(
+            tmp_path,
+            [("p1", "CASE"), ("p2", "SIBLING"), ("p3", "CONTROL")],
+            [("p1", "HP:1")],
+            [("HP:1", 1.0)],
+        )
+        assert main(
+            ["phers", "--weights", str(weights), "--patients", str(patients), "--cohort", str(cohort), "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error[MALFORMED_ROW]: bad group 'SIBLING'" in err and f"[{cohort}:3]" in err
 
     def test_empty_group_is_data_error(self, tmp_path):
         weights, patients, cohort = _write_phers_inputs(
@@ -484,3 +539,43 @@ class TestExportSssom:
 
         cosine = [r for r in rows if r["subject_id"] == "SNOMED:162397003"]
         assert cosine[0]["mapping_justification"] == "semapv:SemanticSimilarityThresholdMatching"
+
+
+class TestHashSeed:
+    """Outputs are byte-identical under two PYTHONHASHSEED values (``phers``
+    is covered in TestPhersCommand)."""
+
+    @pytest.mark.parametrize("command", ["map", "coverage", "export-sssom"])
+    def test_output_independent_of_hash_seed(self, command, condition_fixture, tmp_path):
+        mapped = tmp_path / "mapped"
+        assert run_map_cli(condition_fixture, mapped) == 0
+        mappings = str(mapped / "mappings.tsv")
+        if command == "map":
+            make_argv = lambda out: map_args(condition_fixture, out)
+            names = ("mappings.tsv", "summary.json")
+        elif command == "coverage":
+            rng = random.Random(5)
+            extra_ids = list(range(900000, 900040))
+            ids = sorted({int(r["concept_id"]) for r in read_rows(mappings)} | set(extra_ids))
+            prevalence = tmp_path / "prevalence.tsv"
+            _write_prevalence(
+                prevalence,
+                [(f"site{s}", cid, rng.randint(1, 5000)) for s in range(5) for cid in rng.sample(ids, 20)],
+            )
+            newer = tmp_path / "newer.txt"
+            newer.write_text("".join(f"{i}\n" for i in extra_ids[:10]))
+            excluded = tmp_path / "excluded.txt"
+            excluded.write_text("".join(f"{i}\n" for i in extra_ids[5:15]))
+            make_argv = lambda out: [
+                "coverage", "--mappings", mappings, "--prevalence", str(prevalence),
+                "--newer-cdm", str(newer), "--excluded", str(excluded), "--out", str(out),
+            ]
+            names = ("coverage.json", "pairwise.tsv", "buckets.tsv")
+        else:
+            make_argv = lambda out: [
+                "export-sssom", "--mappings", mappings, "--concepts", condition_fixture["concepts"],
+                "--out", str(out),
+            ]
+            names = ("mappings_sssom.tsv",)
+        outputs = outputs_under_hash_seeds(tmp_path, make_argv, names)
+        assert outputs[0] == outputs[1]

@@ -136,7 +136,7 @@ def _allowed(concepts, classes, rules):
 def _reference(root: Path, allowed, tau, rho):
     dictionary = default_code_dictionary()
     concepts = load_concepts(root / "concepts.tsv", Domain.CONDITION, None, dictionary).concepts
-    classes = load_ontology_dump(root / "ontology.jsonl", dictionary, None)
+    classes = load_ontology_dump(root / "ontology.jsonl", dictionary)
     tok_cfg = TokenizerConfig(stopwords=frozenset(STOPWORDS), lemmatize=Lemmatize.SUFFIX_RULES)
     model = fit(build_corpus(concepts.values(), classes.values(), tok_cfg))
     return cosine_winners(cosine_scores(model, allowed), tau, rho)

@@ -15,12 +15,56 @@ from termbridge.ingest import (
     load_ontology_dump,
     load_prevalence,
     load_umls,
-    serialize_concepts,
-    serialize_ontology,
 )
 from termbridge.lexical import NormalizationDictionary
 
 HEADER = "\t".join(CONCEPT_HEADER)
+
+
+def serialize_concepts(concepts) -> str:
+    """Canonical TSV rendering (sorted by concept_id); inverse of load_concepts
+    minus the ancestor join, which lives in its own file."""
+    lines = [HEADER]
+    for concept_id in sorted(concepts):
+        c = concepts[concept_id]
+        lines.append(
+            "\t".join(
+                [
+                    str(c.concept_id),
+                    c.vocabulary,
+                    c.code.code,
+                    c.label,
+                    "|".join(c.synonyms),
+                    c.domain.value,
+                    "1" if c.used_in_practice else "0",
+                    str(c.record_count),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def serialize_ontology(classes) -> str:
+    """Canonical JSONL rendering (sorted by CURIE, sorted keys)."""
+    lines = []
+    for curie in sorted(classes):
+        k = classes[curie]
+        lines.append(
+            json.dumps(
+                {
+                    "curie": k.curie,
+                    "ontology": k.ontology,
+                    "label": k.label,
+                    "definition": k.definition,
+                    "synonyms": [{"text": s.text, "kind": s.kind.value} for s in k.synonyms],
+                    "xrefs": [str(x) for x in k.xrefs],
+                    "deprecated": k.deprecated,
+                },
+                sort_keys=True,
+                ensure_ascii=False,
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _dict():
@@ -183,14 +227,6 @@ class TestLoadOntologyDump:
         assert err.value.code == "MALFORMED_LINE"
         assert err.value.line == 1
 
-    def test_class_ancestors_joined(self, tmp_path):
-        path = tmp_path / "o.jsonl"
-        path.write_text(json.dumps({"curie": "HP:2", "ontology": "HP", "label": "x"}) + "\n")
-        anc = tmp_path / "ca.tsv"
-        anc.write_text("curie\tancestor_curie\nHP:2\tHP:1\n")
-        classes = load_ontology_dump(path, _dict(), ancestors_path=anc)
-        assert classes["HP:2"].ancestors == ("HP:1",)
-
     def test_round_trip(self, tmp_path):
         rows = [
             {
@@ -222,10 +258,7 @@ class TestLoadUmls:
         sty = tmp_path / "MRSTY.RRF"
         sty.write_text("C0596028|T033|A1.2|Finding|AT001|256|\n")
         tables = load_umls(conso, sty)
-        atoms = tables.atoms_by_code[("SNOMEDCT_US", "70305005")]
-        assert [(a.cui, a.sab, a.code) for a in atoms] == [
-            ("C0596028", "SNOMEDCT_US", "70305005")
-        ]
+        assert tables.atoms_by_code[("SNOMEDCT_US", "70305005")] == ("C0596028",)
         assert tables.sty_by_cui["C0596028"] == ("Finding",)
 
     def test_five_atom_fixture_matches_nested_loop_oracle(self, tmp_path):
@@ -243,12 +276,11 @@ class TestLoadUmls:
         tables = load_umls(conso, sty)
 
         oracle = {}
-        for cui, sab, code, text in raw:
-            oracle.setdefault((sab, code), set()).add((cui, sab, code, text))
+        for cui, sab, code, _ in raw:
+            oracle.setdefault((sab, code), set()).add(cui)
         assert set(tables.atoms_by_code) == set(oracle)
         for key, group in oracle.items():
-            got = {(a.cui, a.sab, a.code, a.str_text) for a in tables.atoms_by_code[key]}
-            assert got == group
+            assert tables.atoms_by_code[key] == tuple(sorted(group))
 
     def test_short_row(self, tmp_path):
         conso = tmp_path / "MRCONSO.RRF"

@@ -16,11 +16,9 @@ from termbridge.similarity import (
     StringRole,
     best_per_concept,
     build_corpus,
-    dump_model,
     filter_pairs,
     fit,
     score_concept_pairs,
-    score_pair_strings,
 )
 from termbridge.lexical import TokenizerConfig
 
@@ -39,38 +37,28 @@ def pair_table(pairs):
     concept_ids = sorted({p.concept_id for p in pairs})
     curies = sorted({p.curie for p in pairs})
     ontologies = sorted({curie_ontology(c) for c in curies})
-    rows = []
-    for p in pairs:
-        rows.append(RowMeta(p.concept_id, Side.CLINICAL, StringRole.LABEL, p.concept_string))
-        rows.append(RowMeta(p.curie, Side.ONTOLOGY, StringRole.LABEL, p.class_string))
     return PairTable(
         concept_ids=np.array(concept_ids, dtype=np.int64),
         curies=tuple(curies),
         class_ontology=np.array([ontologies.index(curie_ontology(c)) for c in curies], dtype=np.int64),
         ontologies=tuple(ontologies),
-        rows=tuple(rows),
         concept=np.array([concept_ids.index(p.concept_id) for p in pairs], dtype=np.int64),
         cls=np.array([curies.index(p.curie) for p in pairs], dtype=np.int64),
         score=np.array([p.score for p in pairs], dtype=np.float64),
-        concept_row=np.arange(0, 2 * len(pairs), 2, dtype=np.int64),
-        class_row=np.arange(1, 2 * len(pairs), 2, dtype=np.int64),
     )
 
 
 def table_pairs(table):
     """The rows of a PairTable as ScoredPair objects, in table order."""
     return [
-        ScoredPair(
-            int(table.concept_ids[c]), table.curies[k], float(s), table.rows[i].text, table.rows[j].text
-        )
-        for c, k, s, i, j in zip(
-            table.concept.tolist(),
-            table.cls.tolist(),
-            table.score.tolist(),
-            table.concept_row.tolist(),
-            table.class_row.tolist(),
-        )
+        ScoredPair(int(table.concept_ids[c]), table.curies[k], float(s))
+        for c, k, s in zip(table.concept.tolist(), table.cls.tolist(), table.score.tolist())
     ]
+
+
+def score_pair_strings(model, row_a: int, row_b: int) -> float:
+    """Cosine of two model rows (exact dot product of normalized rows)."""
+    return float(model.matrix.getrow(row_a).multiply(model.matrix.getrow(row_b)).sum())
 
 
 # --- dense oracle ------------------------------------------------------------
@@ -220,16 +208,6 @@ class TestScoreConceptPairs:
             if key not in got:
                 assert score == pytest.approx(0.0, abs=1e-12)
 
-    def test_best_strings_recomputable(self):
-        docs = _two_sided_docs()
-        model = fit(docs)
-        concepts, classes = _owners(docs)
-        for pair in table_pairs(score_concept_pairs(model, concepts, classes)):
-            row_texts = {(m.owner, m.text): i for i, m in enumerate(model.rows)}
-            i = row_texts[(pair.concept_id, pair.concept_string)]
-            j = row_texts[(pair.curie, pair.class_string)]
-            assert score_pair_strings(model, i, j) == pytest.approx(pair.score, abs=1e-12)
-
     def test_routing_excludes_pairs(self):
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
@@ -291,7 +269,7 @@ class TestCosineSymmetry:
 
 
 def _pair(cid, curie, score):
-    return ScoredPair(cid, curie, score, "a", "b")
+    return ScoredPair(cid, curie, score)
 
 
 class TestFilterPairs:
@@ -388,12 +366,3 @@ class TestCorpusAndDump:
     def test_deprecated_classes_skipped(self):
         k = klass("HP:0000001", "Throat pain", deprecated=True)
         assert build_corpus([], [k], TokenizerConfig()) == []
-
-    def test_dump_is_sorted_text(self, tmp_path):
-        model = fit([doc(1, Side.CLINICAL, "b a"), doc("HP:1", Side.ONTOLOGY, "a")])
-        out = tmp_path / "model.txt"
-        dump_model(model, out)
-        text = out.read_text().splitlines()
-        assert text[0].startswith("# idf_variant")
-        assert any(line.startswith("V\ta\t0") for line in text)
-        assert sum(1 for line in text if line.startswith("R\t")) == 2

@@ -19,17 +19,12 @@ from termbridge.core import (
     validate_record,
 )
 from termbridge.errors import DataError, ParseError
-from termbridge.ingest import CurationRow
+from termbridge.ingest import AuxTarget, CurationRow, RoutingPolicy, ScaleRow, load_routing_policy
 from termbridge.similarity import ScoredPair
 from termbridge.synthesize import (
-    AuxTarget,
     RouteDecision,
-    RoutingPolicy,
-    ScaleRow,
     derive_result_type,
     expand_measurements,
-    load_routing_policy,
-    parse_evidence,
     render_evidence,
     route,
     synthesize,
@@ -177,7 +172,7 @@ class TestSynthesize:
 
     def test_cosine_fallback(self):
         c = _concept(4147326)
-        pair = ScoredPair(4147326, "HP:0033050", 0.66, "sore throat symptom", "throat pain")
+        pair = ScoredPair(4147326, "HP:0033050", 0.66)
         hp = _by_ontology(_synth(c, cosine={"HP": pair}))["HP"]
         assert hp.category is C.COSINE_ONE_TO_ONE_CONCEPT
         assert hp.score == 0.66
@@ -185,14 +180,14 @@ class TestSynthesize:
 
     def test_exact_beats_cosine(self):
         c = _concept(1)
-        pair = ScoredPair(1, "HP:0000002", 0.9, "a", "b")
+        pair = ScoredPair(1, "HP:0000002", 0.9)
         hp = _by_ontology(_synth(c, exact_c=[_cand(1, "HP:0000001")], cosine={"HP": pair}))["HP"]
         assert hp.category is C.AUTO_ONE_TO_ONE_CONCEPT
         assert hp.score is None
 
     def test_ancestor_beats_cosine(self):
         c = _concept(1)
-        pair = ScoredPair(1, "HP:0000002", 0.9, "a", "b")
+        pair = ScoredPair(1, "HP:0000002", 0.9)
         cands = [_cand(1, "HP:0000001", level=MappingLevel.ANCESTOR, via=7)]
         hp = _by_ontology(_synth(c, exact_a=cands, cosine={"HP": pair}))["HP"]
         assert hp.category is C.AUTO_ONE_TO_ONE_ANCESTOR
@@ -265,7 +260,7 @@ class TestSynthesize:
 
     def test_every_record_validates(self):
         c = _concept(1)
-        pair = ScoredPair(1, "MONDO:0000008", 0.5, "a", "b")
+        pair = ScoredPair(1, "MONDO:0000008", 0.5)
         rows = [CurationRow(1, "HP", ("HP:1", "HP:2"), "AND(0,1)", "x")]
         for record in _synth(c, cosine={"MONDO": pair}, curation=rows):
             assert validate_record(record) is None
@@ -422,6 +417,17 @@ class TestExpandMeasurements:
         )
         for record in records:
             assert validate_record(record) is None
+
+
+def parse_evidence(text: str) -> tuple[EvidenceAtom, ...]:
+    """Inverse of render_evidence (parse(render(e)) == canonical e)."""
+    if not text:
+        return ()
+    atoms = []
+    for part in text.split("|"):
+        kind_raw, _, payload = part.partition(":")
+        atoms.append(EvidenceAtom(EvidenceKind(kind_raw), payload))
+    return tuple(atoms)
 
 
 class TestRenderEvidence:
