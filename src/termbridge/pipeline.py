@@ -69,9 +69,7 @@ from .similarity import (
 )
 from .stats import bonferroni_pairwise, chi_square_yates
 from .synthesize import (
-    RouteDecision,
     expand_measurements,
-    record_from_curation,
     render_evidence,
     route,
     synthesize,
@@ -329,22 +327,24 @@ def run_map(cfg: RunConfig) -> Path:
             concept = concepts[concept_id]
             decision = decisions[concept_id]
             curation_rows = curation_by_concept.get(concept_id, [])
+            claimed: dict[str, list[MappingRecord]] = defaultdict(list)
             if cfg.domain is Domain.MEASUREMENT:
-                return _map_measurement(
+                unspecified = any(
+                    row.unmapped_reason is UnmappedReason.UNSPECIFIED_SAMPLE
+                    for row in curation_rows
+                )
+                for record in expand_measurements(
                     concept,
-                    decision,
-                    indexes,
-                    concepts,
-                    best_by_concept.get(concept_id, {}),
-                    curation_rows,
                     scales.get(concept_id),
                     assignments.get(concept_id, []),
                     aux.get(concept_id, []),
                     ontologies,
-                )
-            exact_c = align_concept(concept, indexes, decision.allowed)
-            hit_onts = {curie_ontology(c.curie) for c in exact_c}
-            remaining = decision.allowed - hit_onts
+                    unspecified_sample=unspecified,
+                )[0]:
+                    claimed[record.ontology].append(record)
+            allowed = decision.allowed - claimed.keys()
+            exact_c = align_concept(concept, indexes, allowed) if allowed else []
+            remaining = allowed - {curie_ontology(c.curie) for c in exact_c}
             exact_a = (
                 align_via_ancestors(concept, concepts, indexes, remaining) if remaining else []
             )
@@ -356,6 +356,7 @@ def run_map(cfg: RunConfig) -> Path:
                 curation_rows,
                 decision,
                 ontologies,
+                claimed,
             )
 
         chunks = _parallel_map(process, sorted(concepts), cfg.jobs)
@@ -400,83 +401,6 @@ def run_map(cfg: RunConfig) -> Path:
     summary.update(_summarize(records, concepts))
     _write_json(out_dir / "summary.json", summary)
     return out_dir
-
-
-def _map_measurement(
-    concept,
-    decision: RouteDecision,
-    indexes,
-    concepts,
-    cosine_best,
-    curation_rows,
-    scale_row,
-    concept_assignments,
-    concept_aux,
-    ontologies,
-) -> list[MappingRecord]:
-    """Measurement merge: curation wins, then result/auxiliary expansion,
-    then the standard exact/cosine precedence for ontologies neither covers.
-
-    A curation row with the unspecified-sample reason flags the whole
-    concept: every configured ontology goes unmapped with that reason.
-    """
-    unspecified = any(
-        row.unmapped_reason is UnmappedReason.UNSPECIFIED_SAMPLE for row in curation_rows
-    )
-    expansion, _spec = expand_measurements(
-        concept,
-        scale_row,
-        concept_assignments,
-        concept_aux,
-        ontologies,
-        unspecified_sample=unspecified,
-    )
-    expansion_by_ont: dict[str, list[MappingRecord]] = defaultdict(list)
-    for record in expansion:
-        expansion_by_ont[record.ontology].append(record)
-
-    configured = sorted(o.upper() for o in ontologies)
-    fallback_onts = [o for o in configured if o not in expansion_by_ont]
-    synthesized_by_ont: dict[str, MappingRecord] = {}
-    if fallback_onts:
-        allowed = decision.allowed & frozenset(fallback_onts)
-        exact_c = align_concept(concept, indexes, allowed)
-        remaining = allowed - {curie_ontology(c.curie) for c in exact_c}
-        exact_a = align_via_ancestors(concept, concepts, indexes, remaining) if remaining else []
-        synthesized = synthesize(
-            concept,
-            exact_c,
-            exact_a,
-            {o: p for o, p in cosine_best.items() if o in fallback_onts},
-            [
-                row
-                for row in curation_rows
-                if row.ontology in fallback_onts
-                and row.unmapped_reason is not UnmappedReason.UNSPECIFIED_SAMPLE
-            ],
-            decision,
-            fallback_onts,
-        )
-        synthesized_by_ont = {r.ontology: r for r in synthesized}
-
-    records: list[MappingRecord] = []
-    for ontology in configured:
-        curated = next(
-            (row for row in curation_rows if row.ontology == ontology and row.targets), None
-        )
-        if ontology in expansion_by_ont:
-            if curated is not None:
-                records.append(record_from_curation(concept, curated))
-            else:
-                records.extend(expansion_by_ont[ontology])
-        else:
-            records.append(synthesized_by_ont[ontology])
-    # Result rows may target an ontology outside the configured set; they
-    # are explicit curated data and still belong in the output.
-    for ontology in sorted(expansion_by_ont):
-        if ontology not in configured:
-            records.extend(expansion_by_ont[ontology])
-    return records
 
 
 def run_coverage(cfg: RunConfig) -> Path:

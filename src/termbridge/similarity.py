@@ -49,19 +49,12 @@ class Side(Enum):
     ONTOLOGY = "ONTOLOGY"
 
 
-class StringRole(Enum):
-    LABEL = "LABEL"
-    SYNONYM = "SYNONYM"
-
-
 @dataclass(frozen=True)
 class RowMeta:
-    """Provenance of one document row: who owns the string and its role."""
+    """Provenance of one document row: who owns the string, on which side."""
 
     owner: int | str
     side: Side
-    role: StringRole
-    text: str
 
 
 @dataclass(frozen=True)
@@ -144,19 +137,15 @@ def build_corpus(concepts, classes, cfg: TokenizerConfig):
 
     docs = []
     for concept in sorted(concepts, key=lambda c: c.concept_id):
-        strings = [(StringRole.LABEL, concept.label)]
-        strings += [(StringRole.SYNONYM, s) for s in concept.synonyms]
-        for role, text in strings:
-            norm = normalize_string(text)
-            docs.append((RowMeta(concept.concept_id, Side.CLINICAL, role, norm), tokens_of(norm)))
+        meta = RowMeta(concept.concept_id, Side.CLINICAL)
+        for text in (concept.label, *concept.synonyms):
+            docs.append((meta, tokens_of(normalize_string(text))))
     for cls in sorted(classes, key=lambda k: k.curie):
         if cls.deprecated:
             continue
-        strings = [(StringRole.LABEL, cls.label)]
-        strings += [(StringRole.SYNONYM, s.text) for s in cls.synonyms]
-        for role, text in strings:
-            norm = normalize_string(text)
-            docs.append((RowMeta(cls.curie, Side.ONTOLOGY, role, norm), tokens_of(norm)))
+        meta = RowMeta(cls.curie, Side.ONTOLOGY)
+        for text in (cls.label, *(s.text for s in cls.synonyms)):
+            docs.append((meta, tokens_of(normalize_string(text))))
     return docs
 
 

@@ -1,13 +1,16 @@
 """Fusion of alignment candidates, cosine scores, curation, and routing
 into final MappingRecords.
 
-Per-ontology precedence is total and deterministic:
+Per-ontology precedence is total and deterministic, and the same for
+every domain:
 
   1. curation row (manual categories; manual always wins)
-  2. concept-level exact candidates (automatic, concept level)
-  3. ancestor-level exact candidates (automatic, ancestor level)
-  4. best filtered cosine pair (cosine category, with score)
-  5. unmapped, with the routing exclusion reason when present, else
+  2. records claimed by measurement expansion (result rows, auxiliary
+     targets, or a concept-level exclusion)
+  3. concept-level exact candidates (automatic, concept level)
+  4. ancestor-level exact candidates (automatic, ancestor level)
+  5. best filtered cosine pair (cosine category, with score)
+  6. unmapped, with the routing exclusion reason when present, else
      NOT YET MAPPED for concepts not used in practice, else none-found
 
 Multi-target logic defaults to AND; OR and NOT only arise from curation
@@ -100,7 +103,8 @@ def _fallback_reason(concept: ClinicalConcept, decision: RouteDecision) -> Unmap
         return UnmappedReason.NOT_YET_MAPPED
     return UnmappedReason.NONE_FOUND
 
-def record_from_curation(concept, row: CurationRow) -> MappingRecord:
+
+def _record_from_curation(concept, row: CurationRow) -> MappingRecord:
     if row.unmapped_reason is not None:
         extra = (
             [EvidenceAtom(EvidenceKind.MANUAL_SOURCE, row.evidence)] if row.evidence.strip() else []
@@ -164,12 +168,19 @@ def synthesize(
     curation_rows,
     decision: RouteDecision,
     ontologies,
+    claimed=None,
 ) -> list[MappingRecord]:
-    """One MappingRecord per configured ontology for one concept.
+    """The MappingRecords of one concept: one per configured ontology, or
+    its claimed records.
 
     ``cosine_best`` maps ontology key -> ScoredPair; candidate lists come
     from the exact aligner; ``curation_rows`` are this concept's rows.
+    ``claimed`` maps ontology key -> the records measurement expansion
+    built for it; they stand unless a curation row covers that ontology.
+    Claimed ontologies outside the configured set are explicit curated
+    data and are kept too.
     """
+    claimed = claimed or {}
     curation_by_ontology: dict[str, CurationRow] = {}
     for row in curation_rows:
         if row.ontology in curation_by_ontology:
@@ -186,11 +197,15 @@ def synthesize(
     for cand in exact_ancestor:
         ancestor_by_ontology[curie_ontology(cand.curie)].append(cand)
 
+    configured = sorted(o.upper() for o in ontologies)
     records = []
-    for ontology in sorted(o.upper() for o in ontologies):
+    for ontology in configured:
         curated = curation_by_ontology.get(ontology)
         if curated is not None:
-            records.append(record_from_curation(concept, curated))
+            records.append(_record_from_curation(concept, curated))
+            continue
+        if ontology in claimed:
+            records.extend(claimed[ontology])
             continue
         if concept_by_ontology.get(ontology):
             records.append(
@@ -223,6 +238,8 @@ def synthesize(
             )
             continue
         records.append(_unmapped(concept, ontology, _fallback_reason(concept, decision)))
+    for ontology in sorted(claimed.keys() - set(configured)):
+        records.extend(claimed[ontology])
     return records
 
 
@@ -282,9 +299,10 @@ def expand_measurements(
     Result rows target the assignment's ontology (one row per outcome,
     NORMAL/NEGATIVE rows logically negated).  Auxiliary targets attach
     once per concept.  Unspecified-sample and unknown-result-type are
-    concept-level exclusions covering every configured ontology; any
-    ontology this expansion leaves untouched falls back to the standard
-    per-ontology precedence in the caller.
+    concept-level exclusions covering every configured ontology.  The
+    caller hands these records to ``synthesize`` as its claimed records;
+    any ontology this expansion leaves untouched goes through the
+    standard per-ontology precedence.
     """
     if concept.domain is not Domain.MEASUREMENT:
         raise DataError("NOT_A_MEASUREMENT", f"concept {concept.concept_id} is {concept.domain.value}")

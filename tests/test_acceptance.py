@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import termbridge
 from termbridge.align import build_indexes, align_concept
 from termbridge.core import Domain
 from termbridge.evaluate import bucket_errors, partition_coverage, phers
@@ -338,8 +339,11 @@ def _run_map_subprocess(fixture_dir, out_dir, jobs):
         "--domain", "CONDITION",
         "--out", str(out_dir),
     ]
+    src = str(Path(termbridge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     started = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
     _, status, rusage = os.wait4(proc.pid, 0)
     elapsed = time.perf_counter() - started
     assert os.waitstatus_to_exitcode(status) == 0, proc.stderr.read().decode()

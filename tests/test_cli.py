@@ -291,6 +291,114 @@ class TestMeasurementCommand:
         assert narrative["category"] == "Unmapped"
         assert narrative["unmapped_reason"] == "Not Mapped Test Type"
 
+    @staticmethod
+    def _run_curated(fixture, tmp_path, curation_rows, extra_targets=()):
+        """``map --domain MEASUREMENT`` on the worked examples plus a curation
+        file; returns the exit code and concept 3000001's rows by ontology."""
+        curation = tmp_path / "curation.tsv"
+        curation.write_text(
+            "concept_id\tontology\tlogic\ttargets\tevidence\tunmapped_reason\n"
+            + "".join(row + "\n" for row in curation_rows)
+        )
+        targets = tmp_path / "measurement_targets.tsv"
+        targets.write_text(
+            Path(fixture["targets"]).read_text() + "".join(row + "\n" for row in extra_targets)
+        )
+        out = tmp_path / "out"
+        code = main(
+            [
+                "map",
+                "--concepts", fixture["concepts"],
+                "--ontology", fixture["ontology"],
+                "--code-map", fixture["code_map"],
+                "--measurement-scales", fixture["scales"],
+                "--measurement-targets", str(targets),
+                "--curation", str(curation),
+                "--domain", "MEASUREMENT",
+                "--out", str(out),
+            ]
+        )
+        by_ontology = {}
+        if code == 0:
+            for r in read_rows(out / "mappings.tsv"):
+                if r["concept_id"] == "3000001":
+                    by_ontology.setdefault(r["ontology"], []).append(r)
+        return code, by_ontology
+
+    def test_curated_targets_replace_result_rows(self, measurement_fixture, tmp_path):
+        code, rows = self._run_curated(
+            measurement_fixture, tmp_path, ["3000001\tHP\t\tHP:0011043\tcurator\t"]
+        )
+        assert code == 0
+        [hp] = rows["HP"]
+        assert hp["category"] == "Manual One-to-One Concept"
+        assert hp["targets"] == "HP:0011043" and hp["outcome"] == ""
+        assert hp["evidence"] == "MANUAL_SOURCE:curator"
+        assert [r["targets"] for r in rows["UBERON"]] == ["UBERON:0001969"]
+
+    def test_unspecified_sample_unmaps_every_ontology(self, measurement_fixture, tmp_path):
+        code, rows = self._run_curated(
+            measurement_fixture, tmp_path, ["3000001\tHP\t\t\t\tUNSPECIFIED_SAMPLE"]
+        )
+        assert code == 0
+        assert sorted(rows) == ["CHEBI", "HP", "UBERON"]
+        for ontology_rows in rows.values():
+            [row] = ontology_rows
+            assert row["category"] == "Unmapped" and row["outcome"] == ""
+            assert row["unmapped_reason"] == "Unspecified Sample"
+            assert row["evidence"] == "EXCLUSION_REASON:Unspecified Sample"
+
+    def test_curation_on_fallback_ontology_wins(self, measurement_fixture, tmp_path):
+        code, rows = self._run_curated(
+            measurement_fixture, tmp_path, ["3000001\tCHEBI\t\tCHEBI:2679\tcurator\t"]
+        )
+        assert code == 0
+        [chebi] = rows["CHEBI"]
+        assert chebi["category"] == "Manual One-to-One Concept"
+        assert chebi["targets"] == "CHEBI:2679"
+        assert sorted(r["outcome"] for r in rows["HP"]) == ["HIGH", "LOW", "NORMAL"]
+
+    def test_aux_target_on_unloaded_ontology_kept(self, measurement_fixture, tmp_path):
+        code, rows = self._run_curated(
+            measurement_fixture,
+            tmp_path,
+            ["3000001\tCHEBI\t\tCHEBI:2679\tcurator\t"],
+            extra_targets=["3000001\tGO\tGO:0000001\t0"],
+        )
+        assert code == 0
+        [go] = rows["GO"]
+        assert go["category"] == "Manual One-to-One Concept"
+        assert go["targets"] == "GO:0000001"
+        assert go["evidence"] == "MANUAL_SOURCE:measurement annotation"
+
+    def test_conflicting_curation_on_fallback_ontology(self, measurement_fixture, tmp_path, capsys):
+        code, _ = self._run_curated(
+            measurement_fixture,
+            tmp_path,
+            ["3000001\tCHEBI\t\tCHEBI:2679\ta\t", "3000001\tCHEBI\t\t\tb\tFINDING"],
+        )
+        assert code == 3
+        assert "error[CONFLICTING_CURATION]" in capsys.readouterr().err
+
+    def test_curated_reason_on_claimed_ontology(self, measurement_fixture, tmp_path):
+        code, rows = self._run_curated(
+            measurement_fixture, tmp_path, ["3000001\tHP\t\t\tnote\tFINDING"]
+        )
+        assert code == 0
+        [hp] = rows["HP"]
+        assert hp["category"] == "Unmapped" and hp["outcome"] == ""
+        assert hp["unmapped_reason"] == "Finding"
+        assert hp["evidence"] == "MANUAL_SOURCE:note|EXCLUSION_REASON:Finding"
+
+    def test_conflicting_curation_on_claimed_ontology(self, measurement_fixture, tmp_path, capsys):
+        code, _ = self._run_curated(
+            measurement_fixture,
+            tmp_path,
+            ["3000001\tHP\t\tHP:0003154\ta\t", "3000001\tHP\t\tHP:0002920\tb\t"],
+        )
+        assert code == 3
+        assert "error[CONFLICTING_CURATION]" in capsys.readouterr().err
+
 
 def _write_prevalence(path, rows):
     lines = ["site_id\tconcept_id\trecord_count"]

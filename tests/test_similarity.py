@@ -13,7 +13,6 @@ from termbridge.similarity import (
     ScoredPair,
     Side,
     SimilarityConfig,
-    StringRole,
     best_per_concept,
     build_corpus,
     filter_pairs,
@@ -28,8 +27,7 @@ from termbridge.core import CodeRef, curie_ontology
 
 def doc(owner, side, text, tokens=None):
     tokens = tuple(text.split()) if tokens is None else tuple(tokens)
-    role = StringRole.LABEL
-    return (RowMeta(owner, side, role, text), tokens)
+    return (RowMeta(owner, side), tokens)
 
 
 def pair_table(pairs):
@@ -169,9 +167,9 @@ def _two_sided_docs():
 
 
 def _owners(docs):
-    concepts = [concept(m.owner, CodeRef("SNOMED", str(m.owner)), m.text or "x")
+    concepts = [concept(m.owner, CodeRef("SNOMED", str(m.owner)), "x")
                 for m, _ in docs if m.side is Side.CLINICAL]
-    classes = [klass(m.owner, m.text or "x") for m, _ in docs if m.side is Side.ONTOLOGY]
+    classes = [klass(m.owner, "x") for m, _ in docs if m.side is Side.ONTOLOGY]
     return concepts, classes
 
 
@@ -355,13 +353,17 @@ class TestCorpusAndDump:
         c = concept(1, CodeRef("SNOMED", "1"), "Sore Throat", synonyms=["Pharyngitis pain"])
         k = klass("HP:0000001", "Throat pain")
         docs = build_corpus([c], [k], TokenizerConfig())
-        owners = [(m.owner, m.side, m.role) for m, _ in docs]
-        assert owners == [
-            (1, Side.CLINICAL, StringRole.LABEL),
-            (1, Side.CLINICAL, StringRole.SYNONYM),
-            ("HP:0000001", Side.ONTOLOGY, StringRole.LABEL),
+        assert [(m.owner, m.side) for m, _ in docs] == [
+            (1, Side.CLINICAL),
+            (1, Side.CLINICAL),
+            ("HP:0000001", Side.ONTOLOGY),
         ]
-        assert docs[0][1] == ("sore", "throat")
+        # the label's row comes before the synonym's
+        assert [tokens for _, tokens in docs] == [
+            ("sore", "throat"),
+            ("pharyngitis", "pain"),
+            ("throat", "pain"),
+        ]
 
     def test_deprecated_classes_skipped(self):
         k = klass("HP:0000001", "Throat pain", deprecated=True)
