@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     p_cov.add_argument("--prevalence", help="per-site concept frequencies (TSV)")
     p_cov.add_argument("--newer-cdm", help="concept ids recovered in a newer CDM, one per line")
     p_cov.add_argument("--excluded", help="purposefully excluded concept ids, one per line")
-    p_cov.add_argument("--alpha", type=float, help="family-wise alpha (default 0.05)")
+    p_cov.add_argument("--alpha", type=float, help="family-wise alpha, strictly between 0 and 1 (default 0.05)")
 
     p_phe = sub.add_parser("phers", parents=[common], help="phenotype risk scores + rank test")
     p_phe.add_argument("--weights", help="phenotype weight table (TSV)")

@@ -25,12 +25,13 @@ File formats:
   prevalence.tsv        site_id  concept_id  record_count
   id lists              one concept id per line, no header
   weights / patients / cohort   hpo_curie  weight / patient_id  hpo_curie
-                        / patient_id  group
+                        / patient_id  group  (weights finite: no nan/inf)
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -593,6 +594,14 @@ def load_id_list(path) -> set[int]:
             except ValueError:
                 raise ParseError("MALFORMED_ROW", f"bad concept id {line!r}", str(path), lineno) from None
     return ids
+
+
+def finite_float(raw: str) -> float:
+    """A float that is neither nan nor infinite; ValueError otherwise."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
 
 
 def load_two_column(path, header, value_parser) -> list[tuple[str, object]]:

@@ -37,6 +37,7 @@ from .evaluate import bucket_errors, group_stats, partition_coverage, phers
 from .ingest import (
     MAPPINGS_HEADER,
     RoutingPolicy,
+    finite_float,
     load_cohort,
     load_concepts,
     load_curation,
@@ -407,6 +408,8 @@ def run_coverage(cfg: RunConfig) -> Path:
     """Coverage partition, omnibus + pairwise tests, and error buckets."""
     _require_paths([("mappings", cfg.mappings), ("prevalence", cfg.prevalence)])
     _optional_paths([("newer-cdm", cfg.newer_cdm), ("excluded", cfg.excluded)])
+    if not 0.0 < cfg.alpha < 1.0:
+        raise ConfigError("BAD_THRESHOLD", f"alpha must lie in (0, 1), got {cfg.alpha}")
 
     rows = load_mappings(cfg.mappings)
     mapped_ids = {int(r["concept_id"]) for r in rows if r["category"] != "Unmapped"}
@@ -507,7 +510,7 @@ def run_phers(cfg: RunConfig) -> Path:
     _require_paths(
         [("weights", cfg.weights), ("patients", cfg.patients), ("cohort", cfg.cohort)]
     )
-    weights = dict(load_two_column(cfg.weights, ["hpo_curie", "weight"], float))
+    weights = dict(load_two_column(cfg.weights, ["hpo_curie", "weight"], finite_float))
     phenotype_rows = load_two_column(cfg.patients, ["patient_id", "hpo_curie"], str)
     groups = load_cohort(cfg.cohort)
     phenotypes: dict[str, set[str]] = {pid: set() for pid in groups}

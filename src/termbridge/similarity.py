@@ -25,6 +25,10 @@ object per pair:
 
 Embeddings are built for every concept whether or not exact alignment
 already succeeded: the scorer never consults alignment results.
+
+numpy and scipy are imported inside the functions that use them, so the
+commands that never score (``coverage``, ``phers``, ``export-sssom``)
+do not pay for loading them.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-
-import numpy as np
-from scipy import sparse
 
 from .core import curie_ontology
 from .errors import DataError
@@ -155,6 +156,9 @@ def fit(docs) -> SimilarityModel:
     Rows for strings that produced no tokens stay as zero vectors; every
     other row has unit Euclidean norm.
     """
+    import numpy as np
+    from scipy import sparse
+
     if not docs:
         raise DataError("EMPTY_CORPUS", "no documents to fit")
     n_docs = len(docs)
@@ -195,6 +199,8 @@ def fit(docs) -> SimilarityModel:
 
 def _first_of_runs(keys: np.ndarray) -> np.ndarray:
     """Mask of the first element of each run of equal values in ``keys``."""
+    import numpy as np
+
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return first
@@ -214,6 +220,8 @@ def score_concept_pairs(
     scores are exactly zero).  Scores are clamped to 1.0, and the table is
     sorted by (concept_id, curie).
     """
+    import numpy as np
+
     concept_ids = sorted({c.concept_id for c in concepts})
     ontology_of = {k.curie: curie_ontology(k.curie) for k in classes if not k.deprecated}
     curies = sorted(ontology_of)
@@ -298,6 +306,8 @@ def filter_pairs(pairs: PairTable, cfg: SimilarityConfig) -> PairTable:
     are kept.  The result lists the kept pairs in that order, ontology by
     ontology.
     """
+    import numpy as np
+
     index = np.flatnonzero(pairs.score >= cfg.score_floor)
     ontology = pairs.class_ontology[pairs.cls[index]]
     pair_key = pairs.concept[index] * len(pairs.curies) + pairs.cls[index]
@@ -311,6 +321,8 @@ def filter_pairs(pairs: PairTable, cfg: SimilarityConfig) -> PairTable:
 
 def best_per_concept(pairs: PairTable) -> dict[tuple[int, str], ScoredPair]:
     """Argmax score per (concept, ontology); score ties take the smallest CURIE."""
+    import numpy as np
+
     ontology = pairs.class_ontology[pairs.cls]
     group = pairs.concept * len(pairs.ontologies) + ontology
     order = np.lexsort((pairs.cls, -pairs.score, group))

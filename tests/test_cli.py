@@ -43,18 +43,24 @@ def run_map_cli(paths, out_dir, extra=()):
     return main(map_args(paths, out_dir, extra))
 
 
+def subprocess_env(**extra):
+    """This environment plus ``extra``, with the package's source directory
+    first on PYTHONPATH."""
+    src = str(Path(termbridge.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def outputs_under_hash_seeds(tmp_path, make_argv, names):
     """Bytes of the named outputs of ``make_argv(out)`` run as a subprocess
     under PYTHONHASHSEED 1 and 2, one list per seed."""
-    src = str(Path(termbridge.__file__).resolve().parents[1])
     outputs = []
     for seed in ("1", "2"):
         out = tmp_path / f"seed{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         subprocess.run(
             [sys.executable, "-m", "termbridge.cli", *make_argv(out)],
-            env=env, check=True, timeout=60,
+            env=subprocess_env(PYTHONHASHSEED=seed), check=True, timeout=60,
         )
         outputs.append([(out / name).read_bytes() for name in names])
     return outputs
@@ -487,6 +493,33 @@ class TestCoverageCommand:
         )
         assert rows == {"8": "RECOVERED_NEWER_CDM", "9": "PURPOSEFULLY_EXCLUDED", "10": "TRULY_MISSING"}
 
+    @pytest.mark.parametrize("alpha", ["-1", "0", "1", "5", "nan", "inf"])
+    def test_alpha_outside_unit_interval_is_config_error(self, tmp_path, capsys, alpha):
+        mappings = tmp_path / "mappings.tsv"
+        _small_mappings(mappings)
+        prevalence = tmp_path / "prevalence.tsv"
+        _write_prevalence(prevalence, [("a", 1, 100), ("b", 9, 100)])
+        out = tmp_path / "out"
+        assert main(
+            ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence),
+             "--out", str(out), f"--alpha={alpha}"]
+        ) == 1
+        assert "error[BAD_THRESHOLD]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_from_config_is_range_checked(self, tmp_path, capsys):
+        mappings = tmp_path / "mappings.tsv"
+        _small_mappings(mappings)
+        prevalence = tmp_path / "prevalence.tsv"
+        _write_prevalence(prevalence, [("a", 1, 100), ("b", 9, 100)])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 5}))
+        assert main(
+            ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence),
+             "--out", str(tmp_path / "out"), "--config", str(config)]
+        ) == 1
+        assert "error[BAD_THRESHOLD]" in capsys.readouterr().err
+
 
 def _write_phers_inputs(root, cohort_rows, phenotype_rows, weight_rows):
     weights = root / "weights.tsv"
@@ -566,6 +599,20 @@ class TestPhersCommand:
         ) == 2
         err = capsys.readouterr().err
         assert "error[MALFORMED_ROW]: bad group 'SIBLING'" in err and f"[{cohort}:3]" in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_is_parse_error(self, tmp_path, capsys, weight):
+        weights, patients, cohort = _write_phers_inputs(
+            tmp_path,
+            [("p1", "CASE"), ("p2", "CONTROL"), ("p3", "CONTROL")],
+            [("p1", "HP:1"), ("p2", "HP:2"), ("p3", "HP:1")],
+            [("HP:1", 1.0), ("HP:2", weight)],
+        )
+        assert main(
+            ["phers", "--weights", str(weights), "--patients", str(patients), "--cohort", str(cohort), "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error[MALFORMED_ROW]" in err and f"[{weights}:3]" in err
 
     def test_empty_group_is_data_error(self, tmp_path):
         weights, patients, cohort = _write_phers_inputs(
@@ -687,3 +734,59 @@ class TestHashSeed:
             names = ("mappings_sssom.tsv",)
         outputs = outputs_under_hash_seeds(tmp_path, make_argv, names)
         assert outputs[0] == outputs[1]
+
+
+_HEAVY_PROBE = """
+import json, sys
+
+def heavy():
+    return sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+
+import termbridge.cli
+
+report = [["import", 0, heavy()]]
+for argv in json.loads(sys.argv[1]):
+    report.append([argv[0], termbridge.cli.main(argv), heavy()])
+print(json.dumps(report))
+"""
+
+
+def heavy_modules_after(commands):
+    """[stage, exit code, numpy/scipy loaded] after importing termbridge.cli
+    and after each command, all in one fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _HEAVY_PROBE, json.dumps(commands)],
+        env=subprocess_env(), check=True, capture_output=True, text=True, timeout=60,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportCost:
+    """Only ``map`` loads numpy and scipy; the other commands need neither."""
+
+    def test_evaluate_commands_load_neither(self, condition_fixture, tmp_path):
+        mappings = tmp_path / "mappings.tsv"
+        _small_mappings(mappings)
+        prevalence = tmp_path / "prevalence.tsv"
+        _write_prevalence(prevalence, [("a", 1, 500), ("a", 9, 100), ("b", 1, 300), ("b", 8, 100)])
+        weights, patients, cohort = _write_phers_inputs(
+            tmp_path,
+            [("p1", "CONTROL"), ("p2", "CONTROL"), ("p3", "CASE")],
+            [("p1", "HP:1"), ("p2", "HP:2"), ("p3", "HP:1"), ("p3", "HP:2")],
+            [("HP:1", 1.0), ("HP:2", 2.0)],
+        )
+        report = heavy_modules_after([
+            ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence),
+             "--out", str(tmp_path / "coverage")],
+            ["phers", "--weights", str(weights), "--patients", str(patients),
+             "--cohort", str(cohort), "--out", str(tmp_path / "phers")],
+            ["export-sssom", "--mappings", str(mappings), "--concepts", condition_fixture["concepts"],
+             "--out", str(tmp_path / "sssom")],
+        ])
+        assert report == [
+            ["import", 0, []], ["coverage", 0, []], ["phers", 0, []], ["export-sssom", 0, []],
+        ]
+
+    def test_map_loads_both(self, condition_fixture, tmp_path):
+        report = heavy_modules_after([map_args(condition_fixture, tmp_path / "out")])
+        assert report == [["import", 0, []], ["map", 0, ["numpy", "scipy"]]]
