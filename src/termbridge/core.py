@@ -112,6 +112,12 @@ NEGATED_OUTCOMES = frozenset({MeasurementOutcome.NORMAL, MeasurementOutcome.NEGA
 _PREFIX_FORBIDDEN = set(":|") | set(" \t\r\n\v\f")
 
 
+def is_code_prefix(prefix: str) -> bool:
+    """True when ``prefix`` can head a CodeRef: non-empty, with no ``:``,
+    ``|`` or whitespace."""
+    return bool(prefix) and not any(c in _PREFIX_FORBIDDEN for c in prefix)
+
+
 @dataclass(frozen=True, order=True)
 class CodeRef:
     """A vocabulary code under its canonical prefix, e.g. (SNOMED, 70305005)."""
@@ -120,7 +126,7 @@ class CodeRef:
     code: str
 
     def __post_init__(self):
-        if not self.prefix or any(c in _PREFIX_FORBIDDEN for c in self.prefix):
+        if not is_code_prefix(self.prefix):
             raise ValueError(f"invalid code prefix: {self.prefix!r}")
         if not self.code:
             raise ValueError("empty code")

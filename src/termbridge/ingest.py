@@ -14,8 +14,10 @@ File formats:
                          "synonyms":[{"text","kind"}],"xrefs":[str],
                          "deprecated":bool}
   MRCONSO.RRF           pipe-delimited, >= 15 fields; uses 0 CUI, 11 SAB,
-                        13 CODE; trailing pipe tolerated
-  MRSTY.RRF             pipe-delimited, >= 4 fields; uses 0 CUI, 3 STY
+                        13 CODE; trailing pipe tolerated; every row is
+                        validated, only the loaded concepts' codes are kept
+  MRSTY.RRF             pipe-delimited, >= 4 fields; uses 0 CUI, 3 STY;
+                        only the kept CUIs' rows are kept
   routing_policy.tsv    semantic_type  action  value
   curation.tsv          concept_id  ontology  logic  targets  evidence
                         unmapped_reason  (targets pipe-delimited CURIEs)
@@ -25,7 +27,8 @@ File formats:
   prevalence.tsv        site_id  concept_id  record_count
   id lists              one concept id per line, no header
   weights / patients / cohort   hpo_curie  weight / patient_id  hpo_curie
-                        / patient_id  group  (weights finite: no nan/inf)
+                        / patient_id  group  (weights finite: no nan/inf;
+                        one row per weight CURIE and per cohort patient)
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .core import (
     ResultAssignment,
     SynonymKind,
     UnmappedReason,
+    is_code_prefix,
 )
 from .errors import DataError, ParseError
 from .lexical import NormalizationDictionary, canonicalize_code
@@ -360,13 +364,20 @@ def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) 
     return classes
 
 
-def load_umls(mrconso_path, mrsty_path) -> UmlsTables:
-    """Stream MRCONSO/MRSTY and retain only the bridging projections.
+def load_umls(
+    mrconso_path, mrsty_path, codes: set[tuple[str, str]], dictionary: NormalizationDictionary
+) -> UmlsTables:
+    """Stream MRCONSO/MRSTY and keep only what the loaded concepts can use.
 
-    Peak memory is bounded by the retained index, not file size: each
-    line is processed and discarded, and a (SAB, CODE) key keeps only
-    its CUIs.
+    ``codes`` holds the concepts' (canonical prefix, code) pairs.  Every
+    row of both files is validated, kept or not.  A MRCONSO row is kept
+    when its (canonical SAB, stripped CODE) is in ``codes``, under its raw
+    (SAB, CODE) key; a MRSTY row is kept when its CUI came from a kept
+    MRCONSO row.  Each distinct SAB is canonicalized and checked once.
+    Peak memory is bounded by the kept index, not by the file size or the
+    number of distinct keys in the files.
     """
+    prefixes: dict[str, str] = {}
     cuis: dict[tuple[str, str], set[str]] = defaultdict(set)
     with open(mrconso_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -381,9 +392,20 @@ def load_umls(mrconso_path, mrsty_path) -> UmlsTables:
             cui, sab, code = fields[0], fields[11], fields[13]
             if not _CUI_RE.match(cui):
                 raise ParseError("BAD_CUI", f"bad CUI {cui!r}", str(mrconso_path), lineno)
-            if not sab.strip() or not code.strip():
+            stripped_code = code.strip()
+            if not sab.strip() or not stripped_code:
                 raise ParseError("SHORT_ROW", "blank SAB or CODE", str(mrconso_path), lineno)
-            cuis[(sab, code)].add(cui)
+            prefix = prefixes.get(sab)
+            if prefix is None:
+                prefix = dictionary.canonical_prefix(sab)
+                if not is_code_prefix(prefix):
+                    raise ParseError(
+                        "BAD_PREFIX", f"SAB {sab!r} is not a code prefix", str(mrconso_path), lineno
+                    )
+                prefixes[sab] = prefix
+            if (prefix, stripped_code) in codes:
+                cuis[(sab, code)].add(cui)
+    kept_cuis = set().union(*cuis.values())
 
     sty: dict[str, set[str]] = defaultdict(set)
     with open(mrsty_path, encoding="utf-8") as fh:
@@ -399,7 +421,8 @@ def load_umls(mrconso_path, mrsty_path) -> UmlsTables:
             cui, name = fields[0], fields[3]
             if not _CUI_RE.match(cui):
                 raise ParseError("BAD_CUI", f"bad CUI {cui!r}", str(mrsty_path), lineno)
-            sty[cui].add(name)
+            if cui in kept_cuis:
+                sty[cui].add(name)
 
     return UmlsTables(
         atoms_by_code={key: tuple(sorted(group)) for key, group in cuis.items()},
@@ -596,23 +619,25 @@ def load_id_list(path) -> set[int]:
     return ids
 
 
-def finite_float(raw: str) -> float:
-    """A float that is neither nan nor infinite; ValueError otherwise."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not a finite number")
-    return value
-
-
-def load_two_column(path, header, value_parser) -> list[tuple[str, object]]:
-    """(key, parsed value) rows of a two-column TSV."""
-    out = []
-    for lineno, (key, raw) in _read_rows(path, header):
+def load_weights(path) -> dict[str, float]:
+    """hpo_curie -> weight; each CURIE is listed once, each weight finite."""
+    weights = {}
+    for lineno, (curie, raw) in _read_rows(path, ["hpo_curie", "weight"]):
         try:
-            out.append((key, value_parser(raw)))
+            weight = float(raw)
         except ValueError as exc:
             raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
-    return out
+        if not math.isfinite(weight):
+            raise ParseError("MALFORMED_ROW", f"{raw!r} is not a finite number", str(path), lineno)
+        if curie in weights:
+            raise ParseError("DUPLICATE_ID", f"hpo_curie {curie!r} repeated", str(path), lineno)
+        weights[curie] = weight
+    return weights
+
+
+def load_patient_phenotypes(path) -> list[tuple[str, str]]:
+    """(patient_id, hpo_curie) rows; a patient may have many."""
+    return [(pid, curie) for _, (pid, curie) in _read_rows(path, ["patient_id", "hpo_curie"])]
 
 
 def load_cohort(path) -> dict[str, str]:

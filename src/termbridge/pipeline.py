@@ -37,7 +37,6 @@ from .evaluate import bucket_errors, group_stats, partition_coverage, phers
 from .ingest import (
     MAPPINGS_HEADER,
     RoutingPolicy,
-    finite_float,
     load_cohort,
     load_concepts,
     load_curation,
@@ -46,10 +45,11 @@ from .ingest import (
     load_measurement_scales,
     load_measurement_targets,
     load_ontology_dump,
+    load_patient_phenotypes,
     load_prevalence,
     load_routing_policy,
-    load_two_column,
     load_umls,
+    load_weights,
 )
 from .lexical import (
     Lemmatize,
@@ -274,7 +274,8 @@ def run_map(cfg: RunConfig) -> Path:
     ontologies = sorted({cls.ontology for cls in classes.values()})
 
     if cfg.umls_mrconso:
-        tables = load_umls(cfg.umls_mrconso, cfg.umls_mrsty)
+        codes = {(c.code.prefix, c.code.code) for c in concepts.values()}
+        tables = load_umls(cfg.umls_mrconso, cfg.umls_mrsty, codes, dictionary)
         bridge = CuiBridge(tables.atoms_by_code, dictionary)
         concepts = enrich_concepts(concepts, bridge, tables.sty_by_cui)
 
@@ -510,8 +511,8 @@ def run_phers(cfg: RunConfig) -> Path:
     _require_paths(
         [("weights", cfg.weights), ("patients", cfg.patients), ("cohort", cfg.cohort)]
     )
-    weights = dict(load_two_column(cfg.weights, ["hpo_curie", "weight"], finite_float))
-    phenotype_rows = load_two_column(cfg.patients, ["patient_id", "hpo_curie"], str)
+    weights = load_weights(cfg.weights)
+    phenotype_rows = load_patient_phenotypes(cfg.patients)
     groups = load_cohort(cfg.cohort)
     phenotypes: dict[str, set[str]] = {pid: set() for pid in groups}
     for patient_id, curie in phenotype_rows:

@@ -211,6 +211,17 @@ class TestMapCommand:
         assert run_map_cli(paths, tmp_path / "out") == 2
         assert f"error[SHORT_ROW]: blank SAB or CODE [{conso}:2]" in capsys.readouterr().err
 
+    def test_mrconso_sab_that_is_no_code_prefix_is_parse_error(
+        self, tmp_path, condition_fixture, capsys
+    ):
+        lines = Path(condition_fixture["mrconso"]).read_text().splitlines()
+        conso = tmp_path / "MRCONSO.RRF"
+        conso.write_text("\n".join([*lines, "C9999999|ENG||||||||||BAD SAB|PT|x1|text||||"]) + "\n")
+        paths = dict(condition_fixture, mrconso=str(conso))
+        assert run_map_cli(paths, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error[BAD_PREFIX]: SAB 'BAD SAB' is not a code prefix [{conso}:{len(lines) + 1}]" in err
+
     def test_conflicting_curation_is_data_error(self, tmp_path, condition_fixture):
         dup = tmp_path / "curation.tsv"
         dup.write_text(
@@ -586,6 +597,19 @@ class TestPhersCommand:
         ) == 2
         err = capsys.readouterr().err
         assert "error[DUPLICATE_ID]" in err and f"[{cohort}:5]" in err
+
+    def test_repeated_weight_curie_is_parse_error(self, tmp_path, capsys):
+        weights, patients, cohort = _write_phers_inputs(
+            tmp_path,
+            [("p1", "CASE"), ("p2", "CONTROL"), ("p3", "CONTROL")],
+            [("p1", "HP:1"), ("p2", "HP:2")],
+            [("HP:1", 1.0), ("HP:2", 2.0), ("HP:1", 5.0)],
+        )
+        assert main(
+            ["phers", "--weights", str(weights), "--patients", str(patients), "--cohort", str(cohort), "--out", str(tmp_path / "o")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error[DUPLICATE_ID]: hpo_curie 'HP:1' repeated" in err and f"[{weights}:4]" in err
 
     def test_bad_group_error_has_line(self, tmp_path, capsys):
         weights, patients, cohort = _write_phers_inputs(

@@ -1,12 +1,18 @@
 """Parser contracts: schemas, error codes with line numbers, round-trips,
-and the streaming-memory bound for the big pipe-delimited tables."""
+the streaming-memory bound for the big pipe-delimited tables, and the
+concept-first UMLS filter against a projection over every key."""
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from termbridge.core import CodeRef, Domain, SynonymKind
+from termbridge.align import CuiBridge, enrich_concepts
+from termbridge.core import ClinicalConcept, CodeRef, Domain, SynonymKind
 from termbridge.errors import ParseError
 from termbridge.ingest import (
     CONCEPT_HEADER,
@@ -16,7 +22,7 @@ from termbridge.ingest import (
     load_prevalence,
     load_umls,
 )
-from termbridge.lexical import NormalizationDictionary
+from termbridge.lexical import NormalizationDictionary, default_code_dictionary
 
 HEADER = "\t".join(CONCEPT_HEADER)
 
@@ -257,7 +263,7 @@ class TestLoadUmls:
         conso.write_text(_mrconso_line("C0596028", "SNOMEDCT_US", "70305005", "Overjet") + "\n")
         sty = tmp_path / "MRSTY.RRF"
         sty.write_text("C0596028|T033|A1.2|Finding|AT001|256|\n")
-        tables = load_umls(conso, sty)
+        tables = load_umls(conso, sty, {("SNOMED", "70305005")}, _dict())
         assert tables.atoms_by_code[("SNOMEDCT_US", "70305005")] == ("C0596028",)
         assert tables.sty_by_cui["C0596028"] == ("Finding",)
 
@@ -273,7 +279,9 @@ class TestLoadUmls:
         conso.write_text("\n".join(_mrconso_line(*r) for r in raw) + "\n")
         sty = tmp_path / "MRSTY.RRF"
         sty.write_text("")
-        tables = load_umls(conso, sty)
+        dictionary = _dict()
+        codes = {(dictionary.canonical_prefix(sab), code) for _, sab, code, _ in raw}
+        tables = load_umls(conso, sty, codes, dictionary)
 
         oracle = {}
         for cui, sab, code, _ in raw:
@@ -288,7 +296,7 @@ class TestLoadUmls:
         sty = tmp_path / "MRSTY.RRF"
         sty.write_text("")
         with pytest.raises(ParseError) as err:
-            load_umls(conso, sty)
+            load_umls(conso, sty, set(), _dict())
         assert err.value.code == "SHORT_ROW"
         assert err.value.line == 1
 
@@ -298,7 +306,7 @@ class TestLoadUmls:
         sty = tmp_path / "MRSTY.RRF"
         sty.write_text("")
         with pytest.raises(ParseError) as err:
-            load_umls(conso, sty)
+            load_umls(conso, sty, {("SAB", "1")}, _dict())
         assert err.value.code == "BAD_CUI"
 
     def test_mrsty_short_row(self, tmp_path):
@@ -307,8 +315,72 @@ class TestLoadUmls:
         sty = tmp_path / "MRSTY.RRF"
         sty.write_text("C0000001|T033|\n")
         with pytest.raises(ParseError) as err:
-            load_umls(conso, sty)
+            load_umls(conso, sty, set(), _dict())
         assert err.value.code == "SHORT_ROW"
+
+    def test_sab_that_is_no_code_prefix(self, tmp_path):
+        conso = tmp_path / "MRCONSO.RRF"
+        conso.write_text(
+            _mrconso_line("C0000001", "SNOMEDCT_US", "1", "kept") + "\n"
+            + _mrconso_line("C0000002", "BAD SAB", "2", "not kept") + "\n"
+        )
+        sty = tmp_path / "MRSTY.RRF"
+        sty.write_text("")
+        with pytest.raises(ParseError) as err:
+            load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+        assert err.value.code == "BAD_PREFIX"
+        assert (err.value.path, err.value.line) == (str(conso), 2)
+
+    @pytest.mark.parametrize(
+        "bad_row, code",
+        [
+            (_mrconso_line("X123", "SNOMEDCT_US", "9", "t"), "BAD_CUI"),
+            ("C0000009|ENG|only|four|fields|", "SHORT_ROW"),
+            (_mrconso_line("C0000009", "SNOMEDCT_US", "  ", "t"), "SHORT_ROW"),
+            (_mrconso_line("C0000009", " ", "9", "t"), "SHORT_ROW"),
+        ],
+    )
+    def test_rows_no_concept_uses_are_validated(self, tmp_path, bad_row, code):
+        conso = tmp_path / "MRCONSO.RRF"
+        conso.write_text(
+            _mrconso_line("C0000001", "SNOMEDCT_US", "1", "kept") + "\n" + bad_row + "\n"
+        )
+        sty = tmp_path / "MRSTY.RRF"
+        sty.write_text("")
+        with pytest.raises(ParseError) as err:
+            load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+        assert (err.value.code, err.value.path, err.value.line) == (code, str(conso), 2)
+
+    @pytest.mark.parametrize(
+        "bad_row, code",
+        [("C0000009|T033|", "SHORT_ROW"), ("X0000009|T033|A1.2|Finding|AT001|256|", "BAD_CUI")],
+    )
+    def test_mrsty_rows_of_cuis_not_kept_are_validated(self, tmp_path, bad_row, code):
+        conso = tmp_path / "MRCONSO.RRF"
+        conso.write_text(
+            _mrconso_line("C0000001", "SNOMEDCT_US", "1", "kept") + "\n"
+            + _mrconso_line("C0000009", "SNOMEDCT_US", "9", "not kept") + "\n"
+        )
+        sty = tmp_path / "MRSTY.RRF"
+        sty.write_text("C0000001|T033|A1.2|Finding|AT001|256|\n" + bad_row + "\n")
+        with pytest.raises(ParseError) as err:
+            load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+        assert (err.value.code, err.value.path, err.value.line) == (code, str(sty), 2)
+
+    def test_keeps_only_concept_codes_and_their_types(self, tmp_path):
+        conso = tmp_path / "MRCONSO.RRF"
+        conso.write_text(
+            _mrconso_line("C0000001", "SNOMEDCT_US", " 1 ", "kept") + "\n"
+            + _mrconso_line("C0000002", "RXNORM", "1", "other vocabulary") + "\n"
+        )
+        sty = tmp_path / "MRSTY.RRF"
+        sty.write_text(
+            "C0000001|T033|A1.2|Finding|AT001|256|\n"
+            "C0000002|T047|B2.2|Disease or Syndrome|AT002|256|\n"
+        )
+        tables = load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+        assert tables.atoms_by_code == {("SNOMEDCT_US", " 1 "): ("C0000001",)}
+        assert tables.sty_by_cui == {"C0000001": ("Finding",)}
 
     def test_streaming_memory_bound(self, tmp_path):
         # 60k rows over 40 retained keys: peak allocation must track the
@@ -324,10 +396,94 @@ class TestLoadUmls:
         file_size = conso.stat().st_size
         assert file_size > 5 * 1024 * 1024
         tracemalloc.start()
-        load_umls(conso, sty)
+        load_umls(conso, sty, {("SNOMED", str(i)) for i in range(40)}, _dict())
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < file_size / 4
+
+
+# SABs that canonicalize to one prefix, codes with padding, CUIs shared
+# across codes; C0000007 and C0000008 appear only in MRSTY.
+UMLS_SABS = ("SNOMEDCT_US", "snomedct_us", "SNOMED", " SNOMED ", "LNC", "loinc", "RXNORM", "MSH")
+UMLS_CODES = ("1", "2", "10", "A-1")
+UMLS_PADDING = ("", " ", "  ", "\t")
+UMLS_CUIS = tuple(f"C{k:07d}" for k in range(1, 7))
+STY_CUIS = tuple(f"C{k:07d}" for k in range(1, 9))
+STY_NAMES = ("Finding", "Disease or Syndrome", "Sign or Symptom", "Laboratory Procedure")
+CONCEPT_PREFIXES = ("SNOMED", "LOINC", "RXNORM", "MESH", "LNC")
+
+
+@st.composite
+def umls_inputs(draw):
+    padded = st.tuples(
+        st.sampled_from(UMLS_PADDING), st.sampled_from(UMLS_CODES), st.sampled_from(UMLS_PADDING)
+    ).map("".join)
+    conso = draw(
+        st.lists(
+            st.tuples(st.sampled_from(UMLS_CUIS), st.sampled_from(UMLS_SABS), padded), max_size=25
+        )
+    )
+    sty = draw(
+        st.lists(st.tuples(st.sampled_from(STY_CUIS), st.sampled_from(STY_NAMES)), max_size=15)
+    )
+    codes = draw(
+        st.lists(
+            st.tuples(st.sampled_from(CONCEPT_PREFIXES), st.sampled_from(UMLS_CODES)),
+            max_size=8,
+            unique=True,
+        )
+    )
+    return conso, sty, codes
+
+
+class TestConceptFirstUmlsDifferential:
+    """``load_umls`` keeps only the concepts' keys; bridged through
+    ``CuiBridge`` and ``enrich_concepts`` they must give every concept the
+    CUIs and semantic types a projection over all MRCONSO/MRSTY rows gives."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(umls_inputs())
+    def test_enrichment_matches_all_keys_oracle(self, case):
+        conso_rows, sty_rows, codes = case
+        dictionary = default_code_dictionary()
+        concepts = {
+            concept_id: ClinicalConcept(
+                concept_id=concept_id,
+                vocabulary=prefix,
+                code=CodeRef(prefix, code),
+                label=f"concept {concept_id}",
+                synonyms=(),
+                domain=Domain.CONDITION,
+                used_in_practice=True,
+                record_count=1,
+            )
+            for concept_id, (prefix, code) in enumerate(codes, start=1)
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            conso = Path(tmp) / "MRCONSO.RRF"
+            conso.write_text("".join(_mrconso_line(*row, "t") + "\n" for row in conso_rows))
+            sty = Path(tmp) / "MRSTY.RRF"
+            sty.write_text("".join(f"{cui}|T000|A1.2|{name}|AT000|256|\n" for cui, name in sty_rows))
+            tables = load_umls(
+                conso, sty, {(c.code.prefix, c.code.code) for c in concepts.values()}, dictionary
+            )
+        enriched = enrich_concepts(
+            concepts, CuiBridge(tables.atoms_by_code, dictionary), tables.sty_by_cui
+        )
+
+        # The projection over every key, looked up concept by concept.
+        for concept_id, concept in concepts.items():
+            cuis = {
+                cui
+                for cui, sab, code in conso_rows
+                if (dictionary.canonical_prefix(sab), code.strip())
+                == (concept.code.prefix, concept.code.code)
+            }
+            types = {name for cui, name in sty_rows if cui in cuis}
+            assert enriched[concept_id].cuis == tuple(sorted(cuis))
+            assert enriched[concept_id].semantic_types == tuple(sorted(types))
+        kept = {cui for group in tables.atoms_by_code.values() for cui in group}
+        assert set(tables.sty_by_cui) <= kept
 
 
 class TestLoadPrevalence:
