@@ -384,7 +384,8 @@ def load_umls(
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
-            fields = line.split("|")
+            # Fields past 13 are never read: the 15th piece holds the rest.
+            fields = line.split("|", 14)
             if fields and fields[-1] == "":
                 fields = fields[:-1]
             if len(fields) < 15:
@@ -413,7 +414,7 @@ def load_umls(
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
-            fields = line.split("|")
+            fields = line.split("|", 4)
             if fields and fields[-1] == "":
                 fields = fields[:-1]
             if len(fields) < 4:

@@ -8,13 +8,15 @@ variant (``IDF_VARIANT``) is recorded in summary.json for reproducibility.
 The cosine stages keep pairs as parallel numpy arrays, never as one
 object per pair:
 
-* scoring multiplies concept rows by class rows with scipy's sparse
-  product, so only string pairs sharing at least one token are ever
-  evaluated; orthogonal pairs score zero and are never candidates.  Each
-  (concept, class) keeps the best score over its string pairs, found by
-  a ``lexsort`` on ``concept * n_classes + class``.  Concept rows are
-  multiplied in chunks that never split a concept, so each chunk's maxima
-  are final.  Routing is a concepts x ontologies boolean mask;
+* scoring joins concept rows to class rows over token postings
+  (``join_rows``), so only string pairs sharing at least one token are
+  ever evaluated; orthogonal pairs score zero and are never candidates.
+  Each dot product adds its terms in ascending token order, as a CSR
+  product does.  Each (concept, class) keeps the best score over its
+  string pairs, found by a ``lexsort`` on ``concept * n_classes + class``.
+  Concept rows are joined in chunks that never split a concept, so each
+  chunk's maxima are final.  Routing is a concepts x ontologies boolean
+  mask;
 * the result is a ``PairTable`` whose concept and class columns index the
   sorted concept ids and sorted CURIEs, so index order is id order and
   CURIE order;
@@ -26,9 +28,9 @@ object per pair:
 Embeddings are built for every concept whether or not exact alignment
 already succeeded: the scorer never consults alignment results.
 
-numpy and scipy are imported inside the functions that use them, so the
-commands that never score (``coverage``, ``phers``, ``export-sssom``)
-do not pay for loading them.
+numpy is imported inside the functions that use it, so the commands
+that never score (``coverage``, ``phers``, ``export-sssom``) do not pay
+for loading it.
 """
 
 from __future__ import annotations
@@ -77,10 +79,28 @@ class ScoredPair:
     score: float
 
 
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse matrix in compressed sparse row form.
+
+    Row i's columns are ``indices[indptr[i]:indptr[i + 1]]``, ascending,
+    and its values are the same slice of ``data``.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+
 @dataclass
 class SimilarityModel:
     vocabulary: dict[str, int]
-    matrix: sparse.csr_matrix
+    matrix: CsrMatrix
     rows: tuple[RowMeta, ...]
 
 
@@ -157,7 +177,6 @@ def fit(docs) -> SimilarityModel:
     other row has unit Euclidean norm.
     """
     import numpy as np
-    from scipy import sparse
 
     if not docs:
         raise DataError("EMPTY_CORPUS", "no documents to fit")
@@ -177,6 +196,7 @@ def fit(docs) -> SimilarityModel:
     doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
     cells, counts = np.unique(doc_of * n_vocab + column_of[token_ids], return_counts=True)
     cell_doc, indices = np.divmod(cells, n_vocab)
+    indices = indices.astype(np.int32)
     df = np.bincount(indices, minlength=n_vocab)
     idf = np.array([math.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in df.tolist()])
     data = counts * idf[indices]
@@ -191,7 +211,7 @@ def fit(docs) -> SimilarityModel:
     )
     data /= np.repeat(norms, np.diff(indptr))
 
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_docs, n_vocab))
+    matrix = CsrMatrix(data, indices, indptr, (n_docs, n_vocab))
     return SimilarityModel(
         vocabulary=vocabulary, matrix=matrix, rows=tuple(meta for meta, _ in docs)
     )
@@ -206,19 +226,96 @@ def _first_of_runs(keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for each start s and count c, concatenated."""
+    import numpy as np
+
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
+def join_rows(matrix: CsrMatrix, left_rows, left_owner, right_rows, chunk_products: int):
+    """Dot products of left rows with the right rows that share a token.
+
+    Yields one ``(left, right, dot)`` triple of arrays per chunk of left
+    rows: ``left`` and ``right`` index ``left_rows`` and ``right_rows``,
+    pairs come in (left, right) order and zero dot products are left out.
+    ``left_owner`` (sorted) gives each left row's owner; a chunk never
+    splits an owner's rows and holds about ``chunk_products`` products
+    unless one owner needs more.
+
+    Each dot product adds its products one at a time in ascending token
+    order, starting from 0.0, as a CSR by CSR product does.  The right
+    rows' non-zeros are stable-sorted by token into postings; each left
+    non-zero, in row then token order, is expanded over its token's
+    posting; a stable argsort on (left, right) keeps that order within
+    each pair, and ``bincount`` adds its weights in input order.
+    """
+    import numpy as np
+
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    n_right = len(right_rows)
+
+    counts = indptr[right_rows + 1] - indptr[right_rows]
+    nonzeros = _ranges(indptr[right_rows], counts)
+    tokens = indices[nonzeros]
+    by_token = np.argsort(tokens, kind="stable")
+    posting_right = np.repeat(np.arange(n_right, dtype=np.int32), counts)[by_token]
+    posting_value = data[nonzeros][by_token]
+    posting_start = np.zeros(matrix.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tokens, minlength=matrix.shape[1]), out=posting_start[1:])
+
+    counts = indptr[left_rows + 1] - indptr[left_rows]
+    nonzeros = _ranges(indptr[left_rows], counts)
+    tokens = indices[nonzeros]
+    values = data[nonzeros]
+    fanout = posting_start[tokens + 1] - posting_start[tokens]
+    row_start = np.zeros(len(left_rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_start[1:])
+    products_before = np.zeros(len(fanout) + 1, dtype=np.int64)
+    np.cumsum(fanout, out=products_before[1:])
+    products_before = products_before[row_start]
+
+    start = 0
+    while start < len(left_rows):
+        budget = products_before[start] + chunk_products
+        stop = max(start + 1, int(np.searchsorted(products_before, budget, side="right")) - 1)
+        end = int(np.searchsorted(left_owner, left_owner[stop - 1], side="right"))
+        a, b = row_start[start], row_start[end]
+        key_type = np.int32 if (end - start) * n_right < 2**31 else np.int64
+        base = np.repeat(np.arange(end - start, dtype=key_type) * key_type(n_right), counts[start:end])
+        at = _ranges(posting_start[tokens[a:b]], fanout[a:b])
+        key = np.repeat(base, fanout[a:b]) + posting_right[at]
+        product = np.repeat(values[a:b], fanout[a:b]) * posting_value[at]
+        del base, at
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = _first_of_runs(key)
+        # astype: the bincount of no values is an empty integer array.
+        dot = np.bincount(np.cumsum(first) - 1, weights=product[order]).astype(np.float64, copy=False)
+        del order, product
+        key = key[first]
+        nonzero = dot != 0.0
+        left, right = np.divmod(key[nonzero], key_type(n_right))
+        yield left + start, right, dot[nonzero]
+        start = end
+
+
 def score_concept_pairs(
     model: SimilarityModel,
     concepts,
     classes,
     routing=None,
-    chunk_rows: int = 4096,
+    chunk_products: int = 1 << 18,
 ) -> PairTable:
     """Best cosine per (concept, class) pair over all their string rows.
 
     ``routing`` maps concept_id -> allowed ontology keys; pairs outside it
     are skipped.  Only pairs sharing at least one token appear (all other
     scores are exactly zero).  Scores are clamped to 1.0, and the table is
-    sorted by (concept_id, curie).
+    sorted by (concept_id, curie).  ``chunk_products`` bounds the string
+    products held at once (see ``join_rows``).
     """
     import numpy as np
 
@@ -263,28 +360,20 @@ def score_concept_pairs(
         clin_owner = np.array(clin_owner, dtype=np.int64)[order]
         onto_rows = np.array(onto_rows, dtype=np.int64)
         onto_owner = np.array(onto_owner, dtype=np.int64)
-        onto_matrix = model.matrix[onto_rows].T.tocsc()
         n_classes = len(curies)
 
-        start = 0
-        while start < len(clin_rows):
-            last = clin_owner[min(start + chunk_rows, len(clin_rows)) - 1]
-            end = int(np.searchsorted(clin_owner, last, side="right"))
-            product = (model.matrix[clin_rows[start:end]] @ onto_matrix).tocsr()
-            product.sort_indices()
-            coo = product.tocoo()
-            concept = clin_owner[start:end][coo.row]
-            cls = onto_owner[coo.col]
-            keep = coo.data != 0.0
+        for left, right, score in join_rows(
+            model.matrix, clin_rows, clin_owner, onto_rows, chunk_products
+        ):
+            concept, cls = clin_owner[left], onto_owner[right]
             if allowed is not None:
-                keep &= allowed[concept, class_ontology[cls]]
-            concept, cls, score = concept[keep], cls[keep], coo.data[keep]
+                keep = allowed[concept, class_ontology[cls]]
+                concept, cls, score = concept[keep], cls[keep], score[keep]
 
             key = concept * n_classes + cls
             order = np.lexsort((-score, key))
             best = order[_first_of_runs(key[order])]
             columns.append((concept[best], cls[best], score[best]))
-            start = end
 
     concept, cls, score = (np.concatenate(c) for c in zip(*columns))
     return PairTable(

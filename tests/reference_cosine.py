@@ -2,9 +2,9 @@
 
 It starts from ``fit``'s matrix, which criterion 4 checks against a dense
 model.  For every routed (concept, class) pair it takes the largest dot
-product over the two owners' string rows.  Each dot product adds the
-shared tokens' products one at a time in ascending column order, the
-order scipy's sparse product adds them in, so scores agree bit for bit.
+product over the two owners' string rows.  Each dot product starts from
+0.0 and adds the shared tokens' products one at a time in ascending
+column (token) order, so scores agree with ``map``'s bit for bit.
 Then it clamps to 1.0, drops scores under the floor, keeps the top
 ``ceil(keep_fraction * k)`` of each ontology's k survivors (ranked by score
 descending, then concept id, then CURIE) and takes the argmax per

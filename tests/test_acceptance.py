@@ -41,6 +41,7 @@ from test_similarity import (
     dense_best_scores,
     doc,
     pair_table,
+    scipy_matrix,
     table_pairs,
 )
 from test_stats import brute_force_rank_sum_p
@@ -202,7 +203,8 @@ def test_criterion_4_similarity_oracle():
         assert len(docs) <= 200
 
         model = fit(docs)
-        norms = np.sqrt(np.asarray(model.matrix.multiply(model.matrix).sum(axis=1)).ravel())
+        matrix = scipy_matrix(model)
+        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
         nonzero = norms > 0
         assert np.all(np.abs(norms[nonzero] - 1.0) <= 1e-9)
 
@@ -367,3 +369,16 @@ def test_criterion_8_determinism_and_scale(tmp_path):
     two_gib_kb = 2 * 1024 * 1024
     assert rss_1 < two_gib_kb, f"--jobs 1 peak RSS {rss_1 / 1024:.0f} MiB"
     assert rss_8 < two_gib_kb, f"--jobs 8 peak RSS {rss_8 / 1024:.0f} MiB"
+
+
+@pytest.mark.skipif(
+    os.environ.get("TERMBRIDGE_PAPER_SCALE") != "1",
+    reason="paper scale is opt-in: set TERMBRIDGE_PAPER_SCALE=1 (about 25 s and 0.8 GiB)",
+)
+def test_paper_scale_map(tmp_path):
+    """One map run at 10^5 concepts x 5*10^4 classes (criterion 8's
+    generator), under criterion 8's 60 s wall and 2 GiB peak."""
+    fixture = _write_scale_fixture(tmp_path / "in", n_concepts=100_000)
+    elapsed, rss = _run_map_subprocess(fixture, tmp_path / "out", jobs=1)
+    assert elapsed < 60.0, f"paper-scale run took {elapsed:.1f}s"
+    assert rss < 2 * 1024 * 1024, f"paper-scale peak RSS {rss / 1024:.0f} MiB"

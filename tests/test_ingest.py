@@ -382,6 +382,62 @@ class TestLoadUmls:
         assert tables.atoms_by_code == {("SNOMEDCT_US", " 1 "): ("C0000001",)}
         assert tables.sty_by_cui == {"C0000001": ("Finding",)}
 
+    @pytest.mark.parametrize(
+        "n_fields, last, trailing, verdict",
+        [
+            (13, "x", False, 13), (13, "x", True, 13), (13, "", False, 12), (13, "", True, 13),
+            (14, "1", False, 14), (14, "1", True, 14), (14, "", False, 13), (14, "", True, 14),
+            (15, "x", False, "kept"), (15, "x", True, "kept"), (15, "", False, 14),
+            (15, "", True, "kept"),
+        ],
+    )
+    def test_mrconso_field_count_boundaries(self, tmp_path, n_fields, last, trailing, verdict):
+        """One trailing ``|`` is a terminator, not a field: a row whose
+        last field is empty and has no terminator loses that field."""
+        fields = ["C0000001"] + [""] * (n_fields - 1)
+        fields[11] = "SNOMEDCT_US"
+        if n_fields > 13:
+            fields[13] = "1"
+        fields[-1] = last
+        conso = tmp_path / "MRCONSO.RRF"
+        conso.write_text("|".join(fields) + ("|" if trailing else "") + "\n")
+        sty = tmp_path / "MRSTY.RRF"
+        sty.write_text("")
+        if verdict == "kept":
+            tables = load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+            assert tables.atoms_by_code == {("SNOMEDCT_US", "1"): ("C0000001",)}
+            return
+        with pytest.raises(ParseError) as err:
+            load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+        assert (err.value.code, err.value.line) == ("SHORT_ROW", 1)
+        assert err.value.message.startswith(f"{verdict} fields, need >= 15")
+
+    @pytest.mark.parametrize(
+        "n_fields, last, trailing, verdict",
+        [
+            (3, "A1", False, 3), (3, "A1", True, 3), (3, "", False, 2), (3, "", True, 3),
+            (4, "Finding", False, "Finding"), (4, "Finding", True, "Finding"), (4, "", False, 3),
+            (4, "", True, ""),
+            (5, "AT001", False, "Finding"), (5, "AT001", True, "Finding"),
+            (5, "", False, "Finding"), (5, "", True, "Finding"),
+        ],
+    )
+    def test_mrsty_field_count_boundaries(self, tmp_path, n_fields, last, trailing, verdict):
+        fields = ["C0000001", "T033", "A1", "Finding", "AT001"][:n_fields]
+        fields[-1] = last
+        conso = tmp_path / "MRCONSO.RRF"
+        conso.write_text(_mrconso_line("C0000001", "SNOMEDCT_US", "1", "kept") + "\n")
+        sty = tmp_path / "MRSTY.RRF"
+        sty.write_text("|".join(fields) + ("|" if trailing else "") + "\n")
+        if isinstance(verdict, str):
+            tables = load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+            assert tables.sty_by_cui == {"C0000001": (verdict,)}
+            return
+        with pytest.raises(ParseError) as err:
+            load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+        assert (err.value.code, err.value.line) == ("SHORT_ROW", 1)
+        assert err.value.message.startswith(f"{verdict} fields, need >= 4")
+
     def test_streaming_memory_bound(self, tmp_path):
         # 60k rows over 40 retained keys: peak allocation must track the
         # retained index, not the file size.

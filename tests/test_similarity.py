@@ -5,6 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from termbridge.errors import DataError
 from termbridge.similarity import (
@@ -17,6 +20,7 @@ from termbridge.similarity import (
     build_corpus,
     filter_pairs,
     fit,
+    join_rows,
     score_concept_pairs,
 )
 from termbridge.lexical import TokenizerConfig
@@ -54,9 +58,16 @@ def table_pairs(table):
     ]
 
 
+def scipy_matrix(model):
+    """``model.matrix`` as a scipy CSR matrix, for its array API."""
+    m = model.matrix
+    return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 def score_pair_strings(model, row_a: int, row_b: int) -> float:
     """Cosine of two model rows (exact dot product of normalized rows)."""
-    return float(model.matrix.getrow(row_a).multiply(model.matrix.getrow(row_b)).sum())
+    matrix = scipy_matrix(model)
+    return float(matrix.getrow(row_a).multiply(matrix.getrow(row_b)).sum())
 
 
 # --- dense oracle ------------------------------------------------------------
@@ -103,12 +114,12 @@ def dense_best_scores(docs):
 class TestFit:
     def test_single_document_equal_weights(self):
         model = fit([doc(1, Side.CLINICAL, "throat pain")])
-        row = model.matrix.toarray()[0]
+        row = scipy_matrix(model).toarray()[0]
         assert row == pytest.approx([1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_identical_documents_identical_rows(self):
         model = fit([doc(1, Side.CLINICAL, "a b c"), doc(2, Side.CLINICAL, "a b c")])
-        dense = model.matrix.toarray()
+        dense = scipy_matrix(model).toarray()
         assert np.array_equal(dense[0], dense[1])
 
     def test_three_document_hand_oracle(self):
@@ -130,7 +141,7 @@ class TestFit:
             ]
         )
         assert model.vocabulary == {"a": 0, "b": 1, "c": 2}
-        assert np.abs(model.matrix.toarray() - expected).max() < 1e-12
+        assert np.abs(scipy_matrix(model).toarray() - expected).max() < 1e-12
 
     def test_empty_corpus(self):
         with pytest.raises(DataError) as err:
@@ -139,7 +150,7 @@ class TestFit:
 
     def test_zero_token_document_is_zero_row(self):
         model = fit([doc(1, Side.CLINICAL, "", tokens=()), doc(2, Side.CLINICAL, "a")])
-        dense = model.matrix.toarray()
+        dense = scipy_matrix(model).toarray()
         assert np.all(dense[0] == 0)
 
     def test_row_norms(self):
@@ -149,7 +160,8 @@ class TestFit:
             for i in range(150)
         ]
         model = fit(docs)
-        norms = np.sqrt(np.asarray(model.matrix.multiply(model.matrix).sum(axis=1)).ravel())
+        matrix = scipy_matrix(model)
+        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
         assert np.all(np.abs(norms - 1.0) < 1e-9)
 
 
@@ -261,6 +273,76 @@ class TestCosineSymmetry:
             assert score_pair_strings(model, i, j) == pytest.approx(
                 score_pair_strings(model, j, i), abs=1e-12
             )
+
+
+# --- the join ----------------------------------------------------------------
+
+
+@st.composite
+def join_inputs(draw):
+    """Dense rows over a 3-8 token vocabulary, some with no tokens, and a
+    product budget.  Half the time the budget ends the first chunk inside
+    a concept with several strings."""
+    vocab = [f"t{i}" for i in range(draw(st.integers(3, 8)))]
+    row = st.lists(st.sampled_from(vocab), max_size=8)
+    concepts = draw(st.lists(st.lists(row, min_size=1, max_size=4), min_size=1, max_size=10))
+    classes = draw(st.lists(row, min_size=1, max_size=25))
+    budget = draw(st.one_of(st.integers(1, 12), st.integers(13, 4096)))
+    several = [i for i, strings in enumerate(concepts) if len(strings) > 1]
+    if several and draw(st.booleans()):
+        # Products of a row: the class rows holding each of its tokens.
+        holders = {t: sum(t in tokens for tokens in classes) for t in vocab}
+        products = [sum(holders[t] for t in set(tokens)) for strings in concepts for tokens in strings]
+        edge = draw(st.sampled_from(several))
+        first_row = sum(len(strings) for strings in concepts[:edge])
+        budget = max(1, sum(products[: first_row + 1]))
+    return concepts, classes, budget
+
+
+def checked_join(concepts, classes, budget):
+    """The join's chunks over fitted rows, and each clinical row's owner,
+    after checking the chunks against scipy's product bit for bit."""
+    docs = [doc(i, Side.CLINICAL, "", tokens) for i, strings in enumerate(concepts) for tokens in strings]
+    docs += [doc(f"HP:{k:07d}", Side.ONTOLOGY, "", tokens) for k, tokens in enumerate(classes)]
+    model = fit(docs)
+    left_owner = np.array([m.owner for m, _ in docs if m.side is Side.CLINICAL], dtype=np.int64)
+    left_rows = np.arange(len(left_owner), dtype=np.int64)
+    right_rows = np.arange(len(left_owner), len(docs), dtype=np.int64)
+    chunks = list(join_rows(model.matrix, left_rows, left_owner, right_rows, budget))
+
+    matrix = scipy_matrix(model)
+    product = (matrix[left_rows] @ matrix[right_rows].T.tocsc()).tocsr()
+    product.sort_indices()
+    coo = product.tocoo()
+    nonzero = coo.data != 0.0
+    left, right, dot = (np.concatenate(c) for c in zip(*chunks))
+    assert left.tolist() == coo.row[nonzero].tolist()
+    assert right.tolist() == coo.col[nonzero].tolist()
+    assert dot.dtype == np.float64
+    assert dot.tobytes() == coo.data[nonzero].tobytes()
+    return chunks, left_owner
+
+
+class TestNumpyJoin:
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(join_inputs())
+    def test_matches_scipy_product_bit_for_bit(self, inputs):
+        chunks, left_owner = checked_join(*inputs)
+        owners = [set(left_owner[left].tolist()) for left, _, _ in chunks]
+        assert all(a.isdisjoint(b) for i, a in enumerate(owners) for b in owners[i + 1:])
+
+    def test_concept_on_chunk_edge_stays_whole(self):
+        concepts = [[["a", "b"]], [["a"], ["b", "c"], ["a", "c"]], [["c"]]]
+        classes = [["a"], ["b"], ["c"], ["a", "b", "c"]]
+        # Rows 0 and 1 have 4 and 2 products: a budget of 6 ends the first
+        # chunk after row 1, inside concept 1, so the chunk takes all of it.
+        chunks, _ = checked_join(concepts, classes, 6)
+        assert [sorted(set(left.tolist())) for left, _, _ in chunks] == [[0, 1, 2, 3], [4]]
 
 
 # --- filtering and argmax ----------------------------------------------------
