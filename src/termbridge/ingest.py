@@ -310,6 +310,18 @@ def load_concepts(
     return ConceptLoad(concepts=concepts, dangling_ancestors=dangling)
 
 
+# The ontology JSONL object's fields: key -> (accepted types, what the error says).
+_CLASS_FIELDS = {
+    "curie": (str, "a string"),
+    "ontology": (str, "a string"),
+    "label": (str, "a string"),
+    "definition": ((str, type(None)), "a string or null"),
+    "synonyms": (list, "a list"),
+    "xrefs": (list, "a list"),
+    "deprecated": (bool, "true or false"),
+}
+
+
 def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) -> dict[str, OntologyClass]:
     """Parse a JSON-Lines ontology dump, keyed by CURIE.
 
@@ -333,31 +345,48 @@ def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) 
             for key in ("curie", "ontology", "label"):
                 if key not in obj:
                     raise ParseError("MALFORMED_LINE", f"missing key {key!r}", str(path), lineno)
+            for key, (types, expected) in _CLASS_FIELDS.items():
+                if key in obj and not isinstance(obj[key], types):
+                    raise ParseError(
+                        "MALFORMED_LINE", f"field {key!r} must be {expected}", str(path), lineno
+                    )
             curie = obj["curie"]
             if curie in classes:
                 raise ParseError("DUPLICATE_CURIE", f"class {curie} repeated", str(path), lineno)
+            raw_synonyms = obj.get("synonyms", [])
+            if not all(
+                isinstance(s, dict) and isinstance(s.get("text"), str) and isinstance(s.get("kind", ""), str)
+                for s in raw_synonyms
+            ):
+                raise ParseError(
+                    "MALFORMED_LINE",
+                    "field 'synonyms' must hold objects with a string 'text' and an optional string 'kind'",
+                    str(path),
+                    lineno,
+                )
             try:
                 synonyms = tuple(
                     ClassSynonym(text=s["text"], kind=SynonymKind(s.get("kind", "EXACT")))
-                    for s in obj.get("synonyms", ())
+                    for s in raw_synonyms
                 )
-            except (TypeError, KeyError, ValueError) as exc:
-                raise ParseError("MALFORMED_LINE", f"bad synonyms: {exc}", str(path), lineno) from None
+            except ValueError as exc:
+                raise ParseError("MALFORMED_LINE", f"field 'synonyms': {exc}", str(path), lineno) from None
+            raw_xrefs = obj.get("xrefs", [])
+            if not all(isinstance(x, str) for x in raw_xrefs):
+                raise ParseError("MALFORMED_LINE", "field 'xrefs' must hold strings", str(path), lineno)
             try:
-                xrefs = tuple(
-                    sorted(canonicalize_code(x, dictionary) for x in obj.get("xrefs", ()))
-                )
+                xrefs = tuple(sorted(canonicalize_code(x, dictionary) for x in raw_xrefs))
             except (DataError, ValueError) as exc:
-                raise ParseError("MALFORMED_LINE", f"bad xref: {exc}", str(path), lineno) from None
+                raise ParseError("MALFORMED_LINE", f"field 'xrefs': {exc}", str(path), lineno) from None
             try:
                 classes[curie] = OntologyClass(
                     curie=curie,
-                    ontology=str(obj["ontology"]).upper(),
+                    ontology=obj["ontology"].upper(),
                     label=obj["label"],
                     definition=obj.get("definition"),
                     synonyms=synonyms,
                     xrefs=xrefs,
-                    deprecated=bool(obj.get("deprecated", False)),
+                    deprecated=obj.get("deprecated", False),
                 )
             except ValueError as exc:
                 raise ParseError("BAD_CURIE", str(exc), str(path), lineno) from None

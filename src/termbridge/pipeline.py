@@ -9,6 +9,7 @@ inputs produce byte-identical files.  Every input is read by ``ingest``.
 from __future__ import annotations
 
 import json
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,9 +176,17 @@ def _mapping_row(record: MappingRecord, target_labels) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write ``path`` whole or not at all: the text goes to a temporary
+    file in the same directory, which then replaces ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, payload) -> None:
@@ -310,17 +319,19 @@ def run_map(cfg: RunConfig) -> Path:
         decisions = {cid: route(c, policy) for cid, c in concepts.items()}
 
         tok_cfg = TokenizerConfig(stopwords=stopwords, lemmatize=Lemmatize.SUFFIX_RULES)
-        docs = build_corpus(concepts.values(), classes.values(), tok_cfg)
-        model = fit(docs)
+        model = fit(build_corpus(concepts.values(), classes.values(), tok_cfg))
         pairs = score_concept_pairs(
             model,
             concepts.values(),
             classes.values(),
             routing={cid: d.allowed for cid, d in decisions.items()},
+            score_floor=cfg.tau,
         )
+        del model  # the matrix is not read past scoring; free it before the cut
         # The keep-fraction cut is scoped per (domain, ontology) run.
         sim_cfg = SimilarityConfig(score_floor=cfg.tau, keep_fraction=cfg.rho)
         best = best_per_concept(filter_pairs(pairs, sim_cfg))
+        del pairs  # the per-ontology scores, freed before synthesis
         best_by_concept: dict[int, dict[str, object]] = defaultdict(dict)
         for (cid, ontology), pair in best.items():
             best_by_concept[cid][ontology] = pair

@@ -5,7 +5,7 @@ both sides).  Weighting is pinned to tf(t,d) = raw count and
 idf(t) = ln((1 + N) / (1 + df(t))) + 1 with L2-normalized rows; the
 variant (``IDF_VARIANT``) is recorded in summary.json for reproducibility.
 
-The cosine stages keep pairs as parallel numpy arrays, never as one
+The cosine stages never hold a table of all candidate pairs, nor one
 object per pair:
 
 * scoring joins concept rows to class rows over token postings
@@ -17,13 +17,16 @@ object per pair:
   Concept rows are joined in chunks that never split a concept, so each
   chunk's maxima are final.  Routing is a concepts x ontologies boolean
   mask;
-* the result is a ``PairTable`` whose concept and class columns index the
-  sorted concept ids and sorted CURIEs, so index order is id order and
-  CURIE order;
-* the floor, the per-ontology keep-fraction cut and the argmax each take
-  one ``lexsort`` ordered on (-score, concept id, CURIE rank), which gives
-  the same tie-breaks as sorting objects on those keys.  ``ScoredPair``
-  objects are built only for the winners.
+* each chunk is reduced as it comes (``best_pairs``): pairs under the
+  floor are counted and dropped, each (concept, ontology) keeps its best
+  pair, and the other pairs leave only their scores, per ontology in
+  concept order.  Concepts and classes are int32 indexes into the sorted
+  concept ids and CURIEs, so index order is id order and CURIE order;
+* the per-ontology keep-fraction cut finds each ontology's threshold
+  score with ``np.partition`` and settles ties at it by concept order,
+  which keeps the winners that ranking every pair on (-score, concept
+  id, CURIE) would keep (``filter_pairs``).  ``ScoredPair`` objects are
+  built only for the winners.
 
 Embeddings are built for every concept whether or not exact alignment
 already succeeded: the scorer never consults alignment results.
@@ -105,30 +108,35 @@ class SimilarityModel:
 
 
 @dataclass(frozen=True, eq=False)
-class PairTable:
-    """Scored (concept, class) pairs as parallel arrays, one entry per pair.
+class BestPairs:
+    """Each (concept, ontology)'s best above-floor pair, and what the cut needs of the rest.
 
-    ``concept`` indexes ``concept_ids`` and ``cls`` indexes ``curies``;
-    both lists are sorted.  ``class_ontology`` gives each class's index
-    into the sorted ``ontologies``.
+    ``concept``, ``cls``, ``ontology``, ``score`` and ``offset`` hold one
+    entry per (concept, ontology): its best pair, the smallest CURIE
+    winning a score tie.  ``concept`` indexes ``concept_ids``, ``cls``
+    indexes ``curies`` and ``ontology`` indexes ``ontologies``; all three
+    are sorted.  ``offset`` counts the above-floor pairs of the winner's
+    ontology that belong to lower concepts.  ``scores[o]`` holds every
+    above-floor score of ontology o, concept by concept, so a concept's
+    scores there start at its winner's offset.  ``pairs`` is the length:
+    the routed pairs with a non-zero score or, after ``filter_pairs``, the
+    pairs the cut keeps.
     """
 
     concept_ids: np.ndarray
     curies: tuple[str, ...]
-    class_ontology: np.ndarray
     ontologies: tuple[str, ...]
+    score_floor: float
     concept: np.ndarray
     cls: np.ndarray
+    ontology: np.ndarray
     score: np.ndarray
+    offset: np.ndarray
+    scores: tuple[np.ndarray, ...]
+    pairs: int
 
     def __len__(self) -> int:
-        return len(self.score)
-
-    def take(self, index) -> "PairTable":
-        """The pairs at ``index``, in that order."""
-        return replace(
-            self, concept=self.concept[index], cls=self.cls[index], score=self.score[index]
-        )
+        return self.pairs
 
 
 class _WordTokens(dict):
@@ -307,15 +315,18 @@ def score_concept_pairs(
     concepts,
     classes,
     routing=None,
-    chunk_products: int = 1 << 18,
-) -> PairTable:
-    """Best cosine per (concept, class) pair over all their string rows.
+    score_floor: float = 0.0,
+    chunk_products: int = 1 << 15,
+) -> BestPairs:
+    """Best cosine per (concept, class) pair over all their string rows,
+    reduced chunk by chunk to each (concept, ontology)'s best pair.
 
     ``routing`` maps concept_id -> allowed ontology keys; pairs outside it
-    are skipped.  Only pairs sharing at least one token appear (all other
-    scores are exactly zero).  Scores are clamped to 1.0, and the table is
-    sorted by (concept_id, curie).  ``chunk_products`` bounds the string
-    products held at once (see ``join_rows``).
+    are skipped.  Only pairs sharing at least one token are candidates
+    (all other scores are exactly zero).  Scores are clamped to 1.0, and
+    candidates under ``score_floor`` are counted but not kept (see
+    ``best_pairs``).  ``chunk_products`` bounds the string products held
+    at once (see ``join_rows``).
     """
     import numpy as np
 
@@ -326,7 +337,7 @@ def score_concept_pairs(
     concept_index = {cid: i for i, cid in enumerate(concept_ids)}
     class_index = {curie: i for i, curie in enumerate(curies)}
     ontology_index = {o: i for i, o in enumerate(ontologies)}
-    class_ontology = np.array([ontology_index[ontology_of[c]] for c in curies], dtype=np.int64)
+    class_ontology = np.array([ontology_index[ontology_of[c]] for c in curies], dtype=np.int32)
 
     clin_rows, clin_owner, onto_rows, onto_owner = [], [], [], []
     for i, meta in enumerate(model.rows):
@@ -351,76 +362,147 @@ def score_concept_pairs(
                     if key in ontology_index:
                         allowed[i, ontology_index[key]] = True
 
-    empty = np.zeros(0, dtype=np.int64)
-    columns = [(empty, empty, np.zeros(0))]
-    if clin_rows and onto_rows:
+    def maxima():
+        """Each chunk's (concept, class) maxima, in (concept, class) order."""
         # Group each concept's rows together; within a concept, row order stays.
-        order = np.argsort(np.array(clin_owner, dtype=np.int64), kind="stable")
-        clin_rows = np.array(clin_rows, dtype=np.int64)[order]
-        clin_owner = np.array(clin_owner, dtype=np.int64)[order]
-        onto_rows = np.array(onto_rows, dtype=np.int64)
-        onto_owner = np.array(onto_owner, dtype=np.int64)
-        n_classes = len(curies)
-
+        order = np.argsort(np.array(clin_owner, dtype=np.int32), kind="stable")
+        left_rows = np.array(clin_rows, dtype=np.int64)[order]
+        left_owner = np.array(clin_owner, dtype=np.int32)[order]
+        right_rows = np.array(onto_rows, dtype=np.int64)
+        right_owner = np.array(onto_owner, dtype=np.int32)
         for left, right, score in join_rows(
-            model.matrix, clin_rows, clin_owner, onto_rows, chunk_products
+            model.matrix, left_rows, left_owner, right_rows, chunk_products
         ):
-            concept, cls = clin_owner[left], onto_owner[right]
+            concept, cls = left_owner[left], right_owner[right]
             if allowed is not None:
                 keep = allowed[concept, class_ontology[cls]]
                 concept, cls, score = concept[keep], cls[keep], score[keep]
-
-            key = concept * n_classes + cls
+            key = concept.astype(np.int64) * len(curies) + cls
             order = np.lexsort((-score, key))
             best = order[_first_of_runs(key[order])]
-            columns.append((concept[best], cls[best], score[best]))
+            yield concept[best], cls[best], np.minimum(score[best], 1.0)
 
-    concept, cls, score = (np.concatenate(c) for c in zip(*columns))
-    return PairTable(
-        concept_ids=np.array(concept_ids, dtype=np.int64),
-        curies=tuple(curies),
-        class_ontology=class_ontology,
-        ontologies=tuple(ontologies),
-        concept=concept,
-        cls=cls,
-        score=np.minimum(score, 1.0),
+    return best_pairs(
+        maxima() if clin_rows and onto_rows else (),
+        np.array(concept_ids, dtype=np.int64), tuple(curies), class_ontology,
+        tuple(ontologies), score_floor,
     )
 
 
-def filter_pairs(pairs: PairTable, cfg: SimilarityConfig) -> PairTable:
-    """Drop below-floor scores, then keep the top fraction of each ontology.
+def best_pairs(chunks, concept_ids, curies, class_ontology, ontologies, score_floor) -> BestPairs:
+    """Reduce scored (concept, class) pairs to each (concept, ontology)'s best.
 
-    An ontology's k survivors are sorted by score descending (ties:
-    concept_id, curie ascending) and the first ceil(keep_fraction * k)
-    are kept.  The result lists the kept pairs in that order, ontology by
-    ontology.
+    ``chunks`` yields ``(concept, cls, score)`` arrays indexing the sorted
+    ``concept_ids`` and ``curies``, one entry per pair.  Each chunk holds
+    whole concepts, chunks come in concept order and a chunk's pairs come
+    in (concept, class) order.  ``class_ontology`` gives each class's index
+    into the sorted ``ontologies``.  Pairs under ``score_floor`` are
+    counted, then dropped; the rest leave only their scores and each
+    (concept, ontology)'s best pair behind.
     """
     import numpy as np
 
-    index = np.flatnonzero(pairs.score >= cfg.score_floor)
-    ontology = pairs.class_ontology[pairs.cls[index]]
-    pair_key = pairs.concept[index] * len(pairs.curies) + pairs.cls[index]
-    order = np.lexsort((pair_key, -pairs.score[index], ontology))
-    index, ontology = index[order], ontology[order]
-    size = np.bincount(ontology, minlength=len(pairs.ontologies))
-    rank = np.arange(len(index)) - (np.cumsum(size) - size)[ontology]
-    keep = np.ceil(cfg.keep_fraction * size)
-    return pairs.take(index[rank < keep[ontology]])
+    n_ontologies = len(ontologies)
+    empty = np.zeros(0, dtype=np.int32)
+    winners = [(empty, empty, empty, np.zeros(0), np.zeros(0, dtype=np.int64))]
+    scores: list[list] = [[] for _ in range(n_ontologies)]
+    above_before = np.zeros(n_ontologies, dtype=np.int64)
+    pairs = 0
+    for concept, cls, score in chunks:
+        pairs += len(score)
+        above = score >= score_floor
+        concept, cls, score = concept[above], cls[above], score[above]
+        ontology = class_ontology[cls]
+        # By ontology, then concept, then score descending.  lexsort is
+        # stable and pairs come in class order, so the smallest CURIE leads
+        # each score tie and each (concept, ontology)'s first pair is its best.
+        order = np.lexsort((-score, concept, ontology))
+        concept, cls, ontology, score = concept[order], cls[order], ontology[order], score[order]
+        count = np.bincount(ontology, minlength=n_ontologies)
+        start = np.cumsum(count) - count
+        first = np.ones(len(score), dtype=bool)
+        first[1:] = (concept[1:] != concept[:-1]) | (ontology[1:] != ontology[:-1])
+        at = np.flatnonzero(first)
+        won = ontology[at]
+        winners.append(
+            (concept[at], cls[at], won, score[at], above_before[won] + at - start[won])
+        )
+        for o in np.flatnonzero(count).tolist():
+            scores[o].append(score[start[o]:start[o] + count[o]])
+        above_before += count
+
+    concept, cls, ontology, score, offset = (np.concatenate(c) for c in zip(*winners))
+    return BestPairs(
+        concept_ids=concept_ids,
+        curies=curies,
+        ontologies=ontologies,
+        score_floor=score_floor,
+        concept=concept,
+        cls=cls,
+        ontology=ontology,
+        score=score,
+        offset=offset,
+        scores=tuple(np.concatenate(s) if s else np.zeros(0) for s in scores),
+        pairs=pairs,
+    )
 
 
-def best_per_concept(pairs: PairTable) -> dict[tuple[int, str], ScoredPair]:
-    """Argmax score per (concept, ontology); score ties take the smallest CURIE."""
+def filter_pairs(pairs: BestPairs, cfg: SimilarityConfig) -> BestPairs:
+    """Keep the winners that survive the floor and their ontology's cut.
+
+    An ontology's k above-floor pairs rank by score descending, then
+    concept id, then CURIE, and the first m = ceil(keep_fraction * k) are
+    kept; t is the m-th best score.  A winner scoring above t is kept.
+    One scoring t is kept when the pairs above t plus the t-scored pairs
+    of lower concepts number fewer than m: no pair of its own concept
+    ranks ahead of it, as it has that concept's smallest best CURIE.  A
+    concept's other pairs rank after its winner, so the winners kept are
+    exactly the argmax of the kept pairs.  The result's length is the sum
+    of the m.
+    """
     import numpy as np
 
-    ontology = pairs.class_ontology[pairs.cls]
-    group = pairs.concept * len(pairs.ontologies) + ontology
-    order = np.lexsort((pairs.cls, -pairs.score, group))
-    win = order[_first_of_runs(group[order])]
-    cids = pairs.concept_ids[pairs.concept[win]].tolist()
-    curies = [pairs.curies[i] for i in pairs.cls[win].tolist()]
-    keys = [pairs.ontologies[i] for i in ontology[win].tolist()]
+    if cfg.score_floor < pairs.score_floor:
+        raise ValueError(
+            f"score floor {cfg.score_floor} is under the {pairs.score_floor} pairs were scored at"
+        )
+    keep = np.zeros(len(pairs.score), dtype=bool)
+    kept = 0
+    for o, scores in enumerate(pairs.scores):
+        above = scores[scores >= cfg.score_floor]
+        k = len(above)
+        m = math.ceil(cfg.keep_fraction * k)
+        kept += m
+        if m == 0:
+            continue
+        above.partition(k - m)
+        t = above[k - m]
+        greater = int(np.count_nonzero(above[k - m + 1:] > t))
+        mine = np.flatnonzero(pairs.ontology == o)
+        score = pairs.score[mine]
+        ties_before = np.searchsorted(np.flatnonzero(scores == t), pairs.offset[mine])
+        keep[mine] = (score > t) | ((score == t) & (greater + ties_before < m))
+    return replace(
+        pairs,
+        concept=pairs.concept[keep],
+        cls=pairs.cls[keep],
+        ontology=pairs.ontology[keep],
+        score=pairs.score[keep],
+        offset=pairs.offset[keep],
+        scores=(),
+        pairs=kept,
+    )
+
+
+def best_per_concept(pairs: BestPairs) -> dict[tuple[int, str], ScoredPair]:
+    """The winners as ``ScoredPair`` objects, keyed (concept_id, ontology) in that order."""
+    import numpy as np
+
+    order = np.lexsort((pairs.ontology, pairs.concept))
+    cids = pairs.concept_ids[pairs.concept[order]].tolist()
+    curies = [pairs.curies[i] for i in pairs.cls[order].tolist()]
+    keys = [pairs.ontologies[i] for i in pairs.ontology[order].tolist()]
     return {
         (cid, key): ScoredPair(cid, curie, score)
-        for cid, key, curie, score in zip(cids, keys, curies, pairs.score[win].tolist())
+        for cid, key, curie, score in zip(cids, keys, curies, pairs.score[order].tolist())
     }
-

@@ -57,22 +57,33 @@ def cosine_scores(model, allowed):
     return scores
 
 
-def cosine_winners(scores, score_floor, keep_fraction):
-    """{(concept_id, ontology): (curie, score)} after the floor, cut and argmax."""
+def kept_pairs(scores, score_floor, keep_fraction):
+    """[(concept_id, curie, score)] the floor and the per-ontology cut keep.
+
+    Each ontology's k survivors rank by score descending, then concept id,
+    then CURIE, and the first ``ceil(keep_fraction * k)`` are kept; the
+    list goes ontology by ontology, each in rank order.
+    """
     by_ontology = defaultdict(list)
     for (concept_id, curie), score in scores.items():
         if score >= score_floor:
             by_ontology[curie_ontology(curie)].append((-score, concept_id, curie))
-    winners = {}
-    for ontology, survivors in sorted(by_ontology.items()):
+    kept = []
+    for _, survivors in sorted(by_ontology.items()):
         survivors.sort()
-        for neg_score, concept_id, curie in survivors[: math.ceil(keep_fraction * len(survivors))]:
-            key = (concept_id, ontology)
-            current = winners.get(key)
-            if (
-                current is None
-                or -neg_score > current[1]
-                or (-neg_score == current[1] and curie < current[0])
-            ):
-                winners[key] = (curie, -neg_score)
+        kept += [
+            (concept_id, curie, -neg_score)
+            for neg_score, concept_id, curie in survivors[: math.ceil(keep_fraction * len(survivors))]
+        ]
+    return kept
+
+
+def cosine_winners(scores, score_floor, keep_fraction):
+    """{(concept_id, ontology): (curie, score)} after the floor, cut and argmax."""
+    winners = {}
+    for concept_id, curie, score in kept_pairs(scores, score_floor, keep_fraction):
+        key = (concept_id, curie_ontology(curie))
+        current = winners.get(key)
+        if current is None or score > current[1] or (score == current[1] and curie < current[0]):
+            winners[key] = (curie, score)
     return winners

@@ -28,7 +28,6 @@ from termbridge.similarity import (
     SimilarityConfig,
     filter_pairs,
     fit,
-    score_concept_pairs,
 )
 from termbridge.stats import gamma_q, wilcoxon_rank_sum_one_sided
 
@@ -38,11 +37,12 @@ from test_similarity import (
     ScoredPair,
     Side,
     _owners,
+    best_pairs_of,
     dense_best_scores,
     doc,
-    pair_table,
+    pair_scores,
     scipy_matrix,
-    table_pairs,
+    scored_like,
 )
 from test_stats import brute_force_rank_sum_p
 
@@ -209,10 +209,7 @@ def test_criterion_4_similarity_oracle():
         assert np.all(np.abs(norms[nonzero] - 1.0) <= 1e-9)
 
         concepts, classes = _owners(docs)
-        got = {
-            (p.concept_id, p.curie): p.score
-            for p in table_pairs(score_concept_pairs(model, concepts, classes))
-        }
+        got = scored_like(model, concepts, classes, pair_scores(model))
         oracle = dense_best_scores(docs)
         for key, score in oracle.items():
             if score > 0:
@@ -229,7 +226,7 @@ def test_criterion_4_similarity_oracle():
             ScoredPair(i, f"HP:{i:07d}", round(rng.random(), 6))
             for i in range(rng.randint(0, 40))
         ]
-        kept = filter_pairs(pair_table(pairs), cfg)
+        kept = filter_pairs(best_pairs_of(pairs), cfg)
         survivors = sum(1 for p in pairs if p.score >= cfg.score_floor)
         assert len(kept) == math.ceil(cfg.keep_fraction * survivors)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import termbridge
+from termbridge import pipeline
 from termbridge.cli import main
 from termbridge.stats import midranks
 
@@ -221,6 +222,23 @@ class TestMapCommand:
         assert run_map_cli(paths, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert f"error[BAD_PREFIX]: SAB 'BAD SAB' is not a code prefix [{conso}:{len(lines) + 1}]" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("xrefs", [5]), ("label", None), ("deprecated", "yes"), ("synonyms", "abc")]
+    )
+    def test_ontology_field_of_wrong_type_is_parse_error(
+        self, tmp_path, condition_fixture, capsys, field, value
+    ):
+        lines = Path(condition_fixture["ontology"]).read_text().splitlines()
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = json.dumps(row)
+        ontology = tmp_path / "ontology.jsonl"
+        ontology.write_text("\n".join(lines) + "\n")
+        assert run_map_cli(dict(condition_fixture, ontology=str(ontology)), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[MALFORMED_LINE]: field {field!r} ")
+        assert f"[{ontology}:2]" in err
 
     def test_conflicting_curation_is_data_error(self, tmp_path, condition_fixture):
         dup = tmp_path / "curation.tsv"
@@ -718,6 +736,36 @@ class TestExportSssom:
 
         cosine = [r for r in rows if r["subject_id"] == "SNOMED:162397003"]
         assert cosine[0]["mapping_justification"] == "semapv:SemanticSimilarityThresholdMatching"
+
+
+class TestWholeOutputs:
+    """An output file is written whole or not at all."""
+
+    def test_failed_write_keeps_earlier_output(self, tmp_path):
+        out = tmp_path / "mappings.tsv"
+        pipeline._write_text(out, "earlier\n")
+        # A lone surrogate cannot be encoded: the write fails part way.
+        with pytest.raises(UnicodeEncodeError):
+            pipeline._write_text(out, "row\n" * 10_000 + "\ud800")
+        assert out.read_text() == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["mappings.tsv"]
+
+    def test_failed_write_of_new_file_leaves_nothing(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            pipeline._write_text(tmp_path / "out" / "summary.json", "{\n" * 10_000 + "\ud800")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failed_replace_keeps_earlier_output(self, tmp_path, monkeypatch, condition_fixture):
+        out = tmp_path / "out"
+        assert run_map_cli(condition_fixture, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.os, "replace", refuse)
+        assert run_map_cli(condition_fixture, out) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestHashSeed:

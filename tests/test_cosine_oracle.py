@@ -13,6 +13,8 @@ import json
 import tempfile
 from pathlib import Path
 
+from termbridge import pipeline
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +22,16 @@ from termbridge.core import Domain
 from termbridge.ingest import load_concepts, load_ontology_dump
 from termbridge.lexical import Lemmatize, TokenizerConfig, default_code_dictionary
 from termbridge.pipeline import RunConfig, run_map
-from termbridge.similarity import build_corpus, fit
+from termbridge.similarity import (
+    SimilarityConfig,
+    best_per_concept,
+    build_corpus,
+    filter_pairs,
+    fit,
+    score_concept_pairs,
+)
 
-from reference_cosine import cosine_scores, cosine_winners
+from reference_cosine import cosine_scores, cosine_winners, kept_pairs
 
 WORDS = ("pain", "pains", "fever", "cough", "rash", "ache", "nausea", "joint")
 STOPWORDS = ("the", "of")
@@ -133,13 +142,35 @@ def _allowed(concepts, classes, rules):
     return allowed
 
 
-def _reference(root: Path, allowed, tau, rho):
+def _model(root: Path):
+    """The inputs' concepts and classes, and the model ``map`` fits on them."""
     dictionary = default_code_dictionary()
     concepts = load_concepts(root / "concepts.tsv", Domain.CONDITION, None, dictionary).concepts
     classes = load_ontology_dump(root / "ontology.jsonl", dictionary)
     tok_cfg = TokenizerConfig(stopwords=frozenset(STOPWORDS), lemmatize=Lemmatize.SUFFIX_RULES)
-    model = fit(build_corpus(concepts.values(), classes.values(), tok_cfg))
-    return cosine_winners(cosine_scores(model, allowed), tau, rho)
+    return concepts, classes, fit(build_corpus(concepts.values(), classes.values(), tok_cfg))
+
+
+def _reference(root: Path, allowed, tau, rho):
+    return cosine_winners(cosine_scores(_model(root)[2], allowed), tau, rho)
+
+
+def _run_map(root: Path, tau, rho):
+    run_map(
+        RunConfig(
+            out_dir=str(root / "out"),
+            concepts=str(root / "concepts.tsv"),
+            ontology_dumps=(str(root / "ontology.jsonl"),),
+            umls_mrconso=str(root / "MRCONSO.RRF"),
+            umls_mrsty=str(root / "MRSTY.RRF"),
+            stopwords=str(root / "stopwords.txt"),
+            routing=str(root / "routing_policy.tsv"),
+            domain=Domain.CONDITION,
+            tau=tau,
+            rho=rho,
+            jobs=1,
+        )
+    )
 
 
 @settings(
@@ -154,21 +185,7 @@ def test_map_cosine_winners_match_reference(case):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _write_inputs(root, concepts, classes, rules)
-        run_map(
-            RunConfig(
-                out_dir=str(root / "out"),
-                concepts=str(root / "concepts.tsv"),
-                ontology_dumps=(str(root / "ontology.jsonl"),),
-                umls_mrconso=str(root / "MRCONSO.RRF"),
-                umls_mrsty=str(root / "MRSTY.RRF"),
-                stopwords=str(root / "stopwords.txt"),
-                routing=str(root / "routing_policy.tsv"),
-                domain=Domain.CONDITION,
-                tau=tau,
-                rho=rho,
-                jobs=1,
-            )
-        )
+        _run_map(root, tau, rho)
         lines = (root / "out" / "mappings.tsv").read_text().splitlines()
         header = lines[0].split("\t")
         rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
@@ -188,3 +205,74 @@ def test_map_cosine_winners_match_reference(case):
             assert row["category"] == "Cosine Similarity One-to-One Concept", row
             assert row["targets"] == curie, (row, winner)
             assert row["score"] == f"{score:.12g}", (row, winner)
+
+
+@settings(
+    derandomize=True,
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(map_inputs(), st.sampled_from([1, 2, 4, 16, 1 << 15]))
+def test_scoring_in_small_chunks_matches_reference(case, chunk_products):
+    """The three cosine stages, with the join split into chunks of a few products."""
+    concepts, classes, rules, tau, rho = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_inputs(root, concepts, classes, rules)
+        loaded, loaded_classes, model = _model(root)
+    allowed = _allowed(concepts, classes, rules)
+    scores = cosine_scores(model, allowed)
+    scored = score_concept_pairs(
+        model,
+        loaded.values(),
+        loaded_classes.values(),
+        routing=allowed,
+        score_floor=tau,
+        chunk_products=chunk_products,
+    )
+    assert len(scored) == len(scores)
+    filtered = filter_pairs(scored, SimilarityConfig(tau, rho))
+    assert len(filtered) == len(kept_pairs(scores, tau, rho))
+    best = best_per_concept(filtered)
+    assert {key: (p.curie, p.score) for key, p in best.items()} == cosine_winners(scores, tau, rho)
+
+
+def test_pipeline_stage_lengths_match_reference(tmp_path, monkeypatch):
+    """``run_map`` calls the three cosine stages under ``termbridge.pipeline``'s
+    names, and their lengths are the candidate pairs, the pairs the cut
+    keeps and the winners."""
+    concepts = [
+        (1, ["pain", "fever"], [["joint", "pain"]], "Finding"),
+        (2, ["cough"], [["rash", "cough"]], "Finding"),
+        (3, ["joint", "rash"], [], "Sign or Symptom"),
+        (4, ["fever", "cough", "pain"], [], "Finding"),
+    ]
+    classes = [
+        ("HP:0000001", ["pain"], [["fever"]], False),
+        ("HP:0000002", ["cough", "fever"], [], False),
+        ("HP:0000003", ["joint"], [["rash"]], False),
+        ("HP:0000004", ["pain", "cough"], [], True),
+        ("MONDO:0000005", ["rash", "pain"], [], False),
+        ("MONDO:0000006", ["fever", "joint", "cough"], [], False),
+    ]
+    rules = {"Finding": None, "Disease or Syndrome": None, "Sign or Symptom": ["HP"]}
+    tau, rho = 0.25, 0.5
+    _write_inputs(tmp_path, concepts, classes, rules)
+    lengths = {}
+    for name in ("score_concept_pairs", "filter_pairs", "best_per_concept"):
+
+        def measured(*args, _stage=getattr(pipeline, name), _name=name, **kwargs):
+            result = _stage(*args, **kwargs)
+            lengths[_name] = len(result)
+            return result
+
+        monkeypatch.setattr(pipeline, name, measured)
+    _run_map(tmp_path, tau, rho)
+
+    scores = cosine_scores(_model(tmp_path)[2], _allowed(concepts, classes, rules))
+    assert lengths == {
+        "score_concept_pairs": len(scores),
+        "filter_pairs": len(kept_pairs(scores, tau, rho)),
+        "best_per_concept": len(cosine_winners(scores, tau, rho)),
+    }

@@ -11,11 +11,11 @@ from scipy import sparse
 
 from termbridge.errors import DataError
 from termbridge.similarity import (
-    PairTable,
     RowMeta,
     ScoredPair,
     Side,
     SimilarityConfig,
+    best_pairs,
     best_per_concept,
     build_corpus,
     filter_pairs,
@@ -25,6 +25,7 @@ from termbridge.similarity import (
 )
 from termbridge.lexical import TokenizerConfig
 
+from reference_cosine import cosine_winners, kept_pairs
 from test_align import concept, klass
 from termbridge.core import CodeRef, curie_ontology
 
@@ -34,28 +35,74 @@ def doc(owner, side, text, tokens=None):
     return (RowMeta(owner, side), tokens)
 
 
-def pair_table(pairs):
-    """A PairTable holding ``pairs`` (ScoredPair objects) in the given order."""
+def best_pairs_of(pairs, score_floor=0.0, chunk_concepts=1):
+    """``best_pairs`` over ``pairs`` (ScoredPair objects, one per (concept,
+    CURIE)), fed to it in chunks of ``chunk_concepts`` concepts."""
     concept_ids = sorted({p.concept_id for p in pairs})
     curies = sorted({p.curie for p in pairs})
     ontologies = sorted({curie_ontology(c) for c in curies})
-    return PairTable(
-        concept_ids=np.array(concept_ids, dtype=np.int64),
-        curies=tuple(curies),
-        class_ontology=np.array([ontologies.index(curie_ontology(c)) for c in curies], dtype=np.int64),
-        ontologies=tuple(ontologies),
-        concept=np.array([concept_ids.index(p.concept_id) for p in pairs], dtype=np.int64),
-        cls=np.array([curies.index(p.curie) for p in pairs], dtype=np.int64),
-        score=np.array([p.score for p in pairs], dtype=np.float64),
+    class_ontology = np.array([ontologies.index(curie_ontology(c)) for c in curies], dtype=np.int32)
+    rows = sorted((concept_ids.index(p.concept_id), curies.index(p.curie), p.score) for p in pairs)
+    chunks = []
+    for first in range(0, len(concept_ids), chunk_concepts):
+        part = [row for row in rows if first <= row[0] < first + chunk_concepts]
+        concept, cls, score = zip(*part)
+        chunks.append(
+            (np.array(concept, dtype=np.int32), np.array(cls, dtype=np.int32), np.array(score))
+        )
+    return best_pairs(
+        chunks, np.array(concept_ids, dtype=np.int64), tuple(curies), class_ontology,
+        tuple(ontologies), score_floor,
     )
 
 
-def table_pairs(table):
-    """The rows of a PairTable as ScoredPair objects, in table order."""
-    return [
-        ScoredPair(int(table.concept_ids[c]), table.curies[k], float(s))
-        for c, k, s in zip(table.concept.tolist(), table.cls.tolist(), table.score.tolist())
-    ]
+def winners_of(best):
+    """``best_per_concept``'s result in ``cosine_winners``' form."""
+    return {key: (p.curie, p.score) for key, p in best.items()}
+
+
+def fused_cut(pairs, cfg, chunk_concepts=1):
+    """The reference cut's kept table (ScoredPair objects, in rank order),
+    after checking the fused ``filter_pairs`` against it: it stands for as
+    many pairs, and its winners are the kept pairs' argmax."""
+    scores = {(p.concept_id, p.curie): p.score for p in pairs}
+    kept = [ScoredPair(*row) for row in kept_pairs(scores, cfg.score_floor, cfg.keep_fraction)]
+    filtered = filter_pairs(best_pairs_of(pairs, chunk_concepts=chunk_concepts), cfg)
+    assert len(filtered) == len(kept)
+    kept_scores = {(p.concept_id, p.curie): p.score for p in kept}
+    assert winners_of(best_per_concept(filtered)) == cosine_winners(kept_scores, 0.0, 1.0)
+    return kept
+
+
+def pair_scores(model, routing=None):
+    """{(concept_id, curie): clamped best score} for every routed pair of
+    owners sharing a token, from ``join_rows``' string pairs."""
+    clinical = sorted((m.owner, i) for i, m in enumerate(model.rows) if m.side is Side.CLINICAL)
+    classes = [(m.owner, i) for i, m in enumerate(model.rows) if m.side is Side.ONTOLOGY]
+    owners = sorted({owner for owner, _ in clinical})
+    left_owner = np.array([owners.index(owner) for owner, _ in clinical], dtype=np.int64)
+    scores = {}
+    for left, right, dot in join_rows(
+        model.matrix,
+        np.array([i for _, i in clinical], dtype=np.int64),
+        left_owner,
+        np.array([i for _, i in classes], dtype=np.int64),
+        1 << 15,
+    ):
+        for a, b, score in zip(left.tolist(), right.tolist(), dot.tolist()):
+            key = (clinical[a][0], classes[b][0])
+            if routing is None or curie_ontology(key[1]) in routing[key[0]]:
+                scores[key] = min(max(scores.get(key, 0.0), score), 1.0)
+    return scores
+
+
+def scored_like(model, concepts, classes, scores, routing=None):
+    """Check that ``score_concept_pairs`` counts the pairs of ``scores``
+    and that its winners are their argmax; return ``scores``."""
+    scored = score_concept_pairs(model, concepts, classes, routing)
+    assert len(scored) == len(scores)
+    assert winners_of(best_per_concept(scored)) == cosine_winners(scores, 0.0, 1.0)
+    return scores
 
 
 def scipy_matrix(model):
@@ -189,15 +236,15 @@ class TestScoreConceptPairs:
     def test_identical_strings_score_one(self):
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
-        table = score_concept_pairs(fit(docs), concepts, classes)
-        pairs = {(p.concept_id, p.curie): p for p in table_pairs(table)}
-        assert pairs[(1, "HP:0000002")].score == pytest.approx(1.0, abs=1e-12)
+        model = fit(docs)
+        pairs = scored_like(model, concepts, classes, pair_scores(model))
+        assert pairs[(1, "HP:0000002")] == pytest.approx(1.0, abs=1e-12)
 
     def test_token_disjoint_pairs_absent(self):
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
-        table = score_concept_pairs(fit(docs), concepts, classes)
-        keys = {(p.concept_id, p.curie) for p in table_pairs(table)}
+        model = fit(docs)
+        keys = set(scored_like(model, concepts, classes, pair_scores(model)))
         assert (2, "HP:0000001") not in keys  # no shared token -> cosine 0
         assert (1, "MONDO:0000003") not in keys
 
@@ -209,8 +256,8 @@ class TestScoreConceptPairs:
     def test_matches_dense_oracle(self):
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
-        table = score_concept_pairs(fit(docs), concepts, classes)
-        got = {(p.concept_id, p.curie): p.score for p in table_pairs(table)}
+        model = fit(docs)
+        got = scored_like(model, concepts, classes, pair_scores(model))
         oracle = dense_best_scores(docs)
         for key, score in got.items():
             assert score == pytest.approx(oracle[key], abs=1e-9)
@@ -222,10 +269,8 @@ class TestScoreConceptPairs:
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
         routing = {1: frozenset({"MONDO"}), 2: frozenset({"MONDO"})}
-        keys = {
-            (p.concept_id, p.curie)
-            for p in table_pairs(score_concept_pairs(fit(docs), concepts, classes, routing))
-        }
+        model = fit(docs)
+        keys = set(scored_like(model, concepts, classes, pair_scores(model, routing), routing))
         assert all(curie.startswith("MONDO") for _, curie in keys)
 
     def test_scorer_ignores_alignment_results(self):
@@ -233,9 +278,10 @@ class TestScoreConceptPairs:
         docs = _two_sided_docs()
         concepts, classes = _owners(docs)
         model = fit(docs)
-        full = table_pairs(score_concept_pairs(model, concepts, classes))
-        again = table_pairs(score_concept_pairs(model, concepts, classes))
-        assert full == again
+        full = score_concept_pairs(model, concepts, classes)
+        again = score_concept_pairs(model, concepts, classes)
+        assert len(full) == len(again)
+        assert best_per_concept(full) == best_per_concept(again)
 
     def test_random_corpus_matches_oracle(self):
         rng = random.Random(99)
@@ -250,8 +296,8 @@ class TestScoreConceptPairs:
                 doc(curie, Side.ONTOLOGY, "", tokens=[f"t{rng.randint(0, 25)}" for _ in range(rng.randint(1, 5))])
             )
         concepts, classes = _owners(docs)
-        table = score_concept_pairs(fit(docs), concepts, classes)
-        got = {(p.concept_id, p.curie): p.score for p in table_pairs(table)}
+        model = fit(docs)
+        got = scored_like(model, concepts, classes, pair_scores(model))
         oracle = dense_best_scores(docs)
         for key, score in oracle.items():
             if score > 0:
@@ -355,16 +401,16 @@ def _pair(cid, curie, score):
 class TestFilterPairs:
     def test_worked_example(self):
         pairs = [_pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.5), _pair(3, "HP:3", 0.3), _pair(4, "HP:4", 0.2)]
-        kept = table_pairs(filter_pairs(pair_table(pairs), SimilarityConfig(0.25, 0.75)))
+        kept = fused_cut(pairs, SimilarityConfig(0.25, 0.75))
         assert [p.score for p in kept] == [0.9, 0.5, 0.3]
 
     def test_all_below_floor(self):
         pairs = [_pair(1, "HP:1", 0.1), _pair(2, "HP:2", 0.2)]
-        assert table_pairs(filter_pairs(pair_table(pairs), SimilarityConfig(0.25, 0.75))) == []
+        assert fused_cut(pairs, SimilarityConfig(0.25, 0.75)) == []
 
     def test_keep_fraction_one_is_identity_on_survivors(self):
         pairs = [_pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.1), _pair(3, "HP:3", 0.5)]
-        kept = table_pairs(filter_pairs(pair_table(pairs), SimilarityConfig(0.25, 1.0)))
+        kept = fused_cut(pairs, SimilarityConfig(0.25, 1.0))
         assert [p.score for p in kept] == [0.9, 0.5]
 
     def test_size_formula_randomized(self):
@@ -375,7 +421,7 @@ class TestFilterPairs:
             pairs = [
                 _pair(i, f"HP:{i:07d}", round(rng.random(), 6)) for i in range(rng.randint(0, 50))
             ]
-            kept = table_pairs(filter_pairs(pair_table(pairs), cfg))
+            kept = fused_cut(pairs, cfg, chunk_concepts=trial % 4 + 1)
             survivors = [p for p in pairs if p.score >= cfg.score_floor]
             assert len(kept) == math.ceil(cfg.keep_fraction * len(survivors))
             assert set(kept) <= set(pairs)
@@ -386,7 +432,7 @@ class TestFilterPairs:
             _pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.8), _pair(3, "HP:3", 0.7), _pair(4, "HP:4", 0.6),
             _pair(1, "MONDO:1", 0.3),
         ]
-        kept = table_pairs(filter_pairs(pair_table(pairs), SimilarityConfig(0.25, 0.75)))
+        kept = fused_cut(pairs, SimilarityConfig(0.25, 0.75))
         assert [(p.curie, p.score) for p in kept] == [
             ("HP:1", 0.9), ("HP:2", 0.8), ("HP:3", 0.7), ("MONDO:1", 0.3)
         ]
@@ -401,17 +447,17 @@ class TestFilterPairs:
 class TestBestPerConcept:
     def test_single_pair(self):
         only = _pair(1, "HP:0000001", 0.7)
-        assert best_per_concept(pair_table([only])) == {(1, "HP"): only}
+        assert best_per_concept(best_pairs_of([only])) == {(1, "HP"): only}
 
     def test_tie_breaks_to_smallest_curie(self):
         a = _pair(1, "HP:0000002", 0.7)
         b = _pair(1, "HP:0000001", 0.7)
-        assert best_per_concept(pair_table([a, b]))[(1, "HP")] == b
+        assert best_per_concept(best_pairs_of([a, b]))[(1, "HP")] == b
 
     def test_separate_ontologies_kept_apart(self):
         a = _pair(1, "HP:0000001", 0.7)
         b = _pair(1, "MONDO:0000001", 0.4)
-        best = best_per_concept(pair_table([a, b]))
+        best = best_per_concept(best_pairs_of([a, b]))
         assert best[(1, "HP")] == a and best[(1, "MONDO")] == b
 
     def test_matches_argmax_oracle(self):
@@ -421,13 +467,60 @@ class TestBestPerConcept:
             for cid in range(1, 6)
             for k in range(4)
         ]
-        best = best_per_concept(pair_table(pairs))
+        best = best_per_concept(best_pairs_of(pairs))
         for cid in range(1, 6):
             mine = best[(cid, "HP")]
             group = [p for p in pairs if p.concept_id == cid]
             top = max(p.score for p in group)
             expected = min(p.curie for p in group if p.score == top)
             assert mine.score == top and mine.curie == expected
+
+
+@st.composite
+def cut_inputs(draw):
+    """Scores of 1-2 decimals over 1-3 ontologies, so ties at each
+    ontology's threshold are common, with the pairs split over chunks of
+    1-3 concepts and a filter floor at or above the scoring floor."""
+    ontologies = draw(st.lists(st.sampled_from(("HP", "MONDO", "UBERON")), min_size=1, max_size=3, unique=True))
+    curies = [f"{o}:{k:07d}" for o in ontologies for k in range(draw(st.integers(1, 4)))]
+    concept_ids = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=10)))
+    scale = 10 ** draw(st.integers(1, 2))
+    scores = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(concept_ids), st.sampled_from(curies)),
+            st.integers(1, scale).map(lambda n: n / scale),
+            max_size=60,
+        )
+    )
+    score_floor = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+    filter_floor = draw(st.sampled_from([f for f in (0.0, 0.1, 0.25, 0.5, 0.7) if f >= score_floor]))
+    keep_fraction = draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.75, 1.0]))
+    return scores, score_floor, SimilarityConfig(filter_floor, keep_fraction), draw(st.integers(1, 3))
+
+
+class TestFusedCut:
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(cut_inputs())
+    def test_matches_reference(self, inputs):
+        scores, score_floor, cfg, chunk_concepts = inputs
+        pairs = [ScoredPair(cid, curie, score) for (cid, curie), score in scores.items()]
+        scored = best_pairs_of(pairs, score_floor, chunk_concepts)
+        assert len(scored) == len(scores)
+        filtered = filter_pairs(scored, cfg)
+        assert len(filtered) == len(kept_pairs(scores, cfg.score_floor, cfg.keep_fraction))
+        best = best_per_concept(filtered)
+        assert winners_of(best) == cosine_winners(scores, cfg.score_floor, cfg.keep_fraction)
+        assert list(best) == sorted(best)
+
+    def test_filter_floor_under_scoring_floor(self):
+        scored = best_pairs_of([_pair(1, "HP:1", 0.3)], score_floor=0.25)
+        with pytest.raises(ValueError):
+            filter_pairs(scored, SimilarityConfig(0.1, 0.75))
 
 
 class TestCorpusAndDump:
