@@ -9,7 +9,6 @@ standardized over the scored cohort (sample standard deviation, n-1).
 from __future__ import annotations
 
 import statistics
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -36,22 +35,17 @@ class CoverageReport:
     per_site: tuple[SiteCoverage, ...]
 
 
-def partition_coverage(mapped_ids, site_frequencies) -> CoverageReport:
+def partition_coverage(mapped_ids, site_table) -> CoverageReport:
     """Partition mapped concepts against the pooled site concept universe.
 
-    ``mapped_ids`` must already exclude unmapped records.  Frequencies are
-    summed across sites after flooring (done at load).
+    ``mapped_ids`` must already exclude unmapped records.  ``site_table``
+    is ``load_prevalence``'s folded table: frequencies were floored and
+    summed across sites as the file was read.
     """
-    rows = list(site_frequencies)
-    if not rows:
+    if not site_table:
         raise DataError("EMPTY_SITE_DATA", "no site frequency rows")
     mapped = frozenset(mapped_ids)
-
-    pooled_freq: dict[int, int] = defaultdict(int)
-    site_sets: dict[str, set[int]] = defaultdict(set)
-    for row in rows:
-        pooled_freq[row.concept_id] += row.record_count
-        site_sets[row.site_id].add(row.concept_id)
+    pooled_freq = site_table.pooled
 
     site_concepts = frozenset(pooled_freq)
     overlap = site_concepts & mapped
@@ -61,13 +55,13 @@ def partition_coverage(mapped_ids, site_frequencies) -> CoverageReport:
     total_freq = sum(pooled_freq.values())
     overlap_freq = sum(pooled_freq[c] for c in overlap)
     per_site = tuple(
-        SiteCoverage(site_id=s, concepts=len(site_sets[s]), covered=len(site_sets[s] & mapped))
-        for s in sorted(site_sets)
+        SiteCoverage(site_id=s, concepts=len(concepts), covered=len(concepts & mapped))
+        for s, concepts in sorted(site_table.sites.items())
     )
     return CoverageReport(
-        overlap=frozenset(overlap),
-        mapping_only=frozenset(mapping_only),
-        site_only=frozenset(site_only),
+        overlap=overlap,
+        mapping_only=mapping_only,
+        site_only=site_only,
         unweighted_coverage_pct=100.0 * len(overlap) / len(site_concepts),
         weighted_coverage_pct=100.0 * overlap_freq / total_freq if total_freq else 0.0,
         per_site=per_site,
@@ -106,12 +100,13 @@ def _bucket_stats(concept_ids, total, site_count, avg_freq) -> BucketStats:
     )
 
 
-def bucket_errors(site_only, newer_cdm, excluded, site_frequencies) -> ErrorBuckets:
+def bucket_errors(site_only, newer_cdm, excluded, site_table) -> ErrorBuckets:
     """Partition the site-only concepts into the three error scenarios.
 
     Priority: recovered-in-newer-CDM, then purposefully-excluded, then
-    truly-missing; the buckets are disjoint and exhaustive.  Per-concept
-    frequency is averaged over the sites holding the concept.
+    truly-missing; the buckets are disjoint and exhaustive.  Every
+    site-only concept is in ``site_table``; its frequency is averaged over
+    the sites holding it, from the table's pooled sums and site counts.
     """
     site_only = set(site_only)
     newer = set(newer_cdm)
@@ -122,17 +117,8 @@ def bucket_errors(site_only, newer_cdm, excluded, site_frequencies) -> ErrorBuck
     purposeful = remaining & excl
     missing = remaining - purposeful
 
-    site_count: dict[int, int] = defaultdict(int)
-    total_freq: dict[int, int] = defaultdict(int)
-    for row in site_frequencies:
-        if row.concept_id in site_only:
-            site_count[row.concept_id] += 1
-            total_freq[row.concept_id] += row.record_count
-    avg_freq = {
-        c: (total_freq[c] / site_count[c] if site_count[c] else 0.0) for c in site_only
-    }
-    for c in site_only:
-        site_count.setdefault(c, 0)
+    site_count = {c: site_table.site_count[c] for c in site_only}
+    avg_freq = {c: site_table.pooled[c] / site_count[c] for c in site_only}
 
     total = len(site_only)
     return ErrorBuckets(

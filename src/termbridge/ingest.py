@@ -1,8 +1,11 @@
 """Parsers for every external input.
 
-All parsers stream line by line, carry 1-based line numbers on errors,
-and produce immutable indexes.  Every TSV with a header row goes through
-``_read_rows``, which checks the header and each row's column count.
+All parsers stream line by line and carry 1-based line numbers on errors.
+Every TSV with a header row goes through ``_read_rows``, which checks the
+header and each row's column count.  ``load_prevalence`` folds its rows
+as it reads them, and ``load_mappings`` and ``load_patient_phenotypes``
+yield rows, so no per-row table of those files is held; the other
+loaders return immutable indexes.
 File formats:
 
   concepts.tsv          concept_id  vocabulary  concept_code  label
@@ -23,8 +26,10 @@ File formats:
                         unmapped_reason  (targets pipe-delimited CURIEs)
   measurement_scales.tsv   concept_id  scale  reference_range_kind
   measurement_targets.tsv  concept_id  outcome  curie  negated
-  mappings.tsv          the map command's output (MAPPINGS_HEADER)
-  prevalence.tsv        site_id  concept_id  record_count
+  mappings.tsv          the map command's output (MAPPINGS_HEADER);
+                        concept_id is an integer
+  prevalence.tsv        site_id  concept_id  record_count  (one row per
+                        (site_id, concept_id))
   id lists              one concept id per line, no header
   weights / patients / cohort   hpo_curie  weight / patient_id  hpo_curie
                         / patient_id  group  (weights finite: no nan/inf;
@@ -84,17 +89,6 @@ MAPPINGS_HEADER = [
 ]
 
 PREVALENCE_FLOOR = 100
-
-
-@dataclass(frozen=True)
-class SiteFrequency:
-    site_id: str
-    concept_id: int
-    record_count: int
-
-    def __post_init__(self):
-        if self.record_count < PREVALENCE_FLOOR:
-            raise ValueError(f"record_count below floor: {self.record_count}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +159,26 @@ class UmlsTables:
 
 
 @dataclass(frozen=True)
+class PrevalenceTable:
+    """prevalence.tsv folded while it is read.
+
+    ``pooled`` maps each concept to its post-floor record count summed
+    over sites, ``site_count`` to the number of sites listing it, and
+    ``sites`` maps each site to its concepts.  ``len()`` is the number of
+    (site, concept) cells, one per data row.
+    """
+
+    pooled: dict[int, int]
+    site_count: dict[int, int]
+    sites: dict[str, set[int]]
+
+    def __len__(self) -> int:
+        return sum(self.site_count.values())
+
+
+@dataclass(frozen=True)
 class PrevalenceLoad:
-    rows: tuple[SiteFrequency, ...]
+    rows: PrevalenceTable
     floored: int
 
 
@@ -461,13 +473,21 @@ def load_umls(
 
 
 def load_prevalence(path) -> PrevalenceLoad:
-    """Per-site concept frequencies; counts below 100 are floored to 100."""
-    rows = []
+    """Per-site concept frequencies, folded per concept and per site.
+
+    Counts below 100 are floored to 100.  A (site, concept) pair may be
+    listed once.
+    """
+    pooled: dict[int, int] = defaultdict(int)
+    site_count: dict[int, int] = defaultdict(int)
+    sites: dict[str, set[int]] = defaultdict(set)
     floored = 0
-    for lineno, fields in _read_rows(path, ["site_id", "concept_id", "record_count"]):
+    for lineno, (site_id, concept_raw, count_raw) in _read_rows(
+        path, ["site_id", "concept_id", "record_count"]
+    ):
         try:
-            concept_id = int(fields[1])
-            count = int(fields[2])
+            concept_id = int(concept_raw)
+            count = int(count_raw)
         except ValueError as exc:
             raise ParseError("MALFORMED_ROW", f"bad integer: {exc}", str(path), lineno) from None
         if count < 0:
@@ -475,8 +495,16 @@ def load_prevalence(path) -> PrevalenceLoad:
         if count < PREVALENCE_FLOOR:
             count = PREVALENCE_FLOOR
             floored += 1
-        rows.append(SiteFrequency(site_id=fields[0], concept_id=concept_id, record_count=count))
-    return PrevalenceLoad(rows=tuple(rows), floored=floored)
+        concepts = sites[site_id]
+        if concept_id in concepts:
+            raise ParseError(
+                "DUPLICATE_ID", f"concept_id {concept_id} repeated for site {site_id!r}", str(path), lineno
+            )
+        concepts.add(concept_id)
+        pooled[concept_id] += count
+        site_count[concept_id] += 1
+    table = PrevalenceTable(pooled=dict(pooled), site_count=dict(site_count), sites=dict(sites))
+    return PrevalenceLoad(rows=table, floored=floored)
 
 
 CURATION_HEADER = ["concept_id", "ontology", "logic", "targets", "evidence", "unmapped_reason"]
@@ -629,9 +657,18 @@ def load_measurement_targets(path):
     return dict(assignments), dict(aux)
 
 
-def load_mappings(path) -> list[dict[str, str]]:
-    """Rows of mappings.tsv as dicts keyed by header name."""
-    return [dict(zip(MAPPINGS_HEADER, fields)) for _, fields in _read_rows(path, MAPPINGS_HEADER)]
+def load_mappings(path):
+    """Yield the rows of mappings.tsv as dicts keyed by header name.
+
+    ``concept_id`` is parsed to an int; every other field stays a string.
+    """
+    for lineno, fields in _read_rows(path, MAPPINGS_HEADER):
+        row = dict(zip(MAPPINGS_HEADER, fields))
+        try:
+            row["concept_id"] = int(fields[0])
+        except ValueError:
+            raise ParseError("MALFORMED_ROW", f"bad concept_id {fields[0]!r}", str(path), lineno) from None
+        yield row
 
 
 def load_id_list(path) -> set[int]:
@@ -665,9 +702,10 @@ def load_weights(path) -> dict[str, float]:
     return weights
 
 
-def load_patient_phenotypes(path) -> list[tuple[str, str]]:
-    """(patient_id, hpo_curie) rows; a patient may have many."""
-    return [(pid, curie) for _, (pid, curie) in _read_rows(path, ["patient_id", "hpo_curie"])]
+def load_patient_phenotypes(path):
+    """Yield (patient_id, hpo_curie) rows; a patient may have many."""
+    for _, (patient_id, curie) in _read_rows(path, ["patient_id", "hpo_curie"]):
+        yield patient_id, curie
 
 
 def load_cohort(path) -> dict[str, str]:

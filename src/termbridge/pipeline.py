@@ -12,6 +12,7 @@ import json
 import os
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .align import (
@@ -175,14 +176,15 @@ def _mapping_row(record: MappingRecord, target_labels) -> str:
     )
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``path`` whole or not at all: the text goes to a temporary
-    file in the same directory, which then replaces ``path``."""
+def _write_text(path: Path, lines) -> None:
+    """Write ``lines``, each ended by a newline, to ``path`` whole or not
+    at all: each line goes to a temporary file in the same directory as
+    it comes, and the file then replaces ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -190,7 +192,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _summarize(records, concepts) -> dict:
@@ -393,9 +395,8 @@ def run_map(cfg: RunConfig) -> Path:
                 f"{violation.rule} at {violation.field_path}",
             )
 
-    lines = ["\t".join(MAPPINGS_HEADER)]
-    lines += [_mapping_row(r, target_labels) for r in records]
-    _write_text(out_dir / "mappings.tsv", "\n".join(lines) + "\n")
+    rows = (_mapping_row(r, target_labels) for r in records)
+    _write_text(out_dir / "mappings.tsv", chain(["\t".join(MAPPINGS_HEADER)], rows))
 
     summary = {
         "domain": cfg.domain.value,
@@ -423,8 +424,9 @@ def run_coverage(cfg: RunConfig) -> Path:
     if not 0.0 < cfg.alpha < 1.0:
         raise ConfigError("BAD_THRESHOLD", f"alpha must lie in (0, 1), got {cfg.alpha}")
 
-    rows = load_mappings(cfg.mappings)
-    mapped_ids = {int(r["concept_id"]) for r in rows if r["category"] != "Unmapped"}
+    mapped_ids = {
+        row["concept_id"] for row in load_mappings(cfg.mappings) if row["category"] != "Unmapped"
+    }
     prevalence = load_prevalence(cfg.prevalence)
     report = partition_coverage(mapped_ids, prevalence.rows)
 
@@ -486,32 +488,33 @@ def run_coverage(cfg: RunConfig) -> Path:
     }
     _write_json(out_dir / "coverage.json", payload)
 
-    lines = ["site_a\tsite_b\tchi2\tdf\tp_value\tadjusted_alpha\tsignificant"]
-    for test in pairwise.tests:
-        lines.append(
-            "\t".join(
-                [
-                    test.site_a,
-                    test.site_b,
-                    f"{test.result.statistic:.12g}",
-                    str(test.result.df),
-                    f"{test.result.p_value:.12g}",
-                    f"{pairwise.adjusted_alpha:.12g}",
-                    "1" if test.significant else "0",
-                ]
-            )
+    rows = (
+        "\t".join(
+            [
+                test.site_a,
+                test.site_b,
+                f"{test.result.statistic:.12g}",
+                str(test.result.df),
+                f"{test.result.p_value:.12g}",
+                f"{pairwise.adjusted_alpha:.12g}",
+                "1" if test.significant else "0",
+            ]
         )
-    _write_text(out_dir / "pairwise.tsv", "\n".join(lines) + "\n")
+        for test in pairwise.tests
+    )
+    header = "site_a\tsite_b\tchi2\tdf\tp_value\tadjusted_alpha\tsignificant"
+    _write_text(out_dir / "pairwise.tsv", chain([header], rows))
 
-    lines = ["concept_id\tbucket"]
-    for name, stats in (
-        ("RECOVERED_NEWER_CDM", buckets.recovered_newer_cdm),
-        ("PURPOSEFULLY_EXCLUDED", buckets.purposefully_excluded),
-        ("TRULY_MISSING", buckets.truly_missing),
-    ):
-        for concept_id in stats.concept_ids:
-            lines.append(f"{concept_id}\t{name}")
-    _write_text(out_dir / "buckets.tsv", "\n".join(lines) + "\n")
+    rows = (
+        f"{concept_id}\t{name}"
+        for name, stats in (
+            ("RECOVERED_NEWER_CDM", buckets.recovered_newer_cdm),
+            ("PURPOSEFULLY_EXCLUDED", buckets.purposefully_excluded),
+            ("TRULY_MISSING", buckets.truly_missing),
+        )
+        for concept_id in stats.concept_ids
+    )
+    _write_text(out_dir / "buckets.tsv", chain(["concept_id\tbucket"], rows))
     return out_dir
 
 
@@ -523,12 +526,17 @@ def run_phers(cfg: RunConfig) -> Path:
         [("weights", cfg.weights), ("patients", cfg.patients), ("cohort", cfg.cohort)]
     )
     weights = load_weights(cfg.weights)
-    phenotype_rows = load_patient_phenotypes(cfg.patients)
+    # The files are validated weights, patients, cohort: phenotype rows are
+    # folded for every patient, and those outside the cohort are dropped,
+    # and counted, once the cohort is read.
+    observed: dict[str, set[str]] = defaultdict(set)
+    row_counts: dict[str, int] = defaultdict(int)
+    for patient_id, curie in load_patient_phenotypes(cfg.patients):
+        observed[patient_id].add(curie)
+        row_counts[patient_id] += 1
     groups = load_cohort(cfg.cohort)
-    phenotypes: dict[str, set[str]] = {pid: set() for pid in groups}
-    for patient_id, curie in phenotype_rows:
-        if patient_id in phenotypes:
-            phenotypes[patient_id].add(curie)
+    phenotypes = {pid: observed.get(pid, set()) for pid in groups}
+    out_of_cohort_rows = sum(n for pid, n in row_counts.items() if pid not in groups)
 
     result = phers(phenotypes, weights)
     by_group = {"CASE": [], "CONTROL": []}
@@ -537,12 +545,11 @@ def run_phers(cfg: RunConfig) -> Path:
     test = wilcoxon_rank_sum_one_sided(by_group["CASE"], by_group["CONTROL"])
 
     out_dir = Path(cfg.out_dir)
-    lines = ["patient_id\traw\tstandardized\tgroup"]
-    for score in result.scores:
-        lines.append(
-            f"{score.patient_id}\t{score.raw:.12g}\t{score.standardized:.12g}\t{groups[score.patient_id]}"
-        )
-    _write_text(out_dir / "phers.tsv", "\n".join(lines) + "\n")
+    rows = (
+        f"{score.patient_id}\t{score.raw:.12g}\t{score.standardized:.12g}\t{groups[score.patient_id]}"
+        for score in result.scores
+    )
+    _write_text(out_dir / "phers.tsv", chain(["patient_id\traw\tstandardized\tgroup"], rows))
 
     def stats_payload(values):
         s = group_stats(values)
@@ -561,6 +568,7 @@ def run_phers(cfg: RunConfig) -> Path:
         "exact": test.exact,
         "raw_mean": result.raw_mean,
         "raw_sd": result.raw_sd,
+        "out_of_cohort_rows": out_of_cohort_rows,
         "standardization": "sample_sd",
         "cases": stats_payload(by_group["CASE"]),
         "controls": stats_payload(by_group["CONTROL"]),
@@ -569,24 +577,15 @@ def run_phers(cfg: RunConfig) -> Path:
     return out_dir
 
 
-def export_sssom(mappings_path, concepts_path, out_path) -> Path:
-    """Flatten mapping rows into an interchange TSV, one row per target.
-
-    One-to-many records share a mapping_set_id so consumers can rebuild
-    the grouping; unmapped records contribute no rows.
-    """
-    _require_paths([("mappings", mappings_path), ("concepts", concepts_path)])
-    concepts = load_concepts(concepts_path).concepts
-    rows = load_mappings(mappings_path)
-
-    lines = ["\t".join(SSSOM_HEADER)]
-    for row in rows:
+def _sssom_rows(mappings, concepts):
+    """SSSOM rows for each mapping row as it arrives, one per target."""
+    for row in mappings:
         targets = [t for t in row["targets"].split("|") if t]
         if not targets:
             continue
         labels = row["target_labels"].split("|")
-        concept = concepts.get(int(row["concept_id"]))
-        subject_id = str(concept.code) if concept else row["concept_id"]
+        concept = concepts.get(row["concept_id"])
+        subject_id = str(concept.code) if concept else str(row["concept_id"])
         subject_label = concept.label if concept else ""
         approach = row["category"].split()[0].upper()
         justification = _JUSTIFICATION.get(
@@ -596,19 +595,29 @@ def export_sssom(mappings_path, concepts_path, out_path) -> Path:
         if row["outcome"]:
             set_id += f":{row['outcome']}"
         for i, target in enumerate(targets):
-            lines.append(
-                "\t".join(
-                    [
-                        subject_id,
-                        subject_label,
-                        target,
-                        labels[i] if i < len(labels) else "",
-                        justification,
-                        set_id,
-                        row["evidence"],
-                    ]
-                )
+            yield "\t".join(
+                [
+                    subject_id,
+                    subject_label,
+                    target,
+                    labels[i] if i < len(labels) else "",
+                    justification,
+                    set_id,
+                    row["evidence"],
+                ]
             )
+
+
+def export_sssom(mappings_path, concepts_path, out_path) -> Path:
+    """Flatten mapping rows into an interchange TSV, one row per target.
+
+    One-to-many records share a mapping_set_id so consumers can rebuild
+    the grouping; unmapped records contribute no rows.  Mapping rows are
+    rendered and written as they are read.
+    """
+    _require_paths([("mappings", mappings_path), ("concepts", concepts_path)])
+    concepts = load_concepts(concepts_path).concepts
+    rows = _sssom_rows(load_mappings(mappings_path), concepts)
     out = Path(out_path)
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(out, chain(["\t".join(SSSOM_HEADER)], rows))
     return out

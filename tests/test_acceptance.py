@@ -22,7 +22,6 @@ import termbridge
 from termbridge.align import build_indexes, align_concept
 from termbridge.core import Domain
 from termbridge.evaluate import bucket_errors, partition_coverage, phers
-from termbridge.ingest import SiteFrequency
 from termbridge.pipeline import RunConfig, run_map
 from termbridge.similarity import (
     SimilarityConfig,
@@ -32,6 +31,7 @@ from termbridge.similarity import (
 from termbridge.stats import gamma_q, wilcoxon_rank_sum_one_sided
 
 from fixtures import write_condition_fixture, write_measurement_fixture
+from reference_coverage import site_table
 from test_align import oracle_align, random_fixture
 from test_similarity import (
     ScoredPair,
@@ -165,17 +165,17 @@ def test_criterion_3_coverage_arithmetic():
     """Published coverage percentages and error-bucket fractions."""
     started = time.perf_counter()
 
-    site = [SiteFrequency("pooled", i, 100) for i in range(62_335)]
+    site = site_table(("pooled", i, 100) for i in range(62_335))
     report = partition_coverage(set(range(57_663)), site)
     assert round(report.unweighted_coverage_pct, 1) == 92.5
 
-    site = [SiteFrequency("pooled", i, 100) for i in range(4_588)]
+    site = site_table(("pooled", i, 100) for i in range(4_588))
     report = partition_coverage(set(range(4_037)), site)
     assert round(report.unweighted_coverage_pct, 1) == 88.0
     assert abs(report.unweighted_coverage_pct - 87.9) <= 0.1 + 1e-9
 
     site_only = set(range(4_672))
-    rows = [SiteFrequency("pooled", c, 100) for c in site_only]
+    rows = site_table(("pooled", c, 100) for c in site_only)
     buckets = bucket_errors(site_only, set(range(367)), set(range(367, 4_598)), rows)
     assert len(buckets.recovered_newer_cdm.concept_ids) == 367
     assert len(buckets.purposefully_excluded.concept_ids) == 4_231

@@ -73,6 +73,12 @@ def read_rows(path):
     return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
 
 
+def files_under(root):
+    """Names of the files below ``root``; none when it does not exist."""
+    root = Path(root)
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
 class TestMapCommand:
     def test_golden_categories(self, condition_fixture, tmp_path):
         out = tmp_path / "out"
@@ -522,6 +528,35 @@ class TestCoverageCommand:
         )
         assert rows == {"8": "RECOVERED_NEWER_CDM", "9": "PURPOSEFULLY_EXCLUDED", "10": "TRULY_MISSING"}
 
+    def test_repeated_site_concept_is_parse_error(self, tmp_path, capsys):
+        mappings = tmp_path / "mappings.tsv"
+        _small_mappings(mappings)
+        prevalence = tmp_path / "prevalence.tsv"
+        _write_prevalence(prevalence, [("a", 2, 100), ("a", 2, 700), ("b", 2, 100)])
+        out = tmp_path / "out"
+        assert main(
+            ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence), "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error[DUPLICATE_ID]: concept_id 2 repeated for site 'a'" in err
+        assert f"[{prevalence}:3]" in err
+        assert files_under(out) == []
+
+    def test_non_integer_concept_id_is_parse_error(self, tmp_path, capsys):
+        mappings = tmp_path / "mappings.tsv"
+        _small_mappings(mappings)
+        with open(mappings, "a") as fh:
+            fh.write("4x\tCONDITION\tHP\tUnmapped\tNONE\t\t\t\t\tEXCLUSION_REASON:None\tNone\t\n")
+        prevalence = tmp_path / "prevalence.tsv"
+        _write_prevalence(prevalence, [("a", 1, 100), ("b", 9, 100)])
+        out = tmp_path / "out"
+        assert main(
+            ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence), "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error[MALFORMED_ROW]: bad concept_id '4x'" in err and f"[{mappings}:5]" in err
+        assert files_under(out) == []
+
     @pytest.mark.parametrize("alpha", ["-1", "0", "1", "5", "nan", "inf"])
     def test_alpha_outside_unit_interval_is_config_error(self, tmp_path, capsys, alpha):
         mappings = tmp_path / "mappings.tsv"
@@ -656,6 +691,21 @@ class TestPhersCommand:
         err = capsys.readouterr().err
         assert "error[MALFORMED_ROW]" in err and f"[{weights}:3]" in err
 
+    def test_rows_outside_cohort_are_counted(self, tmp_path):
+        weights, patients, cohort = _write_phers_inputs(
+            tmp_path,
+            [("p1", "CONTROL"), ("p2", "CONTROL"), ("p3", "CASE")],
+            [("p1", "HP:1"), ("p9", "HP:1"), ("p2", "HP:1"), ("p2", "HP:2"), ("p9", "HP:1"),
+             ("p3", "HP:1"), ("p3", "HP:2"), ("p3", "HP:3"), ("p8", "HP:3")],
+            [("HP:1", 1.0), ("HP:2", 1.0), ("HP:3", 1.0)],
+        )
+        out = tmp_path / "out"
+        assert main(
+            ["phers", "--weights", str(weights), "--patients", str(patients), "--cohort", str(cohort), "--out", str(out)]
+        ) == 0
+        assert json.loads((out / "test.json").read_text())["out_of_cohort_rows"] == 3
+        assert [r["patient_id"] for r in read_rows(out / "phers.tsv")] == ["p1", "p2", "p3"]
+
     def test_empty_group_is_data_error(self, tmp_path):
         weights, patients, cohort = _write_phers_inputs(
             tmp_path,
@@ -738,21 +788,41 @@ class TestExportSssom:
         assert cosine[0]["mapping_justification"] == "semapv:SemanticSimilarityThresholdMatching"
 
 
+    def test_non_integer_concept_id_is_parse_error(self, condition_fixture, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert run_map_cli(condition_fixture, run) == 0
+        mappings = run / "mappings.tsv"
+        lines = mappings.read_text().splitlines()
+        # The bad row comes last, after rows that are rendered and written.
+        bad = lines[1].split("\t")
+        bad[0] = "12.5"
+        mappings.write_text("\n".join(lines + ["\t".join(bad)]) + "\n")
+        out = tmp_path / "out"
+        assert main(
+            ["export-sssom", "--mappings", str(mappings), "--concepts", condition_fixture["concepts"],
+             "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error[MALFORMED_ROW]: bad concept_id '12.5'" in err
+        assert f"[{mappings}:{len(lines) + 1}]" in err
+        assert files_under(out) == []
+
+
 class TestWholeOutputs:
     """An output file is written whole or not at all."""
 
     def test_failed_write_keeps_earlier_output(self, tmp_path):
         out = tmp_path / "mappings.tsv"
-        pipeline._write_text(out, "earlier\n")
+        pipeline._write_text(out, ["earlier"])
         # A lone surrogate cannot be encoded: the write fails part way.
         with pytest.raises(UnicodeEncodeError):
-            pipeline._write_text(out, "row\n" * 10_000 + "\ud800")
+            pipeline._write_text(out, ["row"] * 10_000 + ["\ud800"])
         assert out.read_text() == "earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["mappings.tsv"]
 
     def test_failed_write_of_new_file_leaves_nothing(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):
-            pipeline._write_text(tmp_path / "out" / "summary.json", "{\n" * 10_000 + "\ud800")
+            pipeline._write_text(tmp_path / "out" / "summary.json", ["{"] * 10_000 + ["\ud800"])
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_failed_replace_keeps_earlier_output(self, tmp_path, monkeypatch, condition_fixture):

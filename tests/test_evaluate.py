@@ -7,11 +7,12 @@ import pytest
 
 from termbridge.errors import DataError
 from termbridge.evaluate import bucket_errors, group_stats, partition_coverage, phers
-from termbridge.ingest import SiteFrequency
+
+from reference_coverage import SiteRow, site_table
 
 
 def freq(site, concept_id, count=100):
-    return SiteFrequency(site_id=site, concept_id=concept_id, record_count=count)
+    return SiteRow(site_id=site, concept_id=concept_id, record_count=count)
 
 
 class TestPartitionCoverage:
@@ -19,7 +20,7 @@ class TestPartitionCoverage:
         # 57,663 covered of 62,335 pooled site concepts -> 92.5% at 1 decimal
         site = [freq("pooled", i) for i in range(62_335)]
         mapped = set(range(57_663)) | {10_000_000}
-        report = partition_coverage(mapped, site)
+        report = partition_coverage(mapped, site_table(site))
         assert round(report.unweighted_coverage_pct, 1) == 92.5
         assert len(report.overlap) == 57_663
         assert len(report.site_only) == 62_335 - 57_663
@@ -29,19 +30,19 @@ class TestPartitionCoverage:
         # 4,037 of 4,588 -> 88.0%, within 0.1pp of the published 87.9%
         site = [freq("pooled", i) for i in range(4_588)]
         mapped = set(range(4_037))
-        report = partition_coverage(mapped, site)
+        report = partition_coverage(mapped, site_table(site))
         assert round(report.unweighted_coverage_pct, 1) == 88.0
         assert abs(report.unweighted_coverage_pct - 87.9) <= 0.1 + 1e-9
 
     def test_superset_mapping_full_coverage(self):
         site = [freq("a", 1), freq("a", 2)]
-        report = partition_coverage({1, 2, 3}, site)
+        report = partition_coverage({1, 2, 3}, site_table(site))
         assert report.unweighted_coverage_pct == 100.0
         assert report.site_only == frozenset()
 
     def test_empty_site_data(self):
         with pytest.raises(DataError) as err:
-            partition_coverage({1}, [])
+            partition_coverage({1}, site_table([]))
         assert err.value.code == "EMPTY_SITE_DATA"
 
     def test_partition_is_exact_on_random_sets(self):
@@ -50,7 +51,7 @@ class TestPartitionCoverage:
             site_ids = set(rng.sample(range(1000), rng.randint(1, 200)))
             mapped = set(rng.sample(range(1000), rng.randint(0, 300)))
             rows = [freq(f"s{i % 3}", c) for i, c in enumerate(sorted(site_ids))]
-            report = partition_coverage(mapped, rows)
+            report = partition_coverage(mapped, site_table(rows))
             assert report.overlap | report.site_only == frozenset(site_ids)
             assert report.overlap & report.site_only == frozenset()
             assert report.overlap == frozenset(site_ids & mapped)
@@ -60,20 +61,20 @@ class TestPartitionCoverage:
 
     def test_weighted_coverage_counts_frequency(self):
         rows = [freq("a", 1, 900), freq("a", 2, 100)]
-        report = partition_coverage({1}, rows)
+        report = partition_coverage({1}, site_table(rows))
         assert report.weighted_coverage_pct == pytest.approx(90.0)
         assert report.unweighted_coverage_pct == pytest.approx(50.0)
 
     def test_weighted_invariant_under_uniform_scaling(self):
         rows = [freq("a", 1, 300), freq("b", 1, 500), freq("a", 2, 200)]
         scaled = [freq(r.site_id, r.concept_id, r.record_count * 7) for r in rows]
-        a = partition_coverage({1}, rows)
-        b = partition_coverage({1}, scaled)
+        a = partition_coverage({1}, site_table(rows))
+        b = partition_coverage({1}, site_table(scaled))
         assert a.weighted_coverage_pct == pytest.approx(b.weighted_coverage_pct, abs=1e-12)
 
     def test_per_site_table(self):
         rows = [freq("a", 1), freq("a", 2), freq("b", 1)]
-        report = partition_coverage({1}, rows)
+        report = partition_coverage({1}, site_table(rows))
         table = {s.site_id: (s.concepts, s.covered) for s in report.per_site}
         assert table == {"a": (2, 1), "b": (1, 1)}
         assert report.per_site[0].coverage_pct == pytest.approx(50.0)
@@ -82,7 +83,7 @@ class TestPartitionCoverage:
 class TestBucketErrors:
     def test_priority_order(self):
         rows = [freq("a", 1), freq("a", 2), freq("a", 3)]
-        buckets = bucket_errors({1, 2, 3}, newer_cdm={1, 2}, excluded={2, 3}, site_frequencies=rows)
+        buckets = bucket_errors({1, 2, 3}, newer_cdm={1, 2}, excluded={2, 3}, site_table=site_table(rows))
         assert buckets.recovered_newer_cdm.concept_ids == (1, 2)
         assert buckets.purposefully_excluded.concept_ids == (3,)
         assert buckets.truly_missing.concept_ids == ()
@@ -92,7 +93,7 @@ class TestBucketErrors:
         newer = set(range(367))
         excluded = set(range(367, 367 + 4231))
         rows = [freq("pooled", c) for c in site_only]
-        buckets = bucket_errors(site_only, newer, excluded, rows)
+        buckets = bucket_errors(site_only, newer, excluded, site_table(rows))
         assert abs(100 * buckets.recovered_newer_cdm.fraction - 7.9) <= 0.1
         assert abs(100 * buckets.purposefully_excluded.fraction - 90.6) <= 0.1
         assert abs(100 * buckets.truly_missing.fraction - 1.6) <= 0.1
@@ -104,7 +105,7 @@ class TestBucketErrors:
         newer = set(rng.sample(range(500), 60))
         excluded = set(rng.sample(range(500), 60))
         rows = [freq("s", c) for c in site_only]
-        buckets = bucket_errors(site_only, newer, excluded, rows)
+        buckets = bucket_errors(site_only, newer, excluded, site_table(rows))
         parts = [
             set(buckets.recovered_newer_cdm.concept_ids),
             set(buckets.purposefully_excluded.concept_ids),
@@ -116,14 +117,14 @@ class TestBucketErrors:
         assert parts[1] & parts[2] == set()
 
     def test_empty_site_only(self):
-        buckets = bucket_errors(set(), set(), set(), [])
+        buckets = bucket_errors(set(), set(), set(), site_table([]))
         assert buckets.recovered_newer_cdm.concept_ids == ()
         assert buckets.truly_missing.fraction == 0.0
 
     def test_frequency_stats(self):
         # concept 1 in two sites (600 + 200 -> avg 400); concept 2 in one (100)
         rows = [freq("a", 1, 600), freq("b", 1, 200), freq("a", 2, 100)]
-        buckets = bucket_errors({1, 2}, set(), set(), rows)
+        buckets = bucket_errors({1, 2}, set(), set(), site_table(rows))
         missing = buckets.truly_missing
         assert missing.mean_site_count == pytest.approx(1.5)
         assert missing.mean_avg_frequency == pytest.approx((400 + 100) / 2)

@@ -552,11 +552,39 @@ class TestLoadPrevalence:
             "siteB\t125\t544618\n"
         )
         load = load_prevalence(path)
-        counts = {(r.site_id, r.concept_id): r.record_count for r in load.rows}
-        assert counts[("siteA", 123)] == 100
-        assert counts[("siteA", 124)] == 100
-        assert counts[("siteB", 125)] == 544618
+        assert load.rows.pooled == {123: 100, 124: 100, 125: 544618}
+        assert load.rows.site_count == {123: 1, 124: 1, 125: 1}
+        assert load.rows.sites == {"siteA": {123, 124}, "siteB": {125}}
+        assert len(load.rows) == 3
         assert load.floored == 1
+
+    def test_folds_a_concept_over_sites(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        path.write_text(
+            "site_id\tconcept_id\trecord_count\n"
+            "a\t2\t100\n"
+            "b\t2\t700\n"
+            "b\t3\t5\n"
+        )
+        load = load_prevalence(path)
+        assert load.rows.pooled == {2: 800, 3: 100}
+        assert load.rows.site_count == {2: 2, 3: 1}
+        assert len(load.rows) == 3
+
+    def test_repeated_site_concept_is_duplicate(self, tmp_path):
+        # Counting the repeat would put concept 2 in three sites with an
+        # average of 300, where two sites and 400 are right.
+        path = tmp_path / "p.tsv"
+        path.write_text(
+            "site_id\tconcept_id\trecord_count\n"
+            "a\t2\t100\n"
+            "a\t2\t700\n"
+            "b\t2\t100\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_prevalence(path)
+        assert err.value.code == "DUPLICATE_ID"
+        assert err.value.line == 3
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "p.tsv"

@@ -23,6 +23,8 @@ COUNTERS = (
     "similarity.documents",
     "similarity.vocabulary",
     "similarity.matrix_nnz",
+    "ingest.prevalence_rows",
+    "stats.pairwise_tests",
 )
 
 
