@@ -19,7 +19,7 @@ from .core import (
     OntologyClass,
     canonical_evidence,
 )
-from .lexical import NormalizationDictionary, normalize_string
+from .lexical import normalize_string
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class AlignmentIndexes:
     def _class_strings(cls: OntologyClass):
         yield cls.label, False
         for syn in cls.synonyms:
-            yield syn.text, False
+            yield syn, False
         if cls.definition:
             yield cls.definition, True
 
@@ -96,19 +96,15 @@ def build_indexes(classes) -> AlignmentIndexes:
 
 
 class CuiBridge:
-    """Canonicalized (vocabulary, code) -> CUI lookup built from MRCONSO's
-    (SAB, CODE) -> CUIs projection."""
+    """CodeRef -> CUI lookup over ``load_umls``'s (canonical prefix, code)
+    -> sorted CUIs index."""
 
-    def __init__(self, atoms_by_code, dictionary: NormalizationDictionary):
-        by_ref: dict[CodeRef, set[str]] = defaultdict(set)
-        for (sab, code), cuis in atoms_by_code.items():
-            ref = CodeRef(dictionary.canonical_prefix(sab), code.strip())
-            by_ref[ref].update(cuis)
-        self._by_ref = {ref: tuple(sorted(group)) for ref, group in by_ref.items()}
+    def __init__(self, atoms_by_code):
+        self._by_code = atoms_by_code
 
     def cuis_for(self, ref: CodeRef) -> tuple[str, ...]:
         """Every CUI whose source (SAB, CODE) canonicalizes to ``ref``."""
-        return self._by_ref.get(ref, ())
+        return self._by_code.get((ref.prefix, ref.code), ())
 
 
 def enrich_concepts(

@@ -20,13 +20,6 @@ class Domain(Enum):
     MEASUREMENT = "MEASUREMENT"
 
 
-class SynonymKind(Enum):
-    EXACT = "EXACT"
-    RELATED = "RELATED"
-    BROAD = "BROAD"
-    NARROW = "NARROW"
-
-
 class MappingCategory(Enum):
     AUTO_ONE_TO_ONE_CONCEPT = "AUTO_ONE_TO_ONE_CONCEPT"
     AUTO_ONE_TO_ONE_ANCESTOR = "AUTO_ONE_TO_ONE_ANCESTOR"
@@ -140,13 +133,11 @@ class ClinicalConcept:
     """One clinical vocabulary concept with its hierarchy and usage metadata."""
 
     concept_id: int
-    vocabulary: str
     code: CodeRef
     label: str
     synonyms: tuple[str, ...]
     domain: Domain
     used_in_practice: bool
-    record_count: int
     ancestors: tuple[int, ...] = ()
     semantic_types: tuple[str, ...] = ()
     cuis: tuple[str, ...] = ()
@@ -154,20 +145,8 @@ class ClinicalConcept:
     def __post_init__(self):
         if self.concept_id <= 0:
             raise ValueError(f"concept_id must be positive: {self.concept_id}")
-        if self.record_count < 0:
-            raise ValueError(f"record_count must be >= 0: {self.record_count}")
-        if self.used_in_practice and self.record_count == 0:
-            raise ValueError(
-                f"concept {self.concept_id}: record_count 0 requires used_in_practice false"
-            )
         if self.concept_id in self.ancestors:
             raise ValueError(f"concept {self.concept_id}: self-loop in ancestors")
-
-
-@dataclass(frozen=True)
-class ClassSynonym:
-    text: str
-    kind: SynonymKind
 
 
 _CURIE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*):(\S+)$")
@@ -194,7 +173,7 @@ class OntologyClass:
     ontology: str
     label: str
     definition: str | None = None
-    synonyms: tuple[ClassSynonym, ...] = ()
+    synonyms: tuple[str, ...] = ()
     xrefs: tuple[CodeRef, ...] = ()
     deprecated: bool = False
 

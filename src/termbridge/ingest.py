@@ -10,15 +10,20 @@ File formats:
 
   concepts.tsv          concept_id  vocabulary  concept_code  label
                         synonyms  domain  used_in_practice  record_count
-                        (synonyms pipe-delimited, booleans 0/1)
+                        (synonyms pipe-delimited, booleans 0/1;
+                        record_count is validated only: >= 0, and > 0
+                        when used_in_practice)
   concept_ancestors.tsv concept_id  ancestor_concept_id (header optional)
   ontology.jsonl        one JSON object per class:
                         {"curie","ontology","label","definition",
                          "synonyms":[{"text","kind"}],"xrefs":[str],
-                         "deprecated":bool}
+                         "deprecated":bool}; a synonym's kind is EXACT
+                        (the default), RELATED, BROAD or NARROW, validated
+                        but not kept
   MRCONSO.RRF           pipe-delimited, >= 15 fields; uses 0 CUI, 11 SAB,
                         13 CODE; trailing pipe tolerated; every row is
-                        validated, only the loaded concepts' codes are kept
+                        validated, only the loaded concepts' codes are
+                        kept, under their (canonical prefix, code) key
   MRSTY.RRF             pipe-delimited, >= 4 fields; uses 0 CUI, 3 STY;
                         only the kept CUIs' rows are kept
   routing_policy.tsv    semantic_type  action  value
@@ -45,7 +50,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import (
-    ClassSynonym,
     ClinicalConcept,
     CodeRef,
     Domain,
@@ -53,7 +57,6 @@ from .core import (
     MeasurementScale,
     OntologyClass,
     ResultAssignment,
-    SynonymKind,
     UnmappedReason,
     is_code_prefix,
 )
@@ -154,7 +157,7 @@ class ConceptLoad:
 
 @dataclass(frozen=True)
 class UmlsTables:
-    atoms_by_code: dict[tuple[str, str], tuple[str, ...]]  # (SAB, CODE) -> sorted CUIs
+    atoms_by_code: dict[tuple[str, str], tuple[str, ...]]  # (prefix, code) -> sorted CUIs
     sty_by_cui: dict[str, tuple[str, ...]]
 
 
@@ -279,10 +282,9 @@ def load_concepts(
         if concept_id in rows:
             raise ParseError("DUPLICATE_ID", f"concept_id {concept_id} repeated", str(path), lineno)
         synonyms = tuple(s for s in raw["synonyms"].split("|") if s) if raw["synonyms"] else ()
-        vocab = dictionary.canonical_prefix(raw["vocabulary"])
         rows[concept_id] = dict(
             concept_id=concept_id,
-            vocabulary=vocab,
+            prefix=dictionary.canonical_prefix(raw["vocabulary"]),
             code_str=raw["concept_code"].strip(),
             label=raw["label"],
             synonyms=synonyms,
@@ -306,15 +308,17 @@ def load_concepts(
             else:
                 dangling += 1
         try:
+            if r["record_count"] < 0:
+                raise ValueError(f"record_count must be >= 0: {r['record_count']}")
+            if r["used_in_practice"] and r["record_count"] == 0:
+                raise ValueError(f"concept {concept_id}: record_count 0 requires used_in_practice false")
             concepts[concept_id] = ClinicalConcept(
                 concept_id=concept_id,
-                vocabulary=r["vocabulary"],
-                code=CodeRef(r["vocabulary"], r["code_str"]),
+                code=CodeRef(r["prefix"], r["code_str"]),
                 label=r["label"],
                 synonyms=r["synonyms"],
                 domain=r["domain"],
                 used_in_practice=r["used_in_practice"],
-                record_count=r["record_count"],
                 ancestors=tuple(resolved),
             )
         except ValueError as exc:
@@ -332,6 +336,10 @@ _CLASS_FIELDS = {
     "xrefs": (list, "a list"),
     "deprecated": (bool, "true or false"),
 }
+
+# A synonym's ``kind`` is validated but not kept: no stage reads it.  A
+# tuple, so an unhashable JSON value is compared, not hashed.
+_SYNONYM_KINDS = ("EXACT", "RELATED", "BROAD", "NARROW")
 
 
 def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) -> dict[str, OntologyClass]:
@@ -367,22 +375,16 @@ def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) 
                 raise ParseError("DUPLICATE_CURIE", f"class {curie} repeated", str(path), lineno)
             raw_synonyms = obj.get("synonyms", [])
             if not all(
-                isinstance(s, dict) and isinstance(s.get("text"), str) and isinstance(s.get("kind", ""), str)
+                isinstance(s, dict) and isinstance(s.get("text"), str) and s.get("kind", "EXACT") in _SYNONYM_KINDS
                 for s in raw_synonyms
             ):
                 raise ParseError(
                     "MALFORMED_LINE",
-                    "field 'synonyms' must hold objects with a string 'text' and an optional string 'kind'",
+                    "field 'synonyms' must hold objects with a string 'text' and an optional 'kind'"
+                    " of EXACT, RELATED, BROAD or NARROW",
                     str(path),
                     lineno,
                 )
-            try:
-                synonyms = tuple(
-                    ClassSynonym(text=s["text"], kind=SynonymKind(s.get("kind", "EXACT")))
-                    for s in raw_synonyms
-                )
-            except ValueError as exc:
-                raise ParseError("MALFORMED_LINE", f"field 'synonyms': {exc}", str(path), lineno) from None
             raw_xrefs = obj.get("xrefs", [])
             if not all(isinstance(x, str) for x in raw_xrefs):
                 raise ParseError("MALFORMED_LINE", "field 'xrefs' must hold strings", str(path), lineno)
@@ -396,7 +398,7 @@ def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) 
                     ontology=obj["ontology"].upper(),
                     label=obj["label"],
                     definition=obj.get("definition"),
-                    synonyms=synonyms,
+                    synonyms=tuple(s["text"] for s in raw_synonyms),
                     xrefs=xrefs,
                     deprecated=obj.get("deprecated", False),
                 )
@@ -412,9 +414,10 @@ def load_umls(
 
     ``codes`` holds the concepts' (canonical prefix, code) pairs.  Every
     row of both files is validated, kept or not.  A MRCONSO row is kept
-    when its (canonical SAB, stripped CODE) is in ``codes``, under its raw
-    (SAB, CODE) key; a MRSTY row is kept when its CUI came from a kept
-    MRCONSO row.  Each distinct SAB is canonicalized and checked once.
+    when its (canonical SAB, stripped CODE) is in ``codes``, under that
+    canonical key, so rows whose SABs canonicalize alike share one entry;
+    a MRSTY row is kept when its CUI came from a kept MRCONSO row.  Each
+    distinct SAB is canonicalized and checked once.
     Peak memory is bounded by the kept index, not by the file size or the
     number of distinct keys in the files.
     """
@@ -445,8 +448,9 @@ def load_umls(
                         "BAD_PREFIX", f"SAB {sab!r} is not a code prefix", str(mrconso_path), lineno
                     )
                 prefixes[sab] = prefix
-            if (prefix, stripped_code) in codes:
-                cuis[(sab, code)].add(cui)
+            key = (prefix, stripped_code)
+            if key in codes:
+                cuis[key].add(cui)
     kept_cuis = set().union(*cuis.values())
 
     sty: dict[str, set[str]] = defaultdict(set)

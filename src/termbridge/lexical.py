@@ -82,9 +82,6 @@ class NormalizationDictionary:
     def canonical_prefix(self, raw: str) -> str:
         return self._map.get(raw.strip().lower(), raw.strip().upper())
 
-    def __len__(self) -> int:
-        return len(self._map)
-
 
 def canonicalize_code(raw: str, dictionary: NormalizationDictionary) -> CodeRef:
     """Parse a raw code string into a canonical CodeRef.
@@ -127,11 +124,8 @@ def normalize_string(s: str) -> str:
 class TokenizerConfig:
     stopwords: frozenset[str] = frozenset()
     lemmatize: Lemmatize = Lemmatize.OFF
-    min_token_len: int = 1
 
     def __post_init__(self):
-        if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
         for w in self.stopwords:
             if w != w.lower():
                 raise ValueError(f"stopword not lowercase: {w!r}")
@@ -171,19 +165,18 @@ def _apply_suffix_rules(token: str) -> str:
 def tokenize(s: str, cfg: TokenizerConfig) -> list[str]:
     """Word tokens of an already-normalized string.
 
-    Splits on non-alphanumeric boundaries, drops stopwords and tokens
-    shorter than the configured minimum, then optionally lemmatizes.
-    Output never contains stopwords, empty tokens, or uppercase.
+    Splits on non-alphanumeric boundaries, drops stopwords, then
+    optionally lemmatizes (dropping a stem that is a stopword).  Output
+    never contains stopwords, empty tokens, or uppercase: a suffix rule
+    always leaves at least three characters.
     """
     out = []
     for token in _TOKEN_RE.findall(s):
         if token in cfg.stopwords:
             continue
-        if len(token) < cfg.min_token_len:
-            continue
         if cfg.lemmatize is Lemmatize.SUFFIX_RULES:
             token = _apply_suffix_rules(token)
-            if not token or token in cfg.stopwords or len(token) < cfg.min_token_len:
+            if token in cfg.stopwords:
                 continue
         out.append(token)
     return out

@@ -263,7 +263,7 @@ def run_map(cfg: RunConfig) -> Path:
     if (cfg.umls_mrconso is None) != (cfg.umls_mrsty is None):
         raise ConfigError("MISSING_INPUT", "MRCONSO and MRSTY must be supplied together")
     try:
-        SimilarityConfig(score_floor=cfg.tau, keep_fraction=cfg.rho)
+        sim_cfg = SimilarityConfig(score_floor=cfg.tau, keep_fraction=cfg.rho)
     except ValueError as exc:
         raise ConfigError("BAD_THRESHOLD", str(exc)) from None
 
@@ -287,7 +287,7 @@ def run_map(cfg: RunConfig) -> Path:
     if cfg.umls_mrconso:
         codes = {(c.code.prefix, c.code.code) for c in concepts.values()}
         tables = load_umls(cfg.umls_mrconso, cfg.umls_mrsty, codes, dictionary)
-        bridge = CuiBridge(tables.atoms_by_code, dictionary)
+        bridge = CuiBridge(tables.atoms_by_code)
         concepts = enrich_concepts(concepts, bridge, tables.sty_by_cui)
 
     policy = (
@@ -331,7 +331,6 @@ def run_map(cfg: RunConfig) -> Path:
         )
         del model  # the matrix is not read past scoring; free it before the cut
         # The keep-fraction cut is scoped per (domain, ontology) run.
-        sim_cfg = SimilarityConfig(score_floor=cfg.tau, keep_fraction=cfg.rho)
         best = best_per_concept(filter_pairs(pairs, sim_cfg))
         del pairs  # the per-ontology scores, freed before synthesis
         best_by_concept: dict[int, dict[str, object]] = defaultdict(dict)

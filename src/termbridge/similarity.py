@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from itertools import chain
 
 from .core import curie_ontology
@@ -48,19 +47,6 @@ from .errors import DataError
 from .lexical import TokenizerConfig, normalize_string, tokenize
 
 IDF_VARIANT = "ln((1+N)/(1+df))+1, tf=count, l2"
-
-
-class Side(Enum):
-    CLINICAL = "CLINICAL"
-    ONTOLOGY = "ONTOLOGY"
-
-
-@dataclass(frozen=True)
-class RowMeta:
-    """Provenance of one document row: who owns the string, on which side."""
-
-    owner: int | str
-    side: Side
 
 
 @dataclass(frozen=True)
@@ -102,9 +88,12 @@ class CsrMatrix:
 
 @dataclass
 class SimilarityModel:
+    """The fitted TF-IDF matrix; ``rows`` holds each row's owner, a concept
+    id (int) or a class CURIE (str)."""
+
     vocabulary: dict[str, int]
     matrix: CsrMatrix
-    rows: tuple[RowMeta, ...]
+    rows: tuple[int | str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +141,10 @@ class _WordTokens(dict):
 
 
 def build_corpus(concepts, classes, cfg: TokenizerConfig):
-    """Tokenized documents for every label and synonym string on both sides.
+    """(owner, tokens) for every label and synonym string on both sides.
 
-    Order is deterministic: concepts sorted by id then label-first,
+    The owner is the concept id or the class CURIE.  Order is
+    deterministic: concepts sorted by id then label-first,
     classes sorted by CURIE likewise.  Tokens are memoized per word: a
     normalized string is single-space separated and no token spans a
     space, so a string's tokens are its words' tokens in order.
@@ -166,15 +156,13 @@ def build_corpus(concepts, classes, cfg: TokenizerConfig):
 
     docs = []
     for concept in sorted(concepts, key=lambda c: c.concept_id):
-        meta = RowMeta(concept.concept_id, Side.CLINICAL)
         for text in (concept.label, *concept.synonyms):
-            docs.append((meta, tokens_of(normalize_string(text))))
+            docs.append((concept.concept_id, tokens_of(normalize_string(text))))
     for cls in sorted(classes, key=lambda k: k.curie):
         if cls.deprecated:
             continue
-        meta = RowMeta(cls.curie, Side.ONTOLOGY)
-        for text in (cls.label, *(s.text for s in cls.synonyms)):
-            docs.append((meta, tokens_of(normalize_string(text))))
+        for text in (cls.label, *cls.synonyms):
+            docs.append((cls.curie, tokens_of(normalize_string(text))))
     return docs
 
 
@@ -221,7 +209,7 @@ def fit(docs) -> SimilarityModel:
 
     matrix = CsrMatrix(data, indices, indptr, (n_docs, n_vocab))
     return SimilarityModel(
-        vocabulary=vocabulary, matrix=matrix, rows=tuple(meta for meta, _ in docs)
+        vocabulary=vocabulary, matrix=matrix, rows=tuple(owner for owner, _ in docs)
     )
 
 
@@ -339,18 +327,15 @@ def score_concept_pairs(
     ontology_index = {o: i for i, o in enumerate(ontologies)}
     class_ontology = np.array([ontology_index[ontology_of[c]] for c in curies], dtype=np.int32)
 
+    # An owner is a concept id (int) or a CURIE (str), so at most one index holds it.
     clin_rows, clin_owner, onto_rows, onto_owner = [], [], [], []
-    for i, meta in enumerate(model.rows):
-        if meta.side is Side.CLINICAL:
-            owner = concept_index.get(meta.owner)
-            if owner is not None:
-                clin_rows.append(i)
-                clin_owner.append(owner)
-        elif meta.side is Side.ONTOLOGY:
-            owner = class_index.get(meta.owner)
-            if owner is not None:
-                onto_rows.append(i)
-                onto_owner.append(owner)
+    for i, owner in enumerate(model.rows):
+        if (j := concept_index.get(owner)) is not None:
+            clin_rows.append(i)
+            clin_owner.append(j)
+        elif (j := class_index.get(owner)) is not None:
+            onto_rows.append(i)
+            onto_owner.append(j)
 
     allowed = None
     if routing is not None:

@@ -119,7 +119,6 @@ class PairwiseTest:
 @dataclass(frozen=True)
 class PairwiseResult:
     tests: tuple[PairwiseTest, ...]
-    family_alpha: float
     adjusted_alpha: float
     fraction_significant: float
 
@@ -133,10 +132,7 @@ def bonferroni_pairwise(site_tables, family_alpha: float = 0.05) -> PairwiseResu
     sites = list(site_tables)
     pairs = list(combinations(range(len(sites)), 2))
     if not pairs:
-        return PairwiseResult(
-            tests=(), family_alpha=family_alpha, adjusted_alpha=family_alpha,
-            fraction_significant=0.0,
-        )
+        return PairwiseResult(tests=(), adjusted_alpha=family_alpha, fraction_significant=0.0)
     adjusted = family_alpha / len(pairs)
     tests = []
     n_significant = 0
@@ -151,7 +147,6 @@ def bonferroni_pairwise(site_tables, family_alpha: float = 0.05) -> PairwiseResu
         )
     return PairwiseResult(
         tests=tuple(tests),
-        family_alpha=family_alpha,
         adjusted_alpha=adjusted,
         fraction_significant=n_significant / len(pairs),
     )

@@ -17,7 +17,6 @@ import math
 from collections import defaultdict
 
 from termbridge.core import curie_ontology
-from termbridge.similarity import Side
 
 
 def _row(model, i):
@@ -39,18 +38,19 @@ def cosine_scores(model, allowed):
     ``allowed`` maps concept_id -> the ontology keys it may target.
     """
     rows = defaultdict(list)
-    for i, meta in enumerate(model.rows):
-        rows[meta.side, meta.owner].append(_row(model, i))
-    concept_ids = sorted({owner for side, owner in rows if side is Side.CLINICAL})
-    curies = sorted({owner for side, owner in rows if side is Side.ONTOLOGY})
+    for i, owner in enumerate(model.rows):
+        rows[owner].append(_row(model, i))
+    # A concept row's owner is its id (int); a class row's is its CURIE (str).
+    concept_ids = sorted(owner for owner in rows if isinstance(owner, int))
+    curies = sorted(owner for owner in rows if isinstance(owner, str))
     scores = {}
     for concept_id in concept_ids:
         for curie in curies:
             if curie_ontology(curie) not in allowed[concept_id]:
                 continue
             best = 0.0
-            for a in rows[Side.CLINICAL, concept_id]:
-                for b in rows[Side.ONTOLOGY, curie]:
+            for a in rows[concept_id]:
+                for b in rows[curie]:
                     best = max(best, _dot(a, b))
             if best > 0.0:
                 scores[(concept_id, curie)] = min(best, 1.0)

@@ -35,7 +35,6 @@ from reference_coverage import site_table
 from test_align import oracle_align, random_fixture
 from test_similarity import (
     ScoredPair,
-    Side,
     _owners,
     best_pairs_of,
     dense_best_scores,
@@ -196,10 +195,10 @@ def test_criterion_4_similarity_oracle():
         n_classes = rng.randint(20, 100)
         for i in range(1, n_concepts + 1):
             tokens = [f"t{rng.randint(0, 40)}" for _ in range(rng.randint(1, 6))]
-            docs.append(doc(i, Side.CLINICAL, " ".join(tokens), tokens))
+            docs.append(doc(i, " ".join(tokens), tokens))
         for k in range(n_classes):
             tokens = [f"t{rng.randint(0, 40)}" for _ in range(rng.randint(1, 6))]
-            docs.append(doc(f"HP:{k:07d}", Side.ONTOLOGY, " ".join(tokens), tokens))
+            docs.append(doc(f"HP:{k:07d}", " ".join(tokens), tokens))
         assert len(docs) <= 200
 
         model = fit(docs)
@@ -370,7 +369,7 @@ def test_criterion_8_determinism_and_scale(tmp_path):
 
 @pytest.mark.skipif(
     os.environ.get("TERMBRIDGE_PAPER_SCALE") != "1",
-    reason="paper scale is opt-in: set TERMBRIDGE_PAPER_SCALE=1 (about 25 s and 0.8 GiB)",
+    reason="paper scale is opt-in: set TERMBRIDGE_PAPER_SCALE=1 (about 20 s and 0.45 GiB)",
 )
 def test_paper_scale_map(tmp_path):
     """One map run at 10^5 concepts x 5*10^4 classes (criterion 8's

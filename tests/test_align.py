@@ -13,7 +13,6 @@ from termbridge.align import (
     enrich_concepts,
 )
 from termbridge.core import (
-    ClassSynonym,
     ClinicalConcept,
     CodeRef,
     Domain,
@@ -21,22 +20,19 @@ from termbridge.core import (
     EvidenceKind,
     MappingLevel,
     OntologyClass,
-    SynonymKind,
     canonical_evidence,
 )
-from termbridge.lexical import NormalizationDictionary, normalize_string
+from termbridge.lexical import normalize_string
 
 
-def concept(cid, code, label, synonyms=(), ancestors=(), cuis=(), used=True, count=5):
+def concept(cid, code, label, synonyms=(), ancestors=(), cuis=(), used=True):
     return ClinicalConcept(
         concept_id=cid,
-        vocabulary=code.prefix,
         code=code,
         label=label,
         synonyms=tuple(synonyms),
         domain=Domain.CONDITION,
         used_in_practice=used,
-        record_count=count if used else 0,
         ancestors=tuple(ancestors),
         cuis=tuple(cuis),
     )
@@ -48,7 +44,7 @@ def klass(curie, label, synonyms=(), xrefs=(), definition=None, deprecated=False
         ontology=curie.split(":")[0].upper(),
         label=label,
         definition=definition,
-        synonyms=tuple(ClassSynonym(t, SynonymKind.EXACT) for t in synonyms),
+        synonyms=tuple(synonyms),
         xrefs=tuple(xrefs),
         deprecated=deprecated,
     )
@@ -93,11 +89,12 @@ class TestBuildIndexes:
 
 class TestBridgeCuis:
     def _bridge(self):
+        # load_umls's index: canonical (prefix, code) keys, sorted CUIs.
         atoms = {
-            ("SNOMEDCT_US", "70305005"): ("C0596028",),
-            ("SNOMEDCT_US", "999"): ("C0000002", "C0000001"),
+            ("SNOMED", "70305005"): ("C0596028",),
+            ("SNOMED", "999"): ("C0000001", "C0000002"),
         }
-        return CuiBridge(atoms, NormalizationDictionary([("SNOMEDCT_US", "SNOMED")]))
+        return CuiBridge(atoms)
 
     def test_fixture_atom(self):
         c = concept(22945, CodeRef("SNOMED", "70305005"), "Horizontal overbite")
@@ -175,7 +172,7 @@ class TestAlignViaAncestors:
             xrefs=[CodeRef("SNOMED", "10890000"), CodeRef("UMLS", "C0036093")],
         )
         anc = concept(90001, CodeRef("SNOMED", "10890000"), "Disorder of salivary gland",
-                      cuis=["C0036093"], used=False, count=0)
+                      cuis=["C0036093"], used=False)
         child = concept(22722, CodeRef("SNOMED", "5055000"), "Accessory salivary gland",
                         ancestors=[90001])
         idx = build_indexes([salivary])
@@ -192,8 +189,8 @@ class TestAlignViaAncestors:
     def test_two_ancestor_hits(self):
         bone = klass("MONDO:0005315", "Bone fracture", synonyms=["Fracture of bone"])
         foot = klass("MONDO:0044989", "Foot disease", synonyms=["Disorder of foot"])
-        anc1 = concept(90002, CodeRef("SNOMED", "125605004"), "Fracture of bone", used=False, count=0)
-        anc2 = concept(90003, CodeRef("SNOMED", "118932009"), "Disorder of foot", used=False, count=0)
+        anc1 = concept(90002, CodeRef("SNOMED", "125605004"), "Fracture of bone", used=False)
+        anc2 = concept(90003, CodeRef("SNOMED", "118932009"), "Disorder of foot", used=False)
         child = concept(
             74185, CodeRef("SNOMED", "209271004"), "Open fracture of cuboid bone of foot",
             ancestors=[90002, 90003],
@@ -237,7 +234,7 @@ def oracle_align(c, classes, allowed=None):
         for cui in c.cuis:
             if CodeRef("UMLS", cui) in k.xrefs:
                 atoms.add(EvidenceAtom(EvidenceKind.CUI_MATCH, cui))
-        non_def = {normalize_string(k.label)} | {normalize_string(s.text) for s in k.synonyms}
+        non_def = {normalize_string(k.label)} | {normalize_string(s) for s in k.synonyms}
         def_string = normalize_string(k.definition) if k.definition else None
         concept_strings = [(EvidenceKind.LABEL_MATCH, normalize_string(c.label))]
         concept_strings += [(EvidenceKind.SYNONYM_MATCH, normalize_string(s)) for s in c.synonyms]
@@ -309,7 +306,7 @@ class TestOracleEquivalence:
             for cand in align_concept(c, idx):
                 k = by_curie[cand.curie]
                 class_strings = {normalize_string(k.label)}
-                class_strings |= {normalize_string(s.text) for s in k.synonyms}
+                class_strings |= {normalize_string(s) for s in k.synonyms}
                 if k.definition:
                     class_strings.add(normalize_string(k.definition))
                 concept_strings = {normalize_string(c.label)}

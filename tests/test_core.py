@@ -213,21 +213,14 @@ class TestClinicalConcept:
     def _concept(self, **overrides):
         base = dict(
             concept_id=1,
-            vocabulary="SNOMED",
             code=CodeRef("SNOMED", "123"),
             label="x",
             synonyms=(),
             domain=Domain.CONDITION,
             used_in_practice=True,
-            record_count=5,
         )
         base.update(overrides)
         return ClinicalConcept(**base)
-
-    def test_zero_count_requires_unused(self):
-        with pytest.raises(ValueError):
-            self._concept(record_count=0)
-        assert self._concept(record_count=0, used_in_practice=False).record_count == 0
 
     def test_no_self_loop(self):
         with pytest.raises(ValueError):

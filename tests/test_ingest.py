@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termbridge.align import CuiBridge, enrich_concepts
-from termbridge.core import ClinicalConcept, CodeRef, Domain, SynonymKind
+from termbridge.core import ClinicalConcept, CodeRef, Domain
 from termbridge.errors import ParseError
 from termbridge.ingest import (
     CONCEPT_HEADER,
@@ -27,9 +27,10 @@ from termbridge.lexical import NormalizationDictionary, default_code_dictionary
 HEADER = "\t".join(CONCEPT_HEADER)
 
 
-def serialize_concepts(concepts) -> str:
+def serialize_concepts(concepts, record_counts) -> str:
     """Canonical TSV rendering (sorted by concept_id); inverse of load_concepts
-    minus the ancestor join, which lives in its own file."""
+    minus the ancestor join, which lives in its own file.  record_count is
+    validated but not kept, so ``record_counts`` supplies it by concept id."""
     lines = [HEADER]
     for concept_id in sorted(concepts):
         c = concepts[concept_id]
@@ -37,13 +38,13 @@ def serialize_concepts(concepts) -> str:
             "\t".join(
                 [
                     str(c.concept_id),
-                    c.vocabulary,
+                    c.code.prefix,
                     c.code.code,
                     c.label,
                     "|".join(c.synonyms),
                     c.domain.value,
                     "1" if c.used_in_practice else "0",
-                    str(c.record_count),
+                    str(record_counts[c.concept_id]),
                 ]
             )
         )
@@ -51,7 +52,8 @@ def serialize_concepts(concepts) -> str:
 
 
 def serialize_ontology(classes) -> str:
-    """Canonical JSONL rendering (sorted by CURIE, sorted keys)."""
+    """Canonical JSONL rendering (sorted by CURIE, sorted keys); a synonym's
+    kind is validated but not kept, so synonyms render without one."""
     lines = []
     for curie in sorted(classes):
         k = classes[curie]
@@ -62,7 +64,7 @@ def serialize_ontology(classes) -> str:
                     "ontology": k.ontology,
                     "label": k.label,
                     "definition": k.definition,
-                    "synonyms": [{"text": s.text, "kind": s.kind.value} for s in k.synonyms],
+                    "synonyms": [{"text": s} for s in k.synonyms],
                     "xrefs": [str(x) for x in k.xrefs],
                     "deprecated": k.deprecated,
                 },
@@ -88,7 +90,7 @@ class TestLoadConcepts:
         assert concept.synonyms == ("overjet",)
         assert concept.code == CodeRef("SNOMED", "70305005")
         assert concept.domain is Domain.CONDITION
-        assert concept.used_in_practice and concept.record_count == 12
+        assert concept.used_in_practice
 
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -160,6 +162,42 @@ class TestLoadConcepts:
             load_concepts(path)
         assert err.value.code == "MALFORMED_ROW"
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["3\tSNOMED\tz\tC\t\tCONDITION\t0\t-1", "3\tSNOMED\tz\tC\t\tCONDITION\t1\t0"],
+        ids=["negative", "zero_when_used"],
+    )
+    def test_record_count_checked_on_its_line(self, tmp_path, bad_row):
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n2\tRXNORM\ty\tB\t\tDRUG\t1\t3\n"
+            + bad_row + "\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_concepts(path, domain=Domain.CONDITION)
+        assert (err.value.code, err.value.line) == ("MALFORMED_ROW", 4)
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_record_count_not_checked_in_a_skipped_domain(self, tmp_path, count):
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n"
+            + f"2\tRXNORM\ty\tB\t\tDRUG\t1\t{count}\n"
+        )
+        assert set(load_concepts(path, domain=Domain.CONDITION).concepts) == {1}
+
+    def test_duplicate_id_reported_before_a_later_checked_value(self, tmp_path):
+        # Duplicates are found while rows are read; record_count, like the
+        # code, is checked once every row is in.
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t-1\n2\tSNOMED\ty\tB\t\tCONDITION\t1\t3\n"
+            + "2\tSNOMED\ty\tB\t\tCONDITION\t1\t3\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_concepts(path)
+        assert (err.value.code, err.value.line) == ("DUPLICATE_ID", 4)
+
     def test_round_trip(self, tmp_path):
         text = (
             HEADER
@@ -168,7 +206,7 @@ class TestLoadConcepts:
         )
         path = tmp_path / "c.tsv"
         path.write_text(text)
-        assert serialize_concepts(load_concepts(path).concepts) == text
+        assert serialize_concepts(load_concepts(path).concepts, {1: 3, 2: 0}) == text
 
 
 class TestLoadOntologyDump:
@@ -206,7 +244,7 @@ class TestLoadOntologyDump:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         classes = load_ontology_dump(path, _dict())
         assert set(classes) == {"HP:0000001", "HP:0000002", "MONDO:0000001"}
-        assert classes["HP:0000002"].synonyms[0].kind is SynonymKind.RELATED
+        assert classes["HP:0000002"].synonyms == ("2nd",)
         assert classes["MONDO:0000001"].deprecated is True
 
     def test_bad_curie(self, tmp_path):
@@ -225,6 +263,25 @@ class TestLoadOntologyDump:
         assert err.value.code == "DUPLICATE_CURIE"
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("kind", ["EXACT", "RELATED", "BROAD", "NARROW", None])
+    def test_synonym_kinds_accepted(self, tmp_path, kind):
+        synonym = {"text": "2nd"} if kind is None else {"text": "2nd", "kind": kind}
+        path = tmp_path / "o.jsonl"
+        path.write_text(json.dumps({"curie": "HP:1", "ontology": "HP", "label": "x", "synonyms": [synonym]}) + "\n")
+        assert load_ontology_dump(path, _dict())["HP:1"].synonyms == ("2nd",)
+
+    @pytest.mark.parametrize("kind", ["exact", "SIMILAR", "", None, ["EXACT"], {"k": 1}])
+    def test_unknown_synonym_kind(self, tmp_path, kind):
+        lines = [
+            {"curie": "HP:1", "ontology": "HP", "label": "x", "synonyms": [{"text": "a", "kind": "BROAD"}]},
+            {"curie": "HP:2", "ontology": "HP", "label": "y", "synonyms": [{"text": "b", "kind": kind}]},
+        ]
+        path = tmp_path / "o.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ParseError) as err:
+            load_ontology_dump(path, _dict())
+        assert (err.value.code, err.value.line) == ("MALFORMED_LINE", 2)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "o.jsonl"
         path.write_text("{not json\n")
@@ -241,7 +298,7 @@ class TestLoadOntologyDump:
                 "deprecated": False,
                 "label": "Second",
                 "ontology": "HP",
-                "synonyms": [{"kind": "EXACT", "text": "2nd"}],
+                "synonyms": [{"text": "2nd"}],
                 "xrefs": ["UMLS:C0000002"],
             }
         ]
@@ -264,7 +321,7 @@ class TestLoadUmls:
         sty = tmp_path / "MRSTY.RRF"
         sty.write_text("C0596028|T033|A1.2|Finding|AT001|256|\n")
         tables = load_umls(conso, sty, {("SNOMED", "70305005")}, _dict())
-        assert tables.atoms_by_code[("SNOMEDCT_US", "70305005")] == ("C0596028",)
+        assert tables.atoms_by_code[("SNOMED", "70305005")] == ("C0596028",)
         assert tables.sty_by_cui["C0596028"] == ("Finding",)
 
     def test_five_atom_fixture_matches_nested_loop_oracle(self, tmp_path):
@@ -285,7 +342,7 @@ class TestLoadUmls:
 
         oracle = {}
         for cui, sab, code, _ in raw:
-            oracle.setdefault((sab, code), set()).add(cui)
+            oracle.setdefault((dictionary.canonical_prefix(sab), code), set()).add(cui)
         assert set(tables.atoms_by_code) == set(oracle)
         for key, group in oracle.items():
             assert tables.atoms_by_code[key] == tuple(sorted(group))
@@ -379,7 +436,7 @@ class TestLoadUmls:
             "C0000002|T047|B2.2|Disease or Syndrome|AT002|256|\n"
         )
         tables = load_umls(conso, sty, {("SNOMED", "1")}, _dict())
-        assert tables.atoms_by_code == {("SNOMEDCT_US", " 1 "): ("C0000001",)}
+        assert tables.atoms_by_code == {("SNOMED", "1"): ("C0000001",)}
         assert tables.sty_by_cui == {"C0000001": ("Finding",)}
 
     @pytest.mark.parametrize(
@@ -405,7 +462,7 @@ class TestLoadUmls:
         sty.write_text("")
         if verdict == "kept":
             tables = load_umls(conso, sty, {("SNOMED", "1")}, _dict())
-            assert tables.atoms_by_code == {("SNOMEDCT_US", "1"): ("C0000001",)}
+            assert tables.atoms_by_code == {("SNOMED", "1"): ("C0000001",)}
             return
         with pytest.raises(ParseError) as err:
             load_umls(conso, sty, {("SNOMED", "1")}, _dict())
@@ -505,13 +562,11 @@ class TestConceptFirstUmlsDifferential:
         concepts = {
             concept_id: ClinicalConcept(
                 concept_id=concept_id,
-                vocabulary=prefix,
                 code=CodeRef(prefix, code),
                 label=f"concept {concept_id}",
                 synonyms=(),
                 domain=Domain.CONDITION,
                 used_in_practice=True,
-                record_count=1,
             )
             for concept_id, (prefix, code) in enumerate(codes, start=1)
         }
@@ -524,7 +579,7 @@ class TestConceptFirstUmlsDifferential:
                 conso, sty, {(c.code.prefix, c.code.code) for c in concepts.values()}, dictionary
             )
         enriched = enrich_concepts(
-            concepts, CuiBridge(tables.atoms_by_code, dictionary), tables.sty_by_cui
+            concepts, CuiBridge(tables.atoms_by_code), tables.sty_by_cui
         )
 
         # The projection over every key, looked up concept by concept.

@@ -149,10 +149,6 @@ class TestTokenize:
         cfg = TokenizerConfig(lemmatize=Lemmatize.SUFFIX_RULES)
         assert tokenize(word, cfg) == [expected]
 
-    def test_min_token_len(self):
-        cfg = TokenizerConfig(min_token_len=3)
-        assert tokenize("a bb ccc dddd", cfg) == ["ccc", "dddd"]
-
     def test_punctuation_boundaries(self):
         assert tokenize("amphetamine [presence] in-urine", TokenizerConfig()) == [
             "amphetamine",

@@ -23,6 +23,7 @@ COUNTERS = (
     "similarity.documents",
     "similarity.vocabulary",
     "similarity.matrix_nnz",
+    "ingest.umls_keys",
     "ingest.prevalence_rows",
     "stats.pairwise_tests",
 )

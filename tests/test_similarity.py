@@ -11,9 +11,7 @@ from scipy import sparse
 
 from termbridge.errors import DataError
 from termbridge.similarity import (
-    RowMeta,
     ScoredPair,
-    Side,
     SimilarityConfig,
     best_pairs,
     best_per_concept,
@@ -30,9 +28,10 @@ from test_align import concept, klass
 from termbridge.core import CodeRef, curie_ontology
 
 
-def doc(owner, side, text, tokens=None):
+def doc(owner, text, tokens=None):
+    """One document: a concept's (int owner) or a class's (CURIE owner) string."""
     tokens = tuple(text.split()) if tokens is None else tuple(tokens)
-    return (RowMeta(owner, side), tokens)
+    return (owner, tokens)
 
 
 def best_pairs_of(pairs, score_floor=0.0, chunk_concepts=1):
@@ -77,8 +76,8 @@ def fused_cut(pairs, cfg, chunk_concepts=1):
 def pair_scores(model, routing=None):
     """{(concept_id, curie): clamped best score} for every routed pair of
     owners sharing a token, from ``join_rows``' string pairs."""
-    clinical = sorted((m.owner, i) for i, m in enumerate(model.rows) if m.side is Side.CLINICAL)
-    classes = [(m.owner, i) for i, m in enumerate(model.rows) if m.side is Side.ONTOLOGY]
+    clinical = sorted((owner, i) for i, owner in enumerate(model.rows) if isinstance(owner, int))
+    classes = [(owner, i) for i, owner in enumerate(model.rows) if isinstance(owner, str)]
     owners = sorted({owner for owner, _ in clinical})
     left_owner = np.array([owners.index(owner) for owner, _ in clinical], dtype=np.int64)
     scores = {}
@@ -142,14 +141,14 @@ def dense_best_scores(docs):
     """Max cosine per (clinical owner, ontology owner) over all row pairs."""
     rows = dense_model([tokens for _, tokens in docs])
     best = {}
-    for i, (meta_i, _) in enumerate(docs):
-        if meta_i.side is not Side.CLINICAL:
+    for i, (owner_i, _) in enumerate(docs):
+        if not isinstance(owner_i, int):
             continue
-        for j, (meta_j, _) in enumerate(docs):
-            if meta_j.side is not Side.ONTOLOGY:
+        for j, (owner_j, _) in enumerate(docs):
+            if not isinstance(owner_j, str):
                 continue
             score = float(np.dot(rows[i], rows[j]))
-            key = (meta_i.owner, meta_j.owner)
+            key = (owner_i, owner_j)
             if score > best.get(key, -1.0):
                 best[key] = score
     return best
@@ -160,21 +159,21 @@ def dense_best_scores(docs):
 
 class TestFit:
     def test_single_document_equal_weights(self):
-        model = fit([doc(1, Side.CLINICAL, "throat pain")])
+        model = fit([doc(1, "throat pain")])
         row = scipy_matrix(model).toarray()[0]
         assert row == pytest.approx([1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_identical_documents_identical_rows(self):
-        model = fit([doc(1, Side.CLINICAL, "a b c"), doc(2, Side.CLINICAL, "a b c")])
+        model = fit([doc(1, "a b c"), doc(2, "a b c")])
         dense = scipy_matrix(model).toarray()
         assert np.array_equal(dense[0], dense[1])
 
     def test_three_document_hand_oracle(self):
         model = fit(
             [
-                doc(1, Side.CLINICAL, "a b"),
-                doc(2, Side.CLINICAL, "a c"),
-                doc(3, Side.CLINICAL, "a"),
+                doc(1, "a b"),
+                doc(2, "a c"),
+                doc(3, "a"),
             ]
         )
         # N=3; df(a)=3 -> idf 1; df(b)=df(c)=1 -> idf ln(2)+1
@@ -196,14 +195,14 @@ class TestFit:
         assert err.value.code == "EMPTY_CORPUS"
 
     def test_zero_token_document_is_zero_row(self):
-        model = fit([doc(1, Side.CLINICAL, "", tokens=()), doc(2, Side.CLINICAL, "a")])
+        model = fit([doc(1, "", tokens=()), doc(2, "a")])
         dense = scipy_matrix(model).toarray()
         assert np.all(dense[0] == 0)
 
     def test_row_norms(self):
         rng = random.Random(11)
         docs = [
-            doc(i, Side.CLINICAL, "", tokens=[f"t{rng.randint(0, 30)}" for _ in range(rng.randint(1, 6))])
+            doc(i, "", tokens=[f"t{rng.randint(0, 30)}" for _ in range(rng.randint(1, 6))])
             for i in range(150)
         ]
         model = fit(docs)
@@ -217,18 +216,18 @@ class TestFit:
 
 def _two_sided_docs():
     return [
-        doc(1, Side.CLINICAL, "sore throat symptom"),
-        doc(2, Side.CLINICAL, "apple banana"),
-        doc("HP:0000001", Side.ONTOLOGY, "throat pain"),
-        doc("HP:0000002", Side.ONTOLOGY, "sore throat symptom"),
-        doc("MONDO:0000003", Side.ONTOLOGY, "cherry"),
+        doc(1, "sore throat symptom"),
+        doc(2, "apple banana"),
+        doc("HP:0000001", "throat pain"),
+        doc("HP:0000002", "sore throat symptom"),
+        doc("MONDO:0000003", "cherry"),
     ]
 
 
 def _owners(docs):
-    concepts = [concept(m.owner, CodeRef("SNOMED", str(m.owner)), "x")
-                for m, _ in docs if m.side is Side.CLINICAL]
-    classes = [klass(m.owner, "x") for m, _ in docs if m.side is Side.ONTOLOGY]
+    concepts = [concept(owner, CodeRef("SNOMED", str(owner)), "x")
+                for owner, _ in docs if isinstance(owner, int)]
+    classes = [klass(owner, "x") for owner, _ in docs if isinstance(owner, str)]
     return concepts, classes
 
 
@@ -288,12 +287,12 @@ class TestScoreConceptPairs:
         docs = []
         for i in range(1, 41):
             docs.append(
-                doc(i, Side.CLINICAL, "", tokens=[f"t{rng.randint(0, 25)}" for _ in range(rng.randint(1, 5))])
+                doc(i, "", tokens=[f"t{rng.randint(0, 25)}" for _ in range(rng.randint(1, 5))])
             )
         for i in range(60):
             curie = f"HP:{i:07d}"
             docs.append(
-                doc(curie, Side.ONTOLOGY, "", tokens=[f"t{rng.randint(0, 25)}" for _ in range(rng.randint(1, 5))])
+                doc(curie, "", tokens=[f"t{rng.randint(0, 25)}" for _ in range(rng.randint(1, 5))])
             )
         concepts, classes = _owners(docs)
         model = fit(docs)
@@ -310,7 +309,7 @@ class TestCosineSymmetry:
     def test_symmetry_on_random_rows(self):
         rng = random.Random(4)
         docs = [
-            doc(i, Side.CLINICAL, "", tokens=[f"t{rng.randint(0, 12)}" for _ in range(rng.randint(1, 5))])
+            doc(i, "", tokens=[f"t{rng.randint(0, 12)}" for _ in range(rng.randint(1, 5))])
             for i in range(40)
         ]
         model = fit(docs)
@@ -348,10 +347,10 @@ def join_inputs(draw):
 def checked_join(concepts, classes, budget):
     """The join's chunks over fitted rows, and each clinical row's owner,
     after checking the chunks against scipy's product bit for bit."""
-    docs = [doc(i, Side.CLINICAL, "", tokens) for i, strings in enumerate(concepts) for tokens in strings]
-    docs += [doc(f"HP:{k:07d}", Side.ONTOLOGY, "", tokens) for k, tokens in enumerate(classes)]
+    docs = [doc(i, "", tokens) for i, strings in enumerate(concepts) for tokens in strings]
+    docs += [doc(f"HP:{k:07d}", "", tokens) for k, tokens in enumerate(classes)]
     model = fit(docs)
-    left_owner = np.array([m.owner for m, _ in docs if m.side is Side.CLINICAL], dtype=np.int64)
+    left_owner = np.array([owner for owner, _ in docs if isinstance(owner, int)], dtype=np.int64)
     left_rows = np.arange(len(left_owner), dtype=np.int64)
     right_rows = np.arange(len(left_owner), len(docs), dtype=np.int64)
     chunks = list(join_rows(model.matrix, left_rows, left_owner, right_rows, budget))
@@ -528,11 +527,7 @@ class TestCorpusAndDump:
         c = concept(1, CodeRef("SNOMED", "1"), "Sore Throat", synonyms=["Pharyngitis pain"])
         k = klass("HP:0000001", "Throat pain")
         docs = build_corpus([c], [k], TokenizerConfig())
-        assert [(m.owner, m.side) for m, _ in docs] == [
-            (1, Side.CLINICAL),
-            (1, Side.CLINICAL),
-            ("HP:0000001", Side.ONTOLOGY),
-        ]
+        assert [owner for owner, _ in docs] == [1, 1, "HP:0000001"]
         # the label's row comes before the synonym's
         assert [tokens for _, tokens in docs] == [
             ("sore", "throat"),
