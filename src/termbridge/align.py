@@ -16,7 +16,6 @@ from .core import (
     EvidenceAtom,
     EvidenceKind,
     MappingLevel,
-    OntologyClass,
     canonical_evidence,
 )
 from .lexical import normalize_string
@@ -40,54 +39,56 @@ class CandidateMatch:
 class AlignmentIndexes:
     """Frozen lookup tables from non-deprecated ontology classes.
 
-    string_index : normalized string -> frozenset of CURIEs
+    Each table maps a key to the sorted tuple of distinct CURIEs that
+    carry it:
+
+    string_index : normalized string -> CURIEs
     definition_only : normalized string -> CURIEs reachable from that
         string only through a class definition (drives evidence kind)
-    code_index : CodeRef -> frozenset of CURIEs (from xrefs)
-    cui_index : CUI -> frozenset of CURIEs (from UMLS-prefixed xrefs)
+    code_index : CodeRef -> CURIEs (from xrefs)
+    cui_index : CUI -> CURIEs (from UMLS-prefixed xrefs)
     ontology_of : CURIE -> ontology key
+
+    Classes are read in CURIE order and a CURIE is appended to a key's
+    tuple only if it is not already last, so every tuple is built sorted
+    and distinct in one pass.
     """
 
     def __init__(self, classes):
-        strings: dict[str, set[str]] = defaultdict(set)
-        non_definition: dict[str, set[str]] = defaultdict(set)
-        codes: dict[CodeRef, set[str]] = defaultdict(set)
-        cuis: dict[str, set[str]] = defaultdict(set)
-        ontology_of: dict[str, str] = {}
+        self.string_index: dict[str, tuple[str, ...]] = {}
+        self.definition_only: dict[str, tuple[str, ...]] = {}
+        self.code_index: dict[CodeRef, tuple[str, ...]] = {}
+        self.cui_index: dict[str, tuple[str, ...]] = {}
+        self.ontology_of: dict[str, str] = {}
 
-        for cls in classes:
+        for cls in sorted(classes, key=lambda k: k.curie):
             if cls.deprecated:
                 continue
-            ontology_of[cls.curie] = cls.ontology
-            for text, from_definition in self._class_strings(cls):
-                key = normalize_string(text)
-                if not key:
-                    continue
-                strings[key].add(cls.curie)
-                if not from_definition:
-                    non_definition[key].add(cls.curie)
+            curie = cls.curie
+            self.ontology_of[curie] = cls.ontology
+            named = [normalize_string(text) for text in (cls.label, *cls.synonyms)]
+            for key in named:
+                if key:
+                    _add(self.string_index, key, curie)
+            if cls.definition:
+                key = normalize_string(cls.definition)
+                if key and key not in named:
+                    _add(self.string_index, key, curie)
+                    _add(self.definition_only, key, curie)
             for xref in cls.xrefs:
-                codes[xref].add(cls.curie)
+                _add(self.code_index, xref, curie)
                 if xref.prefix == "UMLS":
-                    cuis[xref.code].add(cls.curie)
+                    _add(self.cui_index, xref.code, curie)
 
-        self.string_index = {k: frozenset(v) for k, v in strings.items()}
-        self.definition_only = {
-            k: frozenset(v - non_definition.get(k, set()))
-            for k, v in strings.items()
-            if v - non_definition.get(k, set())
-        }
-        self.code_index = {k: frozenset(v) for k, v in codes.items()}
-        self.cui_index = {k: frozenset(v) for k, v in cuis.items()}
-        self.ontology_of = ontology_of
 
-    @staticmethod
-    def _class_strings(cls: OntologyClass):
-        yield cls.label, False
-        for syn in cls.synonyms:
-            yield syn, False
-        if cls.definition:
-            yield cls.definition, True
+def _add(table: dict, key, curie: str) -> None:
+    """Append ``curie`` to ``key``'s tuple unless it ends it already.
+
+    CURIEs arrive in ascending order, so a repeat can only be the last.
+    """
+    value = table.get(key, ())
+    if not value or value[-1] != curie:
+        table[key] = value + (curie,)
 
 
 def build_indexes(classes) -> AlignmentIndexes:
@@ -138,7 +139,7 @@ def _collect_hits(concept: ClinicalConcept, indexes: AlignmentIndexes, allowed) 
         key = normalize_string(text)
         if not key:
             continue
-        definition_only = indexes.definition_only.get(key, frozenset())
+        definition_only = indexes.definition_only.get(key, ())
         for curie in indexes.string_index.get(key, ()):
             atom_kind = EvidenceKind.DEFINITION_MATCH if curie in definition_only else kind
             hits[curie].add(EvidenceAtom(atom_kind, key))

@@ -1,9 +1,13 @@
 """End-to-end batch runs behind the CLI: mapping, coverage, phenotype scores.
 
-The whole pipeline is seed-free, single-threaded and deterministic:
-records are globally sorted before writing, and all serialization is
-stable (sorted keys, fixed float formatting).  Two runs on identical
-inputs produce byte-identical files.  Every input is read by ``ingest``.
+The whole pipeline is seed-free, single-threaded and deterministic.
+``map`` streams its records: it takes concepts in ascending id, sorts
+each concept's records by (ontology, outcome, targets), and validates,
+writes and tallies them before it builds the next concept's, so rows
+come out in one global order without every record being held.  All
+serialization is stable (sorted keys, fixed float formatting).  Two runs
+on identical inputs produce byte-identical files.  Every input is read
+by ``ingest``.
 """
 
 from __future__ import annotations
@@ -195,50 +199,58 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
-def _summarize(records, concepts) -> dict:
-    """Per-ontology, per-wave counts of categories, evidence, and reasons."""
-    categories: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
-    evidence: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
-    unmapped: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
-    for record in records:
+class _Tally:
+    """Per-ontology, per-wave counts of categories, evidence, and reasons,
+    folded in one record at a time."""
+
+    def __init__(self, concepts):
+        self._concepts = concepts
+        self._categories: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
+        self._evidence: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
+        self._unmapped: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
+
+    def add(self, record: MappingRecord) -> None:
         wave = (
             "used_in_practice"
-            if concepts[record.concept_id].used_in_practice
+            if self._concepts[record.concept_id].used_in_practice
             else "not_used_in_practice"
         )
         if record.category is MappingCategory.UNMAPPED:
-            unmapped[record.ontology][wave][REASON_DISPLAY[record.unmapped_reason]] += 1
-            continue
+            self._unmapped[record.ontology][wave][REASON_DISPLAY[record.unmapped_reason]] += 1
+            return
         display = render_category(record.category, record.level)
-        categories[record.ontology][wave][display] += 1
+        self._categories[record.ontology][wave][display] += 1
         for atom in record.evidence:
             group = _EVIDENCE_GROUPS.get(atom.kind)
             if group:
-                evidence[record.ontology][wave][group] += 1
+                self._evidence[record.ontology][wave][group] += 1
 
-    def materialize(tree):
+    def tables(self) -> dict:
+        categories, evidence, unmapped = self._categories, self._evidence, self._unmapped
+
+        def materialize(tree):
+            return {
+                ontology: {
+                    wave: dict(sorted(counts.items())) for wave, counts in sorted(waves.items())
+                }
+                for ontology, waves in sorted(tree.items())
+            }
+
+        totals = {}
+        for ontology in sorted(set(categories) | set(unmapped)):
+            totals[ontology] = {}
+            for wave in ("used_in_practice", "not_used_in_practice"):
+                totals[ontology][wave] = {
+                    "mapped": sum(categories.get(ontology, {}).get(wave, {}).values()),
+                    "unmapped": sum(unmapped.get(ontology, {}).get(wave, {}).values()),
+                    "evidence": sum(evidence.get(ontology, {}).get(wave, {}).values()),
+                }
         return {
-            ontology: {
-                wave: dict(sorted(counts.items())) for wave, counts in sorted(waves.items())
-            }
-            for ontology, waves in sorted(tree.items())
+            "mapping_categories": materialize(categories),
+            "mapping_evidence": materialize(evidence),
+            "unmapped": materialize(unmapped),
+            "totals": totals,
         }
-
-    totals = {}
-    for ontology in sorted(set(categories) | set(unmapped)):
-        totals[ontology] = {}
-        for wave in ("used_in_practice", "not_used_in_practice"):
-            totals[ontology][wave] = {
-                "mapped": sum(categories.get(ontology, {}).get(wave, {}).values()),
-                "unmapped": sum(unmapped.get(ontology, {}).get(wave, {}).values()),
-                "evidence": sum(evidence.get(ontology, {}).get(wave, {}).values()),
-            }
-    return {
-        "mapping_categories": materialize(categories),
-        "mapping_evidence": materialize(evidence),
-        "unmapped": materialize(unmapped),
-        "totals": totals,
-    }
 
 
 def run_map(cfg: RunConfig) -> Path:
@@ -313,11 +325,11 @@ def run_map(cfg: RunConfig) -> Path:
             assignments, aux = load_measurement_targets(cfg.measurement_targets)
 
     out_dir = Path(cfg.out_dir)
-    records: list[MappingRecord] = []
     target_labels = {curie: cls.label for curie, cls in classes.items()}
+    tally = _Tally(concepts)
+    rows = ()
 
     if concepts:
-        indexes = build_indexes(classes.values())
         decisions = {cid: route(c, policy) for cid, c in concepts.items()}
 
         tok_cfg = TokenizerConfig(stopwords=stopwords, lemmatize=Lemmatize.SUFFIX_RULES)
@@ -331,11 +343,11 @@ def run_map(cfg: RunConfig) -> Path:
         )
         del model  # the matrix is not read past scoring; free it before the cut
         # The keep-fraction cut is scoped per (domain, ontology) run.
-        best = best_per_concept(filter_pairs(pairs, sim_cfg))
+        winners = best_per_concept(filter_pairs(pairs, sim_cfg))
         del pairs  # the per-ontology scores, freed before synthesis
-        best_by_concept: dict[int, dict[str, object]] = defaultdict(dict)
-        for (cid, ontology), pair in best.items():
-            best_by_concept[cid][ontology] = pair
+        # Only the per-concept ladder reads the indexes, so they are built
+        # after scoring and the cut have freed their arrays.
+        indexes = build_indexes(classes.values())
 
         def process(concept_id: int) -> list[MappingRecord]:
             concept = concepts[concept_id]
@@ -366,35 +378,43 @@ def run_map(cfg: RunConfig) -> Path:
                 concept,
                 exact_c,
                 exact_a,
-                best_by_concept.get(concept_id, {}),
+                winners.for_concept(concept_id),
                 curation_rows,
                 decision,
                 ontologies,
                 claimed,
             )
 
-        chunks = _parallel_map(process, sorted(concepts), cfg.jobs)
-        for chunk in chunks:
-            records.extend(chunk)
+        def stream():
+            """Each record's row, validated and tallied, one concept at a time.
 
-    records.sort(
-        key=lambda r: (
-            r.concept_id,
-            r.ontology,
-            OUTCOME_ORDER[r.outcome] if r.outcome else -1,
-            r.targets,
-        )
-    )
-    for record in records:
-        violation = validate_record(record)
-        if violation is not None:
-            raise DataError(
-                "INVALID_RECORD",
-                f"concept {record.concept_id}/{record.ontology}: "
-                f"{violation.rule} at {violation.field_path}",
-            )
+            Records sort by concept id first and concepts are taken in
+            ascending id, so sorting each concept's records gives the
+            global order.  Only one concept's records are alive at once.
+            """
+            for concept_id in sorted(concepts):
+                (records,) = _parallel_map(process, (concept_id,), cfg.jobs)
+                records.sort(
+                    key=lambda r: (
+                        r.ontology,
+                        OUTCOME_ORDER[r.outcome] if r.outcome else -1,
+                        r.targets,
+                    )
+                )
+                for record in records:
+                    violation = validate_record(record)
+                    if violation is not None:
+                        raise DataError(
+                            "INVALID_RECORD",
+                            f"concept {record.concept_id}/{record.ontology}: "
+                            f"{violation.rule} at {violation.field_path}",
+                        )
+                    tally.add(record)
+                    yield _mapping_row(record, target_labels)
 
-    rows = (_mapping_row(r, target_labels) for r in records)
+        rows = stream()
+
+    # A failure part way through the rows leaves no mappings.tsv and no summary.json.
     _write_text(out_dir / "mappings.tsv", chain(["\t".join(MAPPINGS_HEADER)], rows))
 
     summary = {
@@ -411,7 +431,7 @@ def run_map(cfg: RunConfig) -> Path:
             "unknown_curation_targets": list(unknown_curation_targets),
         },
     }
-    summary.update(_summarize(records, concepts))
+    summary.update(tally.tables())
     _write_json(out_dir / "summary.json", summary)
     return out_dir
 

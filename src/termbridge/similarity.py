@@ -25,8 +25,10 @@ object per pair:
 * the per-ontology keep-fraction cut finds each ontology's threshold
   score with ``np.partition`` and settles ties at it by concept order,
   which keeps the winners that ranking every pair on (-score, concept
-  id, CURIE) would keep (``filter_pairs``).  ``ScoredPair`` objects are
-  built only for the winners.
+  id, CURIE) would keep (``filter_pairs``);
+* the winners stay arrays, sorted by (concept, ontology)
+  (``best_per_concept``).  ``ScoredPair`` objects are built for one
+  concept at a time, when the per-concept loop reaches it.
 
 Embeddings are built for every concept whether or not exact alignment
 already succeeded: the scorer never consults alignment results.
@@ -479,15 +481,56 @@ def filter_pairs(pairs: BestPairs, cfg: SimilarityConfig) -> BestPairs:
     )
 
 
-def best_per_concept(pairs: BestPairs) -> dict[tuple[int, str], ScoredPair]:
-    """The winners as ``ScoredPair`` objects, keyed (concept_id, ontology) in that order."""
+@dataclass(frozen=True, eq=False)
+class Winners:
+    """The winners the cut keeps, as arrays sorted by (concept, ontology).
+
+    ``cls``, ``ontology`` and ``score`` hold one entry per winning
+    (concept, ontology) pair and index ``curies`` and ``ontologies`` as in
+    ``BestPairs``.  The winners of ``concept_ids[i]`` are the entries
+    ``start[i]:start[i + 1]``.  ``ScoredPair`` objects are built one
+    concept at a time, by ``for_concept``.  The length is the number of
+    winners.
+    """
+
+    concept_ids: np.ndarray
+    curies: tuple[str, ...]
+    ontologies: tuple[str, ...]
+    cls: np.ndarray
+    ontology: np.ndarray
+    score: np.ndarray
+    start: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def for_concept(self, concept_id: int) -> dict[str, ScoredPair]:
+        """Ontology key -> ``concept_id``'s winning pair there."""
+        i = int(self.concept_ids.searchsorted(concept_id))
+        if i == len(self.concept_ids) or self.concept_ids[i] != concept_id:
+            return {}
+        a, b = self.start[i:i + 2].tolist()
+        return {
+            self.ontologies[o]: ScoredPair(concept_id, self.curies[c], score)
+            for o, c, score in zip(
+                self.ontology[a:b].tolist(), self.cls[a:b].tolist(), self.score[a:b].tolist()
+            )
+        }
+
+
+def best_per_concept(pairs: BestPairs) -> Winners:
+    """The winners sorted by (concept id, ontology), one concept's pairs
+    found by ``Winners.for_concept``."""
     import numpy as np
 
     order = np.lexsort((pairs.ontology, pairs.concept))
-    cids = pairs.concept_ids[pairs.concept[order]].tolist()
-    curies = [pairs.curies[i] for i in pairs.cls[order].tolist()]
-    keys = [pairs.ontologies[i] for i in pairs.ontology[order].tolist()]
-    return {
-        (cid, key): ScoredPair(cid, curie, score)
-        for cid, key, curie, score in zip(cids, keys, curies, pairs.score[order].tolist())
-    }
+    concept = pairs.concept[order]
+    return Winners(
+        concept_ids=pairs.concept_ids,
+        curies=pairs.curies,
+        ontologies=pairs.ontologies,
+        cls=pairs.cls[order],
+        ontology=pairs.ontology[order],
+        score=pairs.score[order],
+        start=np.searchsorted(concept, np.arange(len(pairs.concept_ids) + 1)),
+    )

@@ -87,3 +87,13 @@ def cosine_winners(scores, score_floor, keep_fraction):
         if current is None or score > current[1] or (score == current[1] and curie < current[0]):
             winners[key] = (curie, score)
     return winners
+
+
+def winner_dict(winners):
+    """{(concept_id, ontology): ScoredPair} of ``best_per_concept``'s winners,
+    read through ``Winners.for_concept`` one concept at a time, in ascending id."""
+    return {
+        (concept_id, ontology): pair
+        for concept_id in winners.concept_ids.tolist()
+        for ontology, pair in winners.for_concept(concept_id).items()
+    }

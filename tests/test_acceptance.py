@@ -369,7 +369,7 @@ def test_criterion_8_determinism_and_scale(tmp_path):
 
 @pytest.mark.skipif(
     os.environ.get("TERMBRIDGE_PAPER_SCALE") != "1",
-    reason="paper scale is opt-in: set TERMBRIDGE_PAPER_SCALE=1 (about 20 s and 0.45 GiB)",
+    reason="paper scale is opt-in: set TERMBRIDGE_PAPER_SCALE=1 (about 20 s and 0.3 GiB)",
 )
 def test_paper_scale_map(tmp_path):
     """One map run at 10^5 concepts x 5*10^4 classes (criterion 8's

@@ -58,17 +58,19 @@ OVERJET = klass(
 
 
 class TestBuildIndexes:
+    """Each table maps a key to the sorted tuple of distinct CURIEs."""
+
     def test_label_key(self):
         idx = build_indexes([OVERJET])
-        assert idx.string_index["overjet"] == {"HP:0011095"}
+        assert idx.string_index["overjet"] == ("HP:0011095",)
 
     def test_cui_key_from_umls_xref(self):
         idx = build_indexes([OVERJET])
-        assert idx.cui_index["C0596028"] == {"HP:0011095"}
+        assert idx.cui_index["C0596028"] == ("HP:0011095",)
 
     def test_code_key(self):
         idx = build_indexes([OVERJET])
-        assert idx.code_index[CodeRef("SNOMED", "70305005")] == {"HP:0011095"}
+        assert idx.code_index[CodeRef("SNOMED", "70305005")] == ("HP:0011095",)
 
     def test_empty_class_set(self):
         idx = build_indexes([])
@@ -77,14 +79,41 @@ class TestBuildIndexes:
     def test_deprecated_excluded_everywhere(self):
         dead = klass("HP:0000009", "Overjet", xrefs=[CodeRef("UMLS", "C0596028")], deprecated=True)
         idx = build_indexes([OVERJET, dead])
-        assert idx.string_index["overjet"] == {"HP:0011095"}
-        assert idx.cui_index["C0596028"] == {"HP:0011095"}
+        assert idx.string_index["overjet"] == ("HP:0011095",)
+        assert idx.cui_index["C0596028"] == ("HP:0011095",)
 
     def test_definition_only_tracking(self):
         defined = klass("HP:0000010", "Something else", definition="overjet")
         idx = build_indexes([OVERJET, defined])
-        assert idx.string_index["overjet"] == {"HP:0011095", "HP:0000010"}
-        assert idx.definition_only["overjet"] == {"HP:0000010"}
+        assert idx.string_index["overjet"] == ("HP:0000010", "HP:0011095")
+        assert idx.definition_only["overjet"] == ("HP:0000010",)
+
+    def test_curies_sorted_whatever_the_class_order(self):
+        classes = [klass(f"HP:{k:07d}", "Overjet", xrefs=[CodeRef("UMLS", "C0596028")]) for k in (7, 2, 9)]
+        idx = build_indexes(classes)
+        expected = ("HP:0000002", "HP:0000007", "HP:0000009")
+        assert idx.string_index["overjet"] == expected
+        assert idx.cui_index["C0596028"] == expected
+
+    def test_repeated_xref_listed_once(self):
+        umls = CodeRef("UMLS", "C0596028")
+        snomed = CodeRef("SNOMED", "70305005")
+        twice = klass("HP:0011095", "Overjet", xrefs=[snomed, umls, snomed, umls])
+        idx = build_indexes([twice])
+        assert idx.code_index[snomed] == ("HP:0011095",)
+        assert idx.code_index[umls] == ("HP:0011095",)
+        assert idx.cui_index["C0596028"] == ("HP:0011095",)
+
+    def test_label_equal_to_own_synonym_listed_once(self):
+        same = klass("HP:0011095", "Overjet", synonyms=["overjet", "OVERJET "])
+        idx = build_indexes([same, klass("HP:0000001", "Overjet")])
+        assert idx.string_index["overjet"] == ("HP:0000001", "HP:0011095")
+
+    def test_definition_equal_to_label_is_not_definition_only(self):
+        defined = klass("HP:0000010", "Overjet", synonyms=["Overjet"], definition="Overjet")
+        idx = build_indexes([defined])
+        assert idx.string_index["overjet"] == ("HP:0000010",)
+        assert "overjet" not in idx.definition_only
 
 
 class TestBridgeCuis:

@@ -1,10 +1,13 @@
 """Command-line behavior: golden outputs, determinism, exit codes, formats."""
 
+import gc
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 import termbridge
 from termbridge import pipeline
 from termbridge.cli import main
+from termbridge.core import OUTCOME_ORDER, MappingRecord, MeasurementOutcome, Violation
 from termbridge.stats import midranks
 
 from fixtures import CODE_MAP_CSV
@@ -38,6 +42,19 @@ def map_args(paths, out_dir, extra=()):
     if "stopwords" in paths:
         args += ["--stopwords", paths["stopwords"]]
     return args + list(extra)
+
+
+def measurement_args(paths, out_dir):
+    return [
+        "map",
+        "--concepts", paths["concepts"],
+        "--ontology", paths["ontology"],
+        "--code-map", paths["code_map"],
+        "--measurement-scales", paths["scales"],
+        "--measurement-targets", paths["targets"],
+        "--domain", "MEASUREMENT",
+        "--out", str(out_dir),
+    ]
 
 
 def run_map_cli(paths, out_dir, extra=()):
@@ -305,19 +322,7 @@ class TestMapCommand:
 class TestMeasurementCommand:
     def test_worked_examples(self, measurement_fixture, tmp_path):
         out = tmp_path / "out"
-        code = main(
-            [
-                "map",
-                "--concepts", measurement_fixture["concepts"],
-                "--ontology", measurement_fixture["ontology"],
-                "--code-map", measurement_fixture["code_map"],
-                "--measurement-scales", measurement_fixture["scales"],
-                "--measurement-targets", measurement_fixture["targets"],
-                "--domain", "MEASUREMENT",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
+        assert main(measurement_args(measurement_fixture, out)) == 0
         rows = read_rows(out / "mappings.tsv")
         by_key = {(r["concept_id"], r["ontology"], r["outcome"]): r for r in rows}
         acth_high = by_key[("3000001", "HP", "HIGH")]
@@ -836,6 +841,91 @@ class TestWholeOutputs:
         monkeypatch.setattr(pipeline.os, "replace", refuse)
         assert run_map_cli(condition_fixture, out) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestStreamedMap:
+    """``map`` validates, writes and tallies one concept's records at a time."""
+
+    def _fail_halfway(self, monkeypatch, out, total):
+        """Make ``validate_record`` report a violation at its middle call,
+        after checking that rows are already being written there."""
+        calls = []
+        original = pipeline.validate_record
+
+        def validate(record):
+            calls.append(record)
+            if len(calls) == total // 2:
+                assert any(p.name.endswith(".tmp") for p in out.iterdir())
+                return Violation("injected", "targets")
+            return original(record)
+
+        monkeypatch.setattr(pipeline, "validate_record", validate)
+        return calls
+
+    def test_invalid_record_mid_stream_leaves_no_outputs(self, condition_fixture, tmp_path, monkeypatch, capsys):
+        reference = tmp_path / "reference"
+        assert run_map_cli(condition_fixture, reference) == 0
+        total = len((reference / "mappings.tsv").read_text().splitlines()) - 1
+        assert total >= 4
+
+        out = tmp_path / "fresh"
+        calls = self._fail_halfway(monkeypatch, out, total)
+        assert run_map_cli(condition_fixture, out) == 3
+        assert len(calls) == total // 2
+        assert "error[INVALID_RECORD]" in capsys.readouterr().err
+        assert files_under(out) == []
+
+    def test_invalid_record_mid_stream_keeps_earlier_outputs(self, condition_fixture, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run_map_cli(condition_fixture, out) == 0
+        before = {name: (out / name).read_bytes() for name in files_under(out)}
+        total = len((out / "mappings.tsv").read_text().splitlines()) - 1
+
+        self._fail_halfway(monkeypatch, out, total)
+        assert run_map_cli(condition_fixture, out, extra=["--tau", "0.5"]) == 3
+        assert {name: (out / name).read_bytes() for name in files_under(out)} == before
+
+    def test_rows_in_global_order(self, tmp_path, monkeypatch):
+        """Rows sort by (concept id, ontology, outcome order, targets) on the
+        generated ladder inputs, whose measurement records need the
+        per-concept sort: auxiliary targets on an ontology that was not
+        loaded come last out of ``synthesize``."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        gen = importlib.import_module("gen")
+        workloads = importlib.import_module("workloads")
+        gen.generate("map-ladder", tmp_path / "in", 1, "tiny")
+        for argv, out, _ in workloads.commands("map-ladder", tmp_path / "in" / "program", tmp_path / "out"):
+            assert main(argv) == 0
+            keys = [
+                (
+                    int(r["concept_id"]),
+                    r["ontology"],
+                    OUTCOME_ORDER[MeasurementOutcome(r["outcome"])] if r["outcome"] else -1,
+                    tuple(r["targets"].split("|")) if r["targets"] else (),
+                )
+                for r in read_rows(out / "mappings.tsv")
+            ]
+            assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("fixture", ["condition_fixture", "measurement_fixture"])
+    def test_live_records_stay_within_one_concept(self, fixture, request, tmp_path, monkeypatch):
+        paths = request.getfixturevalue(fixture)
+        out = tmp_path / "out"
+        args = map_args(paths, out) if fixture == "condition_fixture" else measurement_args(paths, out)
+        gc.collect()
+        already = sum(isinstance(o, MappingRecord) for o in gc.get_objects())
+        live = []
+        original = pipeline.validate_record
+
+        def validate(record):
+            live.append(sum(isinstance(o, MappingRecord) for o in gc.get_objects()) - already)
+            return original(record)
+
+        monkeypatch.setattr(pipeline, "validate_record", validate)
+        assert main(args) == 0
+        per_concept = Counter(r["concept_id"] for r in read_rows(out / "mappings.tsv"))
+        assert len(per_concept) > 1 and len(live) == sum(per_concept.values())
+        assert max(live) <= max(per_concept.values()), (max(live), per_concept)
 
 
 class TestHashSeed:

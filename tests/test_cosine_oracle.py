@@ -31,7 +31,7 @@ from termbridge.similarity import (
     score_concept_pairs,
 )
 
-from reference_cosine import cosine_scores, cosine_winners, kept_pairs
+from reference_cosine import cosine_scores, cosine_winners, kept_pairs, winner_dict
 
 WORDS = ("pain", "pains", "fever", "cough", "rash", "ache", "nausea", "joint")
 STOPWORDS = ("the", "of")
@@ -235,7 +235,7 @@ def test_scoring_in_small_chunks_matches_reference(case, chunk_products):
     filtered = filter_pairs(scored, SimilarityConfig(tau, rho))
     assert len(filtered) == len(kept_pairs(scores, tau, rho))
     best = best_per_concept(filtered)
-    assert {key: (p.curie, p.score) for key, p in best.items()} == cosine_winners(scores, tau, rho)
+    assert {key: (p.curie, p.score) for key, p in winner_dict(best).items()} == cosine_winners(scores, tau, rho)
 
 
 def test_pipeline_stage_lengths_match_reference(tmp_path, monkeypatch):

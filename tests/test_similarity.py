@@ -23,7 +23,7 @@ from termbridge.similarity import (
 )
 from termbridge.lexical import TokenizerConfig
 
-from reference_cosine import cosine_winners, kept_pairs
+from reference_cosine import cosine_winners, kept_pairs, winner_dict
 from test_align import concept, klass
 from termbridge.core import CodeRef, curie_ontology
 
@@ -57,7 +57,7 @@ def best_pairs_of(pairs, score_floor=0.0, chunk_concepts=1):
 
 def winners_of(best):
     """``best_per_concept``'s result in ``cosine_winners``' form."""
-    return {key: (p.curie, p.score) for key, p in best.items()}
+    return {key: (p.curie, p.score) for key, p in winner_dict(best).items()}
 
 
 def fused_cut(pairs, cfg, chunk_concepts=1):
@@ -280,7 +280,7 @@ class TestScoreConceptPairs:
         full = score_concept_pairs(model, concepts, classes)
         again = score_concept_pairs(model, concepts, classes)
         assert len(full) == len(again)
-        assert best_per_concept(full) == best_per_concept(again)
+        assert winner_dict(best_per_concept(full)) == winner_dict(best_per_concept(again))
 
     def test_random_corpus_matches_oracle(self):
         rng = random.Random(99)
@@ -446,18 +446,19 @@ class TestFilterPairs:
 class TestBestPerConcept:
     def test_single_pair(self):
         only = _pair(1, "HP:0000001", 0.7)
-        assert best_per_concept(best_pairs_of([only])) == {(1, "HP"): only}
+        best = best_per_concept(best_pairs_of([only]))
+        assert best.for_concept(1) == {"HP": only} and len(best) == 1
 
     def test_tie_breaks_to_smallest_curie(self):
         a = _pair(1, "HP:0000002", 0.7)
         b = _pair(1, "HP:0000001", 0.7)
-        assert best_per_concept(best_pairs_of([a, b]))[(1, "HP")] == b
+        assert best_per_concept(best_pairs_of([a, b])).for_concept(1) == {"HP": b}
 
     def test_separate_ontologies_kept_apart(self):
         a = _pair(1, "HP:0000001", 0.7)
         b = _pair(1, "MONDO:0000001", 0.4)
         best = best_per_concept(best_pairs_of([a, b]))
-        assert best[(1, "HP")] == a and best[(1, "MONDO")] == b
+        assert best.for_concept(1) == {"HP": a, "MONDO": b}
 
     def test_matches_argmax_oracle(self):
         rng = random.Random(8)
@@ -468,7 +469,7 @@ class TestBestPerConcept:
         ]
         best = best_per_concept(best_pairs_of(pairs))
         for cid in range(1, 6):
-            mine = best[(cid, "HP")]
+            mine = best.for_concept(cid)["HP"]
             group = [p for p in pairs if p.concept_id == cid]
             top = max(p.score for p in group)
             expected = min(p.curie for p in group if p.score == top)
@@ -513,8 +514,9 @@ class TestFusedCut:
         filtered = filter_pairs(scored, cfg)
         assert len(filtered) == len(kept_pairs(scores, cfg.score_floor, cfg.keep_fraction))
         best = best_per_concept(filtered)
-        assert winners_of(best) == cosine_winners(scores, cfg.score_floor, cfg.keep_fraction)
-        assert list(best) == sorted(best)
+        winners = cosine_winners(scores, cfg.score_floor, cfg.keep_fraction)
+        assert winners_of(best) == winners
+        assert len(best) == len(winners)
 
     def test_filter_floor_under_scoring_floor(self):
         scored = best_pairs_of([_pair(1, "HP:1", 0.3)], score_floor=0.25)
