@@ -108,10 +108,10 @@ _PREFIX_FORBIDDEN = set(":|") | set(" \t\r\n\v\f")
 def is_code_prefix(prefix: str) -> bool:
     """True when ``prefix`` can head a CodeRef: non-empty, with no ``:``,
     ``|`` or whitespace."""
-    return bool(prefix) and not any(c in _PREFIX_FORBIDDEN for c in prefix)
+    return bool(prefix) and _PREFIX_FORBIDDEN.isdisjoint(prefix)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CodeRef:
     """A vocabulary code under its canonical prefix, e.g. (SNOMED, 70305005)."""
 
@@ -128,7 +128,7 @@ class CodeRef:
         return f"{self.prefix}:{self.code}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClinicalConcept:
     """One clinical vocabulary concept with its hierarchy and usage metadata."""
 
@@ -165,7 +165,7 @@ def curie_ontology(curie: str) -> str:
     return parse_curie(curie)[0].upper()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OntologyClass:
     """One ontology class with the metadata used for alignment."""
 

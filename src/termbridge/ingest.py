@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -63,7 +62,6 @@ from .core import (
 from .errors import DataError, ParseError
 from .lexical import NormalizationDictionary, canonicalize_code
 
-_CUI_RE = re.compile(r"^C\d{7}$")
 
 CONCEPT_HEADER = [
     "concept_id",
@@ -191,6 +189,16 @@ class CurationLoad:
     unknown_targets: tuple[str, ...]
 
 
+def is_cui(cui: str) -> bool:
+    """True for a UMLS CUI: ``C`` and seven decimal digits.
+
+    ``isdecimal`` accepts exactly what ``\\d`` does in a str pattern, so
+    this agrees with ``^C\\d{7}$`` on every string without a newline,
+    and lines are split on newlines before a CUI is read.
+    """
+    return len(cui) == 8 and cui[0] == "C" and cui[1:].isdecimal()
+
+
 def _read_rows(path, expected_header):
     """Yield (lineno, fields) for a TSV with a mandatory header row.
 
@@ -231,8 +239,11 @@ def _parse_reason(raw: str) -> UnmappedReason:
         raise ValueError(raw) from None
 
 
-def _load_ancestor_pairs(path):
-    """concept_id -> the ids of its ancestors."""
+def _load_ancestor_pairs(path, children):
+    """concept_id -> the ids of its ancestors, for the ids in ``children``.
+
+    Every row is validated; rows for other children are then skipped.
+    """
     pairs = defaultdict(set)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -250,7 +261,8 @@ def _load_ancestor_pairs(path):
                 raise ParseError(
                     "MALFORMED_ROW", f"self-loop ancestor for {child}", str(path), lineno
                 )
-            pairs[child].add(ancestor)
+            if child in children:
+                pairs[child].add(ancestor)
     return pairs
 
 
@@ -267,40 +279,40 @@ def load_concepts(
     not resolve to a loaded concept are dropped and counted.
     """
     dictionary = dictionary or NormalizationDictionary.empty()
-    rows: dict[int, dict] = {}
+    # concept_id -> (prefix, code, label, synonyms, domain, used, record_count, lineno)
+    rows: dict[int, tuple] = {}
     for lineno, fields in _read_rows(path, CONCEPT_HEADER):
-        raw = dict(zip(CONCEPT_HEADER, fields))
+        raw_id, vocabulary, code, label, raw_synonyms, raw_domain, raw_used, raw_count = fields
         try:
-            concept_id = int(raw["concept_id"])
-            row_domain = Domain(raw["domain"])
-            used = {"0": False, "1": True}[raw["used_in_practice"]]
-            record_count = int(raw["record_count"])
+            concept_id = int(raw_id)
+            row_domain = Domain(raw_domain)
+            used = {"0": False, "1": True}[raw_used]
+            record_count = int(raw_count)
         except (ValueError, KeyError) as exc:
             raise ParseError("MALFORMED_ROW", f"bad field value: {exc}", str(path), lineno) from None
         if domain is not None and row_domain is not domain:
             continue
         if concept_id in rows:
             raise ParseError("DUPLICATE_ID", f"concept_id {concept_id} repeated", str(path), lineno)
-        synonyms = tuple(s for s in raw["synonyms"].split("|") if s) if raw["synonyms"] else ()
-        rows[concept_id] = dict(
-            concept_id=concept_id,
-            prefix=dictionary.canonical_prefix(raw["vocabulary"]),
-            code_str=raw["concept_code"].strip(),
-            label=raw["label"],
-            synonyms=synonyms,
-            domain=row_domain,
-            used_in_practice=used,
-            record_count=record_count,
-            lineno=lineno,
+        synonyms = tuple(s for s in raw_synonyms.split("|") if s) if raw_synonyms else ()
+        rows[concept_id] = (
+            dictionary.canonical_prefix(vocabulary),
+            code.strip(),
+            label,
+            synonyms,
+            row_domain,
+            used,
+            record_count,
+            lineno,
         )
 
     ancestor_map = {}
     if ancestors_path is not None:
-        ancestor_map = _load_ancestor_pairs(ancestors_path)
+        ancestor_map = _load_ancestor_pairs(ancestors_path, rows)
 
     dangling = 0
     concepts: dict[int, ClinicalConcept] = {}
-    for concept_id, r in rows.items():
+    for concept_id, (prefix, code, label, synonyms, row_domain, used, record_count, lineno) in rows.items():
         resolved = []
         for anc in sorted(ancestor_map.get(concept_id, ())):
             if anc in rows:
@@ -308,21 +320,21 @@ def load_concepts(
             else:
                 dangling += 1
         try:
-            if r["record_count"] < 0:
-                raise ValueError(f"record_count must be >= 0: {r['record_count']}")
-            if r["used_in_practice"] and r["record_count"] == 0:
+            if record_count < 0:
+                raise ValueError(f"record_count must be >= 0: {record_count}")
+            if used and record_count == 0:
                 raise ValueError(f"concept {concept_id}: record_count 0 requires used_in_practice false")
             concepts[concept_id] = ClinicalConcept(
                 concept_id=concept_id,
-                code=CodeRef(r["prefix"], r["code_str"]),
-                label=r["label"],
-                synonyms=r["synonyms"],
-                domain=r["domain"],
-                used_in_practice=r["used_in_practice"],
+                code=CodeRef(prefix, code),
+                label=label,
+                synonyms=synonyms,
+                domain=row_domain,
+                used_in_practice=used,
                 ancestors=tuple(resolved),
             )
         except ValueError as exc:
-            raise ParseError("MALFORMED_ROW", str(exc), str(path), r["lineno"]) from None
+            raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
     return ConceptLoad(concepts=concepts, dangling_ancestors=dangling)
 
 
@@ -435,7 +447,7 @@ def load_umls(
             if len(fields) < 15:
                 raise ParseError("SHORT_ROW", f"{len(fields)} fields, need >= 15", str(mrconso_path), lineno)
             cui, sab, code = fields[0], fields[11], fields[13]
-            if not _CUI_RE.match(cui):
+            if not is_cui(cui):
                 raise ParseError("BAD_CUI", f"bad CUI {cui!r}", str(mrconso_path), lineno)
             stripped_code = code.strip()
             if not sab.strip() or not stripped_code:
@@ -465,7 +477,7 @@ def load_umls(
             if len(fields) < 4:
                 raise ParseError("SHORT_ROW", f"{len(fields)} fields, need >= 4", str(mrsty_path), lineno)
             cui, name = fields[0], fields[3]
-            if not _CUI_RE.match(cui):
+            if not is_cui(cui):
                 raise ParseError("BAD_CUI", f"bad CUI {cui!r}", str(mrsty_path), lineno)
             if cui in kept_cuis:
                 sty[cui].add(name)

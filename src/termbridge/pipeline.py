@@ -335,11 +335,7 @@ def run_map(cfg: RunConfig) -> Path:
         tok_cfg = TokenizerConfig(stopwords=stopwords, lemmatize=Lemmatize.SUFFIX_RULES)
         model = fit(build_corpus(concepts.values(), classes.values(), tok_cfg))
         pairs = score_concept_pairs(
-            model,
-            concepts.values(),
-            classes.values(),
-            routing={cid: d.allowed for cid, d in decisions.items()},
-            score_floor=cfg.tau,
+            model, routing=lambda cid: decisions[cid].allowed, score_floor=cfg.tau
         )
         del model  # the matrix is not read past scoring; free it before the cut
         # The keep-fraction cut is scoped per (domain, ontology) run.

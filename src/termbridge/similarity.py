@@ -5,18 +5,25 @@ both sides).  Weighting is pinned to tf(t,d) = raw count and
 idf(t) = ln((1 + N) / (1 + df(t))) + 1 with L2-normalized rows; the
 variant (``IDF_VARIANT``) is recorded in summary.json for reproducibility.
 
-The cosine stages never hold a table of all candidate pairs, nor one
-object per pair:
+The cosine stages hold arrays, never one Python object per string or
+per pair:
 
-* scoring joins concept rows to class rows over token postings
+* ``build_corpus`` tokenizes every string straight into a ``Corpus``:
+  token ids in first-seen order, one length per string, and each
+  string's owner as an int32 index.  Concept rows come first, in concept
+  id order, owned by indexes into the sorted concept ids; class rows
+  follow in CURIE order, owned by indexes into the sorted non-deprecated
+  CURIEs.  ``fit`` turns it into a CSR matrix, and the ``SimilarityModel``
+  keeps the two owner arrays beside it;
+* scoring joins the concept rows to the class rows over token postings
   (``join_rows``), so only string pairs sharing at least one token are
   ever evaluated; orthogonal pairs score zero and are never candidates.
   Each dot product adds its terms in ascending token order, as a CSR
   product does.  Each (concept, class) keeps the best score over its
   string pairs, found by a ``lexsort`` on ``concept * n_classes + class``.
-  Concept rows are joined in chunks that never split a concept, so each
-  chunk's maxima are final.  Routing is a concepts x ontologies boolean
-  mask;
+  Concept rows are joined in chunks of a bounded number of products that
+  never split a concept, so each chunk's maxima are final.  Routing is a
+  concepts x ontologies boolean mask;
 * each chunk is reduced as it comes (``best_pairs``): pairs under the
   floor are counted and dropped, each (concept, ontology) keeps its best
   pair, and the other pairs leave only their scores, per ontology in
@@ -41,8 +48,9 @@ for loading it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, pairwise
 
 from .core import curie_ontology
 from .errors import DataError
@@ -88,14 +96,43 @@ class CsrMatrix:
         return len(self.data)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Every label and synonym string of both sides, tokenized into arrays.
+
+    String d's tokens are the next ``lengths[d]`` entries of
+    ``token_ids``; a token id indexes ``tokens``, which lists each token
+    once, in first-seen order.  The first ``len(concept_owner)`` strings
+    are concept rows and ``concept_owner`` gives each one's index into
+    ``concept_ids``; the class rows follow and ``class_owner`` gives each
+    one's index into ``curies``.  Both owner arrays are ascending.  The
+    length is the number of strings.
+    """
+
+    tokens: tuple[str, ...]
+    token_ids: np.ndarray
+    lengths: np.ndarray
+    concept_ids: np.ndarray
+    curies: tuple[str, ...]
+    concept_owner: np.ndarray
+    class_owner: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+
+@dataclass(frozen=True, eq=False)
 class SimilarityModel:
-    """The fitted TF-IDF matrix; ``rows`` holds each row's owner, a concept
-    id (int) or a class CURIE (str)."""
+    """The fitted TF-IDF matrix, one row per corpus string in corpus order,
+    with the corpus's owners: the first ``len(concept_owner)`` rows are
+    concept rows, the rest class rows (see ``Corpus``)."""
 
     vocabulary: dict[str, int]
     matrix: CsrMatrix
-    rows: tuple[int | str, ...]
+    concept_ids: np.ndarray
+    curies: tuple[str, ...]
+    concept_owner: np.ndarray
+    class_owner: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,87 +168,114 @@ class BestPairs:
 
 
 class _WordTokens(dict):
-    """word -> its tokens, computed on first use."""
+    """word -> its token ids, tokenized on first use.  ``ids`` numbers each
+    token the first time a word yields it."""
 
     def __init__(self, cfg: TokenizerConfig):
         super().__init__()
         self.cfg = cfg
+        self.ids: dict[str, int] = {}
 
-    def __missing__(self, word: str) -> tuple[str, ...]:
-        tokens = self[word] = tuple(tokenize(word, self.cfg))
-        return tokens
+    def __missing__(self, word: str) -> tuple[int, ...]:
+        ids = self.ids
+        token_ids = self[word] = tuple(
+            ids.setdefault(token, len(ids)) for token in tokenize(word, self.cfg)
+        )
+        return token_ids
 
 
-def build_corpus(concepts, classes, cfg: TokenizerConfig):
-    """(owner, tokens) for every label and synonym string on both sides.
+def build_corpus(concepts, classes, cfg: TokenizerConfig) -> Corpus:
+    """Every label and synonym string on both sides, tokenized into a ``Corpus``.
 
-    The owner is the concept id or the class CURIE.  Order is
-    deterministic: concepts sorted by id then label-first,
-    classes sorted by CURIE likewise.  Tokens are memoized per word: a
-    normalized string is single-space separated and no token spans a
-    space, so a string's tokens are its words' tokens in order.
+    Concepts are taken in id order, then the non-deprecated classes in
+    CURIE order; each owner's label comes before its synonyms.  Tokens
+    are memoized per word: a normalized string is single-space separated
+    and no token spans a space, so a string's tokens are its words'
+    tokens in order.
     """
+    import numpy as np
+
     words = _WordTokens(cfg)
+    token_ids = array("i")
+    lengths = array("i")
 
-    def tokens_of(norm: str) -> tuple[str, ...]:
-        return tuple(chain.from_iterable(map(words.__getitem__, norm.split(" "))))
+    def add(owners: array, owner: int, texts) -> None:
+        for text in texts:
+            before = len(token_ids)
+            text_words = normalize_string(text).split(" ")
+            token_ids.extend(chain.from_iterable(map(words.__getitem__, text_words)))
+            lengths.append(len(token_ids) - before)
+            owners.append(owner)
 
-    docs = []
-    for concept in sorted(concepts, key=lambda c: c.concept_id):
-        for text in (concept.label, *concept.synonyms):
-            docs.append((concept.concept_id, tokens_of(normalize_string(text))))
-    for cls in sorted(classes, key=lambda k: k.curie):
-        if cls.deprecated:
-            continue
-        for text in (cls.label, *cls.synonyms):
-            docs.append((cls.curie, tokens_of(normalize_string(text))))
-    return docs
+    concept_ids, concept_owner = [], array("i")
+    for i, concept in enumerate(sorted(concepts, key=lambda c: c.concept_id)):
+        concept_ids.append(concept.concept_id)
+        add(concept_owner, i, (concept.label, *concept.synonyms))
+    curies, class_owner = [], array("i")
+    for i, cls in enumerate(sorted((k for k in classes if not k.deprecated), key=lambda k: k.curie)):
+        curies.append(cls.curie)
+        add(class_owner, i, (cls.label, *cls.synonyms))
+
+    return Corpus(
+        tokens=tuple(words.ids),
+        token_ids=np.array(token_ids, dtype=np.int32),
+        lengths=np.array(lengths, dtype=np.int64),
+        concept_ids=np.array(concept_ids, dtype=np.int64),
+        curies=tuple(curies),
+        concept_owner=np.array(concept_owner, dtype=np.int32),
+        class_owner=np.array(class_owner, dtype=np.int32),
+    )
 
 
-def fit(docs) -> SimilarityModel:
-    """Learn the TF-IDF model over tokenized documents.
+def fit(corpus: Corpus) -> SimilarityModel:
+    """Learn the TF-IDF model over a tokenized corpus.
 
     Rows for strings that produced no tokens stay as zero vectors; every
     other row has unit Euclidean norm.
     """
     import numpy as np
 
-    if not docs:
+    n_docs = len(corpus)
+    if not n_docs:
         raise DataError("EMPTY_CORPUS", "no documents to fit")
-    n_docs = len(docs)
-    lengths = np.fromiter((len(tokens) for _, tokens in docs), dtype=np.int64, count=n_docs)
-    first_seen: dict[str, int] = {}
-    token_ids = np.fromiter(
-        (first_seen.setdefault(t, len(first_seen)) for _, tokens in docs for t in tokens),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    vocabulary = {token: i for i, token in enumerate(sorted(first_seen))}
+    vocabulary = {token: i for i, token in enumerate(sorted(corpus.tokens))}
     n_vocab = len(vocabulary)
-    column_of = np.fromiter((vocabulary[t] for t in first_seen), dtype=np.int64, count=n_vocab)
+    column_of = np.fromiter((vocabulary[t] for t in corpus.tokens), dtype=np.int64, count=n_vocab)
 
-    # One cell per (document, column), in row-major order; its count is the tf.
-    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    cells, counts = np.unique(doc_of * n_vocab + column_of[token_ids], return_counts=True)
-    cell_doc, indices = np.divmod(cells, n_vocab)
-    indices = indices.astype(np.int32)
+    # One cell per (document, column), in row-major order; its count is the
+    # tf.  The cells are sorted in place, where np.unique would copy them.
+    cells = np.repeat(np.arange(n_docs, dtype=np.int64) * n_vocab, corpus.lengths)
+    cells += column_of[corpus.token_ids]
+    cells.sort()
+    first = np.flatnonzero(_first_of_runs(cells))
+    counts = np.diff(first, append=len(cells))
+    cells = cells[first]
+    del first
+    indices = (cells % n_vocab).astype(np.int32)
+    indptr = np.searchsorted(cells, np.arange(n_docs + 1, dtype=np.int64) * n_vocab)
+    del cells
     df = np.bincount(indices, minlength=n_vocab)
     idf = np.array([math.log((1.0 + n_docs) / (1.0 + d)) + 1.0 for d in df.tolist()])
     data = counts * idf[indices]
+    del counts
 
-    indptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cell_doc, minlength=n_docs), out=indptr[1:])
     # Each norm is np.dot over its own row: summing squares any other way
     # (a bincount, say) rounds differently in the last bit for some rows.
-    bounds = indptr.tolist()
-    norms = np.array(
-        [math.sqrt(float(np.dot(row := data[a:b], row))) for a, b in zip(bounds, bounds[1:])]
+    # The row bounds are read through a memoryview, so no list of them is made.
+    norms = np.fromiter(
+        (math.sqrt(float(np.dot(row := data[a:b], row))) for a, b in pairwise(memoryview(indptr))),
+        dtype=np.float64,
+        count=n_docs,
     )
     data /= np.repeat(norms, np.diff(indptr))
 
-    matrix = CsrMatrix(data, indices, indptr, (n_docs, n_vocab))
     return SimilarityModel(
-        vocabulary=vocabulary, matrix=matrix, rows=tuple(owner for owner, _ in docs)
+        vocabulary=vocabulary,
+        matrix=CsrMatrix(data, indices, indptr, (n_docs, n_vocab)),
+        concept_ids=corpus.concept_ids,
+        curies=corpus.curies,
+        concept_owner=corpus.concept_owner,
+        class_owner=corpus.class_owner,
     )
 
 
@@ -233,15 +297,16 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
-def join_rows(matrix: CsrMatrix, left_rows, left_owner, right_rows, chunk_products: int):
-    """Dot products of left rows with the right rows that share a token.
+def join_rows(matrix: CsrMatrix, left_owner, chunk_products: int):
+    """Dot products of the left rows with the right rows that share a token.
 
-    Yields one ``(left, right, dot)`` triple of arrays per chunk of left
-    rows: ``left`` and ``right`` index ``left_rows`` and ``right_rows``,
-    pairs come in (left, right) order and zero dot products are left out.
-    ``left_owner`` (sorted) gives each left row's owner; a chunk never
-    splits an owner's rows and holds about ``chunk_products`` products
-    unless one owner needs more.
+    The left rows are the matrix's first ``len(left_owner)`` rows and the
+    right rows are the rest.  Yields one ``(left, right, dot)`` triple of
+    arrays per chunk of left rows: ``left`` and ``right`` count from the
+    first left and the first right row, pairs come in (left, right) order
+    and zero dot products are left out.  ``left_owner`` (ascending) gives
+    each left row's owner; a chunk never splits an owner's rows and holds
+    about ``chunk_products`` products unless one owner needs more.
 
     Each dot product adds its products one at a time in ascending token
     order, starting from 0.0, as a CSR by CSR product does.  The right
@@ -253,30 +318,28 @@ def join_rows(matrix: CsrMatrix, left_rows, left_owner, right_rows, chunk_produc
     import numpy as np
 
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    n_right = len(right_rows)
+    n_left = len(left_owner)
+    n_right = matrix.shape[0] - n_left
+    split = int(indptr[n_left])
 
-    counts = indptr[right_rows + 1] - indptr[right_rows]
-    nonzeros = _ranges(indptr[right_rows], counts)
-    tokens = indices[nonzeros]
+    tokens = indices[split:]
     by_token = np.argsort(tokens, kind="stable")
-    posting_right = np.repeat(np.arange(n_right, dtype=np.int32), counts)[by_token]
-    posting_value = data[nonzeros][by_token]
+    posting_right = np.repeat(np.arange(n_right, dtype=np.int32), np.diff(indptr[n_left:]))[by_token]
+    posting_value = data[split:][by_token]
+    del by_token
     posting_start = np.zeros(matrix.shape[1] + 1, dtype=np.int64)
     np.cumsum(np.bincount(tokens, minlength=matrix.shape[1]), out=posting_start[1:])
 
-    counts = indptr[left_rows + 1] - indptr[left_rows]
-    nonzeros = _ranges(indptr[left_rows], counts)
-    tokens = indices[nonzeros]
-    values = data[nonzeros]
+    tokens, values = indices[:split], data[:split]
+    row_start = indptr[:n_left + 1]
+    counts = np.diff(row_start)
     fanout = posting_start[tokens + 1] - posting_start[tokens]
-    row_start = np.zeros(len(left_rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_start[1:])
-    products_before = np.zeros(len(fanout) + 1, dtype=np.int64)
+    products_before = np.zeros(split + 1, dtype=np.int64)
     np.cumsum(fanout, out=products_before[1:])
     products_before = products_before[row_start]
 
     start = 0
-    while start < len(left_rows):
+    while start < n_left:
         budget = products_before[start] + chunk_products
         stop = max(start + 1, int(np.searchsorted(products_before, budget, side="right")) - 1)
         end = int(np.searchsorted(left_owner, left_owner[stop - 1], side="right"))
@@ -302,64 +365,44 @@ def join_rows(matrix: CsrMatrix, left_rows, left_owner, right_rows, chunk_produc
 
 def score_concept_pairs(
     model: SimilarityModel,
-    concepts,
-    classes,
     routing=None,
     score_floor: float = 0.0,
-    chunk_products: int = 1 << 15,
+    chunk_products: int = 1 << 13,
 ) -> BestPairs:
     """Best cosine per (concept, class) pair over all their string rows,
     reduced chunk by chunk to each (concept, ontology)'s best pair.
 
-    ``routing`` maps concept_id -> allowed ontology keys; pairs outside it
-    are skipped.  Only pairs sharing at least one token are candidates
-    (all other scores are exactly zero).  Scores are clamped to 1.0, and
+    ``routing``, when given, is called once per concept id and returns
+    the ontology keys that concept may target; pairs outside them are
+    skipped.  Only pairs sharing at least one token are candidates (all
+    other scores are exactly zero).  Scores are clamped to 1.0, and
     candidates under ``score_floor`` are counted but not kept (see
     ``best_pairs``).  ``chunk_products`` bounds the string products held
     at once (see ``join_rows``).
     """
     import numpy as np
 
-    concept_ids = sorted({c.concept_id for c in concepts})
-    ontology_of = {k.curie: curie_ontology(k.curie) for k in classes if not k.deprecated}
-    curies = sorted(ontology_of)
-    ontologies = sorted(set(ontology_of.values()))
-    concept_index = {cid: i for i, cid in enumerate(concept_ids)}
-    class_index = {curie: i for i, curie in enumerate(curies)}
+    concept_ids, curies = model.concept_ids, model.curies
+    class_key = [curie_ontology(curie) for curie in curies]
+    ontologies = sorted(set(class_key))
     ontology_index = {o: i for i, o in enumerate(ontologies)}
-    class_ontology = np.array([ontology_index[ontology_of[c]] for c in curies], dtype=np.int32)
-
-    # An owner is a concept id (int) or a CURIE (str), so at most one index holds it.
-    clin_rows, clin_owner, onto_rows, onto_owner = [], [], [], []
-    for i, owner in enumerate(model.rows):
-        if (j := concept_index.get(owner)) is not None:
-            clin_rows.append(i)
-            clin_owner.append(j)
-        elif (j := class_index.get(owner)) is not None:
-            onto_rows.append(i)
-            onto_owner.append(j)
+    class_ontology = np.fromiter(
+        map(ontology_index.__getitem__, class_key), dtype=np.int32, count=len(curies)
+    )
+    del class_key
 
     allowed = None
     if routing is not None:
         allowed = np.zeros((len(concept_ids), len(ontologies)), dtype=bool)
-        for cid, keys in routing.items():
-            i = concept_index.get(cid)
-            if i is not None:
-                for key in keys:
-                    if key in ontology_index:
-                        allowed[i, ontology_index[key]] = True
+        for i, concept_id in enumerate(map(int, concept_ids)):
+            for key in routing(concept_id):
+                if key in ontology_index:
+                    allowed[i, ontology_index[key]] = True
 
     def maxima():
         """Each chunk's (concept, class) maxima, in (concept, class) order."""
-        # Group each concept's rows together; within a concept, row order stays.
-        order = np.argsort(np.array(clin_owner, dtype=np.int32), kind="stable")
-        left_rows = np.array(clin_rows, dtype=np.int64)[order]
-        left_owner = np.array(clin_owner, dtype=np.int32)[order]
-        right_rows = np.array(onto_rows, dtype=np.int64)
-        right_owner = np.array(onto_owner, dtype=np.int32)
-        for left, right, score in join_rows(
-            model.matrix, left_rows, left_owner, right_rows, chunk_products
-        ):
+        left_owner, right_owner = model.concept_owner, model.class_owner
+        for left, right, score in join_rows(model.matrix, left_owner, chunk_products):
             concept, cls = left_owner[left], right_owner[right]
             if allowed is not None:
                 keep = allowed[concept, class_ontology[cls]]
@@ -370,9 +413,8 @@ def score_concept_pairs(
             yield concept[best], cls[best], np.minimum(score[best], 1.0)
 
     return best_pairs(
-        maxima() if clin_rows and onto_rows else (),
-        np.array(concept_ids, dtype=np.int64), tuple(curies), class_ontology,
-        tuple(ontologies), score_floor,
+        maxima() if len(model.concept_owner) and len(model.class_owner) else (),
+        concept_ids, curies, class_ontology, tuple(ontologies), score_floor,
     )
 
 
@@ -392,7 +434,9 @@ def best_pairs(chunks, concept_ids, curies, class_ontology, ontologies, score_fl
     n_ontologies = len(ontologies)
     empty = np.zeros(0, dtype=np.int32)
     winners = [(empty, empty, empty, np.zeros(0), np.zeros(0, dtype=np.int64))]
-    scores: list[list] = [[] for _ in range(n_ontologies)]
+    # Each ontology's scores grow in one buffer, so no list of chunk pieces
+    # is concatenated, and held twice, at the end.
+    scores = [array("d") for _ in range(n_ontologies)]
     above_before = np.zeros(n_ontologies, dtype=np.int64)
     pairs = 0
     for concept, cls, score in chunks:
@@ -415,7 +459,7 @@ def best_pairs(chunks, concept_ids, curies, class_ontology, ontologies, score_fl
             (concept[at], cls[at], won, score[at], above_before[won] + at - start[won])
         )
         for o in np.flatnonzero(count).tolist():
-            scores[o].append(score[start[o]:start[o] + count[o]])
+            scores[o].frombytes(score[start[o]:start[o] + count[o]].tobytes())
         above_before += count
 
     concept, cls, ontology, score, offset = (np.concatenate(c) for c in zip(*winners))
@@ -429,7 +473,7 @@ def best_pairs(chunks, concept_ids, curies, class_ontology, ontologies, score_fl
         ontology=ontology,
         score=score,
         offset=offset,
-        scores=tuple(np.concatenate(s) if s else np.zeros(0) for s in scores),
+        scores=tuple(np.frombuffer(s, dtype=np.float64) for s in scores),
         pairs=pairs,
     )
 

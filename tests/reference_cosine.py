@@ -32,13 +32,21 @@ def _dot(a, b):
     return total
 
 
+def row_owners(model):
+    """Each model row's owner: a concept id (int) for the concept rows,
+    which come first, then a CURIE (str) for the class rows."""
+    return [int(model.concept_ids[i]) for i in model.concept_owner.tolist()] + [
+        model.curies[i] for i in model.class_owner.tolist()
+    ]
+
+
 def cosine_scores(model, allowed):
     """{(concept_id, curie): clamped best score} for routed pairs sharing a token.
 
     ``allowed`` maps concept_id -> the ontology keys it may target.
     """
     rows = defaultdict(list)
-    for i, owner in enumerate(model.rows):
+    for i, owner in enumerate(row_owners(model)):
         rows[owner].append(_row(model, i))
     # A concept row's owner is its id (int); a class row's is its CURIE (str).
     concept_ids = sorted(owner for owner in rows if isinstance(owner, int))

@@ -35,8 +35,8 @@ from reference_coverage import site_table
 from test_align import oracle_align, random_fixture
 from test_similarity import (
     ScoredPair,
-    _owners,
     best_pairs_of,
+    corpus_of,
     dense_best_scores,
     doc,
     pair_scores,
@@ -201,14 +201,13 @@ def test_criterion_4_similarity_oracle():
             docs.append(doc(f"HP:{k:07d}", " ".join(tokens), tokens))
         assert len(docs) <= 200
 
-        model = fit(docs)
+        model = fit(corpus_of(docs))
         matrix = scipy_matrix(model)
         norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
         nonzero = norms > 0
         assert np.all(np.abs(norms[nonzero] - 1.0) <= 1e-9)
 
-        concepts, classes = _owners(docs)
-        got = scored_like(model, concepts, classes, pair_scores(model))
+        got = scored_like(model, pair_scores(model))
         oracle = dense_best_scores(docs)
         for key, score in oracle.items():
             if score > 0:

@@ -1,6 +1,8 @@
 """Domain type invariants: category display, logic grammar, record validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termbridge.core import (
     ClinicalConcept,
@@ -19,6 +21,7 @@ from termbridge.core import (
     ResultType,
     UnmappedReason,
     canonical_evidence,
+    is_code_prefix,
     parse_logic,
     render_category,
     validate_record,
@@ -207,6 +210,29 @@ class TestCodeRef:
     def test_empty_code(self):
         with pytest.raises(ValueError):
             CodeRef("SNOMED", "")
+
+    @settings(derandomize=True, max_examples=500)
+    @given(st.one_of(st.text(alphabet="AZaz09_-:| \t\r\n\v\f\x1c\u00a0\u2028", max_size=8), st.text(max_size=8)))
+    def test_prefix_check_agrees_with_a_per_character_scan(self, prefix):
+        forbidden = set(":|") | set(" \t\r\n\v\f")
+        expected = bool(prefix) and not any(c in forbidden for c in prefix)
+        assert is_code_prefix(prefix) == expected
+
+
+class TestSlottedTypes:
+    """The per-row types carry no ``__dict__``: one is made per concept, class and code."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            CodeRef("SNOMED", "1"),
+            ClinicalConcept(1, CodeRef("SNOMED", "1"), "x", (), Domain.CONDITION, True),
+            OntologyClass(curie="HP:0000001", ontology="HP", label="x"),
+        ],
+        ids=["CodeRef", "ClinicalConcept", "OntologyClass"],
+    )
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
 
 
 class TestClinicalConcept:

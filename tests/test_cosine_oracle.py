@@ -220,14 +220,12 @@ def test_scoring_in_small_chunks_matches_reference(case, chunk_products):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _write_inputs(root, concepts, classes, rules)
-        loaded, loaded_classes, model = _model(root)
+        model = _model(root)[2]
     allowed = _allowed(concepts, classes, rules)
     scores = cosine_scores(model, allowed)
     scored = score_concept_pairs(
         model,
-        loaded.values(),
-        loaded_classes.values(),
-        routing=allowed,
+        routing=allowed.__getitem__,
         score_floor=tau,
         chunk_products=chunk_products,
     )

@@ -3,12 +3,13 @@ the streaming-memory bound for the big pipe-delimited tables, and the
 concept-first UMLS filter against a projection over every key."""
 
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from termbridge.align import CuiBridge, enrich_concepts
@@ -16,6 +17,7 @@ from termbridge.core import ClinicalConcept, CodeRef, Domain
 from termbridge.errors import ParseError
 from termbridge.ingest import (
     CONCEPT_HEADER,
+    is_cui,
     load_concepts,
     load_curation,
     load_ontology_dump,
@@ -154,6 +156,39 @@ class TestLoadConcepts:
             load_concepts(path, ancestors_path=anc)
         assert err.value.code == "MALFORMED_ROW"
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["2\t1\t5", "x\t1", "2\t", "2\t2", "999\t999"],
+        ids=["three_columns", "non_integer_child", "blank_ancestor", "self_loop", "unknown_self_loop"],
+    )
+    def test_malformed_ancestor_row_of_unloaded_child_fails_on_its_line(self, tmp_path, bad_row):
+        # Concept 2 is in another domain and 999 is in no row: their
+        # ancestor rows are not kept, but each is still checked.
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n2\tRXNORM\ty\tB\t\tDRUG\t1\t3\n"
+        )
+        anc = tmp_path / "a.tsv"
+        anc.write_text("concept_id\tancestor_concept_id\n1\t2\n" + bad_row + "\n3\t1\n")
+        with pytest.raises(ParseError) as err:
+            load_concepts(path, domain=Domain.CONDITION, ancestors_path=anc)
+        assert (err.value.code, err.value.line) == ("MALFORMED_ROW", 3)
+
+    def test_dangling_counts_only_loaded_children(self, tmp_path):
+        # Loaded: 1 and 3.  Concept 1's ancestors 2 (another domain) and 999
+        # (no row; listed twice) dangle; the rows of children 2 and 999,
+        # which are not loaded, count for nothing.
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n2\tRXNORM\ty\tB\t\tDRUG\t1\t3\n"
+            + "3\tSNOMED\tz\tC\t\tCONDITION\t1\t3\n"
+        )
+        anc = tmp_path / "a.tsv"
+        anc.write_text("1\t2\n1\t999\n1\t999\n2\t1\n2\t3\n3\t1\n999\t998\n")
+        load = load_concepts(path, domain=Domain.CONDITION, ancestors_path=anc)
+        assert {cid: c.ancestors for cid, c in load.concepts.items()} == {1: (), 3: (1,)}
+        assert load.dangling_ancestors == 2
 
     def test_zero_count_used_concept_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -312,6 +347,69 @@ def _mrconso_line(cui, sab, code, text):
     fields = [""] * 18
     fields[0], fields[11], fields[13], fields[14] = cui, sab, code, text
     return "|".join(fields) + "|"
+
+
+_CUI_PATTERN = re.compile(r"^C\d{7}$")
+
+# Decimal digits outside ASCII (Arabic-Indic, Devanagari, fullwidth) match
+# both checks; superscript two and the vulgar fraction are digits or
+# numerals without being decimal, so both reject them.
+_CUI_CHARS = "C0123456789c \t|\u0663\u0967\uff15\u00b2\u00bd\u2460x"
+
+
+class TestCuiCheck:
+    @settings(derandomize=True, max_examples=500)
+    @given(
+        st.one_of(
+            st.text(alphabet=_CUI_CHARS, max_size=10),
+            st.text(alphabet=_CUI_CHARS[1:11] + "\u0663\u00b2", min_size=7, max_size=7).map("C".__add__),
+            st.text(max_size=10),
+        )
+    )
+    def test_agrees_with_the_pattern(self, cui):
+        # A trailing newline, which ``$`` would allow, never reaches the
+        # check: MRCONSO and MRSTY lines are split on newlines first.
+        assume("\n" not in cui)
+        assert is_cui(cui) == bool(_CUI_PATTERN.match(cui))
+
+    @pytest.mark.parametrize(
+        "cui, ok",
+        [
+            ("C0000001", True),
+            ("C\u0661\u0662\u0663\u0664\u0665\u0666\u0667", True),
+            ("C000000\u00b2", False),
+            ("C000000", False),
+            ("C00000001", False),
+            ("c0000001", False),
+            ("C000000 ", False),
+        ],
+    )
+    def test_boundaries(self, cui, ok):
+        assert is_cui(cui) is ok
+        assert bool(_CUI_PATTERN.match(cui)) is ok
+
+    @pytest.mark.parametrize("which", ["mrconso", "mrsty"])
+    def test_loader_verdicts(self, tmp_path, which):
+        arabic = "C\u0661\u0662\u0663\u0664\u0665\u0666\u0667"
+        conso = tmp_path / "MRCONSO.RRF"
+        sty = tmp_path / "MRSTY.RRF"
+        if which == "mrconso":
+            conso.write_text(
+                _mrconso_line(arabic, "SNOMEDCT_US", "1", "kept") + "\n"
+                + _mrconso_line("C000000\u00b2", "SNOMEDCT_US", "1", "t") + "\n",
+                encoding="utf-8",
+            )
+            sty.write_text("")
+        else:
+            conso.write_text(_mrconso_line(arabic, "SNOMEDCT_US", "1", "kept") + "\n", encoding="utf-8")
+            sty.write_text(
+                arabic + "|T033|A1.2|Finding|AT001|256|\nC000000\u00b2|T033|A1.2|Finding|AT001|256|\n",
+                encoding="utf-8",
+            )
+        with pytest.raises(ParseError) as err:
+            load_umls(conso, sty, {("SNOMED", "1")}, _dict())
+        path = conso if which == "mrconso" else sty
+        assert (err.value.code, err.value.path, err.value.line) == ("BAD_CUI", str(path), 2)
 
 
 class TestLoadUmls:

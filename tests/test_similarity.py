@@ -11,6 +11,7 @@ from scipy import sparse
 
 from termbridge.errors import DataError
 from termbridge.similarity import (
+    Corpus,
     ScoredPair,
     SimilarityConfig,
     best_pairs,
@@ -23,7 +24,7 @@ from termbridge.similarity import (
 )
 from termbridge.lexical import TokenizerConfig
 
-from reference_cosine import cosine_winners, kept_pairs, winner_dict
+from reference_cosine import cosine_winners, kept_pairs, row_owners, winner_dict
 from test_align import concept, klass
 from termbridge.core import CodeRef, curie_ontology
 
@@ -32,6 +33,40 @@ def doc(owner, text, tokens=None):
     """One document: a concept's (int owner) or a class's (CURIE owner) string."""
     tokens = tuple(text.split()) if tokens is None else tuple(tokens)
     return (owner, tokens)
+
+
+def corpus_of(docs):
+    """A ``Corpus`` of (owner, tokens) documents, laid out as ``build_corpus``
+    lays out its own: concept rows by id, then class rows by CURIE, each
+    owner's rows in the order given."""
+    concept_docs = sorted((d for d in docs if isinstance(d[0], int)), key=lambda d: d[0])
+    class_docs = sorted((d for d in docs if isinstance(d[0], str)), key=lambda d: d[0])
+    concept_ids = sorted({owner for owner, _ in concept_docs})
+    curies = sorted({owner for owner, _ in class_docs})
+    ordered = concept_docs + class_docs
+    ids = {}
+    token_ids = [ids.setdefault(t, len(ids)) for _, tokens in ordered for t in tokens]
+    return Corpus(
+        tokens=tuple(ids),
+        token_ids=np.array(token_ids, dtype=np.int32),
+        lengths=np.array([len(tokens) for _, tokens in ordered], dtype=np.int64),
+        concept_ids=np.array(concept_ids, dtype=np.int64),
+        curies=tuple(curies),
+        concept_owner=np.array([concept_ids.index(o) for o, _ in concept_docs], dtype=np.int32),
+        class_owner=np.array([curies.index(o) for o, _ in class_docs], dtype=np.int32),
+    )
+
+
+def documents(corpus):
+    """A ``Corpus``'s (owner, tokens) documents, in corpus order."""
+    ends = np.cumsum(corpus.lengths).tolist()
+    starts = [end - n for end, n in zip(ends, corpus.lengths.tolist())]
+    owners = [int(corpus.concept_ids[i]) for i in corpus.concept_owner.tolist()]
+    owners += [corpus.curies[i] for i in corpus.class_owner.tolist()]
+    return [
+        (owner, tuple(corpus.tokens[t] for t in corpus.token_ids[a:b].tolist()))
+        for owner, a, b in zip(owners, starts, ends)
+    ]
 
 
 def best_pairs_of(pairs, score_floor=0.0, chunk_concepts=1):
@@ -76,29 +111,21 @@ def fused_cut(pairs, cfg, chunk_concepts=1):
 def pair_scores(model, routing=None):
     """{(concept_id, curie): clamped best score} for every routed pair of
     owners sharing a token, from ``join_rows``' string pairs."""
-    clinical = sorted((owner, i) for i, owner in enumerate(model.rows) if isinstance(owner, int))
-    classes = [(owner, i) for i, owner in enumerate(model.rows) if isinstance(owner, str)]
-    owners = sorted({owner for owner, _ in clinical})
-    left_owner = np.array([owners.index(owner) for owner, _ in clinical], dtype=np.int64)
+    owners = row_owners(model)
+    n_left = len(model.concept_owner)
     scores = {}
-    for left, right, dot in join_rows(
-        model.matrix,
-        np.array([i for _, i in clinical], dtype=np.int64),
-        left_owner,
-        np.array([i for _, i in classes], dtype=np.int64),
-        1 << 15,
-    ):
+    for left, right, dot in join_rows(model.matrix, model.concept_owner, 1 << 15):
         for a, b, score in zip(left.tolist(), right.tolist(), dot.tolist()):
-            key = (clinical[a][0], classes[b][0])
+            key = (owners[a], owners[n_left + b])
             if routing is None or curie_ontology(key[1]) in routing[key[0]]:
                 scores[key] = min(max(scores.get(key, 0.0), score), 1.0)
     return scores
 
 
-def scored_like(model, concepts, classes, scores, routing=None):
+def scored_like(model, scores, routing=None):
     """Check that ``score_concept_pairs`` counts the pairs of ``scores``
     and that its winners are their argmax; return ``scores``."""
-    scored = score_concept_pairs(model, concepts, classes, routing)
+    scored = score_concept_pairs(model, None if routing is None else routing.__getitem__)
     assert len(scored) == len(scores)
     assert winners_of(best_per_concept(scored)) == cosine_winners(scores, 0.0, 1.0)
     return scores
@@ -159,22 +186,24 @@ def dense_best_scores(docs):
 
 class TestFit:
     def test_single_document_equal_weights(self):
-        model = fit([doc(1, "throat pain")])
+        model = fit(corpus_of([doc(1, "throat pain")]))
         row = scipy_matrix(model).toarray()[0]
         assert row == pytest.approx([1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_identical_documents_identical_rows(self):
-        model = fit([doc(1, "a b c"), doc(2, "a b c")])
+        model = fit(corpus_of([doc(1, "a b c"), doc(2, "a b c")]))
         dense = scipy_matrix(model).toarray()
         assert np.array_equal(dense[0], dense[1])
 
     def test_three_document_hand_oracle(self):
         model = fit(
-            [
-                doc(1, "a b"),
-                doc(2, "a c"),
-                doc(3, "a"),
-            ]
+            corpus_of(
+                [
+                    doc(1, "a b"),
+                    doc(2, "a c"),
+                    doc(3, "a"),
+                ]
+            )
         )
         # N=3; df(a)=3 -> idf 1; df(b)=df(c)=1 -> idf ln(2)+1
         k = math.log(2.0) + 1.0
@@ -191,11 +220,11 @@ class TestFit:
 
     def test_empty_corpus(self):
         with pytest.raises(DataError) as err:
-            fit([])
+            fit(corpus_of([]))
         assert err.value.code == "EMPTY_CORPUS"
 
     def test_zero_token_document_is_zero_row(self):
-        model = fit([doc(1, "", tokens=()), doc(2, "a")])
+        model = fit(corpus_of([doc(1, "", tokens=()), doc(2, "a")]))
         dense = scipy_matrix(model).toarray()
         assert np.all(dense[0] == 0)
 
@@ -205,7 +234,7 @@ class TestFit:
             doc(i, "", tokens=[f"t{rng.randint(0, 30)}" for _ in range(rng.randint(1, 6))])
             for i in range(150)
         ]
-        model = fit(docs)
+        model = fit(corpus_of(docs))
         matrix = scipy_matrix(model)
         norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
         assert np.all(np.abs(norms - 1.0) < 1e-9)
@@ -224,39 +253,29 @@ def _two_sided_docs():
     ]
 
 
-def _owners(docs):
-    concepts = [concept(owner, CodeRef("SNOMED", str(owner)), "x")
-                for owner, _ in docs if isinstance(owner, int)]
-    classes = [klass(owner, "x") for owner, _ in docs if isinstance(owner, str)]
-    return concepts, classes
-
-
 class TestScoreConceptPairs:
     def test_identical_strings_score_one(self):
         docs = _two_sided_docs()
-        concepts, classes = _owners(docs)
-        model = fit(docs)
-        pairs = scored_like(model, concepts, classes, pair_scores(model))
+        model = fit(corpus_of(docs))
+        pairs = scored_like(model, pair_scores(model))
         assert pairs[(1, "HP:0000002")] == pytest.approx(1.0, abs=1e-12)
 
     def test_token_disjoint_pairs_absent(self):
         docs = _two_sided_docs()
-        concepts, classes = _owners(docs)
-        model = fit(docs)
-        keys = set(scored_like(model, concepts, classes, pair_scores(model)))
+        model = fit(corpus_of(docs))
+        keys = set(scored_like(model, pair_scores(model)))
         assert (2, "HP:0000001") not in keys  # no shared token -> cosine 0
         assert (1, "MONDO:0000003") not in keys
 
     def test_cosine_zero_for_disjoint_rows(self):
         docs = _two_sided_docs()
-        model = fit(docs)
+        model = fit(corpus_of(docs))
         assert score_pair_strings(model, 1, 2) == 0.0
 
     def test_matches_dense_oracle(self):
         docs = _two_sided_docs()
-        concepts, classes = _owners(docs)
-        model = fit(docs)
-        got = scored_like(model, concepts, classes, pair_scores(model))
+        model = fit(corpus_of(docs))
+        got = scored_like(model, pair_scores(model))
         oracle = dense_best_scores(docs)
         for key, score in got.items():
             assert score == pytest.approx(oracle[key], abs=1e-9)
@@ -266,19 +285,17 @@ class TestScoreConceptPairs:
 
     def test_routing_excludes_pairs(self):
         docs = _two_sided_docs()
-        concepts, classes = _owners(docs)
         routing = {1: frozenset({"MONDO"}), 2: frozenset({"MONDO"})}
-        model = fit(docs)
-        keys = set(scored_like(model, concepts, classes, pair_scores(model, routing), routing))
+        model = fit(corpus_of(docs))
+        keys = set(scored_like(model, pair_scores(model, routing), routing))
         assert all(curie.startswith("MONDO") for _, curie in keys)
 
     def test_scorer_ignores_alignment_results(self):
         """Embeddings exist for every concept: scoring is routing-driven only."""
         docs = _two_sided_docs()
-        concepts, classes = _owners(docs)
-        model = fit(docs)
-        full = score_concept_pairs(model, concepts, classes)
-        again = score_concept_pairs(model, concepts, classes)
+        model = fit(corpus_of(docs))
+        full = score_concept_pairs(model)
+        again = score_concept_pairs(model)
         assert len(full) == len(again)
         assert winner_dict(best_per_concept(full)) == winner_dict(best_per_concept(again))
 
@@ -294,9 +311,8 @@ class TestScoreConceptPairs:
             docs.append(
                 doc(curie, "", tokens=[f"t{rng.randint(0, 25)}" for _ in range(rng.randint(1, 5))])
             )
-        concepts, classes = _owners(docs)
-        model = fit(docs)
-        got = scored_like(model, concepts, classes, pair_scores(model))
+        model = fit(corpus_of(docs))
+        got = scored_like(model, pair_scores(model))
         oracle = dense_best_scores(docs)
         for key, score in oracle.items():
             if score > 0:
@@ -312,7 +328,7 @@ class TestCosineSymmetry:
             doc(i, "", tokens=[f"t{rng.randint(0, 12)}" for _ in range(rng.randint(1, 5))])
             for i in range(40)
         ]
-        model = fit(docs)
+        model = fit(corpus_of(docs))
         for _ in range(200):
             i, j = rng.randrange(40), rng.randrange(40)
             assert score_pair_strings(model, i, j) == pytest.approx(
@@ -349,11 +365,11 @@ def checked_join(concepts, classes, budget):
     after checking the chunks against scipy's product bit for bit."""
     docs = [doc(i, "", tokens) for i, strings in enumerate(concepts) for tokens in strings]
     docs += [doc(f"HP:{k:07d}", "", tokens) for k, tokens in enumerate(classes)]
-    model = fit(docs)
-    left_owner = np.array([owner for owner, _ in docs if isinstance(owner, int)], dtype=np.int64)
+    model = fit(corpus_of(docs))
+    left_owner = model.concept_owner
     left_rows = np.arange(len(left_owner), dtype=np.int64)
     right_rows = np.arange(len(left_owner), len(docs), dtype=np.int64)
-    chunks = list(join_rows(model.matrix, left_rows, left_owner, right_rows, budget))
+    chunks = list(join_rows(model.matrix, left_owner, budget))
 
     matrix = scipy_matrix(model)
     product = (matrix[left_rows] @ matrix[right_rows].T.tocsc()).tocsr()
@@ -528,7 +544,7 @@ class TestCorpusAndDump:
     def test_build_corpus_covers_both_sides(self):
         c = concept(1, CodeRef("SNOMED", "1"), "Sore Throat", synonyms=["Pharyngitis pain"])
         k = klass("HP:0000001", "Throat pain")
-        docs = build_corpus([c], [k], TokenizerConfig())
+        docs = documents(build_corpus([c], [k], TokenizerConfig()))
         assert [owner for owner, _ in docs] == [1, 1, "HP:0000001"]
         # the label's row comes before the synonym's
         assert [tokens for _, tokens in docs] == [
@@ -539,4 +555,5 @@ class TestCorpusAndDump:
 
     def test_deprecated_classes_skipped(self):
         k = klass("HP:0000001", "Throat pain", deprecated=True)
-        assert build_corpus([], [k], TokenizerConfig()) == []
+        corpus = build_corpus([], [k], TokenizerConfig())
+        assert len(corpus) == 0 and documents(corpus) == []
