@@ -6,13 +6,18 @@ Usage (from the repository root, Linux only):
     PYTHONPATH=src python3 scripts/stage_probe.py map --concepts C --ontology O --out DIR
 
 The arguments after the script name are a ``termbridge`` command line.
-The command runs in this interpreter with each stage function that
-``termbridge.pipeline`` looks up wrapped.  Once it returns, one line per
-stage, in the order of first call, gives the calls, the seconds spent
-inside them, VmRSS before the first call and after the last, and VmHWM
-(the peak RSS so far) after the last, both read from
-``/proc/self/status``.  ``_write_text`` is reported per output file.
-The last line gives the command's seconds and the process's peak.
+The first line gives the seconds and the VmRSS before and after that
+``import termbridge.cli`` costs.  The command then runs in this
+interpreter with each stage function that ``termbridge.pipeline`` looks
+up wrapped; a stage from a module the command has not loaded yet is
+looked up there on its first call, so the wrapping loads no module the
+command would not.  Once it returns, one line per stage, in the order of
+first call, gives the calls, the seconds spent inside them, VmRSS before
+the first call and after the last, and VmHWM (the peak RSS so far) after
+the last, both read from ``/proc/self/status``.  ``_write_text`` is
+reported per output file.  Then a line gives the command's seconds and
+the process's peak, and the last line lists the termbridge modules
+loaded.
 
 ``_parallel_map`` runs once per concept, so its memory is read only on
 its first call and at the next read made for another stage.
@@ -21,6 +26,7 @@ its first call and at the next read made for another stage.
 from __future__ import annotations
 
 import functools
+import importlib
 import sys
 import time
 from dataclasses import dataclass
@@ -111,12 +117,29 @@ class Probe:
         return wrapper
 
 
+def stage(pipeline, name):
+    """The function ``pipeline`` calls under ``name``, found without
+    loading a module that the command has not loaded."""
+    for module, names in pipeline.STAGE_NAMES.items():
+        if name in names and name not in vars(pipeline):
+            return lambda *args, **kwargs: getattr(
+                importlib.import_module(f"termbridge.{module}"), name
+            )(*args, **kwargs)
+    return getattr(pipeline, name)
+
+
 def main(argv: list[str]) -> int:
-    from termbridge import cli, pipeline
+    rss_before, _ = memory_mib()
+    started = time.perf_counter()
+    from termbridge import cli
+
+    elapsed = time.perf_counter() - started
+    print(f"import {elapsed:.3f}s rss {rss_before:.1f} -> {memory_mib()[0]:.1f} MiB")
+    from termbridge import pipeline
 
     probe = Probe()
     for name in STAGES:
-        setattr(pipeline, name, probe.wrap(name, getattr(pipeline, name)))
+        setattr(pipeline, name, probe.wrap(name, stage(pipeline, name)))
     started = time.perf_counter()
     status = cli.main(argv)
     elapsed = time.perf_counter() - started
@@ -127,6 +150,7 @@ def main(argv: list[str]) -> int:
             f" peak so far {s.hwm:.1f}"
         )
     print(f"total {elapsed:.2f}s peak {peak:.1f} MiB")
+    print("modules", " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "termbridge")))
     return status
 
 

@@ -1,6 +1,8 @@
 """Parsers for every external input.
 
 All parsers stream line by line and carry 1-based line numbers on errors.
+Files are opened by ``errors.open_text``: bytes that are not UTF-8 are a
+``BAD_ENCODING`` error naming the file and line.
 Every TSV with a header row goes through ``_read_rows``, which checks the
 header and each row's column count.  ``load_prevalence`` folds its rows
 as it reads them, and ``load_mappings`` and ``load_patient_phenotypes``
@@ -59,7 +61,7 @@ from .core import (
     UnmappedReason,
     is_code_prefix,
 )
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, open_text
 from .lexical import NormalizationDictionary, canonicalize_code
 
 
@@ -204,7 +206,7 @@ def _read_rows(path, expected_header):
 
     Every row must have exactly as many columns as the header.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         if not header:
             raise ParseError("MISSING_COLUMN", "empty file, header required", str(path), 1)
@@ -245,7 +247,7 @@ def _load_ancestor_pairs(path, children):
     Every row is validated; rows for other children are then skipped.
     """
     pairs = defaultdict(set)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line or (lineno == 1 and line.startswith("concept_id")):
@@ -363,7 +365,7 @@ def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) 
     """
     dictionary = dictionary or NormalizationDictionary.empty()
     classes: dict[str, OntologyClass] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -435,7 +437,7 @@ def load_umls(
     """
     prefixes: dict[str, str] = {}
     cuis: dict[tuple[str, str], set[str]] = defaultdict(set)
-    with open(mrconso_path, encoding="utf-8") as fh:
+    with open_text(mrconso_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
@@ -466,7 +468,7 @@ def load_umls(
     kept_cuis = set().union(*cuis.values())
 
     sty: dict[str, set[str]] = defaultdict(set)
-    with open(mrsty_path, encoding="utf-8") as fh:
+    with open_text(mrsty_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
@@ -690,7 +692,7 @@ def load_mappings(path):
 def load_id_list(path) -> set[int]:
     """Concept ids, one per line, no header."""
     ids = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

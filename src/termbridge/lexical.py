@@ -14,7 +14,7 @@ from enum import Enum
 from importlib import resources
 
 from .core import CodeRef
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, open_text
 
 
 class Lemmatize(Enum):
@@ -52,7 +52,7 @@ class NormalizationDictionary:
     @classmethod
     def from_csv(cls, path) -> "NormalizationDictionary":
         rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open_text(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [c.strip().lower() for c in header[:2]] != [
@@ -185,7 +185,7 @@ def tokenize(s: str, cfg: TokenizerConfig) -> list[str]:
 def load_stopwords(path) -> frozenset[str]:
     """One lowercase token per line; blank lines ignored."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             w = line.strip()
             if w:

@@ -8,10 +8,16 @@ come out in one global order without every record being held.  All
 serialization is stable (sorted keys, fixed float formatting).  Two runs
 on identical inputs produce byte-identical files.  Every input is read
 by ``ingest``.
+
+Loading this module loads what every command uses: ``core``, ``errors``,
+``ingest`` and ``lexical``.  ``run_map`` adds ``align``, ``similarity``
+and ``synthesize``, ``run_coverage`` and ``run_phers`` add ``evaluate``
+and ``stats``, and ``export_sssom`` adds nothing.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 from collections import defaultdict
@@ -19,13 +25,6 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .align import (
-    CuiBridge,
-    align_concept,
-    align_via_ancestors,
-    build_indexes,
-    enrich_concepts,
-)
 from .core import (
     Domain,
     EvidenceKind,
@@ -39,7 +38,6 @@ from .core import (
     validate_record,
 )
 from .errors import ConfigError, DataError, ParseError
-from .evaluate import bucket_errors, group_stats, partition_coverage, phers
 from .ingest import (
     MAPPINGS_HEADER,
     RoutingPolicy,
@@ -65,22 +63,38 @@ from .lexical import (
     default_stopwords,
     load_stopwords,
 )
-from .similarity import (
-    IDF_VARIANT,
-    SimilarityConfig,
-    best_per_concept,
-    build_corpus,
-    filter_pairs,
-    fit,
-    score_concept_pairs,
-)
-from .stats import bonferroni_pairwise, chi_square_yates
-from .synthesize import (
-    expand_measurements,
-    render_evidence,
-    route,
-    synthesize,
-)
+
+# The names a command uses from modules only it needs, bound as globals by
+# ``_load`` when it runs.  The table exists for perfbench's tracer (and
+# ``scripts/stage_probe.py``), which replaces these names on this module,
+# also before their module loads: a name already bound is kept.  Once the
+# tracer stops patching pipeline names, these become function-local imports.
+STAGE_NAMES = {
+    "align": ("CuiBridge", "align_concept", "align_via_ancestors", "build_indexes", "enrich_concepts"),
+    "similarity": (
+        "IDF_VARIANT", "SimilarityConfig", "best_per_concept", "build_corpus",
+        "filter_pairs", "fit", "score_concept_pairs",
+    ),
+    "synthesize": ("expand_measurements", "render_evidence", "route", "synthesize"),
+    "evaluate": ("bucket_errors", "group_stats", "partition_coverage", "phers"),
+    "stats": ("bonferroni_pairwise", "chi_square_yates"),
+}
+
+
+def _load(*modules: str) -> None:
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in STAGE_NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    for module, names in STAGE_NAMES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SSSOM_HEADER = [
     "subject_id",
@@ -255,6 +269,7 @@ class _Tally:
 
 def run_map(cfg: RunConfig) -> Path:
     """Full mapping pass; writes mappings.tsv and summary.json to out_dir."""
+    _load("align", "similarity", "synthesize")
     _require_paths([("concepts", cfg.concepts)])
     if not cfg.ontology_dumps:
         raise ConfigError("MISSING_INPUT", "at least one --ontology dump is required")
@@ -434,6 +449,7 @@ def run_map(cfg: RunConfig) -> Path:
 
 def run_coverage(cfg: RunConfig) -> Path:
     """Coverage partition, omnibus + pairwise tests, and error buckets."""
+    _load("evaluate", "stats")
     _require_paths([("mappings", cfg.mappings), ("prevalence", cfg.prevalence)])
     _optional_paths([("newer-cdm", cfg.newer_cdm), ("excluded", cfg.excluded)])
     if not 0.0 < cfg.alpha < 1.0:
@@ -537,6 +553,7 @@ def run_phers(cfg: RunConfig) -> Path:
     """Standardized phenotype risk scores plus the one-sided rank-sum test."""
     from .stats import wilcoxon_rank_sum_one_sided
 
+    _load("evaluate")
     _require_paths(
         [("weights", cfg.weights), ("patients", cfg.patients), ("cohort", cfg.cohort)]
     )

@@ -968,57 +968,152 @@ class TestHashSeed:
         assert outputs[0] == outputs[1]
 
 
-_HEAVY_PROBE = """
+_MODULE_PROBE = """
 import json, sys
 
-def heavy():
-    return sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+def loaded():
+    return sorted(
+        name for name in sys.modules
+        if name.split(".")[0] == "termbridge" or name in ("numpy", "scipy", "statistics")
+    )
 
 import termbridge.cli
 
-report = [["import", 0, heavy()]]
+report = [loaded()]
 for argv in json.loads(sys.argv[1]):
-    report.append([argv[0], termbridge.cli.main(argv), heavy()])
+    report += [termbridge.cli.main(argv), loaded()]
 print(json.dumps(report))
 """
 
 
-def heavy_modules_after(commands):
-    """[stage, exit code, numpy/scipy loaded] after importing termbridge.cli
-    and after each command, all in one fresh interpreter."""
+def modules_after(*commands):
+    """The termbridge modules, and which of numpy, scipy and statistics, are
+    loaded after importing termbridge.cli in a fresh interpreter, then each
+    command's exit code and the same list after it."""
     proc = subprocess.run(
-        [sys.executable, "-c", _HEAVY_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
         env=subprocess_env(), check=True, capture_output=True, text=True, timeout=60,
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-class TestImportCost:
-    """Only ``map`` loads numpy, and nothing loads scipy."""
+def _evaluate_commands(paths, tmp_path):
+    mappings = tmp_path / "mappings.tsv"
+    _small_mappings(mappings)
+    prevalence = tmp_path / "prevalence.tsv"
+    _write_prevalence(prevalence, [("a", 1, 500), ("a", 9, 100), ("b", 1, 300), ("b", 8, 100)])
+    weights, patients, cohort = _write_phers_inputs(
+        tmp_path,
+        [("p1", "CONTROL"), ("p2", "CONTROL"), ("p3", "CASE")],
+        [("p1", "HP:1"), ("p2", "HP:2"), ("p3", "HP:1"), ("p3", "HP:2")],
+        [("HP:1", 1.0), ("HP:2", 2.0)],
+    )
+    return [
+        ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence),
+         "--out", str(tmp_path / "coverage")],
+        ["phers", "--weights", str(weights), "--patients", str(patients),
+         "--cohort", str(cohort), "--out", str(tmp_path / "phers")],
+        ["export-sssom", "--mappings", str(mappings), "--concepts", paths["concepts"],
+         "--out", str(tmp_path / "sssom")],
+    ]
 
-    def test_evaluate_commands_load_neither(self, condition_fixture, tmp_path):
-        mappings = tmp_path / "mappings.tsv"
-        _small_mappings(mappings)
-        prevalence = tmp_path / "prevalence.tsv"
-        _write_prevalence(prevalence, [("a", 1, 500), ("a", 9, 100), ("b", 1, 300), ("b", 8, 100)])
-        weights, patients, cohort = _write_phers_inputs(
-            tmp_path,
-            [("p1", "CONTROL"), ("p2", "CONTROL"), ("p3", "CASE")],
-            [("p1", "HP:1"), ("p2", "HP:2"), ("p3", "HP:1"), ("p3", "HP:2")],
-            [("HP:1", 1.0), ("HP:2", 2.0)],
-        )
-        report = heavy_modules_after([
-            ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence),
-             "--out", str(tmp_path / "coverage")],
-            ["phers", "--weights", str(weights), "--patients", str(patients),
-             "--cohort", str(cohort), "--out", str(tmp_path / "phers")],
-            ["export-sssom", "--mappings", str(mappings), "--concepts", condition_fixture["concepts"],
-             "--out", str(tmp_path / "sssom")],
-        ])
-        assert report == [
-            ["import", 0, []], ["coverage", 0, []], ["phers", 0, []], ["export-sssom", 0, []],
+
+_MAP_MODULES = {"termbridge.align", "termbridge.similarity", "termbridge.synthesize", "numpy"}
+_EVALUATE_MODULES = {"termbridge.evaluate", "termbridge.stats", "statistics"}
+
+
+class TestImportCost:
+    """Importing ``termbridge.cli`` loads only ``core`` and ``errors``; each
+    command loads only its own modules.  Only ``map`` loads numpy, and
+    nothing loads scipy.  Each command runs in its own fresh interpreter."""
+
+    def test_import_loads_core_and_errors_only(self):
+        assert modules_after() == [
+            ["termbridge", "termbridge.cli", "termbridge.core", "termbridge.errors"]
         ]
 
+    def test_evaluate_commands_load_neither(self, condition_fixture, tmp_path):
+        for argv in _evaluate_commands(condition_fixture, tmp_path):
+            _, code, modules = modules_after(argv)
+            assert code == 0, argv[0]
+            assert not (_MAP_MODULES | {"scipy"}) & set(modules), (argv[0], modules)
+            assert "termbridge.pipeline" in modules
+
     def test_map_loads_numpy_only(self, condition_fixture, tmp_path):
-        report = heavy_modules_after([map_args(condition_fixture, tmp_path / "out")])
-        assert report == [["import", 0, []], ["map", 0, ["numpy"]]]
+        imported, code, modules = modules_after(map_args(condition_fixture, tmp_path / "out"))
+        assert code == 0
+        assert "numpy" not in imported
+        assert _MAP_MODULES <= set(modules)
+        assert not (_EVALUATE_MODULES | {"scipy"}) & set(modules), modules
+
+    def test_replacements_set_before_the_first_command_are_kept(self, condition_fixture, tmp_path):
+        """A function set on ``termbridge.pipeline`` or ``termbridge.cli``
+        before a command has loaded its modules is the one the command
+        calls, and is still in place once they have loaded."""
+        script = """
+import json, sys
+import termbridge.cli as cli
+import termbridge.pipeline as pipeline
+
+calls = []
+
+def replacement(name, module):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return getattr(__import__(module, fromlist=[name]), name)(*args, **kwargs)
+    return wrapper
+
+wrappers = {
+    (pipeline, "fit"): replacement("fit", "termbridge.similarity"),
+    (pipeline, "partition_coverage"): replacement("partition_coverage", "termbridge.evaluate"),
+    (cli, "run_coverage"): replacement("run_coverage", "termbridge.pipeline"),
+}
+loaded_before = sorted(m for m in sys.modules if m.startswith("termbridge."))
+for (module, name), wrapper in wrappers.items():
+    setattr(module, name, wrapper)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+kept = [getattr(module, name) is wrapper for (module, name), wrapper in wrappers.items()]
+print(json.dumps([loaded_before, codes, calls, kept]))
+"""
+        coverage = _evaluate_commands(condition_fixture, tmp_path)[0]
+        commands = [map_args(condition_fixture, tmp_path / "map"), coverage]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            env=subprocess_env(), check=True, capture_output=True, text=True, timeout=60,
+        )
+        loaded_before, codes, calls, kept = json.loads(proc.stdout.splitlines()[-1])
+        assert not {"termbridge.similarity", "termbridge.evaluate"} & set(loaded_before)
+        assert codes == [0, 0]
+        assert calls == ["fit", "run_coverage", "partition_coverage"]
+        assert kept == [True, True, True]
+
+
+class TestUndecodableInput:
+    """An input file that is not UTF-8 ends in a coded error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("map", "--concepts"),
+            ("map", "--ontology"),
+            ("coverage", "--mappings"),
+            ("coverage", "--prevalence"),
+            ("phers", "--weights"),
+        ],
+    )
+    def test_input_file_is_parse_error(self, command, flag, condition_fixture, tmp_path, capsys):
+        if command == "map":
+            argv = map_args(condition_fixture, tmp_path / "out")
+        else:
+            argv = next(a for a in _evaluate_commands(condition_fixture, tmp_path) if a[0] == command)
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\xff\xfe bad\n")
+        argv[argv.index(flag) + 1] = str(bad)
+        assert main(argv) == 2
+        assert f"error[BAD_ENCODING]: not UTF-8: invalid start byte [{bad}:1]" in capsys.readouterr().err
+
+    def test_config_file_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"out": "\xff\xfe"}\n')
+        assert main(["map", "--config", str(config)]) == 1
+        assert "error[BAD_CONFIG]: --config:" in capsys.readouterr().err

@@ -20,11 +20,12 @@ from termbridge.ingest import (
     is_cui,
     load_concepts,
     load_curation,
+    load_id_list,
     load_ontology_dump,
     load_prevalence,
     load_umls,
 )
-from termbridge.lexical import NormalizationDictionary, default_code_dictionary
+from termbridge.lexical import NormalizationDictionary, default_code_dictionary, load_stopwords
 
 HEADER = "\t".join(CONCEPT_HEADER)
 
@@ -810,3 +811,85 @@ class TestLoadCuration:
         path.write_text(CURATION_HEADER + "\n1\tHP\t\tHP:999\tx\t\n")
         load = load_curation(path, {"HP"}, known_curies={"HP:1"})
         assert load.unknown_targets == ("HP:999",)
+
+
+# Each reader: (file name, two valid lines, a call that reads the file).
+_READERS = {
+    "tsv_rows": (
+        "p.tsv",
+        "site_id\tconcept_id\trecord_count\na\t1\t5",
+        lambda p, d: load_prevalence(p),
+    ),
+    "ancestors": (
+        "anc.tsv",
+        "concept_id\tancestor_concept_id\n1\t2",
+        lambda p, d: load_concepts(
+            _write(d / "c.tsv", f"{HEADER}\n1\tSNOMED\t11\tA\t\tCONDITION\t1\t3\n"), ancestors_path=p
+        ),
+    ),
+    "ontology_dump": (
+        "o.jsonl",
+        '{"curie": "HP:1", "ontology": "HP", "label": "a"}\n'
+        '{"curie": "HP:2", "ontology": "HP", "label": "b"}',
+        lambda p, d: load_ontology_dump(p),
+    ),
+    "mrconso": (
+        "MRCONSO.RRF",
+        _mrconso_line("C0000001", "SNOMEDCT_US", "11", "a")
+        + "\n"
+        + _mrconso_line("C0000002", "SNOMEDCT_US", "12", "b"),
+        lambda p, d: load_umls(p, _write(d / "MRSTY.RRF", ""), {("SNOMED", "11")}, _dict()),
+    ),
+    "mrsty": (
+        "MRSTY.RRF",
+        "C0000001|T047||Disease or Syndrome|\nC0000002|T047||Disease or Syndrome|",
+        lambda p, d: load_umls(_write(d / "MRCONSO.RRF", ""), p, set(), _dict()),
+    ),
+    "id_list": ("ids.txt", "1\n2", lambda p, d: load_id_list(p)),
+    "code_map": (
+        "map.csv",
+        "raw_prefix,canonical_prefix\nSNOMEDCT_US,SNOMED",
+        lambda p, d: NormalizationDictionary.from_csv(p),
+    ),
+    "stopwords": ("stop.txt", "the\nof", lambda p, d: load_stopwords(p)),
+}
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+class TestUndecodableInput:
+    """A file whose bytes are not UTF-8 is ParseError BAD_ENCODING naming
+    the file and the line that holds the bad bytes, from every reader."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_bad_bytes_on_third_line(self, reader, tmp_path):
+        name, valid, read = _READERS[reader]
+        path = tmp_path / name
+        path.write_bytes(valid.encode() + b"\n\xff\xfe bad\n")
+        with pytest.raises(ParseError) as err:
+            read(path, tmp_path)
+        assert (err.value.code, err.value.path, err.value.line) == ("BAD_ENCODING", str(path), 3)
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_valid_lines_still_read(self, reader, tmp_path):
+        name, valid, read = _READERS[reader]
+        read(_write(tmp_path / name, valid + "\n"), tmp_path)
+
+    def test_line_found_past_the_first_decoded_chunk(self, tmp_path):
+        # The decoder reads ahead in chunks of several KiB, so the line is
+        # found by a second pass, not from where the reader had got to.
+        path = tmp_path / "ids.txt"
+        path.write_bytes(b"".join(b"%d\n" % i for i in range(5000)) + b"7\xe2\x82\n8\n")
+        with pytest.raises(ParseError) as err:
+            load_id_list(path)
+        assert (err.value.code, err.value.line) == ("BAD_ENCODING", 5001)
+
+    def test_carriage_returns_end_lines_as_the_readers_count_them(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"the\rof\r\n\xc3(\n")
+        with pytest.raises(ParseError) as err:
+            load_stopwords(path)
+        assert err.value.line == 3
