@@ -5,11 +5,15 @@ generalizability), ``phers`` (phenotype-score utility), ``export-sssom``
 (interchange flattening).  A JSON config file may supply any flag value;
 explicit flags override the file.
 
-Exit codes: 0 success, 1 configuration error, 2 parse error,
-3 data-integrity error.
+Exit codes: 0 success, 1 configuration error, 2 parse error (a malformed
+input: the file, the line and, for a TSV field, its column), 3
+data-integrity error, 4 internal error (a fault in termbridge itself:
+``error[INTERNAL]`` with the exception's type and message, then its
+traceback).
 
 Importing this module loads only ``core`` and ``errors``; a command loads
-``pipeline`` (with ``ingest`` and ``lexical``) when it dispatches, then
+``pipeline`` (with ``ingest``, which reads every input file, and
+``lexical``) when it dispatches, then
 ``map`` loads ``align``, ``similarity`` and ``synthesize``, and
 ``coverage`` and ``phers`` load ``evaluate`` and ``stats``.
 """
@@ -17,6 +21,7 @@ Importing this module loads only ``core`` and ``errors``; a command loads
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -28,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARSE = 2
 EXIT_DATA = 3
+EXIT_INTERNAL = 4
 
 _PIPELINE_NAMES = ("RunConfig", "run_map", "run_coverage", "run_phers", "export_sssom")
 
@@ -42,7 +48,10 @@ def __getattr__(name):
     return globals().setdefault(name, getattr(pipeline, name))
 
 
-_cli = sys.modules[__name__]  # attribute lookups on it reach ``__getattr__``; bare names do not
+# Attribute lookups on the module reach ``__getattr__``; bare names do not.  It
+# is imported by name: run through runpy (``python -m cProfile -m
+# termbridge.cli``), this code's namespace is not the module.
+_cli = importlib.import_module("termbridge.cli")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,6 +215,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        import traceback
+
+        print(f"error[INTERNAL]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

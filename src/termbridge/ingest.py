@@ -3,19 +3,26 @@
 All parsers stream line by line and carry 1-based line numbers on errors.
 Files are opened by ``errors.open_text``: bytes that are not UTF-8 are a
 ``BAD_ENCODING`` error naming the file and line.
-Every TSV with a header row goes through ``_read_rows``, which checks the
-header and each row's column count.  ``load_prevalence`` folds its rows
-as it reads them, and ``load_mappings`` and ``load_patient_phenotypes``
-yield rows, so no per-row table of those files is held; the other
-loaders return immutable indexes.
-File formats:
 
-  concepts.tsv          concept_id  vocabulary  concept_code  label
-                        synonyms  domain  used_in_practice  record_count
-                        (synonyms pipe-delimited, booleans 0/1;
-                        record_count is validated only: >= 0, and > 0
-                        when used_in_practice)
-  concept_ancestors.tsv concept_id  ancestor_concept_id (header optional)
+Each TSV declares its columns once, below, as ``*_COLUMNS``: (name,
+parse) pairs in file order.  ``_read_rows`` checks the header against the
+names and each row's column count, then converts every field whose column
+declares a parser; a ``ValueError`` or ``KeyError`` from a parser is
+``MALFORMED_ROW`` naming the file, the line and the column.  The loaders
+read converted values and make only the checks that span fields or rows.
+``load_prevalence`` folds its rows as it reads them, and ``load_mappings``
+and ``load_patient_phenotypes`` yield rows, so no per-row table of those
+files is held; the other loaders return immutable indexes.
+
+The TSVs: concepts (synonyms pipe-delimited; the record count is
+validated only: >= 0, and > 0 for a concept used in practice, on rows of
+the domain being loaded), concept ancestors (header optional),
+routing policy, curation (targets pipe-delimited CURIEs), measurement
+scales and targets, ``mappings.tsv`` (the map command's output),
+prevalence (one row per (site, concept); counts below 100 floored to
+100), weights (finite; one row per CURIE), patient phenotypes and cohort
+(one row per patient).  The other formats:
+
   ontology.jsonl        one JSON object per class:
                         {"curie","ontology","label","definition",
                          "synonyms":[{"text","kind"}],"xrefs":[str],
@@ -28,27 +35,18 @@ File formats:
                         kept, under their (canonical prefix, code) key
   MRSTY.RRF             pipe-delimited, >= 4 fields; uses 0 CUI, 3 STY;
                         only the kept CUIs' rows are kept
-  routing_policy.tsv    semantic_type  action  value
-  curation.tsv          concept_id  ontology  logic  targets  evidence
-                        unmapped_reason  (targets pipe-delimited CURIEs)
-  measurement_scales.tsv   concept_id  scale  reference_range_kind
-  measurement_targets.tsv  concept_id  outcome  curie  negated
-  mappings.tsv          the map command's output (MAPPINGS_HEADER);
-                        concept_id is an integer
-  prevalence.tsv        site_id  concept_id  record_count  (one row per
-                        (site_id, concept_id))
-  id lists              one concept id per line, no header
-  weights / patients / cohort   hpo_curie  weight / patient_id  hpo_curie
-                        / patient_id  group  (weights finite: no nan/inf;
-                        one row per weight CURIE and per cohort patient)
+  id lists, stopwords   one value per line, blanks around it ignored
+  code map (CSV)        raw prefix, canonical prefix; a header row
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from importlib import resources
 
 from .core import (
     ClinicalConcept,
@@ -60,36 +58,94 @@ from .core import (
     ResultAssignment,
     UnmappedReason,
     is_code_prefix,
+    parse_curie,
 )
 from .errors import DataError, ParseError, open_text
 from .lexical import NormalizationDictionary, canonicalize_code
 
 
-CONCEPT_HEADER = [
-    "concept_id",
-    "vocabulary",
-    "concept_code",
-    "label",
-    "synonyms",
-    "domain",
-    "used_in_practice",
-    "record_count",
-]
+def _key(raw: str) -> str:
+    return raw.strip().upper()
 
-MAPPINGS_HEADER = [
-    "concept_id",
-    "domain",
-    "ontology",
-    "category",
-    "level",
-    "logic",
-    "targets",
-    "target_labels",
-    "score",
-    "evidence",
-    "unmapped_reason",
-    "outcome",
-]
+
+def _keyword(values):
+    """A parser for a field naming one of ``values`` (strings, or an Enum's
+    members by value), in any case and with blanks around it."""
+    table = {getattr(v, "value", v): v for v in values}
+    return lambda raw: table[_key(raw)]
+
+
+def _pipe_list(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split("|") if part.strip())
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+# Column declarations: (name, parse) in file order; parse None keeps the
+# field as it is.  Columns that several files share are declared once.
+# The large files' parsers are builtins (``int``, a dict's ``__getitem__``):
+# a Python-level call per field would cost ingest time on every row.
+_CONCEPT_ID = ("concept_id", int)
+_PATIENT_ID = ("patient_id", None)
+_HPO_CURIE = ("hpo_curie", None)
+
+CONCEPT_COLUMNS = (
+    _CONCEPT_ID,
+    ("vocabulary", None),
+    ("concept_code", None),
+    ("label", None),
+    ("synonyms", None),
+    ("domain", {d.value: d for d in Domain}.__getitem__),
+    ("used_in_practice", {"0": False, "1": True}.__getitem__),
+    ("record_count", int),
+)
+ANCESTOR_COLUMNS = (_CONCEPT_ID, ("ancestor_concept_id", int))
+ROUTING_COLUMNS = (("semantic_type", None), ("action", _keyword(("ALLOW", "EXCLUDE"))), ("value", None))
+CURATION_COLUMNS = (
+    _CONCEPT_ID,
+    ("ontology", _key),
+    ("logic", str.strip),
+    ("targets", _pipe_list),
+    ("evidence", None),
+    ("unmapped_reason", None),
+)
+SCALE_COLUMNS = (
+    _CONCEPT_ID,
+    ("scale", _keyword(MeasurementScale)),
+    ("reference_range_kind", _keyword(("NUMERIC", "POS_NEG", "NONE"))),
+)
+# ``load_measurement_targets`` checks ``curie`` as a CURIE on result rows
+# only; an auxiliary row's is kept as it is.
+TARGET_COLUMNS = (_CONCEPT_ID, ("outcome", _key), ("curie", str.strip), ("negated", str.strip))
+MAPPING_COLUMNS = (
+    _CONCEPT_ID,
+    ("domain", None),
+    ("ontology", None),
+    ("category", None),
+    ("level", None),
+    ("logic", None),
+    ("targets", None),
+    ("target_labels", None),
+    ("score", None),
+    ("evidence", None),
+    ("unmapped_reason", None),
+    ("outcome", None),
+)
+PREVALENCE_COLUMNS = (("site_id", None), _CONCEPT_ID, ("record_count", int))
+WEIGHT_COLUMNS = (_HPO_CURIE, ("weight", _finite))
+PATIENT_COLUMNS = (_PATIENT_ID, _HPO_CURIE)
+COHORT_COLUMNS = (_PATIENT_ID, ("group", _keyword(("CASE", "CONTROL"))))
+
+
+def header_line(columns) -> str:
+    """The header row of a TSV declared by ``columns``."""
+    return "\t".join(name for name, _ in columns)
+
 
 PREVALENCE_FLOOR = 100
 
@@ -102,12 +158,6 @@ class CurationRow:
     logic: str
     evidence: str
     unmapped_reason: UnmappedReason | None = None
-
-    def __post_init__(self):
-        has_targets = bool(self.targets)
-        has_reason = self.unmapped_reason is not None
-        if has_targets == has_reason:
-            raise ValueError("exactly one of targets / unmapped_reason required")
 
 
 @dataclass(frozen=True)
@@ -129,18 +179,11 @@ class RoutingPolicy:
         return cls(allow={}, exclude={}, default_ontologies=frozenset(o.upper() for o in ontologies))
 
 
-_RANGE_KINDS = {"NUMERIC", "POS_NEG", "NONE"}
-
-
 @dataclass(frozen=True)
 class ScaleRow:
     concept_id: int
     scale: MeasurementScale
     reference_range_kind: str  # NUMERIC | POS_NEG | NONE
-
-    def __post_init__(self):
-        if self.reference_range_kind not in _RANGE_KINDS:
-            raise ValueError(f"bad reference_range_kind {self.reference_range_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -201,44 +244,60 @@ def is_cui(cui: str) -> bool:
     return len(cui) == 8 and cui[0] == "C" and cui[1:].isdecimal()
 
 
-def _read_rows(path, expected_header):
-    """Yield (lineno, fields) for a TSV with a mandatory header row.
+def _bad_field(path, lineno, name, raw) -> ParseError:
+    return ParseError("MALFORMED_ROW", f"bad {name} {raw!r}", str(path), lineno)
 
-    Every row must have exactly as many columns as the header.
+
+def _read_rows(path, columns, header_optional=False):
+    """Yield (lineno, fields) for the TSV that ``columns`` declares.
+
+    The first line must be the declared names, in order; where the header
+    is optional, a first line that starts with the first name is skipped
+    and any other is a row.  Every row must have one field per column.
+    Each field whose column declares a parser comes converted; a
+    ``ValueError`` or ``KeyError`` from the parser is ``MALFORMED_ROW``
+    naming the column.
     """
+    names = [name for name, _ in columns]
+    parsers = [(i, parse) for i, (_, parse) in enumerate(columns) if parse is not None]
+    width = len(names)
     with open_text(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise ParseError("MISSING_COLUMN", "empty file, header required", str(path), 1)
-        cols = header.rstrip("\n").rstrip("\r").split("\t")
-        for want in expected_header:
-            if want not in cols:
-                raise ParseError("MISSING_COLUMN", f"missing column {want!r}", str(path), 1)
-        if cols != expected_header:
-            raise ParseError(
-                "MISSING_COLUMN",
-                f"header must be exactly {expected_header}, got {cols}",
-                str(path),
-                1,
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
+        start = 1
+        if not header_optional:
+            header = fh.readline()
+            if not header:
+                raise ParseError("MISSING_COLUMN", "empty file, header required", str(path), 1)
+            cols = header.rstrip("\n").split("\t")
+            for want in names:
+                if want not in cols:
+                    raise ParseError("MISSING_COLUMN", f"missing column {want!r}", str(path), 1)
+            if cols != names:
+                raise ParseError(
+                    "MISSING_COLUMN", f"header must be exactly {names}, got {cols}", str(path), 1
+                )
+            start = 2
+        # Universal newlines: a line read from ``fh`` holds no "\r".
+        for lineno, line in enumerate(fh, start=start):
+            line = line.rstrip("\n")
+            if not line or (lineno == 1 and line.startswith(names[0])):
                 continue
             fields = line.split("\t")
-            if len(fields) != len(expected_header):
-                raise ParseError(
-                    "MALFORMED_ROW", f"expected {len(expected_header)} columns", str(path), lineno
-                )
+            if len(fields) != width:
+                raise ParseError("MALFORMED_ROW", f"expected {width} columns", str(path), lineno)
+            try:
+                for i, parse in parsers:
+                    fields[i] = parse(fields[i])
+            except (ValueError, KeyError):
+                raise _bad_field(path, lineno, names[i], fields[i]) from None
             yield lineno, fields
 
 
-def _parse_reason(raw: str) -> UnmappedReason:
+def _parse_reason(raw: str, path, lineno) -> UnmappedReason:
     key = raw.strip().upper().replace(" ", "_").replace("-", "_")
     try:
         return UnmappedReason[key]
     except KeyError:
-        raise ValueError(raw) from None
+        raise ParseError("UNKNOWN_REASON", f"reason {raw!r}", str(path), lineno) from None
 
 
 def _load_ancestor_pairs(path, children):
@@ -247,24 +306,11 @@ def _load_ancestor_pairs(path, children):
     Every row is validated; rows for other children are then skipped.
     """
     pairs = defaultdict(set)
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or (lineno == 1 and line.startswith("concept_id")):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError("MALFORMED_ROW", "expected 2 columns", str(path), lineno)
-            try:
-                child, ancestor = int(fields[0]), int(fields[1])
-            except ValueError as exc:
-                raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
-            if child == ancestor:
-                raise ParseError(
-                    "MALFORMED_ROW", f"self-loop ancestor for {child}", str(path), lineno
-                )
-            if child in children:
-                pairs[child].add(ancestor)
+    for lineno, (child, ancestor) in _read_rows(path, ANCESTOR_COLUMNS, header_optional=True):
+        if child == ancestor:
+            raise ParseError("MALFORMED_ROW", f"self-loop ancestor for {child}", str(path), lineno)
+        if child in children:
+            pairs[child].add(ancestor)
     return pairs
 
 
@@ -283,15 +329,8 @@ def load_concepts(
     dictionary = dictionary or NormalizationDictionary.empty()
     # concept_id -> (prefix, code, label, synonyms, domain, used, record_count, lineno)
     rows: dict[int, tuple] = {}
-    for lineno, fields in _read_rows(path, CONCEPT_HEADER):
-        raw_id, vocabulary, code, label, raw_synonyms, raw_domain, raw_used, raw_count = fields
-        try:
-            concept_id = int(raw_id)
-            row_domain = Domain(raw_domain)
-            used = {"0": False, "1": True}[raw_used]
-            record_count = int(raw_count)
-        except (ValueError, KeyError) as exc:
-            raise ParseError("MALFORMED_ROW", f"bad field value: {exc}", str(path), lineno) from None
+    for lineno, fields in _read_rows(path, CONCEPT_COLUMNS):
+        concept_id, vocabulary, code, label, raw_synonyms, row_domain, used, record_count = fields
         if domain is not None and row_domain is not domain:
             continue
         if concept_id in rows:
@@ -500,17 +539,10 @@ def load_prevalence(path) -> PrevalenceLoad:
     site_count: dict[int, int] = defaultdict(int)
     sites: dict[str, set[int]] = defaultdict(set)
     floored = 0
-    for lineno, (site_id, concept_raw, count_raw) in _read_rows(
-        path, ["site_id", "concept_id", "record_count"]
-    ):
-        try:
-            concept_id = int(concept_raw)
-            count = int(count_raw)
-        except ValueError as exc:
-            raise ParseError("MALFORMED_ROW", f"bad integer: {exc}", str(path), lineno) from None
-        if count < 0:
-            raise ParseError("MALFORMED_ROW", f"negative count {count}", str(path), lineno)
+    for lineno, (site_id, concept_id, count) in _read_rows(path, PREVALENCE_COLUMNS):
         if count < PREVALENCE_FLOOR:
+            if count < 0:
+                raise ParseError("MALFORMED_ROW", f"negative count {count}", str(path), lineno)
             count = PREVALENCE_FLOOR
             floored += 1
         concepts = sites[site_id]
@@ -525,9 +557,6 @@ def load_prevalence(path) -> PrevalenceLoad:
     return PrevalenceLoad(rows=table, floored=floored)
 
 
-CURATION_HEADER = ["concept_id", "ontology", "logic", "targets", "evidence", "unmapped_reason"]
-
-
 def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     """Parse manually-derived mapping rows.
 
@@ -538,52 +567,25 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     known = {o.upper() for o in known_ontologies}
     rows = []
     unknown_targets = []
-    for lineno, fields in _read_rows(path, CURATION_HEADER):
-        concept_raw, ontology, logic, targets_raw, evidence, reason_raw = fields
-        try:
-            concept_id = int(concept_raw)
-        except ValueError:
-            raise ParseError("MALFORMED_ROW", f"bad concept_id {concept_raw!r}", str(path), lineno) from None
-        ontology = ontology.strip().upper()
+    for lineno, fields in _read_rows(path, CURATION_COLUMNS):
+        concept_id, ontology, logic, targets, evidence, reason_raw = fields
         if ontology not in known:
             raise ParseError("UNKNOWN_ONTOLOGY", f"ontology {ontology!r}", str(path), lineno)
-        targets = tuple(t.strip() for t in targets_raw.split("|") if t.strip())
-        reason = None
-        if reason_raw.strip():
-            try:
-                reason = _parse_reason(reason_raw)
-            except ValueError:
-                raise ParseError("UNKNOWN_REASON", f"reason {reason_raw!r}", str(path), lineno) from None
+        reason = _parse_reason(reason_raw, path, lineno) if reason_raw.strip() else None
         if targets and reason is not None:
             raise ParseError(
                 "BOTH_TARGETS_AND_REASON", "row has targets and an unmapped reason", str(path), lineno
             )
         if not targets and reason is None:
             raise ParseError("MALFORMED_ROW", "row has neither targets nor reason", str(path), lineno)
-        logic = logic.strip()
-        if targets and len(targets) >= 2 and not logic:
+        if len(targets) >= 2 and not logic:
             logic = "AND(" + ",".join(str(i) for i in range(len(targets))) + ")"
         if known_curies is not None:
             for t in targets:
                 if t not in known_curies:
                     unknown_targets.append(t)
-        try:
-            rows.append(
-                CurationRow(
-                    concept_id=concept_id,
-                    ontology=ontology,
-                    targets=targets,
-                    logic=logic,
-                    evidence=evidence,
-                    unmapped_reason=reason,
-                )
-            )
-        except ValueError as exc:
-            raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
+        rows.append(CurationRow(concept_id, ontology, targets, logic, evidence, reason))
     return CurationLoad(rows=tuple(rows), unknown_targets=tuple(sorted(set(unknown_targets))))
-
-
-ROUTING_HEADER = ["semantic_type", "action", "value"]
 
 
 def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
@@ -594,25 +596,19 @@ def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
     """
     allow: dict[str, frozenset[str]] = {}
     exclude: dict[str, UnmappedReason] = {}
-    for lineno, fields in _read_rows(path, ROUTING_HEADER):
-        sty, action, value = fields[0], fields[1].strip().upper(), fields[2]
+    for lineno, (sty, action, value) in _read_rows(path, ROUTING_COLUMNS):
         if action == "ALLOW":
             ontologies = frozenset(o.strip().upper() for o in value.split("|") if o.strip())
             if not ontologies:
                 raise ParseError("MALFORMED_ROW", "ALLOW needs an ontology list", str(path), lineno)
             allow[sty] = allow.get(sty, frozenset()) | ontologies
-        elif action == "EXCLUDE":
-            try:
-                reason = _parse_reason(value)
-            except ValueError:
-                raise ParseError("UNKNOWN_REASON", f"reason {value!r}", str(path), lineno) from None
+        else:
+            reason = _parse_reason(value, path, lineno)
             if sty in exclude and exclude[sty] is not reason:
                 raise ParseError(
                     "CONFLICTING_RULE", f"two exclusion reasons for {sty!r}", str(path), lineno
                 )
             exclude[sty] = reason
-        else:
-            raise ParseError("MALFORMED_ROW", f"unknown action {action!r}", str(path), lineno)
     return RoutingPolicy(
         allow=allow,
         exclude=exclude,
@@ -620,21 +616,10 @@ def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
     )
 
 
-SCALE_HEADER = ["concept_id", "scale", "reference_range_kind"]
-TARGET_HEADER = ["concept_id", "outcome", "curie", "negated"]
-
-
 def load_measurement_scales(path) -> dict[int, ScaleRow]:
     rows = {}
-    for lineno, fields in _read_rows(path, SCALE_HEADER):
-        try:
-            row = ScaleRow(
-                concept_id=int(fields[0]),
-                scale=MeasurementScale(fields[1].strip().upper()),
-                reference_range_kind=fields[2].strip().upper(),
-            )
-        except ValueError as exc:
-            raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
+    for lineno, fields in _read_rows(path, SCALE_COLUMNS):
+        row = ScaleRow(*fields)
         if row.concept_id in rows:
             raise ParseError("DUPLICATE_ID", f"concept {row.concept_id} repeated", str(path), lineno)
         rows[row.concept_id] = row
@@ -651,16 +636,14 @@ def load_measurement_targets(path):
     outcomes = {o.value for o in MeasurementOutcome}
     assignments: dict[int, list[ResultAssignment]] = defaultdict(list)
     aux: dict[int, list[AuxTarget]] = defaultdict(list)
-    for lineno, fields in _read_rows(path, TARGET_HEADER):
-        concept_raw, kind_raw, curie, negated_raw = (f.strip() for f in fields)
-        try:
-            concept_id = int(concept_raw)
-        except ValueError:
-            raise ParseError("MALFORMED_ROW", f"bad concept_id {concept_raw!r}", str(path), lineno) from None
-        key = kind_raw.upper()
+    for lineno, (concept_id, key, curie, negated_raw) in _read_rows(path, TARGET_COLUMNS):
         if key in outcomes:
             if negated_raw not in {"0", "1"}:
                 raise ParseError("MALFORMED_ROW", f"negated must be 0/1, got {negated_raw!r}", str(path), lineno)
+            try:
+                parse_curie(curie)
+            except ValueError:
+                raise _bad_field(path, lineno, TARGET_COLUMNS[2][0], curie) from None
             assignments[concept_id].append(
                 ResultAssignment(
                     outcome=MeasurementOutcome(key), curie=curie, negated=negated_raw == "1"
@@ -676,17 +659,10 @@ def load_measurement_targets(path):
 
 
 def load_mappings(path):
-    """Yield the rows of mappings.tsv as dicts keyed by header name.
-
-    ``concept_id`` is parsed to an int; every other field stays a string.
-    """
-    for lineno, fields in _read_rows(path, MAPPINGS_HEADER):
-        row = dict(zip(MAPPINGS_HEADER, fields))
-        try:
-            row["concept_id"] = int(fields[0])
-        except ValueError:
-            raise ParseError("MALFORMED_ROW", f"bad concept_id {fields[0]!r}", str(path), lineno) from None
-        yield row
+    """Yield the rows of mappings.tsv as dicts keyed by column name."""
+    names = [name for name, _ in MAPPING_COLUMNS]
+    for _, fields in _read_rows(path, MAPPING_COLUMNS):
+        yield dict(zip(names, fields))
 
 
 def load_id_list(path) -> set[int]:
@@ -707,13 +683,7 @@ def load_id_list(path) -> set[int]:
 def load_weights(path) -> dict[str, float]:
     """hpo_curie -> weight; each CURIE is listed once, each weight finite."""
     weights = {}
-    for lineno, (curie, raw) in _read_rows(path, ["hpo_curie", "weight"]):
-        try:
-            weight = float(raw)
-        except ValueError as exc:
-            raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
-        if not math.isfinite(weight):
-            raise ParseError("MALFORMED_ROW", f"{raw!r} is not a finite number", str(path), lineno)
+    for lineno, (curie, weight) in _read_rows(path, WEIGHT_COLUMNS):
         if curie in weights:
             raise ParseError("DUPLICATE_ID", f"hpo_curie {curie!r} repeated", str(path), lineno)
         weights[curie] = weight
@@ -722,18 +692,50 @@ def load_weights(path) -> dict[str, float]:
 
 def load_patient_phenotypes(path):
     """Yield (patient_id, hpo_curie) rows; a patient may have many."""
-    for _, (patient_id, curie) in _read_rows(path, ["patient_id", "hpo_curie"]):
+    for _, (patient_id, curie) in _read_rows(path, PATIENT_COLUMNS):
         yield patient_id, curie
 
 
 def load_cohort(path) -> dict[str, str]:
     """patient_id -> CASE or CONTROL; each patient is listed once."""
     groups = {}
-    for lineno, (patient_id, group) in _read_rows(path, ["patient_id", "group"]):
-        group = group.strip().upper()
-        if group not in {"CASE", "CONTROL"}:
-            raise ParseError("MALFORMED_ROW", f"bad group {group!r}", str(path), lineno)
+    for lineno, (patient_id, group) in _read_rows(path, COHORT_COLUMNS):
         if patient_id in groups:
             raise ParseError("DUPLICATE_ID", f"patient_id {patient_id!r} repeated", str(path), lineno)
         groups[patient_id] = group
     return groups
+
+
+def load_code_dictionary(path) -> NormalizationDictionary:
+    """The prefix dictionary in a CSV file headed raw_prefix,canonical_prefix."""
+    rows = []
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip().lower() for c in header[:2]] != ["raw_prefix", "canonical_prefix"]:
+            raise ParseError("MISSING_COLUMN", "expected header raw_prefix,canonical_prefix", str(path), 1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < 2:
+                raise ParseError("MALFORMED_ROW", "expected 2 columns", str(path), lineno)
+            rows.append((row[0], row[1]))
+    return NormalizationDictionary(rows)
+
+
+def default_code_dictionary() -> NormalizationDictionary:
+    """Prefix dictionary vendored with the package (common clinical vocabularies)."""
+    with resources.as_file(resources.files("termbridge.data").joinpath("source_code_vocab_map.csv")) as p:
+        return load_code_dictionary(p)
+
+
+def load_stopwords(path) -> frozenset[str]:
+    """One token per line, lowercased; blank lines ignored."""
+    with open_text(path) as fh:
+        return frozenset(w.lower() for w in (line.strip() for line in fh) if w)
+
+
+def default_stopwords() -> frozenset[str]:
+    """The English stopword list vendored with the package."""
+    with resources.as_file(resources.files("termbridge.data").joinpath("stopwords.txt")) as p:
+        return load_stopwords(p)

@@ -1,20 +1,19 @@
 """String and code normalization shared by alignment and similarity.
 
-All functions are pure.  Code prefix rewriting is driven by a two-column
-dictionary file so that the same code referenced under different prefixes
-or symbols lands on one canonical form.
+All functions are pure and read no file: ``ingest`` reads the prefix
+dictionary and the stopword lists.  Code prefix rewriting is driven by
+a raw -> canonical prefix dictionary so that the same code referenced
+under different prefixes or symbols lands on one canonical form.
 """
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 
 from .core import CodeRef
-from .errors import DataError, ParseError, open_text
+from .errors import DataError
 
 
 class Lemmatize(Enum):
@@ -48,32 +47,6 @@ class NormalizationDictionary:
                     "NOT_FIXED_POINT",
                     f"canonical prefix {canon} is itself remapped to {self._map[canon.lower()]}",
                 )
-
-    @classmethod
-    def from_csv(cls, path) -> "NormalizationDictionary":
-        rows = []
-        with open_text(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip().lower() for c in header[:2]] != [
-                "raw_prefix",
-                "canonical_prefix",
-            ]:
-                raise ParseError(
-                    "MISSING_COLUMN",
-                    "expected header raw_prefix,canonical_prefix",
-                    path=str(path),
-                    line=1,
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) < 2:
-                    raise ParseError(
-                        "MALFORMED_ROW", "expected 2 columns", path=str(path), line=lineno
-                    )
-                rows.append((row[0], row[1]))
-        return cls(rows)
 
     @classmethod
     def empty(cls) -> "NormalizationDictionary":
@@ -180,28 +153,3 @@ def tokenize(s: str, cfg: TokenizerConfig) -> list[str]:
                 continue
         out.append(token)
     return out
-
-
-def load_stopwords(path) -> frozenset[str]:
-    """One lowercase token per line; blank lines ignored."""
-    words = set()
-    with open_text(path) as fh:
-        for line in fh:
-            w = line.strip()
-            if w:
-                words.add(w.lower())
-    return frozenset(words)
-
-
-def default_stopwords() -> frozenset[str]:
-    """The English stopword list vendored with the package."""
-    text = resources.files("termbridge.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
-
-
-def default_code_dictionary() -> NormalizationDictionary:
-    """Prefix dictionary vendored with the package (common clinical vocabularies)."""
-    with resources.as_file(
-        resources.files("termbridge.data").joinpath("source_code_vocab_map.csv")
-    ) as p:
-        return NormalizationDictionary.from_csv(p)

@@ -39,8 +39,12 @@ from .core import (
 )
 from .errors import ConfigError, DataError, ParseError
 from .ingest import (
-    MAPPINGS_HEADER,
+    MAPPING_COLUMNS,
     RoutingPolicy,
+    default_code_dictionary,
+    default_stopwords,
+    header_line,
+    load_code_dictionary,
     load_cohort,
     load_concepts,
     load_curation,
@@ -52,17 +56,11 @@ from .ingest import (
     load_patient_phenotypes,
     load_prevalence,
     load_routing_policy,
+    load_stopwords,
     load_umls,
     load_weights,
 )
-from .lexical import (
-    Lemmatize,
-    NormalizationDictionary,
-    TokenizerConfig,
-    default_code_dictionary,
-    default_stopwords,
-    load_stopwords,
-)
+from .lexical import Lemmatize, TokenizerConfig
 
 # The names a command uses from modules only it needs, bound as globals by
 # ``_load`` when it runs.  The table exists for perfbench's tracer (and
@@ -294,9 +292,7 @@ def run_map(cfg: RunConfig) -> Path:
     except ValueError as exc:
         raise ConfigError("BAD_THRESHOLD", str(exc)) from None
 
-    dictionary = (
-        NormalizationDictionary.from_csv(cfg.code_map) if cfg.code_map else default_code_dictionary()
-    )
+    dictionary = load_code_dictionary(cfg.code_map) if cfg.code_map else default_code_dictionary()
     stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
 
     concept_load = load_concepts(cfg.concepts, cfg.domain, cfg.ancestors, dictionary)
@@ -426,7 +422,7 @@ def run_map(cfg: RunConfig) -> Path:
         rows = stream()
 
     # A failure part way through the rows leaves no mappings.tsv and no summary.json.
-    _write_text(out_dir / "mappings.tsv", chain(["\t".join(MAPPINGS_HEADER)], rows))
+    _write_text(out_dir / "mappings.tsv", chain([header_line(MAPPING_COLUMNS)], rows))
 
     summary = {
         "domain": cfg.domain.value,

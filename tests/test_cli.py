@@ -371,6 +371,18 @@ class TestMeasurementCommand:
                     by_ontology.setdefault(r["ontology"], []).append(r)
         return code, by_ontology
 
+    def test_malformed_result_curie_is_parse_error(self, measurement_fixture, tmp_path, capsys):
+        targets = tmp_path / "measurement_targets.tsv"
+        lines = Path(measurement_fixture["targets"]).read_text().splitlines()
+        assert lines[1].startswith("3000001\tHIGH\t")
+        lines[1] = "3000001\tHIGH\tnotacurie\t0"
+        targets.write_text("\n".join(lines) + "\n")
+        argv = measurement_args(dict(measurement_fixture, targets=str(targets)), tmp_path / "out")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad curie 'notacurie' [{targets}:2]" in err
+        assert files_under(tmp_path / "out") == []
+
     def test_curated_targets_replace_result_rows(self, measurement_fixture, tmp_path):
         code, rows = self._run_curated(
             measurement_fixture, tmp_path, ["3000001\tHP\t\tHP:0011043\tcurator\t"]
@@ -1086,6 +1098,38 @@ print(json.dumps([loaded_before, codes, calls, kept]))
         assert codes == [0, 0]
         assert calls == ["fit", "run_coverage", "partition_coverage"]
         assert kept == [True, True, True]
+
+
+class TestExitCodes:
+    def test_internal_error_exits_4_with_its_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage fault")
+
+        monkeypatch.setattr(pipeline, "partition_coverage", broken)
+        argv = _evaluate_commands({"concepts": ""}, tmp_path)[0]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[INTERNAL]: RuntimeError: stage fault\n")
+        assert "Traceback (most recent call last):" in err and "in broken" in err
+
+    def test_keyboard_interrupt_is_not_caught(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "partition_coverage", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(_evaluate_commands({"concepts": ""}, tmp_path)[0])
+
+    def test_runs_under_cprofile(self, tmp_path):
+        # cProfile runs the module through runpy, in a namespace that is not
+        # the module ``termbridge.cli``.
+        argv = _evaluate_commands({"concepts": ""}, tmp_path)[0]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"), "-m", "termbridge.cli", *argv],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "coverage" / "coverage.json").is_file()
 
 
 class TestUndecodableInput:

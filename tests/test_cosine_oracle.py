@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from termbridge.core import Domain
-from termbridge.ingest import load_concepts, load_ontology_dump
-from termbridge.lexical import Lemmatize, TokenizerConfig, default_code_dictionary
+from termbridge.ingest import default_code_dictionary, load_concepts, load_ontology_dump
+from termbridge.lexical import Lemmatize, TokenizerConfig
 from termbridge.pipeline import RunConfig, run_map
 from termbridge.similarity import (
     SimilarityConfig,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from termbridge.cli import main
 from termbridge.errors import DataError
-from termbridge.ingest import MAPPINGS_HEADER, PREVALENCE_FLOOR
+from termbridge.ingest import MAPPING_COLUMNS, PREVALENCE_FLOOR, header_line
 from termbridge.stats import bonferroni_pairwise, chi_square_yates
 
 from reference_coverage import SiteRow, bucket_errors, partition_coverage
@@ -59,7 +59,7 @@ def coverage_inputs(draw):
 def _write_inputs(root: Path, rows, mappings, newer, excluded):
     prevalence = ["site_id\tconcept_id\trecord_count"] + [f"{s}\t{c}\t{n}" for s, c, n in rows]
     (root / "prevalence.tsv").write_text("\n".join(prevalence) + "\n")
-    lines = ["\t".join(MAPPINGS_HEADER)]
+    lines = [header_line(MAPPING_COLUMNS)]
     for concept_id, mapped in mappings:
         if mapped:
             lines.append(

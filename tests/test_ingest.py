@@ -16,18 +16,29 @@ from termbridge.align import CuiBridge, enrich_concepts
 from termbridge.core import ClinicalConcept, CodeRef, Domain
 from termbridge.errors import ParseError
 from termbridge.ingest import (
-    CONCEPT_HEADER,
+    CONCEPT_COLUMNS,
+    default_code_dictionary,
+    header_line,
     is_cui,
+    load_code_dictionary,
+    load_cohort,
     load_concepts,
     load_curation,
     load_id_list,
+    load_mappings,
+    load_measurement_scales,
+    load_measurement_targets,
     load_ontology_dump,
+    load_patient_phenotypes,
     load_prevalence,
+    load_routing_policy,
+    load_stopwords,
     load_umls,
+    load_weights,
 )
-from termbridge.lexical import NormalizationDictionary, default_code_dictionary, load_stopwords
+from termbridge.lexical import NormalizationDictionary
 
-HEADER = "\t".join(CONCEPT_HEADER)
+HEADER = header_line(CONCEPT_COLUMNS)
 
 
 def serialize_concepts(concepts, record_counts) -> str:
@@ -849,7 +860,7 @@ _READERS = {
     "code_map": (
         "map.csv",
         "raw_prefix,canonical_prefix\nSNOMEDCT_US,SNOMED",
-        lambda p, d: NormalizationDictionary.from_csv(p),
+        lambda p, d: load_code_dictionary(p),
     ),
     "stopwords": ("stop.txt", "the\nof", lambda p, d: load_stopwords(p)),
 }
@@ -893,3 +904,119 @@ class TestUndecodableInput:
         with pytest.raises(ParseError) as err:
             load_stopwords(path)
         assert err.value.line == 3
+
+
+# --- one verdict per loader check ---------------------------------------------
+
+_MAPPINGS_HEADER = (
+    "concept_id\tdomain\tontology\tcategory\tlevel\tlogic\ttargets\ttarget_labels\tscore\tevidence"
+    "\tunmapped_reason\toutcome"
+)
+_MAPPING_ROW = "1\tCONDITION\tHP\tUnmapped\tNONE\t\t\t\t\tEXCLUSION_REASON:None\tNone\t"
+
+
+def _ancestor_children(tmp_path):
+    # Concept 1 is loaded; concept 2 is in another domain.
+    return _write(
+        tmp_path / "c.tsv", f"{HEADER}\n1\tSNOMED\t11\tA\t\tCONDITION\t1\t3\n2\tRXNORM\t12\tB\t\tDRUG\t1\t3\n"
+    )
+
+
+# Each loader: (the header its file starts with, a call that reads the file).
+_VERDICT_LOADERS = {
+    "concepts": (HEADER, lambda p, d: load_concepts(p, Domain.CONDITION)),
+    "ancestors": ("", lambda p, d: load_concepts(_ancestor_children(d), Domain.CONDITION, p)),
+    "curation": (CURATION_HEADER, lambda p, d: load_curation(p, {"HP", "MONDO"})),
+    "routing": ("semantic_type\taction\tvalue", lambda p, d: load_routing_policy(p, ["HP"])),
+    "scales": ("concept_id\tscale\treference_range_kind", lambda p, d: load_measurement_scales(p)),
+    "targets": ("concept_id\toutcome\tcurie\tnegated", lambda p, d: load_measurement_targets(p)),
+    "mappings": (_MAPPINGS_HEADER, lambda p, d: list(load_mappings(p))),
+    "prevalence": ("site_id\tconcept_id\trecord_count", lambda p, d: load_prevalence(p)),
+    "weights": ("hpo_curie\tweight", lambda p, d: load_weights(p)),
+    "patients": ("patient_id\thpo_curie", lambda p, d: list(load_patient_phenotypes(p))),
+    "cohort": ("patient_id\tgroup", lambda p, d: load_cohort(p)),
+    "id_list": ("", lambda p, d: load_id_list(p)),
+}
+
+_KEPT = "1\tSNOMED\t11\tA\t\tCONDITION\t1\t3"
+
+# (loader, the lines after its header, expected (code, line); None when it loads).
+_VERDICTS = [
+    pytest.param("concepts", ["x\tSNOMED\t11\tA\t\tCONDITION\t1\t3"], ("MALFORMED_ROW", 2), id="concepts-bad_id"),
+    pytest.param("concepts", [_KEPT, "2\tSNOMED\t12\tB\t\tNOPE\t1\t3"], ("MALFORMED_ROW", 3), id="concepts-bad_domain"),
+    pytest.param("concepts", ["1\tSNOMED\t11\tA\t\tCONDITION\tyes\t3"], ("MALFORMED_ROW", 2), id="concepts-bad_flag"),
+    pytest.param("concepts", ["1\tSNOMED\t11\tA\t\tCONDITION\t1\tmany"], ("MALFORMED_ROW", 2), id="concepts-bad_count"),
+    pytest.param("concepts", ["2\tRXNORM\t12\tB\t\tDRUG\t1\tmany"], ("MALFORMED_ROW", 2), id="concepts-bad_count_skipped_row"),
+    pytest.param("concepts", ["1\tSNOMED\t11\tA\t\tCONDITION\t1"], ("MALFORMED_ROW", 2), id="concepts-seven_columns"),
+    pytest.param("concepts", [_KEPT, "", _KEPT], ("DUPLICATE_ID", 4), id="concepts-duplicate"),
+    pytest.param("concepts", ["2\tRXNORM\t12\tB\t\tDRUG\t1\t3"] * 2, None, id="concepts-duplicate_skipped_row"),
+    pytest.param("concepts", ["1\tSNOMED\t11\tA\t\tCONDITION\t1\t0"], ("MALFORMED_ROW", 2), id="concepts-zero_count_used_kept_row"),
+    pytest.param("concepts", [_KEPT, "3\tSNOMED\t13\tC\t\tCONDITION\t0\t-1"], ("MALFORMED_ROW", 3), id="concepts-negative_count_kept_row"),
+    pytest.param("concepts", ["2\tRXNORM\t12\tB\t\tDRUG\t1\t0"], None, id="concepts-zero_count_used_skipped_row"),
+    pytest.param("concepts", ["2\tRXNORM\t12\tB\t\tDRUG\t0\t-1"], None, id="concepts-negative_count_skipped_row"),
+    pytest.param("ancestors", ["1\t2\t5"], ("MALFORMED_ROW", 1), id="ancestors-three_columns"),
+    pytest.param("ancestors", ["1\t2", "x\t1"], ("MALFORMED_ROW", 2), id="ancestors-non_integer"),
+    pytest.param("ancestors", ["999\t999"], ("MALFORMED_ROW", 1), id="ancestors-self_loop_unloaded_child"),
+    pytest.param("ancestors", ["concept_id\tancestor_concept_id", "1\t2"], None, id="ancestors-header"),
+    pytest.param("ancestors", ["concept_id\tparent", "1\t2"], None, id="ancestors-header_of_other_names"),
+    pytest.param("ancestors", ["1\t2", "2\t1"], None, id="ancestors-no_header"),
+    pytest.param("ancestors", ["1\t2", "concept_id\tancestor_concept_id"], ("MALFORMED_ROW", 2), id="ancestors-header_on_line_2"),
+    pytest.param("curation", ["x\tHP\t\tHP:1\te\t"], ("MALFORMED_ROW", 2), id="curation-bad_concept_id"),
+    pytest.param("curation", ["1\tZZ\t\tZZ:1\te\t"], ("UNKNOWN_ONTOLOGY", 2), id="curation-unknown_ontology"),
+    pytest.param("curation", ["1\tHP\t\t\te\tNO_SUCH_REASON"], ("UNKNOWN_REASON", 2), id="curation-unknown_reason"),
+    pytest.param("curation", ["1\tHP\t\tHP:1\te\tINJURY"], ("BOTH_TARGETS_AND_REASON", 2), id="curation-both"),
+    pytest.param("curation", ["1\tHP\t\t | \te\t "], ("MALFORMED_ROW", 2), id="curation-neither"),
+    pytest.param("curation", ["1\thp\t\t\te\tnot mapped test type", "1\tMONDO\t\tMONDO:1|MONDO:2\te\t"], None, id="curation-accepted"),
+    pytest.param("routing", ["T047\tMAYBE\tHP"], ("MALFORMED_ROW", 2), id="routing-unknown_action"),
+    pytest.param("routing", ["T047\tALLOW\t | "], ("MALFORMED_ROW", 2), id="routing-empty_allow"),
+    pytest.param("routing", ["T047\tEXCLUDE\tNO_SUCH_REASON"], ("UNKNOWN_REASON", 2), id="routing-unknown_reason"),
+    pytest.param("routing", ["T047\texclude\tINJURY", "T047\tEXCLUDE\tinjury", "T047\tEXCLUDE\tFINDING"], ("CONFLICTING_RULE", 4), id="routing-conflicting_exclude"),
+    pytest.param("scales", ["x\tORDINAL\tNONE"], ("MALFORMED_ROW", 2), id="scales-bad_concept_id"),
+    pytest.param("scales", ["1\tINTERVAL\tNONE"], ("MALFORMED_ROW", 2), id="scales-bad_scale"),
+    pytest.param("scales", ["1\tORDINAL\tRATIO"], ("MALFORMED_ROW", 2), id="scales-bad_range_kind"),
+    pytest.param("scales", ["1\tordinal\t numeric ", "1\tNOMINAL\tNONE"], ("DUPLICATE_ID", 3), id="scales-duplicate"),
+    pytest.param("targets", ["x\tHIGH\tHP:1\t0"], ("MALFORMED_ROW", 2), id="targets-bad_concept_id"),
+    pytest.param("targets", ["1\tHIGH\tHP:1\tyes"], ("MALFORMED_ROW", 2), id="targets-bad_negated"),
+    pytest.param("targets", ["1\tUBERON\tUBERON:1\t1"], ("MALFORMED_ROW", 2), id="targets-negated_auxiliary"),
+    pytest.param("targets", ["1\thigh\tHP:1\t0", "1\tNORMAL\tHP:2\t1", "1\tUBERON\tUBERON:1\t"], None, id="targets-accepted"),
+    pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tLOW\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_result_curie"),
+    pytest.param("mappings", ["4x" + _MAPPING_ROW[1:]], ("MALFORMED_ROW", 2), id="mappings-bad_concept_id"),
+    pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW + "\textra"], ("MALFORMED_ROW", 3), id="mappings-thirteen_columns"),
+    pytest.param("prevalence", ["a\t1\t-5"], ("MALFORMED_ROW", 2), id="prevalence-negative"),
+    pytest.param("prevalence", ["a\t1\t5.0"], ("MALFORMED_ROW", 2), id="prevalence-bad_count"),
+    pytest.param("prevalence", ["a\t1\t5", "b\t1\t5", "a\t1\t700"], ("DUPLICATE_ID", 4), id="prevalence-duplicate"),
+    pytest.param("weights", ["HP:1\tnan"], ("MALFORMED_ROW", 2), id="weights-nan"),
+    pytest.param("weights", ["HP:1\t-inf"], ("MALFORMED_ROW", 2), id="weights-infinite"),
+    pytest.param("weights", ["HP:1\theavy"], ("MALFORMED_ROW", 2), id="weights-not_a_number"),
+    pytest.param("weights", ["HP:1\t1.5", "HP:1\t2"], ("DUPLICATE_ID", 3), id="weights-duplicate"),
+    pytest.param("patients", ["p1\tHP:1", "p1"], ("MALFORMED_ROW", 3), id="patients-one_column"),
+    pytest.param("cohort", ["p1\tSIBLING"], ("MALFORMED_ROW", 2), id="cohort-bad_group"),
+    pytest.param("cohort", ["p1\t case ", "p1\tCONTROL"], ("DUPLICATE_ID", 3), id="cohort-duplicate"),
+    pytest.param("cohort", ["p1\tCASE\tx"], ("MALFORMED_ROW", 2), id="cohort-three_columns"),
+    pytest.param("id_list", ["12\t", "   ", " 13 "], None, id="id_list-whitespace_accepted"),
+    pytest.param("id_list", ["12", "", "twelve"], ("MALFORMED_ROW", 3), id="id_list-bad_id"),
+]
+
+
+class TestLoaderVerdicts:
+    """Each loader's (code, line) for one case of every check it makes."""
+
+    @pytest.mark.parametrize("loader, lines, verdict", _VERDICTS)
+    def test_verdict(self, tmp_path, loader, lines, verdict):
+        header, read = _VERDICT_LOADERS[loader]
+        text = "\n".join(([header] if header else []) + lines) + "\n"
+        path = _write(tmp_path / f"{loader}.tsv", text)
+        if verdict is None:
+            read(path, tmp_path)
+            return
+        with pytest.raises(ParseError) as err:
+            read(path, tmp_path)
+        assert (err.value.code, err.value.line) == verdict
+
+    @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list"}))
+    def test_header_checked(self, tmp_path, loader):
+        header, read = _VERDICT_LOADERS[loader]
+        for text in ("", header.replace("\t", "\tx", 1) + "\n", header.rsplit("\t", 1)[0] + "\n"):
+            with pytest.raises(ParseError) as err:
+                read(_write(tmp_path / f"{loader}.tsv", text), tmp_path)
+            assert (err.value.code, err.value.line) == ("MISSING_COLUMN", 1)

@@ -6,12 +6,12 @@ import pytest
 
 from termbridge.core import CodeRef
 from termbridge.errors import DataError
+from termbridge.ingest import default_code_dictionary
 from termbridge.lexical import (
     Lemmatize,
     NormalizationDictionary,
     TokenizerConfig,
     canonicalize_code,
-    default_code_dictionary,
     normalize_string,
     tokenize,
 )
