@@ -5,8 +5,9 @@ Generates inputs for every declared TSV loader with ``tests/ingest_fuzz.py``
 (from the column declarations of this repository's ``src/``), reads each
 one with each tree's loaders in a subprocess, and reports every input
 whose (exception type, code, line) differs between the trees.  A
-difference where the second tree rejects a malformed result-row CURIE
-in ``measurement_targets.tsv`` is counted apart, as the ``curie`` case.
+difference where the second tree rejects a malformed CURIE in
+``measurement_targets.tsv`` (``bad curie``, on a result or an auxiliary
+row) is counted apart, as the ``curie`` case.
 
 Usage: python scripts/ingest_differential.py OLD_SRC NEW_SRC [--inputs N] [--seed S]
 

@@ -1,39 +1,18 @@
 """Exact alignment: string, code, and CUI channels over frozen indexes.
 
-Indexes are built once and never change afterwards.  Every candidate
-carries one evidence atom per independent source, and every atom can be
+Indexes are built once and never change afterwards.  Both aligners return
+ontology key -> CURIE -> the set of evidence atoms that tie the concept
+to that class, one atom per independent source, and every atom can be
 replayed against the raw inputs to reproduce the hit.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .core import (
-    ClinicalConcept,
-    CodeRef,
-    EvidenceAtom,
-    EvidenceKind,
-    MappingLevel,
-    canonical_evidence,
-)
+from .core import ClinicalConcept, CodeRef, EvidenceAtom, EvidenceKind
 from .lexical import normalize_string
-
-
-@dataclass(frozen=True)
-class CandidateMatch:
-    concept_id: int
-    curie: str
-    level: MappingLevel
-    evidence: tuple[EvidenceAtom, ...]
-    via_ancestor: int | None = None
-
-    def __post_init__(self):
-        if not self.evidence:
-            raise ValueError("candidate requires evidence")
-        if (self.level is MappingLevel.ANCESTOR) != (self.via_ancestor is not None):
-            raise ValueError("via_ancestor present iff level is ANCESTOR")
 
 
 class AlignmentIndexes:
@@ -122,8 +101,17 @@ def enrich_concepts(
     return out
 
 
-def _collect_hits(concept: ClinicalConcept, indexes: AlignmentIndexes, allowed) -> dict[str, set]:
-    """Union of code, CUI, and string channel hits, evidence keyed by CURIE."""
+def align_concept(
+    concept: ClinicalConcept,
+    indexes: AlignmentIndexes,
+    allowed=None,
+) -> dict[str, dict[str, set]]:
+    """Concept-level exact hits: ontology key -> CURIE -> evidence atoms.
+
+    The atoms are the union of the code, CUI, and string channel hits.
+    ``allowed`` optionally restricts hits to a set of ontology keys (the
+    routing decision for this concept).  An ontology with no hit is absent.
+    """
     hits: dict[str, set] = defaultdict(set)
 
     for curie in indexes.code_index.get(concept.code, ()):
@@ -144,35 +132,12 @@ def _collect_hits(concept: ClinicalConcept, indexes: AlignmentIndexes, allowed) 
             atom_kind = EvidenceKind.DEFINITION_MATCH if curie in definition_only else kind
             hits[curie].add(EvidenceAtom(atom_kind, key))
 
-    if allowed is not None:
-        hits = {
-            curie: atoms
-            for curie, atoms in hits.items()
-            if indexes.ontology_of.get(curie) in allowed
-        }
-    return hits
-
-
-def align_concept(
-    concept: ClinicalConcept,
-    indexes: AlignmentIndexes,
-    allowed=None,
-) -> list[CandidateMatch]:
-    """Concept-level exact candidates, deduplicated by CURIE, sorted by CURIE.
-
-    ``allowed`` optionally restricts hits to a set of ontology keys (the
-    routing decision for this concept).
-    """
-    hits = _collect_hits(concept, indexes, allowed)
-    return [
-        CandidateMatch(
-            concept_id=concept.concept_id,
-            curie=curie,
-            level=MappingLevel.CONCEPT,
-            evidence=canonical_evidence(hits[curie]),
-        )
-        for curie in sorted(hits)
-    ]
+    by_ontology: dict[str, dict[str, set]] = {}
+    for curie, atoms in hits.items():
+        ontology = indexes.ontology_of[curie]
+        if allowed is None or ontology in allowed:
+            by_ontology.setdefault(ontology, {})[curie] = atoms
+    return by_ontology
 
 
 def align_via_ancestors(
@@ -180,28 +145,21 @@ def align_via_ancestors(
     concept_table: dict[int, ClinicalConcept],
     indexes: AlignmentIndexes,
     allowed=None,
-) -> list[CandidateMatch]:
-    """Ancestor-level candidates: the concept-level logic replayed over every
-    ancestor, all hits returned without prioritization among ancestors.
+) -> dict[str, dict[str, set]]:
+    """Ancestor-level exact hits, in ``align_concept``'s shape: the hits of
+    every loaded ancestor, with the atoms of a CURIE that several ancestors
+    hit taken together and no ancestor preferred.
 
     Callers invoke this only for ontologies where concept-level alignment
     came back empty.
     """
-    out = []
-    for ancestor_id in sorted(concept.ancestors):
+    merged: dict[str, dict[str, set]] = {}
+    for ancestor_id in concept.ancestors:
         ancestor = concept_table.get(ancestor_id)
         if ancestor is None:
             continue
-        hits = _collect_hits(ancestor, indexes, allowed)
-        for curie in sorted(hits):
-            out.append(
-                CandidateMatch(
-                    concept_id=concept.concept_id,
-                    curie=curie,
-                    level=MappingLevel.ANCESTOR,
-                    evidence=canonical_evidence(hits[curie]),
-                    via_ancestor=ancestor_id,
-                )
-            )
-    out.sort(key=lambda c: (c.curie, c.via_ancestor))
-    return out
+        for ontology, hits in align_concept(ancestor, indexes, allowed).items():
+            into = merged.setdefault(ontology, {})
+            for curie, atoms in hits.items():
+                into.setdefault(curie, set()).update(atoms)
+    return merged

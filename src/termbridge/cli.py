@@ -21,7 +21,6 @@ Importing this module loads only ``core`` and ``errors``; a command loads
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from pathlib import Path
@@ -48,10 +47,11 @@ def __getattr__(name):
     return globals().setdefault(name, getattr(pipeline, name))
 
 
-# Attribute lookups on the module reach ``__getattr__``; bare names do not.  It
-# is imported by name: run through runpy (``python -m cProfile -m
-# termbridge.cli``), this code's namespace is not the module.
-_cli = importlib.import_module("termbridge.cli")
+def _pipeline(name):
+    # Bare names do not reach ``__getattr__``: a name bound here, by an earlier
+    # lookup or by a replacement, wins.  Run through runpy (``python -m
+    # termbridge.cli``), ``globals()`` is the running namespace.
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,7 +169,7 @@ def _run_config(values: dict):
         named = [values["out"], values.get("sssom_out"), *ontology, *paths.values()]
         if not all(isinstance(p, str) for p in named if p is not None):
             raise TypeError("paths must be strings")
-        return _cli.RunConfig(
+        return _pipeline("RunConfig")(
             out_dir=values["out"],
             ontology_dumps=tuple(ontology),
             domain=Domain(values["domain"]) if values.get("domain") else Domain.CONDITION,
@@ -190,17 +190,17 @@ def main(argv=None) -> int:
         values = _merge_config(args)
         cfg = _run_config(values)
         if args.command == "map":
-            out = _cli.run_map(cfg)
+            out = _pipeline("run_map")(cfg)
             print(f"wrote {out / 'mappings.tsv'} and {out / 'summary.json'}")
         elif args.command == "coverage":
-            out = _cli.run_coverage(cfg)
+            out = _pipeline("run_coverage")(cfg)
             print(f"wrote {out / 'coverage.json'}, {out / 'pairwise.tsv'}, {out / 'buckets.tsv'}")
         elif args.command == "phers":
-            out = _cli.run_phers(cfg)
+            out = _pipeline("run_phers")(cfg)
             print(f"wrote {out / 'phers.tsv'} and {out / 'test.json'}")
         elif args.command == "export-sssom":
             target = values.get("sssom_out") or str(Path(cfg.out_dir) / "mappings_sssom.tsv")
-            out = _cli.export_sssom(cfg.mappings, cfg.concepts, target)
+            out = _pipeline("export_sssom")(cfg.mappings, cfg.concepts, target)
             print(f"wrote {out}")
         return EXIT_OK
     except ConfigError as exc:

@@ -79,6 +79,12 @@ def _pipe_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split("|") if part.strip())
 
 
+def _curie(raw: str) -> str:
+    curie = raw.strip()
+    parse_curie(curie)
+    return curie
+
+
 def _finite(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -119,9 +125,7 @@ SCALE_COLUMNS = (
     ("scale", _keyword(MeasurementScale)),
     ("reference_range_kind", _keyword(("NUMERIC", "POS_NEG", "NONE"))),
 )
-# ``load_measurement_targets`` checks ``curie`` as a CURIE on result rows
-# only; an auxiliary row's is kept as it is.
-TARGET_COLUMNS = (_CONCEPT_ID, ("outcome", _key), ("curie", str.strip), ("negated", str.strip))
+TARGET_COLUMNS = (_CONCEPT_ID, ("outcome", _key), ("curie", _curie), ("negated", str.strip))
 MAPPING_COLUMNS = (
     _CONCEPT_ID,
     ("domain", None),
@@ -631,7 +635,7 @@ def load_measurement_targets(path):
 
     A row whose second column is a result outcome is an assignment; a row
     whose second column is an ontology key is an auxiliary target (its
-    negated column must be empty or 0).
+    negated column must be empty or 0).  Every row's ``curie`` must be a CURIE.
     """
     outcomes = {o.value for o in MeasurementOutcome}
     assignments: dict[int, list[ResultAssignment]] = defaultdict(list)
@@ -640,10 +644,6 @@ def load_measurement_targets(path):
         if key in outcomes:
             if negated_raw not in {"0", "1"}:
                 raise ParseError("MALFORMED_ROW", f"negated must be 0/1, got {negated_raw!r}", str(path), lineno)
-            try:
-                parse_curie(curie)
-            except ValueError:
-                raise _bad_field(path, lineno, TARGET_COLUMNS[2][0], curie) from None
             assignments[concept_id].append(
                 ResultAssignment(
                     outcome=MeasurementOutcome(key), curie=curie, negated=negated_raw == "1"

@@ -4,7 +4,12 @@ The whole pipeline is seed-free, single-threaded and deterministic.
 ``map`` streams its records: it takes concepts in ascending id, sorts
 each concept's records by (ontology, outcome, targets), and validates,
 writes and tallies them before it builds the next concept's, so rows
-come out in one global order without every record being held.  All
+come out in one global order without every record being held.  Per
+concept, the exact aligners return ontology key -> CURIE -> evidence
+atoms: concept-level hits for the routed ontologies, then ancestor hits
+for those still without one.  ``synthesize`` builds each record with its
+evidence in canonical order, and a row joins that evidence as it stands
+once ``validate_record`` has rejected any ``|`` in it.  All
 serialization is stable (sorted keys, fixed float formatting).  Two runs
 on identical inputs produce byte-identical files.  Every input is read
 by ``ingest``.
@@ -33,7 +38,6 @@ from .core import (
     OUTCOME_ORDER,
     REASON_DISPLAY,
     UnmappedReason,
-    curie_ontology,
     render_category,
     validate_record,
 )
@@ -73,7 +77,7 @@ STAGE_NAMES = {
         "IDF_VARIANT", "SimilarityConfig", "best_per_concept", "build_corpus",
         "filter_pairs", "fit", "score_concept_pairs",
     ),
-    "synthesize": ("expand_measurements", "render_evidence", "route", "synthesize"),
+    "synthesize": ("expand_measurements", "route", "synthesize"),
     "evaluate": ("bucket_errors", "group_stats", "partition_coverage", "phers"),
     "stats": ("bonferroni_pairwise", "chi_square_yates"),
 }
@@ -185,7 +189,7 @@ def _mapping_row(record: MappingRecord, target_labels) -> str:
             "|".join(record.targets),
             labels,
             _fmt_score(record.score),
-            render_evidence(record),
+            "|".join(f"{atom.kind.value}:{atom.payload}" for atom in record.evidence),
             REASON_DISPLAY[record.unmapped_reason] if record.unmapped_reason else "",
             record.outcome.value if record.outcome else "",
         ]
@@ -376,10 +380,10 @@ def run_map(cfg: RunConfig) -> Path:
                 )[0]:
                     claimed[record.ontology].append(record)
             allowed = decision.allowed - claimed.keys()
-            exact_c = align_concept(concept, indexes, allowed) if allowed else []
-            remaining = allowed - {curie_ontology(c.curie) for c in exact_c}
+            exact_c = align_concept(concept, indexes, allowed) if allowed else {}
+            remaining = allowed - exact_c.keys()
             exact_a = (
-                align_via_ancestors(concept, concepts, indexes, remaining) if remaining else []
+                align_via_ancestors(concept, concepts, indexes, remaining) if remaining else {}
             )
             return synthesize(
                 concept,

@@ -1,5 +1,5 @@
-"""Fusion of alignment candidates, cosine scores, curation, and routing
-into final MappingRecords.
+"""Fusion of exact hits, cosine scores, curation, and routing into final
+MappingRecords.
 
 Per-ontology precedence is total and deterministic, and the same for
 every domain:
@@ -7,20 +7,22 @@ every domain:
   1. curation row (manual categories; manual always wins)
   2. records claimed by measurement expansion (result rows, auxiliary
      targets, or a concept-level exclusion)
-  3. concept-level exact candidates (automatic, concept level)
-  4. ancestor-level exact candidates (automatic, ancestor level)
+  3. concept-level exact hits (automatic, concept level)
+  4. ancestor-level exact hits (automatic, ancestor level)
   5. best filtered cosine pair (cosine category, with score)
   6. unmapped, with the routing exclusion reason when present, else
      NOT YET MAPPED for concepts not used in practice, else none-found
 
 Multi-target logic defaults to AND; OR and NOT only arise from curation
-rows and from negated measurement result rows.
+rows and from negated measurement result rows.  Every record is built
+with its evidence in canonical order, so a row joins it as it stands.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     ClinicalConcept,
@@ -129,12 +131,9 @@ def _record_from_curation(concept, row: CurationRow) -> MappingRecord:
     )
 
 
-def _record_from_candidates(concept, ontology, candidates, level) -> MappingRecord:
-    by_curie: dict[str, set] = defaultdict(set)
-    for cand in candidates:
-        by_curie[cand.curie].update(cand.evidence)
-    targets = tuple(sorted(by_curie))
-    atoms = canonical_evidence(a for group in by_curie.values() for a in group)
+def _record_from_hits(concept, ontology, hits, level) -> MappingRecord:
+    """The automatic record of one ontology's CURIE -> atoms hits."""
+    targets = tuple(sorted(hits))
     if level is MappingLevel.CONCEPT:
         category = (
             MappingCategory.AUTO_ONE_TO_ONE_CONCEPT
@@ -156,7 +155,7 @@ def _record_from_candidates(concept, ontology, candidates, level) -> MappingReco
         logic=_and_logic(len(targets)),
         targets=targets,
         score=None,
-        evidence=atoms,
+        evidence=canonical_evidence(chain.from_iterable(hits.values())),
     )
 
 
@@ -173,8 +172,9 @@ def synthesize(
     """The MappingRecords of one concept: one per configured ontology, or
     its claimed records.
 
-    ``cosine_best`` maps ontology key -> ScoredPair; candidate lists come
-    from the exact aligner; ``curation_rows`` are this concept's rows.
+    ``exact_concept`` and ``exact_ancestor`` map ontology key -> CURIE ->
+    evidence atoms, as the exact aligners return them; ``cosine_best``
+    maps ontology key -> ScoredPair; ``curation_rows`` are this concept's rows.
     ``claimed`` maps ontology key -> the records measurement expansion
     built for it; they stand unless a curation row covers that ontology.
     Claimed ontologies outside the configured set are explicit curated
@@ -190,13 +190,6 @@ def synthesize(
             )
         curation_by_ontology[row.ontology] = row
 
-    concept_by_ontology = defaultdict(list)
-    for cand in exact_concept:
-        concept_by_ontology[curie_ontology(cand.curie)].append(cand)
-    ancestor_by_ontology = defaultdict(list)
-    for cand in exact_ancestor:
-        ancestor_by_ontology[curie_ontology(cand.curie)].append(cand)
-
     configured = sorted(o.upper() for o in ontologies)
     records = []
     for ontology in configured:
@@ -207,18 +200,14 @@ def synthesize(
         if ontology in claimed:
             records.extend(claimed[ontology])
             continue
-        if concept_by_ontology.get(ontology):
+        if ontology in exact_concept:
             records.append(
-                _record_from_candidates(
-                    concept, ontology, concept_by_ontology[ontology], MappingLevel.CONCEPT
-                )
+                _record_from_hits(concept, ontology, exact_concept[ontology], MappingLevel.CONCEPT)
             )
             continue
-        if ancestor_by_ontology.get(ontology):
+        if ontology in exact_ancestor:
             records.append(
-                _record_from_candidates(
-                    concept, ontology, ancestor_by_ontology[ontology], MappingLevel.ANCESTOR
-                )
+                _record_from_hits(concept, ontology, exact_ancestor[ontology], MappingLevel.ANCESTOR)
             )
             continue
         pair = cosine_best.get(ontology)
@@ -390,16 +379,3 @@ def expand_measurements(
             )
         )
     return records, spec
-
-
-# --- evidence serialization ------------------------------------------------
-
-
-def render_evidence(record: MappingRecord) -> str:
-    """Pipe-joined `KIND:payload` atoms in canonical order."""
-    atoms = canonical_evidence(record.evidence)
-    for atom in atoms:
-        if "|" in atom.payload:
-            raise DataError("EVIDENCE_DELIMITER", f"payload contains '|': {atom.payload!r}")
-    return "|".join(f"{a.kind.value}:{a.payload}" for a in atoms)
-

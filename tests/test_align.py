@@ -2,10 +2,7 @@
 
 import random
 
-import pytest
-
 from termbridge.align import (
-    CandidateMatch,
     CuiBridge,
     align_concept,
     align_via_ancestors,
@@ -18,9 +15,7 @@ from termbridge.core import (
     Domain,
     EvidenceAtom,
     EvidenceKind,
-    MappingLevel,
     OntologyClass,
-    canonical_evidence,
 )
 from termbridge.lexical import normalize_string
 
@@ -154,43 +149,40 @@ class TestAlignConcept:
             cuis=["C0596028"],
         )
         idx = build_indexes([OVERJET])
-        out = align_concept(c, idx)
-        assert len(out) == 1
-        cand = out[0]
-        assert cand.curie == "HP:0011095"
-        assert cand.level is MappingLevel.CONCEPT
-        assert set(cand.evidence) == {
-            EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:70305005"),
-            EvidenceAtom(EvidenceKind.CUI_MATCH, "C0596028"),
-            EvidenceAtom(EvidenceKind.SYNONYM_MATCH, "overjet"),
+        assert align_concept(c, idx) == {
+            "HP": {
+                "HP:0011095": {
+                    EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:70305005"),
+                    EvidenceAtom(EvidenceKind.CUI_MATCH, "C0596028"),
+                    EvidenceAtom(EvidenceKind.SYNONYM_MATCH, "overjet"),
+                }
+            }
         }
-        # canonical ordering: code-derived atoms first
-        assert cand.evidence[0].kind is EvidenceKind.XREF_MATCH
 
     def test_no_overlap(self):
         c = concept(1, CodeRef("SNOMED", "000"), "unrelated words")
-        assert align_concept(c, build_indexes([OVERJET])) == []
+        assert align_concept(c, build_indexes([OVERJET])) == {}
 
     def test_label_matching_two_classes(self):
         k1 = klass("HP:0000001", "shared label")
         k2 = klass("HP:0000002", "Shared  Label")
         c = concept(1, CodeRef("SNOMED", "000"), "shared label")
-        out = align_concept(c, build_indexes([k1, k2]))
-        assert [cand.curie for cand in out] == ["HP:0000001", "HP:0000002"]
-        for cand in out:
-            assert cand.evidence == (EvidenceAtom(EvidenceKind.LABEL_MATCH, "shared label"),)
+        atoms = {EvidenceAtom(EvidenceKind.LABEL_MATCH, "shared label")}
+        assert align_concept(c, build_indexes([k1, k2])) == {
+            "HP": {"HP:0000001": atoms, "HP:0000002": atoms}
+        }
 
     def test_routing_filter(self):
         c = concept(1, CodeRef("SNOMED", "000"), "overjet")
         idx = build_indexes([OVERJET])
-        assert align_concept(c, idx, allowed=frozenset({"MONDO"})) == []
-        assert len(align_concept(c, idx, allowed=frozenset({"HP"}))) == 1
+        assert align_concept(c, idx, allowed=frozenset({"MONDO"})) == {}
+        assert list(align_concept(c, idx, allowed=frozenset({"HP"}))["HP"]) == ["HP:0011095"]
 
     def test_definition_only_hit_has_definition_kind(self):
         defined = klass("HP:0000010", "Something else", definition="deep phrase")
         c = concept(1, CodeRef("SNOMED", "000"), "deep phrase")
         out = align_concept(c, build_indexes([defined]))
-        assert out[0].evidence == (EvidenceAtom(EvidenceKind.DEFINITION_MATCH, "deep phrase"),)
+        assert out["HP"]["HP:0000010"] == {EvidenceAtom(EvidenceKind.DEFINITION_MATCH, "deep phrase")}
 
 
 class TestAlignViaAncestors:
@@ -206,14 +198,14 @@ class TestAlignViaAncestors:
                         ancestors=[90001])
         idx = build_indexes([salivary])
         out = align_via_ancestors(child, {90001: anc, 22722: child}, idx)
-        assert len(out) == 1
-        cand = out[0]
-        assert cand.curie == "HP:0010286"
-        assert cand.level is MappingLevel.ANCESTOR
-        assert cand.via_ancestor == 90001
-        assert cand.concept_id == 22722
-        assert EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:10890000") in cand.evidence
-        assert EvidenceAtom(EvidenceKind.CUI_MATCH, "C0036093") in cand.evidence
+        assert out == {
+            "HP": {
+                "HP:0010286": {
+                    EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:10890000"),
+                    EvidenceAtom(EvidenceKind.CUI_MATCH, "C0036093"),
+                }
+            }
+        }
 
     def test_two_ancestor_hits(self):
         bone = klass("MONDO:0005315", "Bone fracture", synonyms=["Fracture of bone"])
@@ -226,31 +218,46 @@ class TestAlignViaAncestors:
         )
         table = {c.concept_id: c for c in (anc1, anc2, child)}
         out = align_via_ancestors(child, table, build_indexes([bone, foot]))
-        assert {(c.curie, c.via_ancestor) for c in out} == {
-            ("MONDO:0005315", 90002),
-            ("MONDO:0044989", 90003),
+        assert out == {
+            "MONDO": {
+                "MONDO:0005315": {
+                    EvidenceAtom(EvidenceKind.LABEL_MATCH, "fracture of bone"),
+                },
+                "MONDO:0044989": {
+                    EvidenceAtom(EvidenceKind.LABEL_MATCH, "disorder of foot"),
+                },
+            }
+        }
+
+    def test_two_ancestors_on_one_curie_pool_their_atoms(self):
+        anc1 = concept(2, CodeRef("SNOMED", "70305005"), "first", used=False)
+        anc2 = concept(3, CodeRef("SNOMED", "3"), "Overjet", used=False)
+        child = concept(4, CodeRef("SNOMED", "4"), "leaf", ancestors=[2, 3])
+        table = {c.concept_id: c for c in (anc1, anc2, child)}
+        assert align_via_ancestors(child, table, build_indexes([OVERJET])) == {
+            "HP": {
+                "HP:0011095": {
+                    EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:70305005"),
+                    EvidenceAtom(EvidenceKind.LABEL_MATCH, "overjet"),
+                }
+            }
         }
 
     def test_no_ancestors(self):
         child = concept(1, CodeRef("SNOMED", "1"), "leaf")
-        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET])) == []
+        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET])) == {}
 
     def test_missing_ancestor_skipped(self):
         child = concept(1, CodeRef("SNOMED", "1"), "leaf", ancestors=[999])
-        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET])) == []
-
-    def test_candidate_invariants(self):
-        with pytest.raises(ValueError):
-            CandidateMatch(1, "HP:1", MappingLevel.ANCESTOR, (EvidenceAtom(EvidenceKind.LABEL_MATCH, "x"),))
-        with pytest.raises(ValueError):
-            CandidateMatch(1, "HP:1", MappingLevel.CONCEPT, ())
+        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET])) == {}
 
 
 # --- oracle equivalence ------------------------------------------------------
 
 
 def oracle_align(c, classes, allowed=None):
-    """Independent nested-loop reimplementation of concept-level alignment."""
+    """Independent nested-loop reimplementation of concept-level alignment:
+    ontology key -> CURIE -> evidence atoms."""
     hits = {}
     for k in classes:
         if k.deprecated:
@@ -275,11 +282,8 @@ def oracle_align(c, classes, allowed=None):
             elif text == def_string:
                 atoms.add(EvidenceAtom(EvidenceKind.DEFINITION_MATCH, text))
         if atoms:
-            hits[k.curie] = canonical_evidence(atoms)
-    return [
-        CandidateMatch(c.concept_id, curie, MappingLevel.CONCEPT, hits[curie])
-        for curie in sorted(hits)
-    ]
+            hits.setdefault(k.ontology, {})[k.curie] = atoms
+    return hits
 
 
 def random_fixture(rng, n_concepts, n_classes, vocab_size=60):
@@ -332,21 +336,23 @@ class TestOracleEquivalence:
         by_curie = {k.curie: k for k in classes}
         idx = build_indexes(classes)
         for c in concepts:
-            for cand in align_concept(c, idx):
-                k = by_curie[cand.curie]
-                class_strings = {normalize_string(k.label)}
-                class_strings |= {normalize_string(s) for s in k.synonyms}
-                if k.definition:
-                    class_strings.add(normalize_string(k.definition))
-                concept_strings = {normalize_string(c.label)}
-                concept_strings |= {normalize_string(s) for s in c.synonyms}
-                for atom in cand.evidence:
-                    if atom.kind is EvidenceKind.XREF_MATCH:
-                        assert atom.payload == str(c.code)
-                        assert c.code in k.xrefs
-                    elif atom.kind is EvidenceKind.CUI_MATCH:
-                        assert atom.payload in c.cuis
-                        assert CodeRef("UMLS", atom.payload) in k.xrefs
-                    else:
-                        assert atom.payload in class_strings
-                        assert atom.payload in concept_strings
+            for ontology, hits in align_concept(c, idx).items():
+                for curie, atoms in hits.items():
+                    k = by_curie[curie]
+                    assert k.ontology == ontology
+                    class_strings = {normalize_string(k.label)}
+                    class_strings |= {normalize_string(s) for s in k.synonyms}
+                    if k.definition:
+                        class_strings.add(normalize_string(k.definition))
+                    concept_strings = {normalize_string(c.label)}
+                    concept_strings |= {normalize_string(s) for s in c.synonyms}
+                    for atom in atoms:
+                        if atom.kind is EvidenceKind.XREF_MATCH:
+                            assert atom.payload == str(c.code)
+                            assert c.code in k.xrefs
+                        elif atom.kind is EvidenceKind.CUI_MATCH:
+                            assert atom.payload in c.cuis
+                            assert CodeRef("UMLS", atom.payload) in k.xrefs
+                        else:
+                            assert atom.payload in class_strings
+                            assert atom.payload in concept_strings

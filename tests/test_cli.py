@@ -274,6 +274,18 @@ class TestMapCommand:
         paths["curation"] = str(dup)
         assert run_map_cli(paths, tmp_path / "out") == 3
 
+    def test_delimiter_in_curation_evidence_is_data_error(self, tmp_path, condition_fixture, capsys):
+        curation = tmp_path / "curation.tsv"
+        curation.write_text(
+            "concept_id\tontology\tlogic\ttargets\tevidence\tunmapped_reason\n"
+            "22945\tHP\t\tHP:0011095\tPMID:1|PMID:2\t\n"
+        )
+        out = tmp_path / "out"
+        assert run_map_cli(dict(condition_fixture, curation=str(curation)), out) == 3
+        err = capsys.readouterr().err
+        assert "error[INVALID_RECORD]: concept 22945/HP: evidence delimiter at evidence[0].payload" in err
+        assert files_under(out) == []
+
     def test_bad_threshold_is_config_error(self, condition_fixture, tmp_path):
         assert run_map_cli(condition_fixture, tmp_path / "out", extra=["--tau", "2.0"]) == 1
 
@@ -381,6 +393,18 @@ class TestMeasurementCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad curie 'notacurie' [{targets}:2]" in err
+        assert files_under(tmp_path / "out") == []
+
+    def test_malformed_auxiliary_curie_is_parse_error(self, measurement_fixture, tmp_path, capsys):
+        targets = tmp_path / "measurement_targets.tsv"
+        lines = Path(measurement_fixture["targets"]).read_text().splitlines()
+        assert lines[5].startswith("3000001\tUBERON\t")
+        lines[5] = "3000001\tUBERON\tnotacurie\t0"
+        targets.write_text("\n".join(lines) + "\n")
+        argv = measurement_args(dict(measurement_fixture, targets=str(targets)), tmp_path / "out")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad curie 'notacurie' [{targets}:6]" in err
         assert files_under(tmp_path / "out") == []
 
     def test_curated_targets_replace_result_rows(self, measurement_fixture, tmp_path):
@@ -1127,6 +1151,24 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"), "-m", "termbridge.cli", *argv],
             env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "coverage" / "coverage.json").is_file()
+
+    def test_runs_as_main_without_importing_itself(self, tmp_path):
+        # ``python -m termbridge.cli`` runs this code once, as ``__main__``: the
+        # module ``termbridge.cli`` is never imported beside it.
+        script = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('termbridge.cli', run_name='__main__')\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code\n"
+            "assert 'termbridge.cli' not in sys.modules\n"
+        )
+        argv = _evaluate_commands({"concepts": ""}, tmp_path)[0]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=subprocess_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "coverage" / "coverage.json").is_file()

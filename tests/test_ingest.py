@@ -980,6 +980,7 @@ _VERDICTS = [
     pytest.param("targets", ["1\tUBERON\tUBERON:1\t1"], ("MALFORMED_ROW", 2), id="targets-negated_auxiliary"),
     pytest.param("targets", ["1\thigh\tHP:1\t0", "1\tNORMAL\tHP:2\t1", "1\tUBERON\tUBERON:1\t"], None, id="targets-accepted"),
     pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tLOW\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_result_curie"),
+    pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tUBERON\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_auxiliary_curie"),
     pytest.param("mappings", ["4x" + _MAPPING_ROW[1:]], ("MALFORMED_ROW", 2), id="mappings-bad_concept_id"),
     pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW + "\textra"], ("MALFORMED_ROW", 3), id="mappings-thirteen_columns"),
     pytest.param("prevalence", ["a\t1\t-5"], ("MALFORMED_ROW", 2), id="prevalence-negative"),

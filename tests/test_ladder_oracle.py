@@ -1,13 +1,14 @@
 """Every row of ``map`` against the nested-loop ladder reference, on generated inputs.
 
 Inputs are drawn so that every rung of the ladder is busy: alphabets of
-3-8 words with strings of 1-2 words, so exact string hits and cosine ties
+3-8 words with strings of 1-3 words, so exact string hits and cosine ties
 are common; concept codes and two shared CUIs that class xrefs point at;
-ancestor chains, with an ancestor that is not loaded; deprecated classes;
-ALLOW and EXCLUDE routing rules; curation rows with targets or a reason;
-and, for the measurement domain, scale rows, result rows and auxiliary
-targets.  The cosine winners are the run's own (``test_cosine_oracle``
-checks them), read from ``best_per_concept`` as ``map`` calls it.
+ancestor chains, with an ancestor that is not loaded; 2-3 ontologies with
+deprecated classes; ALLOW and EXCLUDE routing rules; curation rows with
+targets or a reason; and, for the measurement domain, scale rows, result
+rows and auxiliary targets.  The cosine winners are the run's own
+(``test_cosine_oracle`` checks them), read from ``best_per_concept`` as
+``map`` calls it.
 """
 
 import json
@@ -44,34 +45,38 @@ SCALES = {
 def ladder_inputs(draw):
     alphabet = draw(st.lists(st.sampled_from(WORDS), min_size=3, max_size=8, unique=True))
     phrase = st.lists(st.sampled_from(alphabet), min_size=1, max_size=2).map(" ".join)
-    # Concept strings may run a word longer, so that many concepts have no
-    # string hit of their own and their ancestors decide.
-    long_phrase = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map(" ".join)
-    domain = draw(st.sampled_from(["CONDITION", "MEASUREMENT"]))
+    long_phrase = st.lists(st.sampled_from(alphabet), min_size=2, max_size=3).map(" ".join)
+    domain = draw(st.sampled_from(["CONDITION", "CONDITION", "MEASUREMENT"]))
     n = draw(st.integers(1, 8))
     concepts = []
     for cid in range(1, n + 1):
-        earlier = st.sampled_from([*range(1, cid), DANGLING])
+        ancestors = sorted(draw(st.lists(st.sampled_from([*range(1, cid), DANGLING]), max_size=3, unique=True)))
+        # A concept with ancestors has a longer label and no shared CUI, so
+        # that its ancestors often decide.
+        shared = [] if ancestors else draw(st.lists(st.sampled_from(SHARED_CUIS), max_size=1))
         concepts.append(
             Concept(
                 concept_id=cid,
-                label=draw(long_phrase),
-                synonyms=draw(st.lists(long_phrase, max_size=2)),
+                label=draw(long_phrase if ancestors else phrase),
+                synonyms=draw(st.lists(phrase, max_size=2)),
                 used=draw(st.booleans()),
                 semantic_type=draw(st.sampled_from(SEMANTIC_TYPES)),
-                cuis=sorted({f"C{cid:07d}", *draw(st.lists(st.sampled_from(SHARED_CUIS), max_size=1))}),
-                ancestors=sorted(draw(st.lists(earlier, max_size=2, unique=True))),
+                cuis=sorted({f"C{cid:07d}", *shared}),
+                ancestors=ancestors,
             )
         )
-    cuis = st.sampled_from([*SHARED_CUIS, *(f"C{cid:07d}" for cid in range(1, n + 1))])
-    ontologies = draw(st.lists(st.sampled_from(ONTOLOGIES), min_size=1, max_size=3, unique=True))
+    # Xrefs name the shared CUIs and the first concepts' codes and CUIs,
+    # the ancestors most often, so that two ancestors often hit one class.
+    codes = [f"c{cid}" for cid in range(1, min(n, 3) + 1)]
+    cuis = st.sampled_from([*SHARED_CUIS, *(f"C{cid:07d}" for cid in range(1, min(n, 3) + 1))])
+    ontologies = draw(st.lists(st.sampled_from(ONTOLOGIES), min_size=2, max_size=3, unique=True))
     classes = [
         Klass(
             curie=f"{ontology}:{k:07d}",
             label=draw(st.sampled_from([str, str.title, str.upper]))(draw(phrase)),
             synonyms=draw(st.lists(phrase, max_size=2)),
             definition=draw(st.one_of(st.none(), phrase)),
-            codes=draw(st.lists(st.sampled_from([f"c{cid}" for cid in range(1, n + 1)]), max_size=2)),
+            codes=draw(st.lists(st.sampled_from(codes), max_size=2, unique=True)),
             cuis=draw(st.lists(cuis, max_size=2, unique=True)),
             deprecated=draw(st.sampled_from([False, False, False, True])),
         )
@@ -83,7 +88,7 @@ def ladder_inputs(draw):
             st.one_of(
                 st.none(),
                 st.tuples(st.just("EXCLUDE"), st.sampled_from(["INJURY", "COMPLICATION"])),
-                st.lists(st.sampled_from(ONTOLOGIES), min_size=1, max_size=3, unique=True),
+                st.lists(st.sampled_from(ONTOLOGIES), min_size=1, max_size=2, unique=True),
             )
         )
         for sty in SEMANTIC_TYPES
@@ -196,7 +201,7 @@ def _write_inputs(root: Path, case: Case) -> RunConfig:
 
 def _run(case: Case):
     """``map``'s rows, in file order, and its cosine winners."""
-    stage = getattr(pipeline, "best_per_concept")
+    stage = pipeline.best_per_concept
     captured = []
 
     def recorded(*args, **kwargs):

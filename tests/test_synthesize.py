@@ -2,7 +2,6 @@
 
 import pytest
 
-from termbridge.align import CandidateMatch
 from termbridge.core import (
     CodeRef,
     Domain,
@@ -10,22 +9,29 @@ from termbridge.core import (
     EvidenceKind,
     MappingCategory,
     MappingLevel,
-    MappingRecord,
     MeasurementOutcome,
     MeasurementScale,
     ResultAssignment,
     ResultType,
     UnmappedReason,
+    canonical_evidence,
     validate_record,
 )
 from termbridge.errors import DataError, ParseError
-from termbridge.ingest import AuxTarget, CurationRow, RoutingPolicy, ScaleRow, load_routing_policy
+from termbridge.ingest import (
+    MAPPING_COLUMNS,
+    AuxTarget,
+    CurationRow,
+    RoutingPolicy,
+    ScaleRow,
+    load_routing_policy,
+)
+from termbridge.pipeline import _mapping_row
 from termbridge.similarity import ScoredPair
 from termbridge.synthesize import (
     RouteDecision,
     derive_result_type,
     expand_measurements,
-    render_evidence,
     route,
     synthesize,
 )
@@ -43,9 +49,25 @@ def _concept(cid=1, styes=(), used=True, domain=Domain.CONDITION, **kw):
     return c
 
 
-def _cand(cid, curie, atoms=None, level=MappingLevel.CONCEPT, via=None):
-    atoms = atoms or (EvidenceAtom(EvidenceKind.LABEL_MATCH, "x"),)
-    return CandidateMatch(cid, curie, level, tuple(atoms), via)
+def _hits(*curies, atoms=(EvidenceAtom(EvidenceKind.LABEL_MATCH, "x"),)):
+    """Ontology key -> CURIE -> atoms, the shape the exact aligners return."""
+    hits = {}
+    for curie in curies:
+        hits.setdefault(curie.split(":")[0], {})[curie] = set(atoms)
+    return hits
+
+
+def _canonical(records):
+    """``records``, each checked to be built with canonical evidence, which
+    a mapping row joins as it stands."""
+    for record in records:
+        assert record.evidence == canonical_evidence(record.evidence), record
+    return records
+
+
+def _expand(*args, **kwargs):
+    records, spec = expand_measurements(*args, **kwargs)
+    return _canonical(records), spec
 
 
 def _policy(**kw):
@@ -124,15 +146,17 @@ class TestLoadRoutingPolicy:
         assert err.value.code == "CONFLICTING_RULE"
 
 
-def _synth(concept_obj, exact_c=(), exact_a=(), cosine=None, curation=(), decision=None):
-    return synthesize(
-        concept_obj,
-        list(exact_c),
-        list(exact_a),
-        cosine or {},
-        list(curation),
-        decision or RouteDecision(allowed=frozenset(ONTOLOGIES)),
-        ONTOLOGIES,
+def _synth(concept_obj, exact_c=None, exact_a=None, cosine=None, curation=(), decision=None):
+    return _canonical(
+        synthesize(
+            concept_obj,
+            exact_c or {},
+            exact_a or {},
+            cosine or {},
+            list(curation),
+            decision or RouteDecision(allowed=frozenset(ONTOLOGIES)),
+            ONTOLOGIES,
+        )
     )
 
 
@@ -143,7 +167,7 @@ def _by_ontology(records):
 class TestSynthesize:
     def test_single_exact_is_auto_one_to_one(self):
         c = _concept(22945)
-        records = _by_ontology(_synth(c, exact_c=[_cand(22945, "HP:0011095")]))
+        records = _by_ontology(_synth(c, exact_c=_hits("HP:0011095")))
         hp = records["HP"]
         assert hp.category is C.AUTO_ONE_TO_ONE_CONCEPT
         assert hp.targets == ("HP:0011095",)
@@ -152,7 +176,7 @@ class TestSynthesize:
     def test_two_exact_is_one_to_many_and(self):
         c = _concept(78854)
         records = _by_ontology(
-            _synth(c, exact_c=[_cand(78854, "MONDO:0008157"), _cand(78854, "MONDO:0001414")])
+            _synth(c, exact_c=_hits("MONDO:0008157", "MONDO:0001414"))
         )
         mondo = records["MONDO"]
         assert mondo.category is C.AUTO_ONE_TO_MANY_CONCEPT
@@ -161,14 +185,29 @@ class TestSynthesize:
 
     def test_ancestor_candidates(self):
         c = _concept(74185)
-        cands = [
-            _cand(74185, "MONDO:0005315", level=MappingLevel.ANCESTOR, via=90002),
-            _cand(74185, "MONDO:0044989", level=MappingLevel.ANCESTOR, via=90003),
-        ]
-        mondo = _by_ontology(_synth(c, exact_a=cands))["MONDO"]
+        hits = {
+            "MONDO": {
+                "MONDO:0044989": {
+                    EvidenceAtom(EvidenceKind.SYNONYM_MATCH, "disorder of foot"),
+                    EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:118932009"),
+                },
+                "MONDO:0005315": {
+                    EvidenceAtom(EvidenceKind.LABEL_MATCH, "fracture of bone"),
+                    EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:125605004"),
+                },
+            }
+        }
+        mondo = _by_ontology(_synth(c, exact_a=hits))["MONDO"]
         assert mondo.category is C.AUTO_ONE_TO_MANY_ANCESTOR
         assert mondo.level is MappingLevel.ANCESTOR
+        assert mondo.targets == ("MONDO:0005315", "MONDO:0044989")
         assert mondo.logic == "AND(0,1)"
+        assert mondo.evidence == (
+            EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:118932009"),
+            EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:125605004"),
+            EvidenceAtom(EvidenceKind.LABEL_MATCH, "fracture of bone"),
+            EvidenceAtom(EvidenceKind.SYNONYM_MATCH, "disorder of foot"),
+        )
 
     def test_cosine_fallback(self):
         c = _concept(4147326)
@@ -181,15 +220,14 @@ class TestSynthesize:
     def test_exact_beats_cosine(self):
         c = _concept(1)
         pair = ScoredPair(1, "HP:0000002", 0.9)
-        hp = _by_ontology(_synth(c, exact_c=[_cand(1, "HP:0000001")], cosine={"HP": pair}))["HP"]
+        hp = _by_ontology(_synth(c, exact_c=_hits("HP:0000001"), cosine={"HP": pair}))["HP"]
         assert hp.category is C.AUTO_ONE_TO_ONE_CONCEPT
         assert hp.score is None
 
     def test_ancestor_beats_cosine(self):
         c = _concept(1)
         pair = ScoredPair(1, "HP:0000002", 0.9)
-        cands = [_cand(1, "HP:0000001", level=MappingLevel.ANCESTOR, via=7)]
-        hp = _by_ontology(_synth(c, exact_a=cands, cosine={"HP": pair}))["HP"]
+        hp = _by_ontology(_synth(c, exact_a=_hits("HP:0000001"), cosine={"HP": pair}))["HP"]
         assert hp.category is C.AUTO_ONE_TO_ONE_ANCESTOR
 
     def test_concept_level_beats_ancestor(self):
@@ -197,8 +235,8 @@ class TestSynthesize:
         hp = _by_ontology(
             _synth(
                 c,
-                exact_c=[_cand(1, "HP:0000001")],
-                exact_a=[_cand(1, "HP:0000009", level=MappingLevel.ANCESTOR, via=7)],
+                exact_c=_hits("HP:0000001"),
+                exact_a=_hits("HP:0000009"),
             )
         )["HP"]
         assert hp.category is C.AUTO_ONE_TO_ONE_CONCEPT
@@ -208,7 +246,7 @@ class TestSynthesize:
         c = _concept(4070954)
         row = CurationRow(4070954, "MONDO", ("MONDO:0008533",), "", "PMID:21998774")
         mondo = _by_ontology(
-            _synth(c, exact_c=[_cand(4070954, "MONDO:0000001")], curation=[row])
+            _synth(c, exact_c=_hits("MONDO:0000001"), curation=[row])
         )["MONDO"]
         assert mondo.category is C.MANUAL_ONE_TO_ONE_CONCEPT
         assert mondo.targets == ("MONDO:0008533",)
@@ -321,7 +359,7 @@ class TestDeriveResultType:
 class TestExpandMeasurements:
     def test_normal_low_high_worked_example(self):
         c = _concept(3000001, domain=Domain.MEASUREMENT)
-        records, spec = expand_measurements(
+        records, spec = _expand(
             c, _scale(3000001, MeasurementScale.QUANTITATIVE, "NUMERIC"),
             NLH_ASSIGNMENTS, [], ("HP",),
         )
@@ -335,7 +373,7 @@ class TestExpandMeasurements:
 
     def test_positive_negative_derives_counterpart(self):
         c = _concept(3000002, domain=Domain.MEASUREMENT)
-        records, spec = expand_measurements(
+        records, spec = _expand(
             c, _scale(3000002, MeasurementScale.ORDINAL),
             [ResultAssignment(MeasurementOutcome.POSITIVE, "HP:0500112", False)], [], ("HP",),
         )
@@ -351,7 +389,7 @@ class TestExpandMeasurements:
 
     def test_unknown_type_unmaps_every_ontology(self):
         c = _concept(3000003, domain=Domain.MEASUREMENT)
-        records, spec = expand_measurements(
+        records, spec = _expand(
             c, _scale(3000003, MeasurementScale.NARRATIVE), [], [], ("HP", "UBERON"),
         )
         assert spec.result_type is ResultType.UNKNOWN_RESULT_TYPE
@@ -363,7 +401,7 @@ class TestExpandMeasurements:
 
     def test_unspecified_sample_flag(self):
         c = _concept(7, domain=Domain.MEASUREMENT)
-        records, spec = expand_measurements(
+        records, spec = _expand(
             c, _scale(7, MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS, [], ("HP", "CL"),
             unspecified_sample=True,
         )
@@ -378,7 +416,7 @@ class TestExpandMeasurements:
 
     def test_aux_targets_once_per_concept(self):
         c = _concept(8, domain=Domain.MEASUREMENT)
-        records, _ = expand_measurements(
+        records, _ = _expand(
             c, _scale(8, MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
             [AuxTarget("UBERON", "UBERON:0001969"), AuxTarget("CHEBI", "CHEBI:1"), AuxTarget("CHEBI", "CHEBI:2")],
             ("HP", "UBERON", "CHEBI"),
@@ -411,7 +449,7 @@ class TestExpandMeasurements:
 
     def test_expanded_records_validate(self):
         c = _concept(11, domain=Domain.MEASUREMENT)
-        records, _ = expand_measurements(
+        records, _ = _expand(
             c, _scale(11, MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
             [AuxTarget("UBERON", "UBERON:0001969")], ("HP", "UBERON", "CL"),
         )
@@ -420,7 +458,7 @@ class TestExpandMeasurements:
 
 
 def parse_evidence(text: str) -> tuple[EvidenceAtom, ...]:
-    """Inverse of render_evidence (parse(render(e)) == canonical e)."""
+    """Inverse of a mapping row's evidence column."""
     if not text:
         return ()
     atoms = []
@@ -430,38 +468,26 @@ def parse_evidence(text: str) -> tuple[EvidenceAtom, ...]:
     return tuple(atoms)
 
 
+def _evidence_column(record) -> str:
+    """The evidence column of ``record``'s row in mappings.tsv."""
+    names = [name for name, _ in MAPPING_COLUMNS]
+    return dict(zip(names, _mapping_row(record, {}).split("\t")))["evidence"]
+
+
 class TestRenderEvidence:
+    """The evidence column of rows built from ``synthesize``'s records."""
+
     def test_canonical_order(self):
-        record = MappingRecord(
-            concept_id=1,
-            domain=Domain.CONDITION,
-            ontology="HP",
-            category=C.AUTO_ONE_TO_ONE_CONCEPT,
-            level=MappingLevel.CONCEPT,
-            logic="",
-            targets=("HP:1",),
-            score=None,
-            evidence=(
-                EvidenceAtom(EvidenceKind.SYNONYM_MATCH, "overjet"),
-                EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:70305005"),
-            ),
+        atoms = (
+            EvidenceAtom(EvidenceKind.SYNONYM_MATCH, "overjet"),
+            EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:70305005"),
         )
-        assert render_evidence(record) == "XREF_MATCH:SNOMED:70305005|SYNONYM_MATCH:overjet"
+        hp = _by_ontology(_synth(_concept(1), exact_c=_hits("HP:1", atoms=atoms)))["HP"]
+        assert _evidence_column(hp) == "XREF_MATCH:SNOMED:70305005|SYNONYM_MATCH:overjet"
 
     def test_not_yet_mapped_payload(self):
-        record = MappingRecord(
-            concept_id=1,
-            domain=Domain.CONDITION,
-            ontology="HP",
-            category=C.UNMAPPED,
-            level=MappingLevel.NONE,
-            logic="",
-            targets=(),
-            score=None,
-            evidence=(EvidenceAtom(EvidenceKind.EXCLUSION_REASON, "NOT YET MAPPED"),),
-            unmapped_reason=UnmappedReason.NOT_YET_MAPPED,
-        )
-        assert render_evidence(record) == "EXCLUSION_REASON:NOT YET MAPPED"
+        hp = _by_ontology(_synth(_concept(1, used=False)))["HP"]
+        assert _evidence_column(hp) == "EXCLUSION_REASON:NOT YET MAPPED"
 
     def test_round_trip(self):
         atoms = (
@@ -469,35 +495,10 @@ class TestRenderEvidence:
             EvidenceAtom(EvidenceKind.CUI_MATCH, "C0596028"),
             EvidenceAtom(EvidenceKind.SYNONYM_MATCH, "overjet"),
         )
-        record = MappingRecord(
-            concept_id=1,
-            domain=Domain.CONDITION,
-            ontology="HP",
-            category=C.AUTO_ONE_TO_ONE_CONCEPT,
-            level=MappingLevel.CONCEPT,
-            logic="",
-            targets=("HP:1",),
-            score=None,
-            evidence=atoms,
-        )
-        assert parse_evidence(render_evidence(record)) == atoms
+        hp = _by_ontology(_synth(_concept(1), exact_a=_hits("HP:1", atoms=atoms[::-1])))["HP"]
+        assert parse_evidence(_evidence_column(hp)) == atoms
 
     def test_payload_with_colon_survives(self):
         assert parse_evidence("XREF_MATCH:SNOMED:70305005") == (
             EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:70305005"),
         )
-
-    def test_delimiter_in_payload_raises(self):
-        record = MappingRecord(
-            concept_id=1,
-            domain=Domain.CONDITION,
-            ontology="HP",
-            category=C.AUTO_ONE_TO_ONE_CONCEPT,
-            level=MappingLevel.CONCEPT,
-            logic="",
-            targets=("HP:1",),
-            score=None,
-            evidence=(EvidenceAtom(EvidenceKind.LABEL_MATCH, "a|b"),),
-        )
-        with pytest.raises(DataError):
-            render_evidence(record)
