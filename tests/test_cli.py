@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -1203,3 +1204,123 @@ class TestUndecodableInput:
         config.write_bytes(b'{"out": "\xff\xfe"}\n')
         assert main(["map", "--config", str(config)]) == 1
         assert "error[BAD_CONFIG]: --config:" in capsys.readouterr().err
+
+
+# Every command's flags as ``--help`` lists them: (flag, metavar, help).
+_FLAGS = {
+    "map": [
+        ("--out", "OUT", "output directory"),
+        ("--concepts", "CONCEPTS", "concept table (TSV)"),
+        ("--ancestors", "ANCESTORS", "concept ancestor pairs (TSV)"),
+        ("--ontology", "ONTOLOGY", "ontology dump (JSONL); repeatable"),
+        ("--umls-mrconso", "UMLS_MRCONSO", "MRCONSO.RRF"),
+        ("--umls-mrsty", "UMLS_MRSTY", "MRSTY.RRF"),
+        ("--code-map", "CODE_MAP", "prefix normalization dictionary (CSV)"),
+        ("--stopwords", "STOPWORDS", "stopword list, one per line"),
+        ("--routing", "ROUTING", "semantic-type routing policy (TSV)"),
+        ("--curation", "CURATION", "manual curation rows (TSV)"),
+        ("--measurement-scales", "MEASUREMENT_SCALES", "measurement scale table (TSV)"),
+        ("--measurement-targets", "MEASUREMENT_TARGETS", "measurement result/auxiliary targets (TSV)"),
+        ("--domain", "{CONDITION,DRUG,MEASUREMENT}", ""),
+        ("--tau", "TAU", "cosine score floor (default 0.25)"),
+        ("--rho", "RHO", "kept fraction of survivors (default 0.75)"),
+        ("--jobs", "JOBS", "accepted and ignored; runs are single-threaded"),
+    ],
+    "coverage": [
+        ("--out", "OUT", "output directory"),
+        ("--mappings", "MAPPINGS", "mappings.tsv from the map command"),
+        ("--prevalence", "PREVALENCE", "per-site concept frequencies (TSV)"),
+        ("--newer-cdm", "NEWER_CDM", "concept ids recovered in a newer CDM, one per line"),
+        ("--excluded", "EXCLUDED", "purposefully excluded concept ids, one per line"),
+        ("--alpha", "ALPHA", "family-wise alpha, strictly between 0 and 1 (default 0.05)"),
+    ],
+    "phers": [
+        ("--out", "OUT", "output directory"),
+        ("--weights", "WEIGHTS", "phenotype weight table (TSV)"),
+        ("--patients", "PATIENTS", "patient phenotype rows (TSV)"),
+        ("--cohort", "COHORT", "patient group assignments (TSV)"),
+    ],
+    "export-sssom": [
+        ("--out", "OUT", "output directory"),
+        ("--mappings", "MAPPINGS", "mappings.tsv from the map command"),
+        ("--concepts", "CONCEPTS", "concept table used for the run"),
+        ("--sssom-out", "SSSOM_OUT", "output file path (default <out>/mappings_sssom.tsv)"),
+    ],
+}
+_REQUIRED = {
+    "map": ("--out", "--concepts", "--ontology"),
+    "coverage": ("--out", "--mappings", "--prevalence"),
+    "phers": ("--out", "--weights", "--patients", "--cohort"),
+    "export-sssom": ("--out", "--mappings", "--concepts"),
+}
+# A config value of the right type for each flag that is not an input file.
+_VALUES = {"--out": "out", "--domain": "DRUG", "--tau": 0.5, "--rho": 0.5, "--jobs": 1, "--alpha": 0.5,
+           "--sssom-out": "sssom.tsv", "--ontology": ["x"]}
+_ALL_FLAGS = {flag for flags in _FLAGS.values() for flag, _, _ in flags}
+
+
+def _input_flags(command):
+    return [flag for flag, _, _ in _FLAGS[command] if flag not in _VALUES or flag == "--ontology"]
+
+
+def _flag_cases():
+    for command, flags in _FLAGS.items():
+        for flag in _REQUIRED[command]:
+            yield pytest.param(command, "omit", flag, ("MISSING_INPUT",), id=f"{command}-omit{flag}")
+        for flag in _input_flags(command):
+            yield pytest.param(command, "absent", flag, ("NO_SUCH_FILE",), id=f"{command}-absent{flag}")
+        yield pytest.param(command, "config", {"nope": 1}, ("BAD_CONFIG",), id=f"{command}-unknown_config_key")
+        foreign = sorted(_ALL_FLAGS - {flag for flag, _, _ in flags})
+        for flag in foreign:
+            yield pytest.param(command, "extra", flag, ("USAGE",), id=f"{command}-foreign{flag}")
+        # The other commands' keys are accepted in a config file: the run
+        # gets as far as the input check.
+        keys = {flag[2:].replace("-", "_"): _VALUES.get(flag, "x") for flag in foreign}
+        yield pytest.param(command, "config", keys, ("MISSING_INPUT", _REQUIRED[command][1]),
+                           id=f"{command}-foreign_config_keys")
+
+
+class TestFlagVerdicts:
+    """Each command's exit code and error code for every flag it takes left
+    out, naming a missing file, or taken from another command, and its
+    ``--help``."""
+
+    def _argv(self, command, root):
+        argv = [command]
+        for flag in _input_flags(command):
+            path = root / flag[2:]
+            path.touch()
+            argv += [flag, str(path)]
+        return argv + ["--out", str(root / "out")]
+
+    @pytest.mark.parametrize("command, change, what, expected", _flag_cases())
+    def test_verdict(self, command, change, what, expected, tmp_path, capsys):
+        argv = self._argv(command, tmp_path)
+        if change == "omit":
+            i = argv.index(what)
+            del argv[i:i + 2]
+        elif change == "absent":
+            argv[argv.index(what) + 1] = str(tmp_path / "absent")
+        elif change == "extra":
+            argv += [what, "x"]
+        else:
+            if len(expected) > 1:
+                i = argv.index(expected[1])
+                del argv[i:i + 2]
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(what))
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error[{expected[0]}]: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    def test_help(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        listed = set(re.findall(r"(--[a-z][a-z-]*)", text))
+        assert listed == {"--help", "--config"} | {flag for flag, _, _ in _FLAGS[command]}
+        for flag, metavar, help_text in _FLAGS[command]:
+            assert f" {flag} {metavar} {help_text}".rstrip() in text, flag
