@@ -5,9 +5,10 @@ Generates inputs for every declared TSV loader with ``tests/ingest_fuzz.py``
 (from the column declarations of this repository's ``src/``), reads each
 one with each tree's loaders in a subprocess, and reports every input
 whose (exception type, code, line) differs between the trees.  A
-difference where the second tree rejects a malformed CURIE in
-``measurement_targets.tsv`` (``bad curie``, on a result or an auxiliary
-row) is counted apart, as the ``curie`` case.
+difference where the second tree rejects a target CURIE is counted
+apart, as the ``curie`` case: a ``curie`` of ``measurement_targets.tsv``
+(``bad curie``: malformed, or an auxiliary row's of another ontology) or
+a curation target of another ontology (``bad targets``).
 
 Usage: python scripts/ingest_differential.py OLD_SRC NEW_SRC [--inputs N] [--seed S]
 
@@ -27,6 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
+
+# Per loader, how the second tree's message starts where it rejects a target CURIE.
+_CURIE_CASE = {"targets": "bad curie ", "curation": "bad targets "}
 
 # Run in each tree: the verdict of every input file listed in argv[1].
 _VERDICT_SCRIPT = """
@@ -89,7 +93,7 @@ def main() -> int:
             if before[:3] == after[:3]:
                 continue
             row["differ"] += 1
-            if loader == "targets" and after[3].startswith("bad curie "):
+            if loader in _CURIE_CASE and after[3].startswith(_CURIE_CASE[loader]):
                 row["curie"] += 1
                 continue
             other += 1

@@ -11,10 +11,10 @@ data-integrity error, 4 internal error (a fault in termbridge itself:
 ``error[INTERNAL]`` with the exception's type and message, then its
 traceback).
 
-Importing this module loads only ``core`` and ``errors``; a command loads
-``pipeline`` (with ``ingest``, which reads every input file, and
-``lexical``) when it dispatches, then
-``map`` loads ``align``, ``similarity`` and ``synthesize``, and
+Importing this module loads only ``errors``.  ``main`` loads ``pipeline``
+(with ``core``, ``ingest``, which reads every input file, and
+``lexical``) before it parses, as the flags are ``RunConfig``'s fields;
+then ``map`` loads ``align``, ``similarity`` and ``synthesize``, and
 ``coverage`` and ``phers`` load ``evaluate`` and ``stats``.
 """
 
@@ -23,9 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .core import Domain
 from .errors import ConfigError, DataError, ParseError
 
 EXIT_OK = 0
@@ -60,84 +58,65 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("USAGE", message)
 
 
-def _build_parser() -> _Parser:
+# Each command: its help line, the pipeline function that runs it, and the
+# files it writes to its output directory (export-sssom names its file).
+_COMMANDS = {
+    "map": ("run the mapping pipeline", "run_map", "mappings.tsv summary.json"),
+    "coverage": ("cross-site coverage evaluation", "run_coverage", "coverage.json pairwise.tsv buckets.tsv"),
+    "phers": ("phenotype risk scores + rank test", "run_phers", "phers.tsv test.json"),
+    "export-sssom": ("flatten mappings to interchange TSV", "export_sssom", ""),
+}
+
+# How a flag of each kind of RunConfig field parses; an Enum's takes its values.
+_ARGUMENTS = {
+    "input": {}, "inputs": {"action": "append"}, "output": {}, float: {"type": float}, int: {"type": int}
+}
+
+
+def _build_parser(flags) -> _Parser:
+    """The parser of every command, with the flags in ``flags`` (config key
+    -> RunConfig field) that each command takes.  A flag left out is not in
+    the parsed namespace."""
     # --help shows the docstring (absent under -OO) without its last paragraph, on imports.
     parser = _Parser(prog="termbridge", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file supplying flag values (flags override)")
-    common.add_argument("--out", required=False, help="output directory")
-
-    p_map = sub.add_parser("map", parents=[common], help="run the mapping pipeline")
-    p_map.add_argument("--concepts", help="concept table (TSV)")
-    p_map.add_argument("--ancestors", help="concept ancestor pairs (TSV)")
-    p_map.add_argument(
-        "--ontology", action="append", default=None, help="ontology dump (JSONL); repeatable"
-    )
-    p_map.add_argument("--umls-mrconso", help="MRCONSO.RRF")
-    p_map.add_argument("--umls-mrsty", help="MRSTY.RRF")
-    p_map.add_argument("--code-map", help="prefix normalization dictionary (CSV)")
-    p_map.add_argument("--stopwords", help="stopword list, one per line")
-    p_map.add_argument("--routing", help="semantic-type routing policy (TSV)")
-    p_map.add_argument("--curation", help="manual curation rows (TSV)")
-    p_map.add_argument("--measurement-scales", help="measurement scale table (TSV)")
-    p_map.add_argument("--measurement-targets", help="measurement result/auxiliary targets (TSV)")
-    p_map.add_argument("--domain", choices=[d.value for d in Domain])
-    p_map.add_argument("--tau", type=float, help="cosine score floor (default 0.25)")
-    p_map.add_argument("--rho", type=float, help="kept fraction of survivors (default 0.75)")
-    p_map.add_argument("--jobs", type=int, help="accepted and ignored; runs are single-threaded")
-
-    p_cov = sub.add_parser("coverage", parents=[common], help="cross-site coverage evaluation")
-    p_cov.add_argument("--mappings", help="mappings.tsv from the map command")
-    p_cov.add_argument("--prevalence", help="per-site concept frequencies (TSV)")
-    p_cov.add_argument("--newer-cdm", help="concept ids recovered in a newer CDM, one per line")
-    p_cov.add_argument("--excluded", help="purposefully excluded concept ids, one per line")
-    p_cov.add_argument("--alpha", type=float, help="family-wise alpha, strictly between 0 and 1 (default 0.05)")
-
-    p_phe = sub.add_parser("phers", parents=[common], help="phenotype risk scores + rank test")
-    p_phe.add_argument("--weights", help="phenotype weight table (TSV)")
-    p_phe.add_argument("--patients", help="patient phenotype rows (TSV)")
-    p_phe.add_argument("--cohort", help="patient group assignments (TSV)")
-
-    p_sss = sub.add_parser("export-sssom", parents=[common], help="flatten mappings to interchange TSV")
-    p_sss.add_argument("--mappings", help="mappings.tsv from the map command")
-    p_sss.add_argument("--concepts", help="concept table used for the run")
-    p_sss.add_argument("--sssom-out", help="output file path (default <out>/mappings_sssom.tsv)")
-
+    for command, (summary, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON file supplying flag values (flags override)")
+        for key, f in flags.items():
+            if command not in f.metadata["commands"]:
+                continue
+            kind, text = f.metadata["kind"], f.metadata["help"]
+            if isinstance(text, dict):
+                text = text[command]
+            parse = _ARGUMENTS[kind] if kind in _ARGUMENTS else {"choices": [m.value for m in kind]}
+            p.add_argument("--" + key.replace("_", "-"), help=text and text % {"default": f.default}, **parse)
     return parser
 
 
-# Keys whose values are file paths; RunConfig takes them under the same names.
-_PATH_KEYS = (
-    "concepts",
-    "ancestors",
-    "umls_mrconso",
-    "umls_mrsty",
-    "code_map",
-    "stopwords",
-    "routing",
-    "curation",
-    "measurement_scales",
-    "measurement_targets",
-    "mappings",
-    "prevalence",
-    "newer_cdm",
-    "excluded",
-    "weights",
-    "patients",
-    "cohort",
-)
-
-_CONFIG_KEYS = {"out", "ontology", "domain", "tau", "rho", "jobs", "alpha", "sssom_out", *_PATH_KEYS}
+def _value(kind, key, raw):
+    """``raw``, from a flag or a config file, as a value of ``kind``; a value
+    of another type is BAD_CONFIG."""
+    if kind == "inputs" and isinstance(raw, str):
+        raw = [raw]
+    if kind == "inputs" and isinstance(raw, list) and all(isinstance(p, str) for p in raw):
+        return tuple(raw)
+    if kind in ("input", "output") and isinstance(raw, str):
+        return raw
+    if kind in (float, int) and type(raw) in (int, kind):
+        return kind(raw)
+    if kind not in _ARGUMENTS and raw in [m.value for m in kind]:
+        return kind(raw)
+    raise ConfigError("BAD_CONFIG", f"bad config value for {key!r}: {raw!r}")
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """File values fill in flags left unset; flags always win."""
-    merged = {}
-    if getattr(args, "config", None):
+def _run_config(config_type, flags, given: dict):
+    """A ``config_type`` from the flags ``given``, each over the value its
+    key has in the ``--config`` file, if any; a null config value is unset."""
+    values = {}
+    if "config" in given:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(given.pop("config"), encoding="utf-8") as fh:
                 file_values = json.load(fh)
         except OSError as exc:
             raise ConfigError("NO_SUCH_FILE", f"--config: {exc}") from None
@@ -145,63 +124,28 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError("BAD_CONFIG", f"--config: {exc}") from None
         if not isinstance(file_values, dict):
             raise ConfigError("BAD_CONFIG", "--config must contain a JSON object")
-        for key, value in file_values.items():
+        for key, raw in file_values.items():
             key = key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in flags:
                 raise ConfigError("BAD_CONFIG", f"unknown config key {key!r}")
-            merged[key] = value
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _run_config(values: dict):
-    """A RunConfig from merged values; a value of the wrong type is BAD_CONFIG."""
-    if not values.get("out"):
-        raise ConfigError("MISSING_INPUT", "--out is required")
-    ontology = values.get("ontology") or ()
-    if isinstance(ontology, str):
-        ontology = (ontology,)
-    paths = {key: values.get(key) for key in _PATH_KEYS}
-    try:
-        named = [values["out"], values.get("sssom_out"), *ontology, *paths.values()]
-        if not all(isinstance(p, str) for p in named if p is not None):
-            raise TypeError("paths must be strings")
-        return _pipeline("RunConfig")(
-            out_dir=values["out"],
-            ontology_dumps=tuple(ontology),
-            domain=Domain(values["domain"]) if values.get("domain") else Domain.CONDITION,
-            tau=float(values.get("tau", 0.25)),
-            rho=float(values.get("rho", 0.75)),
-            jobs=int(values.get("jobs", 0)),
-            alpha=float(values.get("alpha", 0.05)),
-            **paths,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("BAD_CONFIG", f"bad config value: {exc}") from None
+            if raw is not None:
+                values[key] = raw
+    values.update(given)
+    return config_type(
+        **{flags[key].name: _value(flags[key].metadata["kind"], key, raw) for key, raw in values.items()}
+    )
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        values = _merge_config(args)
-        cfg = _run_config(values)
-        if args.command == "map":
-            out = _pipeline("run_map")(cfg)
-            print(f"wrote {out / 'mappings.tsv'} and {out / 'summary.json'}")
-        elif args.command == "coverage":
-            out = _pipeline("run_coverage")(cfg)
-            print(f"wrote {out / 'coverage.json'}, {out / 'pairwise.tsv'}, {out / 'buckets.tsv'}")
-        elif args.command == "phers":
-            out = _pipeline("run_phers")(cfg)
-            print(f"wrote {out / 'phers.tsv'} and {out / 'test.json'}")
-        elif args.command == "export-sssom":
-            target = values.get("sssom_out") or str(Path(cfg.out_dir) / "mappings_sssom.tsv")
-            out = _pipeline("export_sssom")(cfg.mappings, cfg.concepts, target)
-            print(f"wrote {out}")
+        # The flags are RunConfig's fields, so the pipeline loads before parsing.
+        from . import pipeline
+
+        given = vars(_build_parser(pipeline.FLAGS).parse_args(argv))
+        _, runner, outputs = _COMMANDS[given.pop("command")]
+        cfg = _run_config(_pipeline("RunConfig"), pipeline.FLAGS, given)
+        out = _pipeline(runner)(cfg)
+        print("wrote", ", ".join(str(out / name) for name in outputs.split()) or out)
         return EXIT_OK
     except ConfigError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)

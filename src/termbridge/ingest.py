@@ -564,9 +564,9 @@ def load_prevalence(path) -> PrevalenceLoad:
 def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     """Parse manually-derived mapping rows.
 
-    Target CURIEs outside ``known_curies`` (when given) are collected and
-    reported, not rejected: curation may legitimately reference classes
-    newer than the loaded dump.
+    Each target's CURIE prefix must be the row's ontology.  Targets outside
+    ``known_curies`` (when given) are reported, not rejected: curation may
+    legitimately reference classes newer than the loaded dump.
     """
     known = {o.upper() for o in known_ontologies}
     rows = []
@@ -584,10 +584,11 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
             raise ParseError("MALFORMED_ROW", "row has neither targets nor reason", str(path), lineno)
         if len(targets) >= 2 and not logic:
             logic = "AND(" + ",".join(str(i) for i in range(len(targets))) + ")"
-        if known_curies is not None:
-            for t in targets:
-                if t not in known_curies:
-                    unknown_targets.append(t)
+        for t in targets:
+            if t.partition(":")[0].upper() != ontology:
+                raise ParseError("MALFORMED_ROW", f"bad targets {t!r}: not a {ontology} class", str(path), lineno)
+            if known_curies is not None and t not in known_curies:
+                unknown_targets.append(t)
         rows.append(CurationRow(concept_id, ontology, targets, logic, evidence, reason))
     return CurationLoad(rows=tuple(rows), unknown_targets=tuple(sorted(set(unknown_targets))))
 
@@ -635,7 +636,8 @@ def load_measurement_targets(path):
 
     A row whose second column is a result outcome is an assignment; a row
     whose second column is an ontology key is an auxiliary target (its
-    negated column must be empty or 0).  Every row's ``curie`` must be a CURIE.
+    negated column must be empty or 0).  Every row's ``curie`` must be a CURIE,
+    and an auxiliary target's prefix its ontology key.
     """
     outcomes = {o.value for o in MeasurementOutcome}
     assignments: dict[int, list[ResultAssignment]] = defaultdict(list)
@@ -654,6 +656,8 @@ def load_measurement_targets(path):
                 raise ParseError(
                     "MALFORMED_ROW", "auxiliary rows cannot be negated", str(path), lineno
                 )
+            if curie.partition(":")[0].upper() != key:
+                raise ParseError("MALFORMED_ROW", f"bad curie {curie!r}: not a {key} class", str(path), lineno)
             aux[concept_id].append(AuxTarget(ontology=key, curie=curie))
     return dict(assignments), dict(aux)
 

@@ -26,7 +26,7 @@ import importlib
 import json
 import os
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
@@ -125,46 +125,85 @@ _JUSTIFICATION = {
 }
 
 
+def _flag(kind, commands, help=None, default=None, *, required=False, flag=None):
+    """A RunConfig field that is a command-line flag and a ``--config`` key.
+
+    ``kind`` is ``"input"`` (a file that must exist), ``"inputs"`` (such
+    files, the flag repeated), ``"output"`` (a path to write), ``float``,
+    ``int`` or ``Domain``.  The ``commands`` take the flag and, where it is
+    ``required``, fail without it.  The flag is ``--`` and ``flag``, by
+    default the field name, with ``-`` for ``_``.  ``help`` is one text or
+    one per command; ``%(default)s`` in it shows the default.
+    """
+    metadata = dict(kind=kind, commands=commands, required=required, flag=flag, help=help)
+    return field(default=default, metadata=metadata)
+
+
+_MAP, _COVERAGE, _PHERS, _SSSOM = ("map",), ("coverage",), ("phers",), ("export-sssom",)
+
+
 @dataclass
 class RunConfig:
-    out_dir: str
-    concepts: str | None = None
-    ancestors: str | None = None
-    ontology_dumps: tuple[str, ...] = ()
-    umls_mrconso: str | None = None
-    umls_mrsty: str | None = None
-    code_map: str | None = None
-    stopwords: str | None = None
-    routing: str | None = None
-    curation: str | None = None
-    measurement_scales: str | None = None
-    measurement_targets: str | None = None
-    domain: Domain = Domain.CONDITION
-    tau: float = 0.25
-    rho: float = 0.75
-    jobs: int = 0  # accepted for compatibility; runs are single-threaded
-    mappings: str | None = None
-    prevalence: str | None = None
-    newer_cdm: str | None = None
-    excluded: str | None = None
-    alpha: float = 0.05
-    weights: str | None = None
-    patients: str | None = None
-    cohort: str | None = None
+    """One command's inputs and settings.  Each field declares one flag:
+    ``cli`` builds each command's parser and checks each ``--config``
+    value from these fields, and ``check_inputs`` checks a command's."""
+
+    out_dir: str | None = _flag("output", _MAP + _COVERAGE + _PHERS + _SSSOM, "output directory", flag="out")
+    concepts: str | None = _flag(
+        "input",
+        _MAP + _SSSOM,
+        {"map": "concept table (TSV)", "export-sssom": "concept table used for the run"},
+        required=True,
+    )
+    ancestors: str | None = _flag("input", _MAP, "concept ancestor pairs (TSV)")
+    ontology_dumps: tuple[str, ...] = _flag(
+        "inputs", _MAP, "ontology dump (JSONL); repeatable", (), required=True, flag="ontology"
+    )
+    umls_mrconso: str | None = _flag("input", _MAP, "MRCONSO.RRF")
+    umls_mrsty: str | None = _flag("input", _MAP, "MRSTY.RRF")
+    code_map: str | None = _flag("input", _MAP, "prefix normalization dictionary (CSV)")
+    stopwords: str | None = _flag("input", _MAP, "stopword list, one per line")
+    routing: str | None = _flag("input", _MAP, "semantic-type routing policy (TSV)")
+    curation: str | None = _flag("input", _MAP, "manual curation rows (TSV)")
+    measurement_scales: str | None = _flag("input", _MAP, "measurement scale table (TSV)")
+    measurement_targets: str | None = _flag("input", _MAP, "measurement result/auxiliary targets (TSV)")
+    domain: Domain = _flag(Domain, _MAP, None, Domain.CONDITION)
+    tau: float = _flag(float, _MAP, "cosine score floor (default %(default)s)", 0.25)
+    rho: float = _flag(float, _MAP, "kept fraction of survivors (default %(default)s)", 0.75)
+    jobs: int = _flag(int, _MAP, "accepted and ignored; runs are single-threaded", 0)
+    mappings: str | None = _flag("input", _COVERAGE + _SSSOM, "mappings.tsv from the map command", required=True)
+    prevalence: str | None = _flag("input", _COVERAGE, "per-site concept frequencies (TSV)", required=True)
+    newer_cdm: str | None = _flag("input", _COVERAGE, "concept ids recovered in a newer CDM, one per line")
+    excluded: str | None = _flag("input", _COVERAGE, "purposefully excluded concept ids, one per line")
+    alpha: float = _flag(
+        float, _COVERAGE, "family-wise alpha, strictly between 0 and 1 (default %(default)s)", 0.05
+    )
+    weights: str | None = _flag("input", _PHERS, "phenotype weight table (TSV)", required=True)
+    patients: str | None = _flag("input", _PHERS, "patient phenotype rows (TSV)", required=True)
+    cohort: str | None = _flag("input", _PHERS, "patient group assignments (TSV)", required=True)
+    sssom_out: str | None = _flag("output", _SSSOM, "output file path (default <out>/mappings_sssom.tsv)")
 
 
-def _require_paths(pairs):
-    for flag, path in pairs:
-        if path is None:
-            raise ConfigError("MISSING_INPUT", f"--{flag} is required")
-        if not Path(path).exists():
-            raise ConfigError("NO_SUCH_FILE", f"--{flag}: {path} does not exist")
+#: Each RunConfig field by its ``--config`` key: its flag's name, with ``_`` for ``-``.
+FLAGS = {f.metadata["flag"] or f.name: f for f in fields(RunConfig)}
 
 
-def _optional_paths(pairs):
-    for flag, path in pairs:
-        if path is not None and not Path(path).exists():
-            raise ConfigError("NO_SUCH_FILE", f"--{flag}: {path} does not exist")
+def check_inputs(cfg: RunConfig, command: str) -> None:
+    """Raise ``ConfigError`` unless ``cfg`` holds every input ``command``
+    requires, every input file it names exists, and its inputs agree."""
+    if not (cfg.out_dir or command == "export-sssom" and cfg.sssom_out):
+        raise ConfigError("MISSING_INPUT", "--out is required")
+    for key, f in FLAGS.items():
+        if command not in f.metadata["commands"]:
+            continue
+        flag, kind, value = "--" + key.replace("_", "-"), f.metadata["kind"], getattr(cfg, f.name)
+        if not value and f.metadata["required"]:
+            raise ConfigError("MISSING_INPUT", f"{flag} is required")
+        for path in value if kind == "inputs" else (value,) if kind == "input" and value else ():
+            if not Path(path).exists():
+                raise ConfigError("NO_SUCH_FILE", f"{flag}: {path} does not exist")
+    if command == "map" and (cfg.umls_mrconso is None) != (cfg.umls_mrsty is None):
+        raise ConfigError("MISSING_INPUT", "MRCONSO and MRSTY must be supplied together")
 
 
 # A plain loop, kept with its unused ``jobs`` because perfbench's tracer wraps this name.
@@ -272,25 +311,7 @@ class _Tally:
 def run_map(cfg: RunConfig) -> Path:
     """Full mapping pass; writes mappings.tsv and summary.json to out_dir."""
     _load("align", "similarity", "synthesize")
-    _require_paths([("concepts", cfg.concepts)])
-    if not cfg.ontology_dumps:
-        raise ConfigError("MISSING_INPUT", "at least one --ontology dump is required")
-    _optional_paths(
-        [
-            ("ancestors", cfg.ancestors),
-            ("umls-mrconso", cfg.umls_mrconso),
-            ("umls-mrsty", cfg.umls_mrsty),
-            ("code-map", cfg.code_map),
-            ("stopwords", cfg.stopwords),
-            ("routing", cfg.routing),
-            ("curation", cfg.curation),
-            ("measurement-scales", cfg.measurement_scales),
-            ("measurement-targets", cfg.measurement_targets),
-        ]
-        + [("ontology", p) for p in cfg.ontology_dumps]
-    )
-    if (cfg.umls_mrconso is None) != (cfg.umls_mrsty is None):
-        raise ConfigError("MISSING_INPUT", "MRCONSO and MRSTY must be supplied together")
+    check_inputs(cfg, "map")
     try:
         sim_cfg = SimilarityConfig(score_floor=cfg.tau, keep_fraction=cfg.rho)
     except ValueError as exc:
@@ -450,8 +471,7 @@ def run_map(cfg: RunConfig) -> Path:
 def run_coverage(cfg: RunConfig) -> Path:
     """Coverage partition, omnibus + pairwise tests, and error buckets."""
     _load("evaluate", "stats")
-    _require_paths([("mappings", cfg.mappings), ("prevalence", cfg.prevalence)])
-    _optional_paths([("newer-cdm", cfg.newer_cdm), ("excluded", cfg.excluded)])
+    check_inputs(cfg, "coverage")
     if not 0.0 < cfg.alpha < 1.0:
         raise ConfigError("BAD_THRESHOLD", f"alpha must lie in (0, 1), got {cfg.alpha}")
 
@@ -554,9 +574,7 @@ def run_phers(cfg: RunConfig) -> Path:
     from .stats import wilcoxon_rank_sum_one_sided
 
     _load("evaluate")
-    _require_paths(
-        [("weights", cfg.weights), ("patients", cfg.patients), ("cohort", cfg.cohort)]
-    )
+    check_inputs(cfg, "phers")
     weights = load_weights(cfg.weights)
     # The files are validated weights, patients, cohort: phenotype rows are
     # folded for every patient, and those outside the cohort are dropped,
@@ -640,16 +658,17 @@ def _sssom_rows(mappings, concepts):
             )
 
 
-def export_sssom(mappings_path, concepts_path, out_path) -> Path:
-    """Flatten mapping rows into an interchange TSV, one row per target.
+def export_sssom(cfg: RunConfig) -> Path:
+    """Flatten mapping rows into an interchange TSV, one row per target,
+    written to ``sssom_out`` or else ``<out_dir>/mappings_sssom.tsv``.
 
     One-to-many records share a mapping_set_id so consumers can rebuild
     the grouping; unmapped records contribute no rows.  Mapping rows are
     rendered and written as they are read.
     """
-    _require_paths([("mappings", mappings_path), ("concepts", concepts_path)])
-    concepts = load_concepts(concepts_path).concepts
-    rows = _sssom_rows(load_mappings(mappings_path), concepts)
-    out = Path(out_path)
+    check_inputs(cfg, "export-sssom")
+    concepts = load_concepts(cfg.concepts).concepts
+    rows = _sssom_rows(load_mappings(cfg.mappings), concepts)
+    out = Path(cfg.sssom_out or Path(cfg.out_dir) / "mappings_sssom.tsv")
     _write_text(out, chain(["\t".join(SSSOM_HEADER)], rows))
     return out

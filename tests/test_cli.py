@@ -287,6 +287,16 @@ class TestMapCommand:
         assert "error[INVALID_RECORD]: concept 22945/HP: evidence delimiter at evidence[0].payload" in err
         assert files_under(out) == []
 
+    def test_curation_target_in_another_ontology_is_parse_error(self, tmp_path, condition_fixture, capsys):
+        curation = tmp_path / "curation.tsv"
+        lines = Path(condition_fixture["curation"]).read_text().splitlines()
+        curation.write_text("\n".join([*lines, "22945\tHP\t\tMONDO:0001414\tx\t"]) + "\n")
+        out = tmp_path / "out"
+        assert run_map_cli(dict(condition_fixture, curation=str(curation)), out) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad targets 'MONDO:0001414': not a HP class [{curation}:{len(lines) + 1}]" in err
+        assert files_under(out) == []
+
     def test_bad_threshold_is_config_error(self, condition_fixture, tmp_path):
         assert run_map_cli(condition_fixture, tmp_path / "out", extra=["--tau", "2.0"]) == 1
 
@@ -302,8 +312,24 @@ class TestMapCommand:
         assert main(["map", "--config", str(config_path)]) == 0
         assert (tmp_path / "from_config" / "mappings.tsv").exists()
 
+    def test_null_config_value_is_unset(self, condition_fixture, tmp_path):
+        config = {
+            "concepts": condition_fixture["concepts"],
+            "ontology": [condition_fixture["ontology"]],
+            "code_map": condition_fixture["code_map"],
+            "out": str(tmp_path / "out"),
+            "ancestors": None,
+            "tau": None,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["map", "--config", str(config_path)]) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["similarity"]["score_floor"] == 0.25
+
     @pytest.mark.parametrize(
-        "bad", [{"tau": "abc"}, {"jobs": [1]}, {"ontology": 5}], ids=["tau", "jobs", "ontology"]
+        "bad",
+        [{"tau": "abc"}, {"jobs": [1]}, {"ontology": 5}, {"tau": True}, {"tau": "0.3"}, {"jobs": 2.9}],
+        ids=["tau", "jobs", "ontology", "tau_bool", "tau_string", "jobs_float"],
     )
     def test_bad_config_value_is_config_error(self, condition_fixture, tmp_path, capsys, bad):
         config = {
@@ -406,6 +432,16 @@ class TestMeasurementCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad curie 'notacurie' [{targets}:6]" in err
+        assert files_under(tmp_path / "out") == []
+
+    def test_auxiliary_target_in_another_ontology_is_parse_error(self, measurement_fixture, tmp_path, capsys):
+        targets = tmp_path / "measurement_targets.tsv"
+        lines = Path(measurement_fixture["targets"]).read_text().splitlines()
+        targets.write_text("\n".join([*lines, "3000001\tUBERON\tHP:0003154\t0"]) + "\n")
+        argv = measurement_args(dict(measurement_fixture, targets=str(targets)), tmp_path / "out")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad curie 'HP:0003154': not a UBERON class [{targets}:{len(lines) + 1}]" in err
         assert files_under(tmp_path / "out") == []
 
     def test_curated_targets_replace_result_rows(self, measurement_fixture, tmp_path):
@@ -829,6 +865,15 @@ class TestExportSssom:
         cosine = [r for r in rows if r["subject_id"] == "SNOMED:162397003"]
         assert cosine[0]["mapping_justification"] == "semapv:SemanticSimilarityThresholdMatching"
 
+    def test_sssom_out_without_out(self, condition_fixture, tmp_path):
+        run = tmp_path / "run"
+        assert run_map_cli(condition_fixture, run) == 0
+        target = tmp_path / "sssom.tsv"
+        assert main(
+            ["export-sssom", "--mappings", str(run / "mappings.tsv"), "--concepts", condition_fixture["concepts"],
+             "--sssom-out", str(target)]
+        ) == 0
+        assert read_rows(target)
 
     def test_non_integer_concept_id_is_parse_error(self, condition_fixture, tmp_path, capsys):
         run = tmp_path / "run"
@@ -1060,14 +1105,12 @@ _EVALUATE_MODULES = {"termbridge.evaluate", "termbridge.stats", "statistics"}
 
 
 class TestImportCost:
-    """Importing ``termbridge.cli`` loads only ``core`` and ``errors``; each
-    command loads only its own modules.  Only ``map`` loads numpy, and
+    """Importing ``termbridge.cli`` loads only ``errors``; each command
+    loads only its own modules.  Only ``map`` loads numpy, and
     nothing loads scipy.  Each command runs in its own fresh interpreter."""
 
-    def test_import_loads_core_and_errors_only(self):
-        assert modules_after() == [
-            ["termbridge", "termbridge.cli", "termbridge.core", "termbridge.errors"]
-        ]
+    def test_import_loads_errors_only(self):
+        assert modules_after() == [["termbridge", "termbridge.cli", "termbridge.errors"]]
 
     def test_evaluate_commands_load_neither(self, condition_fixture, tmp_path):
         for argv in _evaluate_commands(condition_fixture, tmp_path):

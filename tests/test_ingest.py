@@ -967,6 +967,7 @@ _VERDICTS = [
     pytest.param("curation", ["1\tHP\t\tHP:1\te\tINJURY"], ("BOTH_TARGETS_AND_REASON", 2), id="curation-both"),
     pytest.param("curation", ["1\tHP\t\t | \te\t "], ("MALFORMED_ROW", 2), id="curation-neither"),
     pytest.param("curation", ["1\thp\t\t\te\tnot mapped test type", "1\tMONDO\t\tMONDO:1|MONDO:2\te\t"], None, id="curation-accepted"),
+    pytest.param("curation", ["1\thp\t\thp:1\te\t", "1\tHP\t\tHP:1|MONDO:1\te\t"], ("MALFORMED_ROW", 3), id="curation-target_in_another_ontology"),
     pytest.param("routing", ["T047\tMAYBE\tHP"], ("MALFORMED_ROW", 2), id="routing-unknown_action"),
     pytest.param("routing", ["T047\tALLOW\t | "], ("MALFORMED_ROW", 2), id="routing-empty_allow"),
     pytest.param("routing", ["T047\tEXCLUDE\tNO_SUCH_REASON"], ("UNKNOWN_REASON", 2), id="routing-unknown_reason"),
@@ -981,6 +982,7 @@ _VERDICTS = [
     pytest.param("targets", ["1\thigh\tHP:1\t0", "1\tNORMAL\tHP:2\t1", "1\tUBERON\tUBERON:1\t"], None, id="targets-accepted"),
     pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tLOW\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_result_curie"),
     pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tUBERON\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_auxiliary_curie"),
+    pytest.param("targets", ["1\tuberon\tUBERON:1\t0", "1\tUBERON\tHP:1\t0"], ("MALFORMED_ROW", 3), id="targets-auxiliary_curie_in_another_ontology"),
     pytest.param("mappings", ["4x" + _MAPPING_ROW[1:]], ("MALFORMED_ROW", 2), id="mappings-bad_concept_id"),
     pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW + "\textra"], ("MALFORMED_ROW", 3), id="mappings-thirteen_columns"),
     pytest.param("prevalence", ["a\t1\t-5"], ("MALFORMED_ROW", 2), id="prevalence-negative"),
