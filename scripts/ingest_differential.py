@@ -5,14 +5,16 @@ Generates inputs for every declared TSV loader with ``tests/ingest_fuzz.py``
 (from the column declarations of this repository's ``src/``), reads each
 one with each tree's loaders in a subprocess, and reports every input
 whose (exception type, code, line) differs between the trees.  A
-difference where the second tree rejects a target CURIE is counted
-apart, as the ``curie`` case: a ``curie`` of ``measurement_targets.tsv``
-(``bad curie``: malformed, or an auxiliary row's of another ontology) or
-a curation target of another ontology (``bad targets``).
+difference where the second tree rejects a field that the first let
+through is counted apart, as the ``expected`` case: a ``curie`` of
+``measurement_targets.tsv`` (``bad curie``: malformed, or an auxiliary
+row's of another ontology), a curation target that is not a CURIE or is
+of another ontology (``bad targets``), or a ``mappings.tsv`` category
+that is not one of the map command's labels (``bad category``).
 
 Usage: python scripts/ingest_differential.py OLD_SRC NEW_SRC [--inputs N] [--seed S]
 
-Exits 0 when no difference falls outside the ``curie`` case, 1 otherwise.
+Exits 0 when no difference falls outside the ``expected`` case, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
 
-# Per loader, how the second tree's message starts where it rejects a target CURIE.
-_CURIE_CASE = {"targets": "bad curie ", "curation": "bad targets "}
+# Per loader, how the second tree's message starts in the expected case.
+_EXPECTED = {"targets": "bad curie ", "curation": "bad targets ", "mappings": "bad category "}
 
 # Run in each tree: the verdict of every input file listed in argv[1].
 _VERDICT_SCRIPT = """
@@ -88,19 +90,19 @@ def main() -> int:
         summary: dict[str, dict[str, int]] = {}
         other = 0
         for (loader, path), before, after in zip(inputs, old, new):
-            row = summary.setdefault(loader, {"inputs": 0, "differ": 0, "curie": 0})
+            row = summary.setdefault(loader, {"inputs": 0, "differ": 0, "expected": 0})
             row["inputs"] += 1
             if before[:3] == after[:3]:
                 continue
             row["differ"] += 1
-            if loader in _CURIE_CASE and after[3].startswith(_CURIE_CASE[loader]):
-                row["curie"] += 1
+            if loader in _EXPECTED and after[3].startswith(_EXPECTED[loader]):
+                row["expected"] += 1
                 continue
             other += 1
             print(f"{loader} {Path(path).parent.name}: {before} -> {after}")
             print("    " + Path(path).read_text(encoding="utf-8").replace("\n", "\n    ").rstrip())
 
-    print(json.dumps({"seed": args.seed, "loaders": summary, "differences_outside_curie": other}, indent=1))
+    print(json.dumps({"seed": args.seed, "loaders": summary, "differences_outside_expected": other}, indent=1))
     return 1 if other else 0
 
 

@@ -10,7 +10,7 @@ exceptions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -20,43 +20,91 @@ class Domain(Enum):
     MEASUREMENT = "MEASUREMENT"
 
 
-class MappingCategory(Enum):
-    AUTO_ONE_TO_ONE_CONCEPT = "AUTO_ONE_TO_ONE_CONCEPT"
-    AUTO_ONE_TO_ONE_ANCESTOR = "AUTO_ONE_TO_ONE_ANCESTOR"
-    AUTO_ONE_TO_MANY_CONCEPT = "AUTO_ONE_TO_MANY_CONCEPT"
-    AUTO_ONE_TO_MANY_ANCESTOR = "AUTO_ONE_TO_MANY_ANCESTOR"
-    COSINE_ONE_TO_ONE_CONCEPT = "COSINE_ONE_TO_ONE_CONCEPT"
-    MANUAL_ONE_TO_ONE_CONCEPT = "MANUAL_ONE_TO_ONE_CONCEPT"
-    MANUAL_ONE_TO_MANY_CONCEPT = "MANUAL_ONE_TO_MANY_CONCEPT"
-    UNMAPPED = "UNMAPPED"
-
-
 class MappingLevel(Enum):
     CONCEPT = "CONCEPT"
     ANCESTOR = "ANCESTOR"
     NONE = "NONE"
 
 
+class Justification(Enum):
+    """SSSOM ``mapping_justification`` values (Matentzoglu et al. 2022)."""
+
+    LEXICAL = "semapv:LexicalMatching"
+    SIMILARITY = "semapv:SemanticSimilarityThresholdMatching"
+    CURATION = "semapv:ManualMappingCuration"
+
+
+# Short names for the levels in the category table.
+_C, _A, _N = MappingLevel.CONCEPT, MappingLevel.ANCESTOR, MappingLevel.NONE
+
+
+class MappingCategory(Enum):
+    """Every fact read about a category: its ``label`` in ``mappings.tsv``
+    and ``summary.json``, its ``level``, its ``target_count`` (0, 1, or 2
+    for two or more) and its SSSOM ``justification`` (none for unmapped)."""
+
+    AUTO_ONE_TO_ONE_CONCEPT = ("Automatic One-to-One Concept", _C, 1, Justification.LEXICAL)
+    AUTO_ONE_TO_ONE_ANCESTOR = ("Automatic One-to-One Ancestor", _A, 1, Justification.LEXICAL)
+    AUTO_ONE_TO_MANY_CONCEPT = ("Automatic One-to-Many Concept", _C, 2, Justification.LEXICAL)
+    AUTO_ONE_TO_MANY_ANCESTOR = ("Automatic One-to-Many Ancestor", _A, 2, Justification.LEXICAL)
+    COSINE_ONE_TO_ONE_CONCEPT = ("Cosine Similarity One-to-One Concept", _C, 1, Justification.SIMILARITY)
+    MANUAL_ONE_TO_ONE_CONCEPT = ("Manual One-to-One Concept", _C, 1, Justification.CURATION)
+    MANUAL_ONE_TO_MANY_CONCEPT = ("Manual One-to-Many Concept", _C, 2, Justification.CURATION)
+    UNMAPPED = ("Unmapped", _N, 0, None)
+
+    def __init__(self, label, level, target_count, justification):
+        self.label, self.level = label, level
+        self.target_count, self.justification = target_count, justification
+
+
+#: Each category by its label: ``CATEGORY_BY_LABEL.__getitem__`` parses one.
+CATEGORY_BY_LABEL = {c.label: c for c in MappingCategory}
+_CATEGORY_BY_KIND = {(c.justification, c.level, c.target_count): c for c in MappingCategory}
+
+
+def pick_category(justification, level, n_targets: int) -> MappingCategory:
+    """The category of a record of ``n_targets`` targets found at ``level``
+    with ``justification``."""
+    return _CATEGORY_BY_KIND[justification, level, min(n_targets, 2)]
+
+
 class EvidenceKind(Enum):
-    LABEL_MATCH = "LABEL_MATCH"
-    SYNONYM_MATCH = "SYNONYM_MATCH"
-    DEFINITION_MATCH = "DEFINITION_MATCH"
-    XREF_MATCH = "XREF_MATCH"
-    CUI_MATCH = "CUI_MATCH"
-    COSINE_SCORE = "COSINE_SCORE"
-    MANUAL_SOURCE = "MANUAL_SOURCE"
-    EXCLUSION_REASON = "EXCLUSION_REASON"
+    """Evidence kinds in canonical order: code-derived atoms before string
+    atoms, machine scores and human sources last.  A kind's value is its
+    place in that order, and its ``group`` the ``summary.json`` evidence
+    group it counts under (none for an exclusion)."""
+
+    XREF_MATCH = "Database Cross-References"
+    CUI_MATCH = "Database Cross-References"
+    LABEL_MATCH = "Labels"
+    SYNONYM_MATCH = "Synonyms"
+    DEFINITION_MATCH = "Definitions"
+    COSINE_SCORE = "Cosine Similarity"
+    MANUAL_SOURCE = "Biocuration"
+    EXCLUSION_REASON = None
+
+    def __new__(cls, group):
+        kind = object.__new__(cls)
+        kind._value_, kind.group = len(cls.__members__), group
+        return kind
 
 
 class UnmappedReason(Enum):
-    NONE_FOUND = "NONE_FOUND"
-    NOT_YET_MAPPED = "NOT_YET_MAPPED"
-    INJURY = "INJURY"
-    COMPLICATION = "COMPLICATION"
-    FINDING = "FINDING"
-    CARRIER_STATUS = "CARRIER_STATUS"
-    UNSPECIFIED_SAMPLE = "UNSPECIFIED_SAMPLE"
-    NOT_MAPPED_TEST_TYPE = "NOT_MAPPED_TEST_TYPE"
+    """Why a record is unmapped: its ``label`` in ``mappings.tsv`` and
+    ``summary.json``, and the payload of its exclusion ``evidence``, which
+    is the label but for NOT_YET_MAPPED's legacy all-caps form."""
+
+    NONE_FOUND = "None"
+    NOT_YET_MAPPED = ("Not Yet Mapped", "NOT YET MAPPED")
+    INJURY = "Injury"
+    COMPLICATION = "Complication"
+    FINDING = "Finding"
+    CARRIER_STATUS = "Carrier Status"
+    UNSPECIFIED_SAMPLE = "Unspecified Sample"
+    NOT_MAPPED_TEST_TYPE = "Not Mapped Test Type"
+
+    def __init__(self, label, evidence=None):
+        self.label, self.evidence = label, evidence or label
 
 
 class MeasurementScale(Enum):
@@ -197,44 +245,11 @@ class EvidenceAtom:
     payload: str
 
 
-#: Canonical evidence ordering: code-derived atoms before string atoms,
-#: machine scores and human sources last; ties broken by payload.
-EVIDENCE_KIND_ORDER = {
-    EvidenceKind.XREF_MATCH: 0,
-    EvidenceKind.CUI_MATCH: 1,
-    EvidenceKind.LABEL_MATCH: 2,
-    EvidenceKind.SYNONYM_MATCH: 3,
-    EvidenceKind.DEFINITION_MATCH: 4,
-    EvidenceKind.COSINE_SCORE: 5,
-    EvidenceKind.MANUAL_SOURCE: 6,
-    EvidenceKind.EXCLUSION_REASON: 7,
-}
-
-
 def canonical_evidence(atoms) -> tuple[EvidenceAtom, ...]:
-    """Deduplicate and sort atoms into the canonical serialization order."""
+    """Deduplicate and sort atoms into the canonical serialization order:
+    by kind, as ``EvidenceKind`` declares them, then by payload."""
     unique = set(atoms)
-    return tuple(sorted(unique, key=lambda a: (EVIDENCE_KIND_ORDER[a.kind], a.payload)))
-
-
-#: Human-readable reason labels as they appear in summary reports.
-REASON_DISPLAY = {
-    UnmappedReason.NONE_FOUND: "None",
-    UnmappedReason.NOT_YET_MAPPED: "Not Yet Mapped",
-    UnmappedReason.INJURY: "Injury",
-    UnmappedReason.COMPLICATION: "Complication",
-    UnmappedReason.FINDING: "Finding",
-    UnmappedReason.CARRIER_STATUS: "Carrier Status",
-    UnmappedReason.UNSPECIFIED_SAMPLE: "Unspecified Sample",
-    UnmappedReason.NOT_MAPPED_TEST_TYPE: "Not Mapped Test Type",
-}
-
-#: Evidence payload for an exclusion; NOT_YET_MAPPED keeps its legacy
-#: all-caps rendering, the rest reuse the display label.
-REASON_EVIDENCE = {
-    reason: ("NOT YET MAPPED" if reason is UnmappedReason.NOT_YET_MAPPED else display)
-    for reason, display in REASON_DISPLAY.items()
-}
+    return tuple(sorted(unique, key=lambda a: (a.kind.value, a.payload)))
 
 
 @dataclass(frozen=True)
@@ -251,7 +266,6 @@ class MappingRecord:
     domain: Domain
     ontology: str
     category: MappingCategory
-    level: MappingLevel
     logic: str
     targets: tuple[str, ...]
     score: float | None
@@ -293,30 +307,6 @@ class MeasurementResultSpec:
             raise ValueError("duplicate outcome assignment")
 
 
-_CATEGORY_DISPLAY = {
-    (MappingCategory.AUTO_ONE_TO_ONE_CONCEPT, MappingLevel.CONCEPT): "Automatic One-to-One Concept",
-    (MappingCategory.AUTO_ONE_TO_ONE_ANCESTOR, MappingLevel.ANCESTOR): "Automatic One-to-One Ancestor",
-    (MappingCategory.AUTO_ONE_TO_MANY_CONCEPT, MappingLevel.CONCEPT): "Automatic One-to-Many Concept",
-    (MappingCategory.AUTO_ONE_TO_MANY_ANCESTOR, MappingLevel.ANCESTOR): "Automatic One-to-Many Ancestor",
-    (MappingCategory.COSINE_ONE_TO_ONE_CONCEPT, MappingLevel.CONCEPT): "Cosine Similarity One-to-One Concept",
-    (MappingCategory.MANUAL_ONE_TO_ONE_CONCEPT, MappingLevel.CONCEPT): "Manual One-to-One Concept",
-    (MappingCategory.MANUAL_ONE_TO_MANY_CONCEPT, MappingLevel.CONCEPT): "Manual One-to-Many Concept",
-    (MappingCategory.UNMAPPED, MappingLevel.NONE): "Unmapped",
-}
-
-#: Level implied by each category; used for validation and as the second
-#: half of the display key.
-CATEGORY_LEVEL = {category: level for (category, level) in _CATEGORY_DISPLAY}
-
-
-def render_category(category: MappingCategory, level: MappingLevel) -> str:
-    """Human-readable label for a (category, level) pair in use."""
-    try:
-        return _CATEGORY_DISPLAY[(category, level)]
-    except KeyError:
-        raise ValueError(f"no display label for ({category.value}, {level.value})") from None
-
-
 _ATOM_RE = re.compile(r"^(NOT\((\d+)\)|(\d+))$")
 _EXPR_RE = re.compile(r"^(AND|OR)\((.+)\)$")
 
@@ -346,18 +336,9 @@ def parse_logic(logic: str) -> list[int]:
     return refs
 
 
-_ONE_TO_ONE = {
-    MappingCategory.AUTO_ONE_TO_ONE_CONCEPT,
-    MappingCategory.AUTO_ONE_TO_ONE_ANCESTOR,
-    MappingCategory.COSINE_ONE_TO_ONE_CONCEPT,
-    MappingCategory.MANUAL_ONE_TO_ONE_CONCEPT,
-}
-_ONE_TO_MANY = {
-    MappingCategory.AUTO_ONE_TO_MANY_CONCEPT,
-    MappingCategory.AUTO_ONE_TO_MANY_ANCESTOR,
-    MappingCategory.MANUAL_ONE_TO_MANY_CONCEPT,
-}
-_COSINE = {MappingCategory.COSINE_ONE_TO_ONE_CONCEPT}
+def and_logic(n: int) -> str:
+    """The default logic of ``n`` targets: ``AND`` over them all from two on."""
+    return "AND(" + ",".join(str(i) for i in range(n)) + ")" if n >= 2 else ""
 
 
 @dataclass(frozen=True)
@@ -376,15 +357,10 @@ def validate_record(record: MappingRecord) -> Violation | None:
     """
     cat = record.category
     n = len(record.targets)
-
-    if cat in _ONE_TO_ONE and n != 1:
-        return Violation("cardinality", "targets")
-    if cat in _ONE_TO_MANY and n < 2:
-        return Violation("cardinality", "targets")
-
     unmapped = cat is MappingCategory.UNMAPPED
-    if unmapped != (n == 0):
-        return Violation("unmapped consistency", "targets")
+
+    if min(n, 2) != cat.target_count:
+        return Violation("unmapped consistency" if unmapped else "cardinality", "targets")
     if unmapped != (record.unmapped_reason is not None):
         return Violation("unmapped consistency", "unmapped_reason")
 
@@ -392,22 +368,19 @@ def validate_record(record: MappingRecord) -> Violation | None:
         refs = parse_logic(record.logic)
     except ValueError:
         return Violation("logic syntax", "logic")
-    if cat in _ONE_TO_MANY:
+    if cat.target_count == 2:
         if sorted(refs) != list(range(n)):
             return Violation("logic coverage", "logic")
-    elif cat in _ONE_TO_ONE:
+    elif cat.target_count == 1:
         if record.logic not in ("", "NOT(0)"):
             return Violation("logic coverage", "logic")
     elif record.logic != "":
         return Violation("logic coverage", "logic")
 
-    if (record.score is not None) != (cat in _COSINE):
+    if (record.score is not None) != (cat.justification is Justification.SIMILARITY):
         return Violation("score presence", "score")
     if record.score is not None and not (0.0 <= record.score <= 1.0):
         return Violation("score range", "score")
-
-    if CATEGORY_LEVEL[cat] is not record.level:
-        return Violation("level", "level")
 
     if not record.evidence:
         return Violation("evidence", "evidence")

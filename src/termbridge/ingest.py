@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import (
+    CATEGORY_BY_LABEL,
     ClinicalConcept,
     CodeRef,
     Domain,
@@ -57,6 +58,7 @@ from .core import (
     OntologyClass,
     ResultAssignment,
     UnmappedReason,
+    and_logic,
     is_code_prefix,
     parse_curie,
 )
@@ -83,6 +85,10 @@ def _curie(raw: str) -> str:
     curie = raw.strip()
     parse_curie(curie)
     return curie
+
+
+def _curie_list(raw: str) -> tuple[str, ...]:
+    return tuple(_curie(part) for part in _pipe_list(raw))
 
 
 def _finite(raw: str) -> float:
@@ -116,7 +122,7 @@ CURATION_COLUMNS = (
     _CONCEPT_ID,
     ("ontology", _key),
     ("logic", str.strip),
-    ("targets", _pipe_list),
+    ("targets", _curie_list),
     ("evidence", None),
     ("unmapped_reason", None),
 )
@@ -130,7 +136,7 @@ MAPPING_COLUMNS = (
     _CONCEPT_ID,
     ("domain", None),
     ("ontology", None),
-    ("category", None),
+    ("category", CATEGORY_BY_LABEL.__getitem__),
     ("level", None),
     ("logic", None),
     ("targets", None),
@@ -564,7 +570,7 @@ def load_prevalence(path) -> PrevalenceLoad:
 def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     """Parse manually-derived mapping rows.
 
-    Each target's CURIE prefix must be the row's ontology.  Targets outside
+    Each target must be a CURIE whose prefix is the row's ontology.  Targets outside
     ``known_curies`` (when given) are reported, not rejected: curation may
     legitimately reference classes newer than the loaded dump.
     """
@@ -582,8 +588,7 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
             )
         if not targets and reason is None:
             raise ParseError("MALFORMED_ROW", "row has neither targets nor reason", str(path), lineno)
-        if len(targets) >= 2 and not logic:
-            logic = "AND(" + ",".join(str(i) for i in range(len(targets))) + ")"
+        logic = logic or and_logic(len(targets))
         for t in targets:
             if t.partition(":")[0].upper() != ontology:
                 raise ParseError("MALFORMED_ROW", f"bad targets {t!r}: not a {ontology} class", str(path), lineno)
@@ -663,7 +668,8 @@ def load_measurement_targets(path):
 
 
 def load_mappings(path):
-    """Yield the rows of mappings.tsv as dicts keyed by column name."""
+    """Yield the rows of mappings.tsv as dicts keyed by column name, each
+    ``category`` parsed to its MappingCategory by its label."""
     names = [name for name, _ in MAPPING_COLUMNS]
     for _, fields in _read_rows(path, MAPPING_COLUMNS):
         yield dict(zip(names, fields))

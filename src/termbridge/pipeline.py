@@ -32,13 +32,10 @@ from pathlib import Path
 
 from .core import (
     Domain,
-    EvidenceKind,
     MappingCategory,
     MappingRecord,
     OUTCOME_ORDER,
-    REASON_DISPLAY,
     UnmappedReason,
-    render_category,
     validate_record,
 )
 from .errors import ConfigError, DataError, ParseError
@@ -107,22 +104,6 @@ SSSOM_HEADER = [
     "mapping_set_id",
     "comment",
 ]
-
-_EVIDENCE_GROUPS = {
-    EvidenceKind.XREF_MATCH: "Database Cross-References",
-    EvidenceKind.CUI_MATCH: "Database Cross-References",
-    EvidenceKind.SYNONYM_MATCH: "Synonyms",
-    EvidenceKind.LABEL_MATCH: "Labels",
-    EvidenceKind.DEFINITION_MATCH: "Definitions",
-    EvidenceKind.COSINE_SCORE: "Cosine Similarity",
-    EvidenceKind.MANUAL_SOURCE: "Biocuration",
-}
-
-_JUSTIFICATION = {
-    "AUTO": "semapv:LexicalMatching",
-    "COSINE": "semapv:SemanticSimilarityThresholdMatching",
-    "MANUAL": "semapv:ManualMappingCuration",
-}
 
 
 def _flag(kind, commands, help=None, default=None, *, required=False, flag=None):
@@ -222,14 +203,14 @@ def _mapping_row(record: MappingRecord, target_labels) -> str:
             str(record.concept_id),
             record.domain.value,
             record.ontology,
-            render_category(record.category, record.level),
-            record.level.value,
+            record.category.label,
+            record.category.level.value,
             record.logic,
             "|".join(record.targets),
             labels,
             _fmt_score(record.score),
-            "|".join(f"{atom.kind.value}:{atom.payload}" for atom in record.evidence),
-            REASON_DISPLAY[record.unmapped_reason] if record.unmapped_reason else "",
+            "|".join(f"{atom.kind.name}:{atom.payload}" for atom in record.evidence),
+            record.unmapped_reason.label if record.unmapped_reason else "",
             record.outcome.value if record.outcome else "",
         ]
     )
@@ -271,12 +252,11 @@ class _Tally:
             else "not_used_in_practice"
         )
         if record.category is MappingCategory.UNMAPPED:
-            self._unmapped[record.ontology][wave][REASON_DISPLAY[record.unmapped_reason]] += 1
+            self._unmapped[record.ontology][wave][record.unmapped_reason.label] += 1
             return
-        display = render_category(record.category, record.level)
-        self._categories[record.ontology][wave][display] += 1
+        self._categories[record.ontology][wave][record.category.label] += 1
         for atom in record.evidence:
-            group = _EVIDENCE_GROUPS.get(atom.kind)
+            group = atom.kind.group
             if group:
                 self._evidence[record.ontology][wave][group] += 1
 
@@ -476,7 +456,9 @@ def run_coverage(cfg: RunConfig) -> Path:
         raise ConfigError("BAD_THRESHOLD", f"alpha must lie in (0, 1), got {cfg.alpha}")
 
     mapped_ids = {
-        row["concept_id"] for row in load_mappings(cfg.mappings) if row["category"] != "Unmapped"
+        row["concept_id"]
+        for row in load_mappings(cfg.mappings)
+        if row["category"] is not MappingCategory.UNMAPPED
     }
     prevalence = load_prevalence(cfg.prevalence)
     report = partition_coverage(mapped_ids, prevalence.rows)
@@ -631,16 +613,13 @@ def _sssom_rows(mappings, concepts):
     """SSSOM rows for each mapping row as it arrives, one per target."""
     for row in mappings:
         targets = [t for t in row["targets"].split("|") if t]
-        if not targets:
+        if not targets or row["category"] is MappingCategory.UNMAPPED:
             continue
         labels = row["target_labels"].split("|")
         concept = concepts.get(row["concept_id"])
         subject_id = str(concept.code) if concept else str(row["concept_id"])
         subject_label = concept.label if concept else ""
-        approach = row["category"].split()[0].upper()
-        justification = _JUSTIFICATION.get(
-            "AUTO" if approach == "AUTOMATIC" else "COSINE" if approach == "COSINE" else "MANUAL"
-        )
+        justification = row["category"].justification.value
         set_id = f"{row['concept_id']}:{row['ontology']}"
         if row["outcome"]:
             set_id += f":{row['outcome']}"

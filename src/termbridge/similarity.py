@@ -61,8 +61,8 @@ IDF_VARIANT = "ln((1+N)/(1+df))+1, tf=count, l2"
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    score_floor: float = 0.25
-    keep_fraction: float = 0.75
+    score_floor: float
+    keep_fraction: float
 
     def __post_init__(self):
         if not (0.0 <= self.score_floor <= 1.0):

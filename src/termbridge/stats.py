@@ -123,7 +123,7 @@ class PairwiseResult:
     fraction_significant: float
 
 
-def bonferroni_pairwise(site_tables, family_alpha: float = 0.05) -> PairwiseResult:
+def bonferroni_pairwise(site_tables, family_alpha: float) -> PairwiseResult:
     """Yates 2x2 tests over every unordered site pair with Bonferroni control.
 
     ``site_tables`` is an iterable of (site_id, covered, uncovered).

@@ -29,6 +29,7 @@ from .core import (
     Domain,
     EvidenceAtom,
     EvidenceKind,
+    Justification,
     MappingCategory,
     MappingLevel,
     MappingRecord,
@@ -36,13 +37,14 @@ from .core import (
     MeasurementResultSpec,
     MeasurementScale,
     OUTCOME_ORDER,
-    REASON_EVIDENCE,
     RESULT_TYPE_OUTCOMES,
     ResultAssignment,
     ResultType,
     UnmappedReason,
+    and_logic,
     canonical_evidence,
     curie_ontology,
+    pick_category,
 )
 from .errors import DataError
 from .ingest import CurationRow, RoutingPolicy, ScaleRow
@@ -77,19 +79,14 @@ def route(concept: ClinicalConcept, policy: RoutingPolicy) -> RouteDecision:
     return RouteDecision(allowed=frozenset(allowed) & policy.default_ontologies)
 
 
-def _and_logic(n: int) -> str:
-    return "AND(" + ",".join(str(i) for i in range(n)) + ")" if n >= 2 else ""
-
-
 def _unmapped(concept, ontology, reason, extra_evidence=()) -> MappingRecord:
-    atoms = [EvidenceAtom(EvidenceKind.EXCLUSION_REASON, REASON_EVIDENCE[reason])]
+    atoms = [EvidenceAtom(EvidenceKind.EXCLUSION_REASON, reason.evidence)]
     atoms.extend(extra_evidence)
     return MappingRecord(
         concept_id=concept.concept_id,
         domain=concept.domain,
         ontology=ontology,
         category=MappingCategory.UNMAPPED,
-        level=MappingLevel.NONE,
         logic="",
         targets=(),
         score=None,
@@ -112,18 +109,12 @@ def _record_from_curation(concept, row: CurationRow) -> MappingRecord:
             [EvidenceAtom(EvidenceKind.MANUAL_SOURCE, row.evidence)] if row.evidence.strip() else []
         )
         return _unmapped(concept, row.ontology, row.unmapped_reason, extra)
-    category = (
-        MappingCategory.MANUAL_ONE_TO_ONE_CONCEPT
-        if len(row.targets) == 1
-        else MappingCategory.MANUAL_ONE_TO_MANY_CONCEPT
-    )
     payload = row.evidence.strip() or "manual curation"
     return MappingRecord(
         concept_id=concept.concept_id,
         domain=concept.domain,
         ontology=row.ontology,
-        category=category,
-        level=MappingLevel.CONCEPT,
+        category=pick_category(Justification.CURATION, MappingLevel.CONCEPT, len(row.targets)),
         logic=row.logic,
         targets=row.targets,
         score=None,
@@ -134,25 +125,12 @@ def _record_from_curation(concept, row: CurationRow) -> MappingRecord:
 def _record_from_hits(concept, ontology, hits, level) -> MappingRecord:
     """The automatic record of one ontology's CURIE -> atoms hits."""
     targets = tuple(sorted(hits))
-    if level is MappingLevel.CONCEPT:
-        category = (
-            MappingCategory.AUTO_ONE_TO_ONE_CONCEPT
-            if len(targets) == 1
-            else MappingCategory.AUTO_ONE_TO_MANY_CONCEPT
-        )
-    else:
-        category = (
-            MappingCategory.AUTO_ONE_TO_ONE_ANCESTOR
-            if len(targets) == 1
-            else MappingCategory.AUTO_ONE_TO_MANY_ANCESTOR
-        )
     return MappingRecord(
         concept_id=concept.concept_id,
         domain=concept.domain,
         ontology=ontology,
-        category=category,
-        level=level,
-        logic=_and_logic(len(targets)),
+        category=pick_category(Justification.LEXICAL, level, len(targets)),
+        logic=and_logic(len(targets)),
         targets=targets,
         score=None,
         evidence=canonical_evidence(chain.from_iterable(hits.values())),
@@ -218,7 +196,6 @@ def synthesize(
                     domain=concept.domain,
                     ontology=ontology,
                     category=MappingCategory.COSINE_ONE_TO_ONE_CONCEPT,
-                    level=MappingLevel.CONCEPT,
                     logic="",
                     targets=(pair.curie,),
                     score=pair.score,
@@ -345,7 +322,6 @@ def expand_measurements(
                 domain=concept.domain,
                 ontology=ontology,
                 category=MappingCategory.MANUAL_ONE_TO_ONE_CONCEPT,
-                level=MappingLevel.CONCEPT,
                 logic="NOT(0)" if a.negated else "",
                 targets=(a.curie,),
                 score=None,
@@ -366,13 +342,8 @@ def expand_measurements(
                 concept_id=concept.concept_id,
                 domain=concept.domain,
                 ontology=ontology,
-                category=(
-                    MappingCategory.MANUAL_ONE_TO_ONE_CONCEPT
-                    if len(curies) == 1
-                    else MappingCategory.MANUAL_ONE_TO_MANY_CONCEPT
-                ),
-                level=MappingLevel.CONCEPT,
-                logic=_and_logic(len(curies)),
+                category=pick_category(Justification.CURATION, MappingLevel.CONCEPT, len(curies)),
+                logic=and_logic(len(curies)),
                 targets=curies,
                 score=None,
                 evidence=(EvidenceAtom(EvidenceKind.MANUAL_SOURCE, "measurement annotation"),),

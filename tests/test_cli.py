@@ -297,6 +297,16 @@ class TestMapCommand:
         assert f"error[MALFORMED_ROW]: bad targets 'MONDO:0001414': not a HP class [{curation}:{len(lines) + 1}]" in err
         assert files_under(out) == []
 
+    def test_curation_target_without_local_id_is_parse_error(self, tmp_path, condition_fixture, capsys):
+        curation = tmp_path / "curation.tsv"
+        lines = Path(condition_fixture["curation"]).read_text().splitlines()
+        curation.write_text("\n".join([*lines, "22945\tHP\t\tHP:\tx\t"]) + "\n")
+        out = tmp_path / "out"
+        assert run_map_cli(dict(condition_fixture, curation=str(curation)), out) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad targets 'HP:' [{curation}:{len(lines) + 1}]" in err
+        assert files_under(out) == []
+
     def test_bad_threshold_is_config_error(self, condition_fixture, tmp_path):
         assert run_map_cli(condition_fixture, tmp_path / "out", extra=["--tau", "2.0"]) == 1
 
@@ -635,6 +645,27 @@ class TestCoverageCommand:
         assert "error[MALFORMED_ROW]: bad concept_id '4x'" in err and f"[{mappings}:5]" in err
         assert files_under(out) == []
 
+    @pytest.mark.parametrize(
+        "line, label", [(2, "Automatc One-to-One Concept"), (4, "unmapped")], ids=["misspelt", "lower_case"]
+    )
+    def test_unknown_category_is_parse_error(self, tmp_path, capsys, line, label):
+        mappings = tmp_path / "mappings.tsv"
+        _small_mappings(mappings)
+        lines = mappings.read_text().splitlines()
+        fields = lines[line - 1].split("\t")
+        fields[3] = label
+        lines[line - 1] = "\t".join(fields)
+        mappings.write_text("\n".join(lines) + "\n")
+        prevalence = tmp_path / "prevalence.tsv"
+        _write_prevalence(prevalence, [("a", 1, 100), ("a", 3, 100), ("b", 9, 100)])
+        out = tmp_path / "out"
+        assert main(
+            ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence), "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad category {label!r} [{mappings}:{line}]" in err
+        assert files_under(out) == []
+
     @pytest.mark.parametrize("alpha", ["-1", "0", "1", "5", "nan", "inf"])
     def test_alpha_outside_unit_interval_is_config_error(self, tmp_path, capsys, alpha):
         mappings = tmp_path / "mappings.tsv"
@@ -892,6 +923,51 @@ class TestExportSssom:
         err = capsys.readouterr().err
         assert "error[MALFORMED_ROW]: bad concept_id '12.5'" in err
         assert f"[{mappings}:{len(lines) + 1}]" in err
+        assert files_under(out) == []
+
+
+    def test_unmapped_row_is_not_exported(self, condition_fixture, tmp_path):
+        run = tmp_path / "run"
+        assert run_map_cli(condition_fixture, run) == 0
+        mappings = run / "mappings.tsv"
+        lines = mappings.read_text().splitlines()
+        # An Unmapped row given a target is still an unmapped row: it has no justification.
+        i = next(i for i, line in enumerate(lines) if line.split("\t")[3] == "Unmapped")
+        fields = lines[i].split("\t")
+        fields[6] = "HP:0011095"
+        lines[i] = "\t".join(fields)
+        mappings.write_text("\n".join(lines) + "\n")
+        target = tmp_path / "sssom.tsv"
+        assert main(
+            ["export-sssom", "--mappings", str(mappings), "--concepts", condition_fixture["concepts"],
+             "--sssom-out", str(target)]
+        ) == 0
+        set_id = f"{fields[0]}:{fields[2]}"
+        assert read_rows(target) and all(r["mapping_set_id"] != set_id for r in read_rows(target))
+
+    @pytest.mark.parametrize(
+        "category, label",
+        [("Automatic One-to-One Concept", "Automatc One-to-One Concept"), ("Unmapped", "unmapped")],
+        ids=["misspelt", "lower_case"],
+    )
+    def test_unknown_category_is_parse_error(self, condition_fixture, tmp_path, capsys, category, label):
+        run = tmp_path / "run"
+        assert run_map_cli(condition_fixture, run) == 0
+        mappings = run / "mappings.tsv"
+        lines = mappings.read_text().splitlines()
+        # The relabelled row comes last, after rows that are rendered and written.
+        bad = next(line for line in lines if line.split("\t")[3] == category)
+        lines.remove(bad)
+        fields = bad.split("\t")
+        fields[3] = label
+        mappings.write_text("\n".join([*lines, "\t".join(fields)]) + "\n")
+        out = tmp_path / "out"
+        assert main(
+            ["export-sssom", "--mappings", str(mappings), "--concepts", condition_fixture["concepts"],
+             "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad category {label!r} [{mappings}:{len(lines) + 1}]" in err
         assert files_under(out) == []
 
 

@@ -1,15 +1,17 @@
-"""Domain type invariants: category display, logic grammar, record validation."""
+"""Domain type invariants: the category table, logic grammar, record validation."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termbridge.core import (
+    CATEGORY_BY_LABEL,
     ClinicalConcept,
     CodeRef,
     Domain,
     EvidenceAtom,
     EvidenceKind,
+    Justification,
     MappingCategory,
     MappingLevel,
     MappingRecord,
@@ -23,7 +25,7 @@ from termbridge.core import (
     canonical_evidence,
     is_code_prefix,
     parse_logic,
-    render_category,
+    pick_category,
     validate_record,
 )
 
@@ -31,30 +33,53 @@ C = MappingCategory
 L = MappingLevel
 
 
-DISPLAY_TABLE = {
-    (C.AUTO_ONE_TO_ONE_CONCEPT, L.CONCEPT): "Automatic One-to-One Concept",
-    (C.AUTO_ONE_TO_ONE_ANCESTOR, L.ANCESTOR): "Automatic One-to-One Ancestor",
-    (C.AUTO_ONE_TO_MANY_CONCEPT, L.CONCEPT): "Automatic One-to-Many Concept",
-    (C.AUTO_ONE_TO_MANY_ANCESTOR, L.ANCESTOR): "Automatic One-to-Many Ancestor",
-    (C.COSINE_ONE_TO_ONE_CONCEPT, L.CONCEPT): "Cosine Similarity One-to-One Concept",
-    (C.MANUAL_ONE_TO_ONE_CONCEPT, L.CONCEPT): "Manual One-to-One Concept",
-    (C.MANUAL_ONE_TO_MANY_CONCEPT, L.CONCEPT): "Manual One-to-Many Concept",
-    (C.UNMAPPED, L.NONE): "Unmapped",
+#: Every category's facts as literals: its label, its level, its target
+#: count (2 for two or more) and its SSSOM mapping_justification.
+CATEGORY_FACTS = {
+    C.AUTO_ONE_TO_ONE_CONCEPT: ("Automatic One-to-One Concept", L.CONCEPT, 1, "semapv:LexicalMatching"),
+    C.AUTO_ONE_TO_ONE_ANCESTOR: ("Automatic One-to-One Ancestor", L.ANCESTOR, 1, "semapv:LexicalMatching"),
+    C.AUTO_ONE_TO_MANY_CONCEPT: ("Automatic One-to-Many Concept", L.CONCEPT, 2, "semapv:LexicalMatching"),
+    C.AUTO_ONE_TO_MANY_ANCESTOR: ("Automatic One-to-Many Ancestor", L.ANCESTOR, 2, "semapv:LexicalMatching"),
+    C.COSINE_ONE_TO_ONE_CONCEPT: (
+        "Cosine Similarity One-to-One Concept", L.CONCEPT, 1, "semapv:SemanticSimilarityThresholdMatching"
+    ),
+    C.MANUAL_ONE_TO_ONE_CONCEPT: ("Manual One-to-One Concept", L.CONCEPT, 1, "semapv:ManualMappingCuration"),
+    C.MANUAL_ONE_TO_MANY_CONCEPT: ("Manual One-to-Many Concept", L.CONCEPT, 2, "semapv:ManualMappingCuration"),
+    C.UNMAPPED: ("Unmapped", L.NONE, 0, None),
 }
+
+#: (category, level) -> label, ordered by label.
+DISPLAY_TABLE = dict(sorted((((c, f[1]), f[0]) for c, f in CATEGORY_FACTS.items()), key=lambda kv: kv[1]))
 
 
 class TestRenderCategory:
-    @pytest.mark.parametrize("pair,expected", sorted(DISPLAY_TABLE.items(), key=lambda kv: kv[1]))
+    """Each category's facts, as mappings.tsv, summary.json and SSSOM render them."""
+
+    @pytest.mark.parametrize("category", list(C), ids=lambda c: c.name)
+    def test_facts(self, category):
+        justification = category.justification.value if category.justification else None
+        facts = (category.label, category.level, category.target_count, justification)
+        assert facts == CATEGORY_FACTS[category]
+
+    @pytest.mark.parametrize("pair,expected", DISPLAY_TABLE.items())
     def test_display_strings(self, pair, expected):
-        assert render_category(*pair) == expected
+        category, level = pair
+        assert CATEGORY_BY_LABEL[expected] is category and category.level is level
 
     def test_bijection(self):
-        values = [render_category(*pair) for pair in DISPLAY_TABLE]
-        assert len(set(values)) == 8
+        assert len({c.label for c in C}) == len(CATEGORY_BY_LABEL) == 8
 
     def test_pair_not_in_use_rejected(self):
-        with pytest.raises(ValueError):
-            render_category(C.AUTO_ONE_TO_ONE_CONCEPT, L.ANCESTOR)
+        with pytest.raises(KeyError):
+            pick_category(Justification.SIMILARITY, L.ANCESTOR, 1)
+        with pytest.raises(KeyError):
+            CATEGORY_BY_LABEL["Automatc One-to-One Concept"]
+
+    @pytest.mark.parametrize("category", [c for c in C if c.justification], ids=lambda c: c.name)
+    def test_pick_category(self, category):
+        counts = (2, 3) if category.target_count == 2 else (1,)
+        for n in counts:
+            assert pick_category(category.justification, category.level, n) is category
 
 
 class TestParseLogic:
@@ -85,7 +110,6 @@ def _record(**overrides):
         domain=Domain.CONDITION,
         ontology="HP",
         category=C.AUTO_ONE_TO_ONE_CONCEPT,
-        level=L.CONCEPT,
         logic="",
         targets=("HP:0011095",),
         score=None,
@@ -108,7 +132,6 @@ class TestValidateRecord:
     def test_unmapped_with_reason_is_ok(self):
         record = _record(
             category=C.UNMAPPED,
-            level=L.NONE,
             targets=(),
             unmapped_reason=UnmappedReason.INJURY,
             evidence=(EvidenceAtom(EvidenceKind.EXCLUSION_REASON, "Injury"),),
@@ -123,7 +146,7 @@ class TestValidateRecord:
         assert violation.field_path == "evidence[0].payload"
 
     def test_unmapped_without_reason(self):
-        bad = _record(category=C.UNMAPPED, level=L.NONE, targets=())
+        bad = _record(category=C.UNMAPPED, targets=())
         assert validate_record(bad).rule == "unmapped consistency"
 
     def test_mapped_with_reason(self):
@@ -171,10 +194,6 @@ class TestValidateRecord:
         )
         assert validate_record(cosine) is None
         assert validate_record(_record(category=C.COSINE_ONE_TO_ONE_CONCEPT)).rule == "score presence"
-
-    def test_level_consistency(self):
-        bad = _record(level=L.ANCESTOR)
-        assert validate_record(bad).rule == "level"
 
     def test_empty_evidence(self):
         assert validate_record(_record(evidence=())).rule == "evidence"

@@ -801,7 +801,7 @@ class TestLoadCuration:
         path = tmp_path / "cur.tsv"
         path.write_text(CURATION_HEADER + "\n1\tHP\t\t\tx\tNot Mapped Test Type\n")
         row = load_curation(path, {"HP"}).rows[0]
-        assert row.unmapped_reason.value == "NOT_MAPPED_TEST_TYPE"
+        assert row.unmapped_reason.name == "NOT_MAPPED_TEST_TYPE"
 
     def test_unknown_ontology(self, tmp_path):
         path = tmp_path / "cur.tsv"
@@ -968,6 +968,7 @@ _VERDICTS = [
     pytest.param("curation", ["1\tHP\t\t | \te\t "], ("MALFORMED_ROW", 2), id="curation-neither"),
     pytest.param("curation", ["1\thp\t\t\te\tnot mapped test type", "1\tMONDO\t\tMONDO:1|MONDO:2\te\t"], None, id="curation-accepted"),
     pytest.param("curation", ["1\thp\t\thp:1\te\t", "1\tHP\t\tHP:1|MONDO:1\te\t"], ("MALFORMED_ROW", 3), id="curation-target_in_another_ontology"),
+    pytest.param("curation", ["1\tHP\t\tHP:1\te\t", "2\tHP\t\tHP:2|HP:\te\t"], ("MALFORMED_ROW", 3), id="curation-target_without_local_id"),
     pytest.param("routing", ["T047\tMAYBE\tHP"], ("MALFORMED_ROW", 2), id="routing-unknown_action"),
     pytest.param("routing", ["T047\tALLOW\t | "], ("MALFORMED_ROW", 2), id="routing-empty_allow"),
     pytest.param("routing", ["T047\tEXCLUDE\tNO_SUCH_REASON"], ("UNKNOWN_REASON", 2), id="routing-unknown_reason"),
@@ -985,6 +986,7 @@ _VERDICTS = [
     pytest.param("targets", ["1\tuberon\tUBERON:1\t0", "1\tUBERON\tHP:1\t0"], ("MALFORMED_ROW", 3), id="targets-auxiliary_curie_in_another_ontology"),
     pytest.param("mappings", ["4x" + _MAPPING_ROW[1:]], ("MALFORMED_ROW", 2), id="mappings-bad_concept_id"),
     pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW + "\textra"], ("MALFORMED_ROW", 3), id="mappings-thirteen_columns"),
+    pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW.replace("Unmapped", "unmapped")], ("MALFORMED_ROW", 3), id="mappings-unknown_category"),
     pytest.param("prevalence", ["a\t1\t-5"], ("MALFORMED_ROW", 2), id="prevalence-negative"),
     pytest.param("prevalence", ["a\t1\t5.0"], ("MALFORMED_ROW", 2), id="prevalence-bad_count"),
     pytest.param("prevalence", ["a\t1\t5", "b\t1\t5", "a\t1\t700"], ("DUPLICATE_ID", 4), id="prevalence-duplicate"),

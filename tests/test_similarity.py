@@ -454,9 +454,9 @@ class TestFilterPairs:
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
-            SimilarityConfig(score_floor=1.5)
+            SimilarityConfig(score_floor=1.5, keep_fraction=0.75)
         with pytest.raises(ValueError):
-            SimilarityConfig(keep_fraction=0.0)
+            SimilarityConfig(score_floor=0.25, keep_fraction=0.0)
 
 
 class TestBestPerConcept:

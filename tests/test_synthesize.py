@@ -199,7 +199,7 @@ class TestSynthesize:
         }
         mondo = _by_ontology(_synth(c, exact_a=hits))["MONDO"]
         assert mondo.category is C.AUTO_ONE_TO_MANY_ANCESTOR
-        assert mondo.level is MappingLevel.ANCESTOR
+        assert mondo.category.level is MappingLevel.ANCESTOR
         assert mondo.targets == ("MONDO:0005315", "MONDO:0044989")
         assert mondo.logic == "AND(0,1)"
         assert mondo.evidence == (
@@ -464,7 +464,7 @@ def parse_evidence(text: str) -> tuple[EvidenceAtom, ...]:
     atoms = []
     for part in text.split("|"):
         kind_raw, _, payload = part.partition(":")
-        atoms.append(EvidenceAtom(EvidenceKind(kind_raw), payload))
+        atoms.append(EvidenceAtom(EvidenceKind[kind_raw], payload))
     return tuple(atoms)
 
 
