@@ -5,10 +5,12 @@ Generates inputs for every declared TSV loader with ``tests/ingest_fuzz.py``
 (from the column declarations of this repository's ``src/``), reads each
 one with each tree's loaders in a subprocess, and reports every input
 whose (exception type, code, line) differs between the trees.  A
-difference where the second tree rejects a field that the first let
+difference where the second tree rejects a row that the first let
 through is counted apart, as the ``expected`` case: a ``curie`` of
 ``measurement_targets.tsv`` (``bad curie``: malformed, or an auxiliary
-row's of another ontology), a curation target that is not a CURIE or is
+row's of another ontology), a result row of that file whose ``negated``
+is not 1 exactly for NORMAL and NEGATIVE, or that repeats its concept's
+outcome (``outcome ...``), a curation target that is not a CURIE or is
 of another ontology (``bad targets``), or a ``mappings.tsv`` category
 that is not one of the map command's labels (``bad category``).
 
@@ -32,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
 
 # Per loader, how the second tree's message starts in the expected case.
-_EXPECTED = {"targets": "bad curie ", "curation": "bad targets ", "mappings": "bad category "}
+_EXPECTED = {"targets": ("bad curie ", "outcome "), "curation": "bad targets ", "mappings": "bad category "}
 
 # Run in each tree: the verdict of every input file listed in argv[1].
 _VERDICT_SCRIPT = """

@@ -5,10 +5,13 @@ generalizability), ``phers`` (phenotype-score utility), ``export-sssom``
 (interchange flattening).  A JSON config file may supply any flag value;
 explicit flags override the file.
 
-Exit codes: 0 success, 1 configuration error, 2 parse error (a malformed
-input: the file, the line and, for a TSV field, its column), 3
-data-integrity error, 4 internal error (a fault in termbridge itself:
-``error[INTERNAL]`` with the exception's type and message, then its
+Exit codes: 0 success; else the ``exit_code`` of the error's class, which
+declares its codes (README's error table lists them): 1 ``ConfigError``
+(and ``error[IO]``, a file that cannot be read or written), 2
+``ParseError`` (a malformed input: the file, the line where one row is
+at fault and, for a TSV field, its column), 3 ``DataError``, 4 internal
+error (a fault in termbridge itself, such as a code its class does not
+declare: ``error[INTERNAL]``, the exception's type and message, then its
 traceback).
 
 Importing this module loads only ``errors``.  ``main`` loads ``pipeline``
@@ -24,12 +27,9 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, TermbridgeError
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_PARSE = 2
-EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 _PIPELINE_NAMES = ("RunConfig", "run_map", "run_coverage", "run_phers", "export_sssom")
@@ -147,18 +147,12 @@ def main(argv=None) -> int:
         out = _pipeline(runner)(cfg)
         print("wrote", ", ".join(str(out / name) for name in outputs.split()) or out)
         return EXIT_OK
-    except ConfigError as exc:
+    except TermbridgeError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
-        return EXIT_PARSE
-    except DataError as exc:
-        print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
-        return EXIT_DATA
+        return exc.exit_code
     except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
     except Exception as exc:
         import traceback
 

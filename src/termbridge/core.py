@@ -290,22 +290,6 @@ class MeasurementResultSpec:
     result_type: ResultType
     assignments: tuple[ResultAssignment, ...] = ()
 
-    def __post_init__(self):
-        allowed = RESULT_TYPE_OUTCOMES[self.result_type]
-        for a in self.assignments:
-            if a.outcome not in allowed:
-                raise ValueError(
-                    f"outcome {a.outcome.value} not valid for {self.result_type.value}"
-                )
-            if (a.outcome in NEGATED_OUTCOMES) != a.negated:
-                raise ValueError(
-                    f"outcome {a.outcome.value} must be "
-                    f"{'negated' if a.outcome in NEGATED_OUTCOMES else 'non-negated'}"
-                )
-        seen = [a.outcome for a in self.assignments]
-        if len(seen) != len(set(seen)):
-            raise ValueError("duplicate outcome assignment")
-
 
 _ATOM_RE = re.compile(r"^(NOT\((\d+)\)|(\d+))$")
 _EXPR_RE = re.compile(r"^(AND|OR)\((.+)\)$")

@@ -1,9 +1,11 @@
 """Error types shared across the package.
 
-Every error carries a short machine-readable ``code`` (stable, uppercase)
-plus a human message.  Parse errors additionally carry a 1-based line
-number so batch logs point at the offending row.  ``open_text`` opens
-every input file, so bytes that are not UTF-8 end in a ``ParseError``.
+Every error carries a short machine-readable ``code`` (stable, uppercase),
+one of those its class declares with its CLI exit code, plus a human
+message.  Parse errors additionally carry the file and, where one row is
+at fault, its 1-based line number, so batch logs point at the offending
+row.  ``open_text`` opens every input file, so bytes that are not UTF-8
+end in a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,14 @@ from contextlib import contextmanager
 
 
 class TermbridgeError(Exception):
-    """Base class; ``code`` is a stable uppercase identifier."""
+    """Base class; a ``code`` its class does not declare is a TypeError."""
+
+    exit_code: int
+    codes: frozenset[str] = frozenset()
 
     def __init__(self, code: str, message: str):
+        if code not in self.codes:
+            raise TypeError(f"{code} is not a {type(self).__name__} code")
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
@@ -23,9 +30,19 @@ class TermbridgeError(Exception):
 class ConfigError(TermbridgeError):
     """Bad run configuration (missing paths, out-of-range thresholds)."""
 
+    exit_code = 1
+    codes = frozenset({"BAD_CONFIG", "BAD_THRESHOLD", "MISSING_INPUT", "NO_SUCH_FILE", "USAGE"})
+
 
 class ParseError(TermbridgeError):
     """Malformed input file content."""
+
+    exit_code = 2
+    codes = frozenset({
+        "BAD_CUI", "BAD_CURIE", "BAD_ENCODING", "BAD_PREFIX", "BOTH_TARGETS_AND_REASON", "CONFLICTING_PREFIX",
+        "CONFLICTING_RULE", "DUPLICATE_CURIE", "DUPLICATE_ID", "MALFORMED_LINE", "MALFORMED_ROW",
+        "MISSING_COLUMN", "NOT_FIXED_POINT", "SHORT_ROW", "UNKNOWN_ONTOLOGY", "UNKNOWN_REASON",
+    })
 
     def __init__(self, code: str, message: str, path: str | None = None, line: int | None = None):
         loc = ""
@@ -38,6 +55,12 @@ class ParseError(TermbridgeError):
 
 class DataError(TermbridgeError):
     """Semantically invalid data that parsed fine (integrity violations)."""
+
+    exit_code = 3
+    codes = frozenset({
+        "CONFLICTING_CURATION", "DEGENERATE_COHORT", "EMPTY_GROUP", "EMPTY_SITE_DATA", "INVALID_RECORD",
+        "MISSING_TARGET_FOR_RESULT", "NEGATIVE_WEIGHT", "OUTCOME_MISMATCH", "TOO_FEW_PATIENTS", "ZERO_MARGINAL",
+    })
 
 
 @contextmanager

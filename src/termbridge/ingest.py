@@ -36,7 +36,9 @@ prevalence (one row per (site, concept); counts below 100 floored to
   MRSTY.RRF             pipe-delimited, >= 4 fields; uses 0 CUI, 3 STY;
                         only the kept CUIs' rows are kept
   id lists, stopwords   one value per line, blanks around it ignored
-  code map (CSV)        raw prefix, canonical prefix; a header row
+  code map (CSV)        raw prefix, canonical prefix, both non-blank; a
+                        header row; one canonical prefix per raw prefix,
+                        and no canonical prefix remapped
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .core import (
     Domain,
     MeasurementOutcome,
     MeasurementScale,
+    NEGATED_OUTCOMES,
     OntologyClass,
     ResultAssignment,
     UnmappedReason,
@@ -62,7 +65,7 @@ from .core import (
     is_code_prefix,
     parse_curie,
 )
-from .errors import DataError, ParseError, open_text
+from .errors import ParseError, open_text
 from .lexical import NormalizationDictionary, canonicalize_code
 
 
@@ -453,7 +456,7 @@ def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) 
                 raise ParseError("MALFORMED_LINE", "field 'xrefs' must hold strings", str(path), lineno)
             try:
                 xrefs = tuple(sorted(canonicalize_code(x, dictionary) for x in raw_xrefs))
-            except (DataError, ValueError) as exc:
+            except ValueError as exc:
                 raise ParseError("MALFORMED_LINE", f"field 'xrefs': {exc}", str(path), lineno) from None
             try:
                 classes[curie] = OntologyClass(
@@ -639,23 +642,27 @@ def load_measurement_scales(path) -> dict[int, ScaleRow]:
 def load_measurement_targets(path):
     """Result assignments and auxiliary targets from one file.
 
-    A row whose second column is a result outcome is an assignment; a row
-    whose second column is an ontology key is an auxiliary target (its
-    negated column must be empty or 0).  Every row's ``curie`` must be a CURIE,
-    and an auxiliary target's prefix its ontology key.
+    A row whose second column is a result outcome is an assignment: its
+    negated column is 1 for NORMAL and NEGATIVE and 0 for the others, and
+    a concept lists an outcome once.  A row whose second column is an
+    ontology key is an auxiliary target (its negated column must be empty
+    or 0).  Every row's ``curie`` must be a CURIE, and an auxiliary
+    target's prefix its ontology key.
     """
     outcomes = {o.value for o in MeasurementOutcome}
     assignments: dict[int, list[ResultAssignment]] = defaultdict(list)
     aux: dict[int, list[AuxTarget]] = defaultdict(list)
     for lineno, (concept_id, key, curie, negated_raw) in _read_rows(path, TARGET_COLUMNS):
         if key in outcomes:
-            if negated_raw not in {"0", "1"}:
-                raise ParseError("MALFORMED_ROW", f"negated must be 0/1, got {negated_raw!r}", str(path), lineno)
-            assignments[concept_id].append(
-                ResultAssignment(
-                    outcome=MeasurementOutcome(key), curie=curie, negated=negated_raw == "1"
-                )
-            )
+            outcome = MeasurementOutcome(key)
+            negated = outcome in NEGATED_OUTCOMES
+            if negated_raw != str(int(negated)):
+                message = f"outcome {key} needs negated {int(negated)}, got {negated_raw!r}"
+                raise ParseError("MALFORMED_ROW", message, str(path), lineno)
+            if any(a.outcome is outcome for a in assignments[concept_id]):
+                message = f"outcome {key} repeated for concept {concept_id}"
+                raise ParseError("DUPLICATE_ID", message, str(path), lineno)
+            assignments[concept_id].append(ResultAssignment(outcome, curie, negated))
         else:
             if negated_raw not in {"", "0"}:
                 raise ParseError(
@@ -717,8 +724,15 @@ def load_cohort(path) -> dict[str, str]:
 
 
 def load_code_dictionary(path) -> NormalizationDictionary:
-    """The prefix dictionary in a CSV file headed raw_prefix,canonical_prefix."""
-    rows = []
+    """The prefix dictionary in a CSV file headed raw_prefix,canonical_prefix.
+
+    A row needs both prefixes (``MALFORMED_ROW``), a raw prefix maps to one
+    canonical prefix in any case (``CONFLICTING_PREFIX``), and no canonical
+    prefix is itself remapped (``NOT_FIXED_POINT``); each names the line
+    where the rows first break the rule.
+    """
+    canonical: dict[str, str] = {}  # raw prefix, lowercased -> canonical prefix
+    by_key: dict[str, set[str]] = defaultdict(set)  # lowercased -> the canonical prefixes
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -727,10 +741,19 @@ def load_code_dictionary(path) -> NormalizationDictionary:
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) < 2:
-                raise ParseError("MALFORMED_ROW", "expected 2 columns", str(path), lineno)
-            rows.append((row[0], row[1]))
-    return NormalizationDictionary(rows)
+            if len(row) < 2 or not row[0].strip() or not row[1].strip():
+                raise ParseError("MALFORMED_ROW", "expected a raw and a canonical prefix", str(path), lineno)
+            raw, canon = row[0].strip().lower(), row[1].strip().upper()
+            if canonical.setdefault(raw, canon) != canon:
+                message = f"prefix {row[0]!r} mapped to both {canonical[raw]} and {canon}"
+                raise ParseError("CONFLICTING_PREFIX", message, str(path), lineno)
+            # This row's canonical prefix, and those it is the raw prefix of, must stay fixed points.
+            for fixed in (canon, *by_key[raw]):
+                if canonical.get(fixed.lower(), fixed) != fixed:
+                    message = f"canonical prefix {fixed} is itself remapped to {canonical[fixed.lower()]}"
+                    raise ParseError("NOT_FIXED_POINT", message, str(path), lineno)
+            by_key[canon.lower()].add(canon)
+    return NormalizationDictionary(canonical.items())
 
 
 def default_code_dictionary() -> NormalizationDictionary:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import CodeRef
-from .errors import DataError
 
 
 class Lemmatize(Enum):
@@ -24,29 +23,13 @@ class Lemmatize(Enum):
 class NormalizationDictionary:
     """Case-insensitive raw-prefix -> canonical-prefix lookup.
 
-    Canonical values must be fixed points: canonicalizing a canonical
-    prefix changes nothing, so applying the dictionary twice is a no-op.
+    Canonical values are fixed points: canonicalizing a canonical prefix
+    changes nothing, so applying the dictionary twice is a no-op.
+    ``ingest.load_code_dictionary`` checks that of the rows it reads.
     """
 
     def __init__(self, rows):
-        self._map: dict[str, str] = {}
-        for raw, canonical in rows:
-            raw_key = raw.strip().lower()
-            canon = canonical.strip().upper()
-            if not raw_key or not canon:
-                raise DataError("EMPTY_PREFIX", "dictionary rows need both columns")
-            existing = self._map.get(raw_key)
-            if existing is not None and existing != canon:
-                raise DataError(
-                    "CONFLICTING_PREFIX", f"prefix {raw!r} mapped to both {existing} and {canon}"
-                )
-            self._map[raw_key] = canon
-        for canon in set(self._map.values()):
-            if self._map.get(canon.lower(), canon) != canon:
-                raise DataError(
-                    "NOT_FIXED_POINT",
-                    f"canonical prefix {canon} is itself remapped to {self._map[canon.lower()]}",
-                )
+        self._map = {raw.strip().lower(): canonical.strip().upper() for raw, canonical in rows}
 
     @classmethod
     def empty(cls) -> "NormalizationDictionary":
@@ -63,11 +46,12 @@ def canonicalize_code(raw: str, dictionary: NormalizationDictionary) -> CodeRef:
     act as separators when no colon is present (underscores occur inside
     real vocabulary prefixes, e.g. SNOMEDCT_US:70305005).  A string with
     no separator at all becomes a code under the UNKNOWN prefix.
-    Punctuation inside the code part is preserved.
+    Punctuation inside the code part is preserved.  A string with no code
+    part, or whose prefix cannot head a CodeRef, is a ValueError.
     """
     s = raw.strip()
     if not s:
-        raise DataError("EMPTY_CODE", "empty code string")
+        raise ValueError("empty code string")
     if ":" in s:
         prefix, code = s.split(":", 1)
     else:
@@ -79,13 +63,8 @@ def canonicalize_code(raw: str, dictionary: NormalizationDictionary) -> CodeRef:
     prefix = prefix.strip()
     code = code.strip()
     if not code:
-        raise DataError("EMPTY_CODE", f"no code part in {raw!r}")
-    try:
-        if not prefix:
-            return CodeRef("UNKNOWN", code)
-        return CodeRef(dictionary.canonical_prefix(prefix), code)
-    except ValueError as exc:
-        raise DataError("BAD_PREFIX", f"{raw!r}: {exc}") from None
+        raise ValueError(f"no code part in {raw!r}")
+    return CodeRef(dictionary.canonical_prefix(prefix) if prefix else "UNKNOWN", code)
 
 
 def normalize_string(s: str) -> str:

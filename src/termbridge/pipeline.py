@@ -27,7 +27,7 @@ import json
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 
 from .core import (
@@ -219,7 +219,9 @@ def _mapping_row(record: MappingRecord, target_labels) -> str:
 def _write_text(path: Path, lines) -> None:
     """Write ``lines``, each ended by a newline, to ``path`` whole or not
     at all: each line goes to a temporary file in the same directory as
-    it comes, and the file then replaces ``path``."""
+    it comes, and the file then replaces ``path``.  A failure also removes
+    the directories made for it."""
+    made = list(takewhile(lambda d: not d.exists(), (path.parent, *path.parent.parents)))
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -228,6 +230,8 @@ def _write_text(path: Path, lines) -> None:
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
+        for directory in made:
+            directory.rmdir()
         raise
 
 

@@ -53,7 +53,6 @@ from dataclasses import dataclass, replace
 from itertools import chain, pairwise
 
 from .core import curie_ontology
-from .errors import DataError
 from .lexical import TokenizerConfig, normalize_string, tokenize
 
 IDF_VARIANT = "ln((1+N)/(1+df))+1, tf=count, l2"
@@ -236,8 +235,6 @@ def fit(corpus: Corpus) -> SimilarityModel:
     import numpy as np
 
     n_docs = len(corpus)
-    if not n_docs:
-        raise DataError("EMPTY_CORPUS", "no documents to fit")
     vocabulary = {token: i for i, token in enumerate(sorted(corpus.tokens))}
     n_vocab = len(vocabulary)
     column_of = np.fromiter((vocabulary[t] for t in corpus.tokens), dtype=np.int64, count=n_vocab)

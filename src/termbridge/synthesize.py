@@ -26,7 +26,6 @@ from itertools import chain
 
 from .core import (
     ClinicalConcept,
-    Domain,
     EvidenceAtom,
     EvidenceKind,
     Justification,
@@ -270,8 +269,6 @@ def expand_measurements(
     any ontology this expansion leaves untouched goes through the
     standard per-ontology precedence.
     """
-    if concept.domain is not Domain.MEASUREMENT:
-        raise DataError("NOT_A_MEASUREMENT", f"concept {concept.concept_id} is {concept.domain.value}")
     ontologies = sorted(o.upper() for o in ontologies)
 
     if unspecified_sample:
@@ -308,10 +305,7 @@ def expand_measurements(
             f"concept {concept.concept_id} typed {result_type.value} has no result targets",
         )
     rows.sort(key=lambda a: OUTCOME_ORDER[a.outcome])
-    try:
-        spec = MeasurementResultSpec(concept.concept_id, scale, result_type, tuple(rows))
-    except ValueError as exc:
-        raise DataError("INVALID_RESULT_SPEC", str(exc)) from None
+    spec = MeasurementResultSpec(concept.concept_id, scale, result_type, tuple(rows))
 
     records = []
     for a in rows:

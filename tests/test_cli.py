@@ -285,7 +285,7 @@ class TestMapCommand:
         assert run_map_cli(dict(condition_fixture, curation=str(curation)), out) == 3
         err = capsys.readouterr().err
         assert "error[INVALID_RECORD]: concept 22945/HP: evidence delimiter at evidence[0].payload" in err
-        assert files_under(out) == []
+        assert not out.exists()
 
     def test_curation_target_in_another_ontology_is_parse_error(self, tmp_path, condition_fixture, capsys):
         curation = tmp_path / "curation.tsv"
@@ -295,7 +295,7 @@ class TestMapCommand:
         assert run_map_cli(dict(condition_fixture, curation=str(curation)), out) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad targets 'MONDO:0001414': not a HP class [{curation}:{len(lines) + 1}]" in err
-        assert files_under(out) == []
+        assert not out.exists()
 
     def test_curation_target_without_local_id_is_parse_error(self, tmp_path, condition_fixture, capsys):
         curation = tmp_path / "curation.tsv"
@@ -305,7 +305,7 @@ class TestMapCommand:
         assert run_map_cli(dict(condition_fixture, curation=str(curation)), out) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad targets 'HP:' [{curation}:{len(lines) + 1}]" in err
-        assert files_under(out) == []
+        assert not out.exists()
 
     def test_bad_threshold_is_config_error(self, condition_fixture, tmp_path):
         assert run_map_cli(condition_fixture, tmp_path / "out", extra=["--tau", "2.0"]) == 1
@@ -430,7 +430,7 @@ class TestMeasurementCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad curie 'notacurie' [{targets}:2]" in err
-        assert files_under(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_auxiliary_curie_is_parse_error(self, measurement_fixture, tmp_path, capsys):
         targets = tmp_path / "measurement_targets.tsv"
@@ -442,7 +442,7 @@ class TestMeasurementCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad curie 'notacurie' [{targets}:6]" in err
-        assert files_under(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
 
     def test_auxiliary_target_in_another_ontology_is_parse_error(self, measurement_fixture, tmp_path, capsys):
         targets = tmp_path / "measurement_targets.tsv"
@@ -452,7 +452,30 @@ class TestMeasurementCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad curie 'HP:0003154': not a UBERON class [{targets}:{len(lines) + 1}]" in err
-        assert files_under(tmp_path / "out") == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line, row, verdict",
+        [
+            (4, "3000001\tNORMAL\tHP:0011043\t0", "MALFORMED_ROW"),
+            (2, "3000001\tHIGH\tHP:0003154\t1", "MALFORMED_ROW"),
+            (5, "3000002\tNEGATIVE\tHP:0500112\t0", "MALFORMED_ROW"),
+            (9, "3000001\tLOW\tHP:0003154\t0", "DUPLICATE_ID"),
+        ],
+        ids=["normal_not_negated", "high_negated", "lone_negative_not_negated", "second_low"],
+    )
+    def test_inconsistent_result_row_is_parse_error(self, measurement_fixture, tmp_path, capsys, line, row, verdict):
+        """A result row's negated column is 1 exactly for NORMAL and NEGATIVE,
+        and a concept lists an outcome once."""
+        targets = tmp_path / "measurement_targets.tsv"
+        lines = Path(measurement_fixture["targets"]).read_text().splitlines()
+        lines[line - 1:line] = [row]
+        targets.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(measurement_args(dict(measurement_fixture, targets=str(targets)), out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{verdict}]: outcome ") and f"[{targets}:{line}]" in err
+        assert not out.exists()
 
     def test_curated_targets_replace_result_rows(self, measurement_fixture, tmp_path):
         code, rows = self._run_curated(
@@ -628,7 +651,7 @@ class TestCoverageCommand:
         err = capsys.readouterr().err
         assert "error[DUPLICATE_ID]: concept_id 2 repeated for site 'a'" in err
         assert f"[{prevalence}:3]" in err
-        assert files_under(out) == []
+        assert not out.exists()
 
     def test_non_integer_concept_id_is_parse_error(self, tmp_path, capsys):
         mappings = tmp_path / "mappings.tsv"
@@ -643,7 +666,7 @@ class TestCoverageCommand:
         ) == 2
         err = capsys.readouterr().err
         assert "error[MALFORMED_ROW]: bad concept_id '4x'" in err and f"[{mappings}:5]" in err
-        assert files_under(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, label", [(2, "Automatc One-to-One Concept"), (4, "unmapped")], ids=["misspelt", "lower_case"]
@@ -664,7 +687,7 @@ class TestCoverageCommand:
         ) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad category {label!r} [{mappings}:{line}]" in err
-        assert files_under(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["-1", "0", "1", "5", "nan", "inf"])
     def test_alpha_outside_unit_interval_is_config_error(self, tmp_path, capsys, alpha):
@@ -923,7 +946,7 @@ class TestExportSssom:
         err = capsys.readouterr().err
         assert "error[MALFORMED_ROW]: bad concept_id '12.5'" in err
         assert f"[{mappings}:{len(lines) + 1}]" in err
-        assert files_under(out) == []
+        assert not out.exists()
 
 
     def test_unmapped_row_is_not_exported(self, condition_fixture, tmp_path):
@@ -968,7 +991,7 @@ class TestExportSssom:
         ) == 2
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad category {label!r} [{mappings}:{len(lines) + 1}]" in err
-        assert files_under(out) == []
+        assert not out.exists()
 
 
 class TestWholeOutputs:
@@ -985,8 +1008,8 @@ class TestWholeOutputs:
 
     def test_failed_write_of_new_file_leaves_nothing(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):
-            pipeline._write_text(tmp_path / "out" / "summary.json", ["{"] * 10_000 + ["\ud800"])
-        assert list((tmp_path / "out").iterdir()) == []
+            pipeline._write_text(tmp_path / "out" / "run" / "summary.json", ["{"] * 10_000 + ["\ud800"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_replace_keeps_earlier_output(self, tmp_path, monkeypatch, condition_fixture):
         out = tmp_path / "out"
@@ -1031,7 +1054,7 @@ class TestStreamedMap:
         assert run_map_cli(condition_fixture, out) == 3
         assert len(calls) == total // 2
         assert "error[INVALID_RECORD]" in capsys.readouterr().err
-        assert files_under(out) == []
+        assert not out.exists()
 
     def test_invalid_record_mid_stream_keeps_earlier_outputs(self, condition_fixture, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -287,36 +287,6 @@ class TestOntologyClass:
 
 
 class TestMeasurementResultSpec:
-    def test_normal_must_be_negated(self):
-        with pytest.raises(ValueError):
-            MeasurementResultSpec(
-                1,
-                MeasurementScale.QUANTITATIVE,
-                ResultType.NORMAL_LOW_HIGH,
-                (ResultAssignment(MeasurementOutcome.NORMAL, "HP:0011043", False),),
-            )
-
-    def test_positive_negative_outcomes_only(self):
-        with pytest.raises(ValueError):
-            MeasurementResultSpec(
-                1,
-                MeasurementScale.ORDINAL,
-                ResultType.POSITIVE_NEGATIVE,
-                (ResultAssignment(MeasurementOutcome.HIGH, "HP:0003154", False),),
-            )
-
-    def test_duplicate_outcome(self):
-        with pytest.raises(ValueError):
-            MeasurementResultSpec(
-                1,
-                MeasurementScale.ORDINAL,
-                ResultType.POSITIVE_NEGATIVE,
-                (
-                    ResultAssignment(MeasurementOutcome.POSITIVE, "HP:1", False),
-                    ResultAssignment(MeasurementOutcome.POSITIVE, "HP:2", False),
-                ),
-            )
-
     def test_worked_triple(self):
         spec = MeasurementResultSpec(
             3000001,

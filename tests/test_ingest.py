@@ -936,6 +936,7 @@ _VERDICT_LOADERS = {
     "patients": ("patient_id\thpo_curie", lambda p, d: list(load_patient_phenotypes(p))),
     "cohort": ("patient_id\tgroup", lambda p, d: load_cohort(p)),
     "id_list": ("", lambda p, d: load_id_list(p)),
+    "code_map": ("raw_prefix,canonical_prefix", lambda p, d: load_code_dictionary(p)),
 }
 
 _KEPT = "1\tSNOMED\t11\tA\t\tCONDITION\t1\t3"
@@ -984,6 +985,12 @@ _VERDICTS = [
     pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tLOW\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_result_curie"),
     pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tUBERON\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_auxiliary_curie"),
     pytest.param("targets", ["1\tuberon\tUBERON:1\t0", "1\tUBERON\tHP:1\t0"], ("MALFORMED_ROW", 3), id="targets-auxiliary_curie_in_another_ontology"),
+    pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tNORMAL\tHP:2\t0"], ("MALFORMED_ROW", 3), id="targets-normal_not_negated"),
+    pytest.param("targets", ["1\tHIGH\tHP:1\t1"], ("MALFORMED_ROW", 2), id="targets-high_negated"),
+    pytest.param("targets", ["1\tnegative\tHP:1\t0"], ("MALFORMED_ROW", 2), id="targets-negative_not_negated"),
+    pytest.param("targets", ["1\tPOSITIVE\tHP:1\t1"], ("MALFORMED_ROW", 2), id="targets-positive_negated"),
+    pytest.param("targets", ["1\tPOSITIVE\tHP:1\t0", "2\tPOSITIVE\tHP:1\t0", "1\tpositive\tHP:2\t0"], ("DUPLICATE_ID", 4), id="targets-repeated_outcome"),
+    pytest.param("targets", ["1\tPOSITIVE\tHP:1\t0", "1\tNEGATIVE\tHP:1\t1", "2\tPOSITIVE\tHP:1\t0"], None, id="targets-one_row_per_concept_and_outcome"),
     pytest.param("mappings", ["4x" + _MAPPING_ROW[1:]], ("MALFORMED_ROW", 2), id="mappings-bad_concept_id"),
     pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW + "\textra"], ("MALFORMED_ROW", 3), id="mappings-thirteen_columns"),
     pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW.replace("Unmapped", "unmapped")], ("MALFORMED_ROW", 3), id="mappings-unknown_category"),
@@ -1000,6 +1007,11 @@ _VERDICTS = [
     pytest.param("cohort", ["p1\tCASE\tx"], ("MALFORMED_ROW", 2), id="cohort-three_columns"),
     pytest.param("id_list", ["12\t", "   ", " 13 "], None, id="id_list-whitespace_accepted"),
     pytest.param("id_list", ["12", "", "twelve"], ("MALFORMED_ROW", 3), id="id_list-bad_id"),
+    pytest.param("code_map", ["foo,BAR", "snomed,"], ("MALFORMED_ROW", 3), id="code_map-blank_canonical_prefix"),
+    pytest.param("code_map", [" ,SNOMED"], ("MALFORMED_ROW", 2), id="code_map-blank_raw_prefix"),
+    pytest.param("code_map", ["snomed"], ("MALFORMED_ROW", 2), id="code_map-one_column"),
+    pytest.param("code_map", ["bar,BAZ", "foo,BAR"], ("NOT_FIXED_POINT", 3), id="code_map-remapped_made_canonical_later"),
+    pytest.param("code_map", ["foo,BAR", "FOO, bar ", "", "bar,BAR"], None, id="code_map-accepted"),
 ]
 
 
@@ -1018,7 +1030,7 @@ class TestLoaderVerdicts:
             read(path, tmp_path)
         assert (err.value.code, err.value.line) == verdict
 
-    @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list"}))
+    @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list", "code_map"}))
     def test_header_checked(self, tmp_path, loader):
         header, read = _VERDICT_LOADERS[loader]
         for text in ("", header.replace("\t", "\tx", 1) + "\n", header.rsplit("\t", 1)[0] + "\n"):

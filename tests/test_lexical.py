@@ -5,8 +5,8 @@ import random
 import pytest
 
 from termbridge.core import CodeRef
-from termbridge.errors import DataError
-from termbridge.ingest import default_code_dictionary
+from termbridge.errors import ParseError
+from termbridge.ingest import default_code_dictionary, load_code_dictionary
 from termbridge.lexical import (
     Lemmatize,
     NormalizationDictionary,
@@ -60,9 +60,8 @@ class TestCanonicalizeCode:
 
     @pytest.mark.parametrize("raw", ["", "  ", "HP:", "HP:   "])
     def test_empty_code(self, raw, vocab_dict):
-        with pytest.raises(DataError) as err:
+        with pytest.raises(ValueError, match="code"):
             canonicalize_code(raw, vocab_dict)
-        assert err.value.code == "EMPTY_CODE"
 
     def test_idempotent_over_random_inputs(self, vocab_dict):
         rng = random.Random(7)
@@ -71,7 +70,7 @@ class TestCanonicalizeCode:
             raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 20)))
             try:
                 ref = canonicalize_code(raw, vocab_dict)
-            except DataError:
+            except ValueError:
                 continue
             assert canonicalize_code(str(ref), vocab_dict) == ref
 
@@ -83,15 +82,21 @@ class TestNormalizationDictionary:
     def test_unknown_prefix_uppercased(self, vocab_dict):
         assert vocab_dict.canonical_prefix("weird") == "WEIRD"
 
-    def test_fixed_point_violation_rejected(self):
-        with pytest.raises(DataError) as err:
-            NormalizationDictionary([("a", "B"), ("b", "A")])
-        assert err.value.code == "NOT_FIXED_POINT"
+    # The dictionary's rules are checked where its rows are read, on the
+    # later of the two rows that break them.
+    def test_fixed_point_violation_rejected(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("raw_prefix,canonical_prefix\na,B\nb,A\n")
+        with pytest.raises(ParseError) as err:
+            load_code_dictionary(path)
+        assert (err.value.code, err.value.path, err.value.line) == ("NOT_FIXED_POINT", str(path), 3)
 
-    def test_conflicting_rows_rejected(self):
-        with pytest.raises(DataError) as err:
-            NormalizationDictionary([("a", "X"), ("A", "Y")])
-        assert err.value.code == "CONFLICTING_PREFIX"
+    def test_conflicting_rows_rejected(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("raw_prefix,canonical_prefix\na,X\nA,Y\n")
+        with pytest.raises(ParseError) as err:
+            load_code_dictionary(path)
+        assert (err.value.code, err.value.path, err.value.line) == ("CONFLICTING_PREFIX", str(path), 3)
 
     def test_packaged_dictionary_is_fixed_point(self):
         d = default_code_dictionary()

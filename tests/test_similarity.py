@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from termbridge.errors import DataError
 from termbridge.similarity import (
     Corpus,
     ScoredPair,
@@ -219,9 +218,10 @@ class TestFit:
         assert np.abs(scipy_matrix(model).toarray() - expected).max() < 1e-12
 
     def test_empty_corpus(self):
-        with pytest.raises(DataError) as err:
-            fit(corpus_of([]))
-        assert err.value.code == "EMPTY_CORPUS"
+        # map fits only when a concept is loaded, and each concept brings its
+        # label's row; an empty corpus fits an empty model.
+        model = fit(corpus_of([]))
+        assert model.vocabulary == {} and model.matrix.nnz == 0
 
     def test_zero_token_document_is_zero_row(self):
         model = fit(corpus_of([doc(1, "", tokens=()), doc(2, "a")]))

@@ -443,10 +443,6 @@ class TestExpandMeasurements:
             )
         assert err.value.code == "OUTCOME_MISMATCH"
 
-    def test_non_measurement_rejected(self):
-        with pytest.raises(DataError):
-            expand_measurements(_concept(1), None, [], [], ("HP",))
-
     def test_expanded_records_validate(self):
         c = _concept(11, domain=Domain.MEASUREMENT)
         records, _ = _expand(
