@@ -7,12 +7,9 @@ one with each tree's loaders in a subprocess, and reports every input
 whose (exception type, code, line) differs between the trees.  A
 difference where the second tree rejects a row that the first let
 through is counted apart, as the ``expected`` case: a ``curie`` of
-``measurement_targets.tsv`` (``bad curie``: malformed, or an auxiliary
-row's of another ontology), a result row of that file whose ``negated``
-is not 1 exactly for NORMAL and NEGATIVE, or that repeats its concept's
-outcome (``outcome ...``), a curation target that is not a CURIE or is
-of another ontology (``bad targets``), or a ``mappings.tsv`` category
-that is not one of the map command's labels (``bad category``).
+``measurement_targets.tsv`` that is not a CURIE, such as one holding
+``|`` (``bad curie``), or a ``mappings.tsv`` row that is not one the map
+command writes, in any column but ``concept_id`` (``bad <column>``).
 
 Usage: python scripts/ingest_differential.py OLD_SRC NEW_SRC [--inputs N] [--seed S]
 
@@ -34,7 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
 
 # Per loader, how the second tree's message starts in the expected case.
-_EXPECTED = {"targets": ("bad curie ", "outcome "), "curation": "bad targets ", "mappings": "bad category "}
+_MAPPING_COLUMNS = ("domain", "ontology", "category", "level", "logic", "targets", "target_labels", "score",
+                    "evidence", "unmapped_reason", "outcome")
+_EXPECTED = {"targets": "bad curie ", "mappings": tuple(f"bad {name}" for name in _MAPPING_COLUMNS)}
 
 # Run in each tree: the verdict of every input file listed in argv[1].
 _VERDICT_SCRIPT = """

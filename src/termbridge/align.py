@@ -145,21 +145,29 @@ def align_via_ancestors(
     concept_table: dict[int, ClinicalConcept],
     indexes: AlignmentIndexes,
     allowed=None,
+    *,
+    memo: dict,
 ) -> dict[str, dict[str, set]]:
     """Ancestor-level exact hits, in ``align_concept``'s shape: the hits of
     every loaded ancestor, with the atoms of a CURIE that several ancestors
     hit taken together and no ancestor preferred.
 
-    Callers invoke this only for ontologies where concept-level alignment
-    came back empty.
+    ``memo`` keeps each ancestor's unfiltered hits by id across one run's
+    calls, so an ancestor is aligned once; each call keeps its ``allowed``
+    ontologies.  Callers invoke this only for ontologies where
+    concept-level alignment came back empty.
     """
     merged: dict[str, dict[str, set]] = {}
     for ancestor_id in concept.ancestors:
-        ancestor = concept_table.get(ancestor_id)
-        if ancestor is None:
-            continue
-        for ontology, hits in align_concept(ancestor, indexes, allowed).items():
-            into = merged.setdefault(ontology, {})
-            for curie, atoms in hits.items():
-                into.setdefault(curie, set()).update(atoms)
+        hits = memo.get(ancestor_id)
+        if hits is None:
+            ancestor = concept_table.get(ancestor_id)
+            if ancestor is None:
+                continue
+            hits = memo[ancestor_id] = align_concept(ancestor, indexes)
+        for ontology, curies in hits.items():
+            if allowed is None or ontology in allowed:
+                into = merged.setdefault(ontology, {})
+                for curie, atoms in curies.items():
+                    into.setdefault(curie, set()).update(atoms)
     return merged

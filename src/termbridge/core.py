@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Domain(Enum):
@@ -57,8 +58,6 @@ class MappingCategory(Enum):
         self.target_count, self.justification = target_count, justification
 
 
-#: Each category by its label: ``CATEGORY_BY_LABEL.__getitem__`` parses one.
-CATEGORY_BY_LABEL = {c.label: c for c in MappingCategory}
 _CATEGORY_BY_KIND = {(c.justification, c.level, c.target_count): c for c in MappingCategory}
 
 
@@ -197,11 +196,15 @@ class ClinicalConcept:
             raise ValueError(f"concept {self.concept_id}: self-loop in ancestors")
 
 
-_CURIE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*):(\S+)$")
+_PREFIX, _LOCAL = r"[A-Za-z][A-Za-z0-9]*", r"[^\s|]+"
+_CURIE_RE = re.compile(rf"^({_PREFIX}):({_LOCAL})$")
+#: A ``|``-separated list of one or more CURIEs, matched whole at once.
+CURIE_LIST_RE = re.compile(rf"{_PREFIX}:{_LOCAL}(?:\|{_PREFIX}:{_LOCAL})*")
 
 
 def parse_curie(curie: str) -> tuple[str, str]:
-    """Split ``PREFIX:LOCAL``; raises ValueError when malformed."""
+    """Split ``PREFIX:LOCAL``; raises ValueError when malformed.  The local
+    id holds no whitespace and no ``|``, which separates CURIEs in lists."""
     m = _CURIE_RE.match(curie)
     if m is None:
         raise ValueError(f"malformed CURIE: {curie!r}")
@@ -235,11 +238,11 @@ class OntologyClass:
             )
 
 
-@dataclass(frozen=True)
-class EvidenceAtom:
+class EvidenceAtom(NamedTuple):
     """One unit of mapping support; payload must stay pipe-free so atoms can
     be joined into the serialized evidence string (checked by validate_record,
-    not here: delimiter violations are reported as data)."""
+    not here: delimiter violations are reported as data).  A named tuple:
+    reading ``mappings.tsv`` builds many."""
 
     kind: EvidenceKind
     payload: str
@@ -334,41 +337,43 @@ class Violation:
 
 
 def validate_record(record: MappingRecord) -> Violation | None:
-    """Check a MappingRecord against its invariants.
+    """``check_mapping`` on a record's fields: ``map``'s check of each record it writes."""
+    return check_mapping(
+        record.category, record.logic, record.targets, record.score, record.unmapped_reason, record.evidence
+    )
 
-    Returns None when the record is valid, otherwise the first violation.
-    Violations are data, not failures: callers decide whether to raise.
-    """
-    cat = record.category
-    n = len(record.targets)
-    unmapped = cat is MappingCategory.UNMAPPED
 
-    if min(n, 2) != cat.target_count:
-        return Violation("unmapped consistency" if unmapped else "cardinality", "targets")
-    if unmapped != (record.unmapped_reason is not None):
+def check_mapping(category, logic, targets, score, unmapped_reason, evidence) -> Violation | None:
+    """The first rule that a mapping's fields break, or None: the category
+    fixes the number of targets and whether there is an unmapped reason,
+    the logic refers to each target once, only a cosine mapping has a
+    score, in [0, 1], and there is evidence with no ``|`` in a payload.
+    Violations are data, not failures: callers decide whether to raise."""
+    n, count = len(targets), category.target_count  # count: 0, 1, or 2 for two or more
+    if (n if n < 2 else 2) != count:
+        return Violation("cardinality" if count else "unmapped consistency", "targets")
+    if (unmapped_reason is None) == (count == 0):
         return Violation("unmapped consistency", "unmapped_reason")
 
-    try:
-        refs = parse_logic(record.logic)
-    except ValueError:
-        return Violation("logic syntax", "logic")
-    if cat.target_count == 2:
-        if sorted(refs) != list(range(n)):
+    # "" and NOT(0) need no parse: they suit one target, and "" suits none.
+    if count == 2 or logic not in ("", "NOT(0)"):
+        try:
+            refs = parse_logic(logic)
+        except ValueError:
+            return Violation("logic syntax", "logic")
+        if count != 2 or sorted(refs) != list(range(n)):
             return Violation("logic coverage", "logic")
-    elif cat.target_count == 1:
-        if record.logic not in ("", "NOT(0)"):
-            return Violation("logic coverage", "logic")
-    elif record.logic != "":
+    elif logic and not count:
         return Violation("logic coverage", "logic")
 
-    if (record.score is not None) != (cat.justification is Justification.SIMILARITY):
+    if (score is None) == (category.justification is Justification.SIMILARITY):
         return Violation("score presence", "score")
-    if record.score is not None and not (0.0 <= record.score <= 1.0):
+    if score is not None and not 0.0 <= score <= 1.0:
         return Violation("score range", "score")
 
-    if not record.evidence:
+    if not evidence:
         return Violation("evidence", "evidence")
-    for i, atom in enumerate(record.evidence):
+    for i, atom in enumerate(evidence):
         if "|" in atom.payload:
             return Violation("evidence delimiter", f"evidence[{i}].payload")
 

@@ -10,6 +10,8 @@ names and each row's column count, then converts every field whose column
 declares a parser; a ``ValueError`` or ``KeyError`` from a parser is
 ``MALFORMED_ROW`` naming the file, the line and the column.  The loaders
 read converted values and make only the checks that span fields or rows.
+``mappings.tsv``, which ``map`` writes, also declares how to render each
+column, so ``mapping_line`` and ``load_mappings`` are one codec.
 ``load_prevalence`` folds its rows as it reads them, and ``load_mappings``
 and ``load_patient_phenotypes`` yield rows, so no per-row table of those
 files is held; the other loaders return immutable indexes.
@@ -18,7 +20,7 @@ The TSVs: concepts (synonyms pipe-delimited; the record count is
 validated only: >= 0, and > 0 for a concept used in practice, on rows of
 the domain being loaded), concept ancestors (header optional),
 routing policy, curation (targets pipe-delimited CURIEs), measurement
-scales and targets, ``mappings.tsv`` (the map command's output),
+scales and targets, ``mappings.tsv`` (each row one ``map`` writes),
 prevalence (one row per (site, concept); counts below 100 floored to
 100), weights (finite; one row per CURIE), patient phenotypes and cohort
 (one row per patient).  The other formats:
@@ -48,20 +50,27 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from .core import (
-    CATEGORY_BY_LABEL,
+    CURIE_LIST_RE,
     ClinicalConcept,
     CodeRef,
     Domain,
+    EvidenceAtom,
+    EvidenceKind,
+    MappingCategory,
+    MappingLevel,
     MeasurementOutcome,
     MeasurementScale,
     NEGATED_OUTCOMES,
     OntologyClass,
     ResultAssignment,
     UnmappedReason,
+    Violation,
     and_logic,
+    check_mapping,
     is_code_prefix,
     parse_curie,
 )
@@ -94,6 +103,42 @@ def _curie_list(raw: str) -> tuple[str, ...]:
     return tuple(_curie(part) for part in _pipe_list(raw))
 
 
+def _named(members, attr="value", optional=False):
+    """(parse, render) of a column holding a member of ``members`` by its
+    ``attr``; an ``optional`` column is empty for None."""
+    by_name = {getattr(m, attr): m for m in members}
+    if optional:
+        by_name[""] = None
+    return by_name.__getitem__, {m: name for name, m in by_name.items()}.__getitem__
+
+
+def _curies(raw: str) -> tuple[str, ...]:
+    """A ``|``-separated list of CURIEs, each written exactly."""
+    if raw and CURIE_LIST_RE.fullmatch(raw) is None:
+        raise ValueError(raw)
+    return tuple(raw.split("|")) if raw else ()
+
+
+_parse_kind, _render_kind = _named(EvidenceKind, "name")
+
+
+@lru_cache(maxsize=4096)  # the rows of unmapped concepts share a few evidence texts
+def _evidence(raw: str) -> tuple[EvidenceAtom, ...]:
+    """Evidence atoms written as ``KIND:payload``, separated by ``|``."""
+    atoms = []
+    for part in raw.split("|") if raw else ():
+        kind, colon, payload = part.partition(":")
+        if not colon:
+            raise ValueError(part)
+        atoms.append(EvidenceAtom(_parse_kind(kind), payload))
+    return tuple(atoms)
+
+
+def evidence_text(atoms) -> str:
+    """The ``evidence`` column of ``atoms``."""
+    return "|".join([f"{_render_kind(kind)}:{payload}" for kind, payload in atoms])
+
+
 def _finite(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -103,8 +148,8 @@ def _finite(raw: str) -> float:
 
 # Column declarations: (name, parse) in file order; parse None keeps the
 # field as it is.  Columns that several files share are declared once.
-# The large files' parsers are builtins (``int``, a dict's ``__getitem__``):
-# a Python-level call per field would cost ingest time on every row.
+# The large files' parsers are builtins (``int``, a dict's ``__getitem__``)
+# where they can be: a Python-level call per field costs time on every row.
 _CONCEPT_ID = ("concept_id", int)
 _PATIENT_ID = ("patient_id", None)
 _HPO_CURIE = ("hpo_curie", None)
@@ -135,19 +180,21 @@ SCALE_COLUMNS = (
     ("reference_range_kind", _keyword(("NUMERIC", "POS_NEG", "NONE"))),
 )
 TARGET_COLUMNS = (_CONCEPT_ID, ("outcome", _key), ("curie", _curie), ("negated", str.strip))
+# mappings.tsv, which ``map`` writes, declares a renderer too: (name, parse,
+# render).  ``mapping_line`` writes a row and ``load_mappings`` reads one.
 MAPPING_COLUMNS = (
-    _CONCEPT_ID,
-    ("domain", None),
-    ("ontology", None),
-    ("category", CATEGORY_BY_LABEL.__getitem__),
-    ("level", None),
-    ("logic", None),
-    ("targets", None),
-    ("target_labels", None),
-    ("score", None),
-    ("evidence", None),
-    ("unmapped_reason", None),
-    ("outcome", None),
+    (*_CONCEPT_ID, str),
+    ("domain", *_named(Domain)),
+    ("ontology", None, str),
+    ("category", *_named(MappingCategory, "label")),
+    ("level", *_named(MappingLevel)),
+    ("logic", None, str),
+    ("targets", _curies, "|".join),
+    ("target_labels", lambda raw: tuple(raw.split("|")), lambda labels: "|".join(t.replace("|", "/") for t in labels)),
+    ("score", lambda raw: float(raw) if raw else None, lambda score: "" if score is None else f"{score:.12g}"),
+    ("evidence", _evidence, evidence_text),
+    ("unmapped_reason", *_named(UnmappedReason, "label", optional=True)),
+    ("outcome", *_named(MeasurementOutcome, optional=True)),
 )
 PREVALENCE_COLUMNS = (("site_id", None), _CONCEPT_ID, ("record_count", int))
 WEIGHT_COLUMNS = (_HPO_CURIE, ("weight", _finite))
@@ -157,7 +204,7 @@ COHORT_COLUMNS = (_PATIENT_ID, ("group", _keyword(("CASE", "CONTROL"))))
 
 def header_line(columns) -> str:
     """The header row of a TSV declared by ``columns``."""
-    return "\t".join(name for name, _ in columns)
+    return "\t".join(column[0] for column in columns)
 
 
 PREVALENCE_FLOOR = 100
@@ -271,8 +318,8 @@ def _read_rows(path, columns, header_optional=False):
     ``ValueError`` or ``KeyError`` from the parser is ``MALFORMED_ROW``
     naming the column.
     """
-    names = [name for name, _ in columns]
-    parsers = [(i, parse) for i, (_, parse) in enumerate(columns) if parse is not None]
+    names = [column[0] for column in columns]
+    parsers = [(i, column[1]) for i, column in enumerate(columns) if column[1] is not None]
     width = len(names)
     with open_text(path) as fh:
         start = 1
@@ -674,12 +721,34 @@ def load_measurement_targets(path):
     return dict(assignments), dict(aux)
 
 
+def mapping_line(record, labels) -> str:
+    """``record``'s row of mappings.tsv; ``labels`` maps a CURIE to its
+    class label, and a target it lacks gets an empty one."""
+    fields = (
+        record.concept_id, record.domain, record.ontology, record.category, record.category.level,
+        record.logic, record.targets, tuple(labels.get(t, "") for t in record.targets), record.score,
+        record.evidence, record.unmapped_reason, record.outcome,
+    )
+    return "\t".join([render(value) for (_, _, render), value in zip(MAPPING_COLUMNS, fields)])
+
+
 def load_mappings(path):
-    """Yield the rows of mappings.tsv as dicts keyed by column name, each
-    ``category`` parsed to its MappingCategory by its label."""
-    names = [name for name, _ in MAPPING_COLUMNS]
-    for _, fields in _read_rows(path, MAPPING_COLUMNS):
-        yield dict(zip(names, fields))
+    """Yield the fields of each mappings.tsv row, parsed, in column order.
+    A row that ``map`` would not write (level not its category's, not one
+    label per target, or against ``check_mapping``) is ``MALFORMED_ROW``."""
+    for lineno, fields in _read_rows(path, MAPPING_COLUMNS):
+        _, _, _, category, level, logic, targets, labels, score, evidence, reason, _ = fields
+        if not targets and labels == ("",):  # no target, so no label
+            fields[7] = labels = ()
+        violation = (
+            Violation("category level", "level") if level is not category.level
+            else Violation("label count", "target_labels") if len(labels) != len(targets)
+            else check_mapping(category, logic, targets, score, reason, evidence)
+        )
+        if violation is not None:
+            message = f"bad {violation.field_path}: {violation.rule}"
+            raise ParseError("MALFORMED_ROW", message, str(path), lineno)
+        yield fields
 
 
 def load_id_list(path) -> set[int]:

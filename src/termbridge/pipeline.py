@@ -7,12 +7,13 @@ writes and tallies them before it builds the next concept's, so rows
 come out in one global order without every record being held.  Per
 concept, the exact aligners return ontology key -> CURIE -> evidence
 atoms: concept-level hits for the routed ontologies, then ancestor hits
-for those still without one.  ``synthesize`` builds each record with its
-evidence in canonical order, and a row joins that evidence as it stands
-once ``validate_record`` has rejected any ``|`` in it.  All
-serialization is stable (sorted keys, fixed float formatting).  Two runs
-on identical inputs produce byte-identical files.  Every input is read
-by ``ingest``.
+for those still without one, each ancestor aligned once per run.
+``synthesize`` builds each record with its evidence in canonical order,
+and ``ingest.mapping_line`` renders its row once ``validate_record`` has
+checked it; ``coverage`` and ``export-sssom`` read rows back under the
+same rules.  All serialization is stable (sorted keys, fixed float
+formatting).  Two runs on identical inputs produce byte-identical files.
+Every input is read by ``ingest``.
 
 Loading this module loads what every command uses: ``core``, ``errors``,
 ``ingest`` and ``lexical``.  ``run_map`` adds ``align``, ``similarity``
@@ -26,7 +27,7 @@ import importlib
 import json
 import os
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, takewhile
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from .ingest import (
     RoutingPolicy,
     default_code_dictionary,
     default_stopwords,
+    evidence_text,
     header_line,
     load_code_dictionary,
     load_cohort,
@@ -60,6 +62,7 @@ from .ingest import (
     load_stopwords,
     load_umls,
     load_weights,
+    mapping_line,
 )
 from .lexical import Lemmatize, TokenizerConfig
 
@@ -93,17 +96,6 @@ def __getattr__(name):
             _load(module)
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-SSSOM_HEADER = [
-    "subject_id",
-    "subject_label",
-    "object_id",
-    "object_label",
-    "mapping_justification",
-    "mapping_set_id",
-    "comment",
-]
 
 
 def _flag(kind, commands, help=None, default=None, *, required=False, flag=None):
@@ -190,30 +182,6 @@ def check_inputs(cfg: RunConfig, command: str) -> None:
 # A plain loop, kept with its unused ``jobs`` because perfbench's tracer wraps this name.
 def _parallel_map(fn, items, jobs):
     return [fn(item) for item in items]
-
-
-def _fmt_score(score) -> str:
-    return "" if score is None else f"{score:.12g}"
-
-
-def _mapping_row(record: MappingRecord, target_labels) -> str:
-    labels = "|".join(target_labels.get(t, "").replace("|", "/") for t in record.targets)
-    return "\t".join(
-        [
-            str(record.concept_id),
-            record.domain.value,
-            record.ontology,
-            record.category.label,
-            record.category.level.value,
-            record.logic,
-            "|".join(record.targets),
-            labels,
-            _fmt_score(record.score),
-            "|".join(f"{atom.kind.name}:{atom.payload}" for atom in record.evidence),
-            record.unmapped_reason.label if record.unmapped_reason else "",
-            record.outcome.value if record.outcome else "",
-        ]
-    )
 
 
 def _write_text(path: Path, lines) -> None:
@@ -364,6 +332,7 @@ def run_map(cfg: RunConfig) -> Path:
         # Only the per-concept ladder reads the indexes, so they are built
         # after scoring and the cut have freed their arrays.
         indexes = build_indexes(classes.values())
+        ancestor_hits: dict[int, dict] = {}
 
         def process(concept_id: int) -> list[MappingRecord]:
             concept = concepts[concept_id]
@@ -388,7 +357,7 @@ def run_map(cfg: RunConfig) -> Path:
             exact_c = align_concept(concept, indexes, allowed) if allowed else {}
             remaining = allowed - exact_c.keys()
             exact_a = (
-                align_via_ancestors(concept, concepts, indexes, remaining) if remaining else {}
+                align_via_ancestors(concept, concepts, indexes, remaining, memo=ancestor_hits) if remaining else {}
             )
             return synthesize(
                 concept,
@@ -426,7 +395,7 @@ def run_map(cfg: RunConfig) -> Path:
                             f"{violation.rule} at {violation.field_path}",
                         )
                     tally.add(record)
-                    yield _mapping_row(record, target_labels)
+                    yield mapping_line(record, target_labels)
 
         rows = stream()
 
@@ -460,9 +429,9 @@ def run_coverage(cfg: RunConfig) -> Path:
         raise ConfigError("BAD_THRESHOLD", f"alpha must lie in (0, 1), got {cfg.alpha}")
 
     mapped_ids = {
-        row["concept_id"]
-        for row in load_mappings(cfg.mappings)
-        if row["category"] is not MappingCategory.UNMAPPED
+        concept_id
+        for concept_id, _, _, category, *_ in load_mappings(cfg.mappings)
+        if category is not MappingCategory.UNMAPPED
     }
     prevalence = load_prevalence(cfg.prevalence)
     report = partition_coverage(mapped_ids, prevalence.rows)
@@ -502,15 +471,7 @@ def run_coverage(cfg: RunConfig) -> Path:
         "unweighted_coverage_pct": report.unweighted_coverage_pct,
         "weighted_coverage_pct": report.weighted_coverage_pct,
         "floored_rows": prevalence.floored,
-        "per_site": [
-            {
-                "site_id": s.site_id,
-                "concepts": s.concepts,
-                "covered": s.covered,
-                "coverage_pct": s.coverage_pct,
-            }
-            for s in report.per_site
-        ],
+        "per_site": [{**asdict(s), "coverage_pct": s.coverage_pct} for s in report.per_site],
         "omnibus": (
             None
             if omnibus is None
@@ -530,9 +491,11 @@ def run_coverage(cfg: RunConfig) -> Path:
             [
                 test.site_a,
                 test.site_b,
-                f"{test.result.statistic:.12g}",
-                str(test.result.df),
-                f"{test.result.p_value:.12g}",
+                *(
+                    ("", "", "")
+                    if test.result is None
+                    else (f"{test.result.statistic:.12g}", str(test.result.df), f"{test.result.p_value:.12g}")
+                ),
                 f"{pairwise.adjusted_alpha:.12g}",
                 "1" if test.significant else "0",
             ]
@@ -587,17 +550,6 @@ def run_phers(cfg: RunConfig) -> Path:
     )
     _write_text(out_dir / "phers.tsv", chain(["patient_id\traw\tstandardized\tgroup"], rows))
 
-    def stats_payload(values):
-        s = group_stats(values)
-        return {
-            "count": s.count,
-            "mean": s.mean,
-            "median": s.median,
-            "sd": s.sd,
-            "min": s.min,
-            "max": s.max,
-        }
-
     payload = {
         "statistic": test.statistic,
         "p_value": test.p_value,
@@ -606,8 +558,8 @@ def run_phers(cfg: RunConfig) -> Path:
         "raw_sd": result.raw_sd,
         "out_of_cohort_rows": out_of_cohort_rows,
         "standardization": "sample_sd",
-        "cases": stats_payload(by_group["CASE"]),
-        "controls": stats_payload(by_group["CONTROL"]),
+        "cases": asdict(group_stats(by_group["CASE"])),
+        "controls": asdict(group_stats(by_group["CONTROL"])),
     }
     _write_json(out_dir / "test.json", payload)
     return out_dir
@@ -615,30 +567,16 @@ def run_phers(cfg: RunConfig) -> Path:
 
 def _sssom_rows(mappings, concepts):
     """SSSOM rows for each mapping row as it arrives, one per target."""
-    for row in mappings:
-        targets = [t for t in row["targets"].split("|") if t]
-        if not targets or row["category"] is MappingCategory.UNMAPPED:
+    for concept_id, _, ontology, category, _, _, targets, labels, _, evidence, _, outcome in mappings:
+        if category is MappingCategory.UNMAPPED:
             continue
-        labels = row["target_labels"].split("|")
-        concept = concepts.get(row["concept_id"])
-        subject_id = str(concept.code) if concept else str(row["concept_id"])
+        concept = concepts.get(concept_id)
+        subject_id = str(concept.code) if concept else str(concept_id)
         subject_label = concept.label if concept else ""
-        justification = row["category"].justification.value
-        set_id = f"{row['concept_id']}:{row['ontology']}"
-        if row["outcome"]:
-            set_id += f":{row['outcome']}"
-        for i, target in enumerate(targets):
-            yield "\t".join(
-                [
-                    subject_id,
-                    subject_label,
-                    target,
-                    labels[i] if i < len(labels) else "",
-                    justification,
-                    set_id,
-                    row["evidence"],
-                ]
-            )
+        justification, comment = category.justification.value, evidence_text(evidence)
+        set_id = f"{concept_id}:{ontology}" + (f":{outcome.value}" if outcome else "")
+        for target, label in zip(targets, labels):
+            yield "\t".join([subject_id, subject_label, target, label, justification, set_id, comment])
 
 
 def export_sssom(cfg: RunConfig) -> Path:
@@ -653,5 +591,6 @@ def export_sssom(cfg: RunConfig) -> Path:
     concepts = load_concepts(cfg.concepts).concepts
     rows = _sssom_rows(load_mappings(cfg.mappings), concepts)
     out = Path(cfg.sssom_out or Path(cfg.out_dir) / "mappings_sssom.tsv")
-    _write_text(out, chain(["\t".join(SSSOM_HEADER)], rows))
+    header = "subject_id\tsubject_label\tobject_id\tobject_label\tmapping_justification\tmapping_set_id\tcomment"
+    _write_text(out, chain([header], rows))
     return out

@@ -48,12 +48,17 @@ for loading it.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, pairwise
 
 from .core import curie_ontology
 from .lexical import TokenizerConfig, normalize_string, tokenize
+
+# Before numpy loads: OpenBLAS would start a worker thread per core, and
+# the 1-D dot products here on short rows cannot use one.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 IDF_VARIANT = "ln((1+N)/(1+df))+1, tf=count, l2"
 

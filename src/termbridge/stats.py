@@ -81,12 +81,13 @@ class StatResult:
     p_value: float
 
 
-def chi_square_yates(table) -> StatResult:
+def chi_square_yates(table) -> StatResult | None:
     """Chi-square test of independence with Yates' correction.
 
     The per-cell correction max(|O - E| - 0.5, 0) is clamped at zero for
     any table size, so the correction can only shrink the statistic.
-    Expected counts come from the row/column marginals.
+    Expected counts come from the row/column marginals; a table with a
+    zero marginal has no expected count there, and no result.
     """
     rows = [list(map(float, r)) for r in table]
     if len(rows) < 2 or any(len(r) != len(rows[0]) for r in rows) or len(rows[0]) < 2:
@@ -96,8 +97,8 @@ def chi_square_yates(table) -> StatResult:
     row_sums = [sum(r) for r in rows]
     col_sums = [sum(r[j] for r in rows) for j in range(len(rows[0]))]
     total = sum(row_sums)
-    if any(s == 0 for s in row_sums) or any(s == 0 for s in col_sums):
-        raise DataError("ZERO_MARGINAL", "a row or column marginal is zero")
+    if 0 in row_sums or 0 in col_sums:
+        return None
     chi2 = 0.0
     for i, r in enumerate(rows):
         for j, observed in enumerate(r):
@@ -112,7 +113,7 @@ def chi_square_yates(table) -> StatResult:
 class PairwiseTest:
     site_a: str
     site_b: str
-    result: StatResult
+    result: StatResult | None  # None where the pair's table has a zero marginal
     significant: bool
 
 
@@ -128,6 +129,8 @@ def bonferroni_pairwise(site_tables, family_alpha: float) -> PairwiseResult:
 
     ``site_tables`` is an iterable of (site_id, covered, uncovered).
     With fewer than two sites there are no pairs and nothing is flagged.
+    A pair whose table has no result is not significant, and counts
+    among the pairs.
     """
     sites = list(site_tables)
     pairs = list(combinations(range(len(sites)), 2))
@@ -140,7 +143,7 @@ def bonferroni_pairwise(site_tables, family_alpha: float) -> PairwiseResult:
         site_a, cov_a, unc_a = sites[i]
         site_b, cov_b, unc_b = sites[j]
         result = chi_square_yates([[cov_a, unc_a], [cov_b, unc_b]])
-        significant = result.p_value < adjusted
+        significant = result is not None and result.p_value < adjusted
         n_significant += significant
         tests.append(
             PairwiseTest(site_a=site_a, site_b=site_b, result=result, significant=significant)

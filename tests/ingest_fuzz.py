@@ -63,7 +63,20 @@ VALID = {
     "group": ["CASE", "control", " Case "],
 }
 
-CORRUPT = ["", " ", "x", "-1", "1.5", "nan", "inf", "0", "é", "1 2", "HP:", ":1", "NONE", "|"]
+# Whole valid rows of the files whose columns constrain each other, one
+# field per column; a row is drawn from these as often as not.
+VALID_ROWS = {
+    "mappings": [
+        "1\tCONDITION\tHP\tUnmapped\tNONE\t\t\t\t\tEXCLUSION_REASON:None\tNone\t",
+        "2\tCONDITION\tHP\tAutomatic One-to-One Concept\tCONCEPT\t\tHP:0003154\ta\t\tXREF_MATCH:SNOMED:1\t\t",
+        "3\tMEASUREMENT\tHP\tManual One-to-Many Concept\tCONCEPT\tAND(0,NOT(1))\tHP:0003154|HP:0002920\ta|"
+        "\t\tMANUAL_SOURCE:PMID:1\t\tNORMAL",
+        "3000001\tCONDITION\tMONDO\tCosine Similarity One-to-One Concept\tCONCEPT\t\tMONDO:1\tb\t0.5"
+        "\tCOSINE_SCORE:0.5000\t\t",
+    ],
+}
+
+CORRUPT = ["", " ", "x", "-1", "1.5", "nan", "inf", "0", "é", "1 2", "HP:", ":1", "NONE", "|", "HP:1|HP:2"]
 
 
 def _field(rnd, name: str, rate: float) -> str:
@@ -74,7 +87,7 @@ def _field(rnd, name: str, rate: float) -> str:
 
 def text(loader: str, rnd, columns) -> str:
     """One file for ``loader`` from its declaration ``columns``."""
-    names = [name for name, _ in columns]
+    names = [column[0] for column in columns]
     optional = DECLARATIONS[loader][1]
     rate = rnd.choice([0.0, 0.03, 0.15])  # the share of corrupted fields
     lines = []
@@ -89,6 +102,9 @@ def text(loader: str, rnd, columns) -> str:
         lines.append("\t".join(names))
     for _ in range(rnd.randint(0, 6)):
         fields = [_field(rnd, name, rate) for name in names]
+        if loader in VALID_ROWS and rnd.random() < 0.5:
+            valid = rnd.choice(VALID_ROWS[loader]).split("\t")
+            fields = [rnd.choice(CORRUPT) if rnd.random() < rate else field for field in valid]
         roll = rnd.random() / (rate or 1)
         if roll < 0.01:
             fields.pop()

@@ -197,7 +197,7 @@ class TestAlignViaAncestors:
         child = concept(22722, CodeRef("SNOMED", "5055000"), "Accessory salivary gland",
                         ancestors=[90001])
         idx = build_indexes([salivary])
-        out = align_via_ancestors(child, {90001: anc, 22722: child}, idx)
+        out = align_via_ancestors(child, {90001: anc, 22722: child}, idx, memo={})
         assert out == {
             "HP": {
                 "HP:0010286": {
@@ -217,7 +217,7 @@ class TestAlignViaAncestors:
             ancestors=[90002, 90003],
         )
         table = {c.concept_id: c for c in (anc1, anc2, child)}
-        out = align_via_ancestors(child, table, build_indexes([bone, foot]))
+        out = align_via_ancestors(child, table, build_indexes([bone, foot]), memo={})
         assert out == {
             "MONDO": {
                 "MONDO:0005315": {
@@ -234,7 +234,7 @@ class TestAlignViaAncestors:
         anc2 = concept(3, CodeRef("SNOMED", "3"), "Overjet", used=False)
         child = concept(4, CodeRef("SNOMED", "4"), "leaf", ancestors=[2, 3])
         table = {c.concept_id: c for c in (anc1, anc2, child)}
-        assert align_via_ancestors(child, table, build_indexes([OVERJET])) == {
+        assert align_via_ancestors(child, table, build_indexes([OVERJET]), memo={}) == {
             "HP": {
                 "HP:0011095": {
                     EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:70305005"),
@@ -243,13 +243,26 @@ class TestAlignViaAncestors:
             }
         }
 
+    def test_memo_keeps_each_ancestor_unfiltered(self):
+        # Two descendants routed to different ontologies share one ancestor.
+        hp, mondo = klass("HP:0000001", "Bone fracture"), klass("MONDO:0000001", "Bone fracture")
+        anc = concept(2, CodeRef("SNOMED", "2"), "Bone fracture", used=False)
+        to_hp = concept(3, CodeRef("SNOMED", "3"), "leaf", ancestors=[2])
+        to_mondo = concept(4, CodeRef("SNOMED", "4"), "other leaf", ancestors=[2])
+        table = {c.concept_id: c for c in (anc, to_hp, to_mondo)}
+        idx, memo = build_indexes([hp, mondo]), {}
+        atoms = {EvidenceAtom(EvidenceKind.LABEL_MATCH, "bone fracture")}
+        assert align_via_ancestors(to_hp, table, idx, {"HP"}, memo=memo) == {"HP": {"HP:0000001": atoms}}
+        assert align_via_ancestors(to_mondo, table, idx, {"MONDO"}, memo=memo) == {"MONDO": {"MONDO:0000001": atoms}}
+        assert memo == {2: align_concept(anc, idx)}
+
     def test_no_ancestors(self):
         child = concept(1, CodeRef("SNOMED", "1"), "leaf")
-        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET])) == {}
+        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET]), memo={}) == {}
 
     def test_missing_ancestor_skipped(self):
         child = concept(1, CodeRef("SNOMED", "1"), "leaf", ancestors=[999])
-        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET])) == {}
+        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET]), memo={}) == {}
 
 
 # --- oracle equivalence ------------------------------------------------------

@@ -18,6 +18,7 @@ import termbridge
 from termbridge import pipeline
 from termbridge.cli import main
 from termbridge.core import OUTCOME_ORDER, MappingRecord, MeasurementOutcome, Violation
+from termbridge.ingest import CONCEPT_COLUMNS, MAPPING_COLUMNS, header_line
 from termbridge.stats import midranks
 
 from fixtures import CODE_MAP_CSV
@@ -614,6 +615,28 @@ class TestCoverageCommand:
         assert len(lines) == 1 and lines[0].startswith("site_a\t")
         assert json.loads((out / "coverage.json").read_text())["omnibus"] is None
 
+    @pytest.mark.parametrize("category", ["Automatic One-to-One Concept", "Unmapped"], ids=["all", "none"])
+    def test_every_or_no_site_concept_covered(self, tmp_path, category):
+        # No site table has an uncovered (or a covered) concept: no test has a statistic.
+        mappings = tmp_path / "mappings.tsv"
+        rows = [
+            f"{c}\tCONDITION\tHP\tAutomatic One-to-One Concept\tCONCEPT\t\tHP:{c}\tx\t\tLABEL_MATCH:x\t\t"
+            if category != "Unmapped"
+            else f"{c}\tCONDITION\tHP\tUnmapped\tNONE\t\t\t\t\tEXCLUSION_REASON:None\tNone\t"
+            for c in (1, 2)
+        ]
+        mappings.write_text("\n".join([header_line(MAPPING_COLUMNS), *rows]) + "\n")
+        prevalence = tmp_path / "prevalence.tsv"
+        _write_prevalence(prevalence, [("a", 1, 100), ("b", 2, 100)])
+        out = tmp_path / "out"
+        assert main(
+            ["coverage", "--mappings", str(mappings), "--prevalence", str(prevalence), "--out", str(out)]
+        ) == 0
+        payload = json.loads((out / "coverage.json").read_text())
+        assert payload["omnibus"] is None and payload["pairwise_fraction_significant"] == 0.0
+        assert payload["counts"]["overlap"] == (2 if category != "Unmapped" else 0)
+        assert (out / "pairwise.tsv").read_text().splitlines()[1:] == ["a\tb\t\t\t\t0.05\t0"]
+
     def test_buckets_respect_aux_lists(self, tmp_path):
         mappings = tmp_path / "mappings.tsv"
         _small_mappings(mappings)
@@ -949,24 +972,25 @@ class TestExportSssom:
         assert not out.exists()
 
 
-    def test_unmapped_row_is_not_exported(self, condition_fixture, tmp_path):
+    def test_unmapped_row_is_not_exported(self, condition_fixture, tmp_path, capsys):
         run = tmp_path / "run"
         assert run_map_cli(condition_fixture, run) == 0
         mappings = run / "mappings.tsv"
         lines = mappings.read_text().splitlines()
-        # An Unmapped row given a target is still an unmapped row: it has no justification.
+        # An Unmapped row given a target is not a row map writes: nothing is exported.
         i = next(i for i, line in enumerate(lines) if line.split("\t")[3] == "Unmapped")
         fields = lines[i].split("\t")
-        fields[6] = "HP:0011095"
+        fields[6], fields[7] = "HP:0011095", "x"
         lines[i] = "\t".join(fields)
         mappings.write_text("\n".join(lines) + "\n")
         target = tmp_path / "sssom.tsv"
         assert main(
             ["export-sssom", "--mappings", str(mappings), "--concepts", condition_fixture["concepts"],
              "--sssom-out", str(target)]
-        ) == 0
-        set_id = f"{fields[0]}:{fields[2]}"
-        assert read_rows(target) and all(r["mapping_set_id"] != set_id for r in read_rows(target))
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad targets: unmapped consistency [{mappings}:{i + 1}]" in err
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "category, label",
@@ -992,6 +1016,39 @@ class TestExportSssom:
         err = capsys.readouterr().err
         assert f"error[MALFORMED_ROW]: bad category {label!r} [{mappings}:{len(lines) + 1}]" in err
         assert not out.exists()
+
+
+# Rows that break the rules map writes rows by; each follows the valid rows of ``_small_mappings``.
+_BROKEN_ROWS = {
+    "one_to_one_with_three_targets": (
+        "4\tCONDITION\tHP\tAutomatic One-to-One Concept\tCONCEPT\t\tHP:4|HP:5|HP:6\ta|b|c\t\tLABEL_MATCH:a\t\t",
+        "targets: cardinality",
+    ),
+    "unmapped_with_a_target": (
+        "4\tCONDITION\tHP\tUnmapped\tNONE\t\tHP:4\ta\t\tEXCLUSION_REASON:None\tNone\t",
+        "targets: unmapped consistency",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_BROKEN_ROWS))
+@pytest.mark.parametrize("command", ["coverage", "export-sssom"])
+def test_broken_mapping_row_is_parse_error(tmp_path, capsys, command, row):
+    line, message = _BROKEN_ROWS[row]
+    mappings = tmp_path / "mappings.tsv"
+    _small_mappings(mappings)
+    with open(mappings, "a") as fh:
+        fh.write(line + "\n")
+    inputs = tmp_path / "inputs"
+    if command == "coverage":
+        _write_prevalence(inputs, [("a", 1, 100), ("b", 4, 100)])
+    else:
+        inputs.write_text(f"{header_line(CONCEPT_COLUMNS)}\n4\tSNOMED\t44\tD\t\tCONDITION\t1\t3\n")
+    flag = "--prevalence" if command == "coverage" else "--concepts"
+    out = tmp_path / "out"
+    assert main([command, "--mappings", str(mappings), flag, str(inputs), "--out", str(out)]) == 2
+    assert f"error[MALFORMED_ROW]: bad {message} [{mappings}:5]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestWholeOutputs:
@@ -1224,6 +1281,23 @@ class TestImportCost:
         assert "numpy" not in imported
         assert _MAP_MODULES <= set(modules)
         assert not (_EVALUATE_MODULES | {"scipy"}) & set(modules), modules
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the thread count from /proc")
+    def test_map_ends_with_one_thread(self, condition_fixture, tmp_path):
+        script = (
+            "import re, sys\n"
+            "from termbridge.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, re.search(r'^Threads:\\s+(\\d+)', status, re.M).group(1))\n"
+        )
+        env = subprocess_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map_args(condition_fixture, tmp_path / "out")],
+            env=env, check=True, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout.split()[-2:] == ["0", "1"]
 
     def test_replacements_set_before_the_first_command_are_kept(self, condition_fixture, tmp_path):
         """A function set on ``termbridge.pipeline`` or ``termbridge.cli``

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termbridge.core import (
-    CATEGORY_BY_LABEL,
     ClinicalConcept,
     CodeRef,
     Domain,
@@ -28,6 +27,10 @@ from termbridge.core import (
     pick_category,
     validate_record,
 )
+from termbridge.ingest import MAPPING_COLUMNS
+
+# How mappings.tsv reads and writes a category.
+_, PARSE_CATEGORY, RENDER_CATEGORY = next(c for c in MAPPING_COLUMNS if c[0] == "category")
 
 C = MappingCategory
 L = MappingLevel
@@ -64,16 +67,18 @@ class TestRenderCategory:
     @pytest.mark.parametrize("pair,expected", DISPLAY_TABLE.items())
     def test_display_strings(self, pair, expected):
         category, level = pair
-        assert CATEGORY_BY_LABEL[expected] is category and category.level is level
+        assert PARSE_CATEGORY(expected) is category and category.level is level
+        assert RENDER_CATEGORY(category) == expected
 
     def test_bijection(self):
-        assert len({c.label for c in C}) == len(CATEGORY_BY_LABEL) == 8
+        assert len({c.label for c in C}) == 8
+        assert {PARSE_CATEGORY(c.label) for c in C} == set(C)
 
     def test_pair_not_in_use_rejected(self):
         with pytest.raises(KeyError):
             pick_category(Justification.SIMILARITY, L.ANCESTOR, 1)
         with pytest.raises(KeyError):
-            CATEGORY_BY_LABEL["Automatc One-to-One Concept"]
+            PARSE_CATEGORY("Automatc One-to-One Concept")
 
     @pytest.mark.parametrize("category", [c for c in C if c.justification], ids=lambda c: c.name)
     def test_pick_category(self, category):

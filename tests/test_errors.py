@@ -171,7 +171,6 @@ CASES = {
     ),
     "OUTCOME_MISMATCH": lambda t, c, m: _measurement_with(m, t, _append("3000001\tPOSITIVE\tHP:0003154\t0")),
     "EMPTY_SITE_DATA": lambda t, c, m: _coverage(t, []),
-    "ZERO_MARGINAL": lambda t, c, m: _coverage(t, [("a", 8, 100), ("b", 9, 100)]),
     "NEGATIVE_WEIGHT": lambda t, c, m: _phers(
         t, [("p1", "CASE"), ("p2", "CONTROL")], [("p1", "HP:1")], [("HP:1", 1.0), ("HP:2", -1.0)]
     ),

@@ -915,6 +915,15 @@ _MAPPINGS_HEADER = (
 _MAPPING_ROW = "1\tCONDITION\tHP\tUnmapped\tNONE\t\t\t\t\tEXCLUSION_REASON:None\tNone\t"
 
 
+def _mapping(category="Automatic One-to-One Concept", level="CONCEPT", logic="", targets="HP:1", labels="a",
+             score="", evidence="XREF_MATCH:SNOMED:1", reason="", outcome="", domain="CONDITION"):
+    return "\t".join(["2", domain, "HP", category, level, logic, targets, labels, score, evidence, reason, outcome])
+
+
+_MANY = dict(category="Manual One-to-Many Concept", targets="HP:1|HP:2|HP:3", labels="a||c")
+_COSINE = dict(category="Cosine Similarity One-to-One Concept", evidence="COSINE_SCORE:0.5000")
+
+
 def _ancestor_children(tmp_path):
     # Concept 1 is loaded; concept 2 is in another domain.
     return _write(
@@ -936,6 +945,7 @@ _VERDICT_LOADERS = {
     "patients": ("patient_id\thpo_curie", lambda p, d: list(load_patient_phenotypes(p))),
     "cohort": ("patient_id\tgroup", lambda p, d: load_cohort(p)),
     "id_list": ("", lambda p, d: load_id_list(p)),
+    "ontology": ("", lambda p, d: load_ontology_dump(p)),
     "code_map": ("raw_prefix,canonical_prefix", lambda p, d: load_code_dictionary(p)),
 }
 
@@ -985,6 +995,7 @@ _VERDICTS = [
     pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tLOW\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_result_curie"),
     pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tUBERON\tnotacurie\t0"], ("MALFORMED_ROW", 3), id="targets-malformed_auxiliary_curie"),
     pytest.param("targets", ["1\tuberon\tUBERON:1\t0", "1\tUBERON\tHP:1\t0"], ("MALFORMED_ROW", 3), id="targets-auxiliary_curie_in_another_ontology"),
+    pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tLOW\tHP:0001|HP:0002\t0"], ("MALFORMED_ROW", 3), id="targets-pipe_in_curie"),
     pytest.param("targets", ["1\tHIGH\tHP:1\t0", "1\tNORMAL\tHP:2\t0"], ("MALFORMED_ROW", 3), id="targets-normal_not_negated"),
     pytest.param("targets", ["1\tHIGH\tHP:1\t1"], ("MALFORMED_ROW", 2), id="targets-high_negated"),
     pytest.param("targets", ["1\tnegative\tHP:1\t0"], ("MALFORMED_ROW", 2), id="targets-negative_not_negated"),
@@ -994,6 +1005,31 @@ _VERDICTS = [
     pytest.param("mappings", ["4x" + _MAPPING_ROW[1:]], ("MALFORMED_ROW", 2), id="mappings-bad_concept_id"),
     pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW + "\textra"], ("MALFORMED_ROW", 3), id="mappings-thirteen_columns"),
     pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW.replace("Unmapped", "unmapped")], ("MALFORMED_ROW", 3), id="mappings-unknown_category"),
+    pytest.param("mappings", [_MAPPING_ROW, _mapping(), _mapping(logic="NOT(0)", outcome="NORMAL", domain="MEASUREMENT"),
+                              _mapping(**_MANY, logic="OR(2,NOT(0),1)"), _mapping(**_COSINE, score="0.25"),
+                              _mapping(labels="")], None, id="mappings-accepted"),
+    pytest.param("mappings", [_mapping(domain="condition")], ("MALFORMED_ROW", 2), id="mappings-unknown_domain"),
+    pytest.param("mappings", [_mapping(level="ANCESTOR")], ("MALFORMED_ROW", 2), id="mappings-level_of_another_category"),
+    pytest.param("mappings", [_mapping(targets="HP:1|HP:2|HP:3", labels="a|b|c")], ("MALFORMED_ROW", 2), id="mappings-one_to_one_with_three_targets"),
+    pytest.param("mappings", [_mapping(targets="HP 1")], ("MALFORMED_ROW", 2), id="mappings-target_not_a_curie"),
+    pytest.param("mappings", [_mapping(targets="", labels="")], ("MALFORMED_ROW", 2), id="mappings-mapped_without_target"),
+    pytest.param("mappings", [_MAPPING_ROW.replace("\t\t\t\t\tEX", "\t\tHP:1\ta\t\tEX")], ("MALFORMED_ROW", 2), id="mappings-unmapped_with_a_target"),
+    pytest.param("mappings", [_MAPPING_ROW.replace("None\t", "\t")], ("MALFORMED_ROW", 2), id="mappings-unmapped_without_reason"),
+    pytest.param("mappings", [_mapping(reason="Injury")], ("MALFORMED_ROW", 2), id="mappings-mapped_with_reason"),
+    pytest.param("mappings", [_mapping(labels="a|b")], ("MALFORMED_ROW", 2), id="mappings-two_labels_for_one_target"),
+    pytest.param("mappings", [_mapping(**_MANY, logic="AND(0,1)")], ("MALFORMED_ROW", 2), id="mappings-logic_misses_a_target"),
+    pytest.param("mappings", [_mapping(logic="AND(0,")], ("MALFORMED_ROW", 2), id="mappings-logic_syntax"),
+    pytest.param("mappings", [_MAPPING_ROW, _MAPPING_ROW.replace("NONE\t\t", "NONE\tNOT(0)\t")], ("MALFORMED_ROW", 3), id="mappings-logic_without_target"),
+    pytest.param("mappings", [_mapping(logic="0")], ("MALFORMED_ROW", 2), id="mappings-one_target_logic_not_plain"),
+    pytest.param("mappings", [_mapping(score="0.5")], ("MALFORMED_ROW", 2), id="mappings-score_off_cosine"),
+    pytest.param("mappings", [_mapping(**_COSINE)], ("MALFORMED_ROW", 2), id="mappings-cosine_without_score"),
+    pytest.param("mappings", [_mapping(**_COSINE, score="1.5")], ("MALFORMED_ROW", 2), id="mappings-score_above_one"),
+    pytest.param("mappings", [_mapping(**_COSINE, score="nan")], ("MALFORMED_ROW", 2), id="mappings-score_nan"),
+    pytest.param("mappings", [_mapping(evidence="")], ("MALFORMED_ROW", 2), id="mappings-no_evidence"),
+    pytest.param("mappings", [_mapping(evidence="XREF_MATCH:SNOMED:1|PMID:1")], ("MALFORMED_ROW", 2), id="mappings-unknown_evidence_kind"),
+    pytest.param("mappings", [_mapping(evidence="LABEL_MATCH")], ("MALFORMED_ROW", 2), id="mappings-evidence_without_payload"),
+    pytest.param("mappings", [_mapping(outcome="SEVERE")], ("MALFORMED_ROW", 2), id="mappings-unknown_outcome"),
+    pytest.param("ontology", ['{"curie": "HP:0001|HP:0002", "ontology": "HP", "label": "x"}'], ("BAD_CURIE", 1), id="ontology-pipe_in_curie"),
     pytest.param("prevalence", ["a\t1\t-5"], ("MALFORMED_ROW", 2), id="prevalence-negative"),
     pytest.param("prevalence", ["a\t1\t5.0"], ("MALFORMED_ROW", 2), id="prevalence-bad_count"),
     pytest.param("prevalence", ["a\t1\t5", "b\t1\t5", "a\t1\t700"], ("DUPLICATE_ID", 4), id="prevalence-duplicate"),
@@ -1030,7 +1066,7 @@ class TestLoaderVerdicts:
             read(path, tmp_path)
         assert (err.value.code, err.value.line) == verdict
 
-    @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list", "code_map"}))
+    @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list", "code_map", "ontology"}))
     def test_header_checked(self, tmp_path, loader):
         header, read = _VERDICT_LOADERS[loader]
         for text in ("", header.replace("\t", "\tx", 1) + "\n", header.rsplit("\t", 1)[0] + "\n"):

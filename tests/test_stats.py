@@ -76,9 +76,10 @@ class TestChiSquareYates:
         assert chi_square_yates(table).df == 6
 
     def test_zero_marginal(self):
-        with pytest.raises(DataError) as err:
-            chi_square_yates([[0, 0], [5, 5]])
-        assert err.value.code == "ZERO_MARGINAL"
+        # No expected count in a zero row or column, so no statistic.
+        assert chi_square_yates([[0, 0], [5, 5]]) is None
+        assert chi_square_yates([[4, 0], [5, 0]]) is None
+        assert chi_square_yates([[4, 0, 1], [5, 0, 2]]) is None
 
     def test_malformed_table(self):
         with pytest.raises(ValueError):
@@ -117,6 +118,14 @@ class TestBonferroniPairwise:
         result = bonferroni_pairwise([("a", 10, 10), ("b", 10, 10), ("c", 10, 10)], 0.05)
         assert len(result.tests) == 3
         assert result.adjusted_alpha == pytest.approx(0.05 / 3)
+
+    def test_pair_without_result_is_counted_not_significant(self):
+        # a and b cover all their concepts: their table has a zero column.
+        result = bonferroni_pairwise([("a", 10, 0), ("b", 5, 0), ("c", 0, 40)], 0.05)
+        assert [t.result is None for t in result.tests] == [True, False, False]
+        assert not result.tests[0].significant
+        assert result.adjusted_alpha == pytest.approx(0.05 / 3)
+        assert result.fraction_significant == pytest.approx(sum(t.significant for t in result.tests) / 3)
 
     def test_single_site_no_pairs(self):
         result = bonferroni_pairwise([("a", 10, 10)], 0.05)

@@ -25,8 +25,8 @@ from termbridge.ingest import (
     RoutingPolicy,
     ScaleRow,
     load_routing_policy,
+    mapping_line,
 )
-from termbridge.pipeline import _mapping_row
 from termbridge.similarity import ScoredPair
 from termbridge.synthesize import (
     RouteDecision,
@@ -466,8 +466,8 @@ def parse_evidence(text: str) -> tuple[EvidenceAtom, ...]:
 
 def _evidence_column(record) -> str:
     """The evidence column of ``record``'s row in mappings.tsv."""
-    names = [name for name, _ in MAPPING_COLUMNS]
-    return dict(zip(names, _mapping_row(record, {}).split("\t")))["evidence"]
+    names = [column[0] for column in MAPPING_COLUMNS]
+    return dict(zip(names, mapping_line(record, {}).split("\t")))["evidence"]
 
 
 class TestRenderEvidence:
