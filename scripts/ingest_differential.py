@@ -6,10 +6,10 @@ Generates inputs for every declared TSV loader with ``tests/ingest_fuzz.py``
 one with each tree's loaders in a subprocess, and reports every input
 whose (exception type, code, line) differs between the trees.  A
 difference where the second tree rejects a row that the first let
-through is counted apart, as the ``expected`` case: a ``curie`` of
-``measurement_targets.tsv`` that is not a CURIE, such as one holding
-``|`` (``bad curie``), or a ``mappings.tsv`` row that is not one the map
-command writes, in any column but ``concept_id`` (``bad <column>``).
+through is counted apart, as the ``expected`` case: a second
+``curation.tsv`` row for one (concept, ontology), which the loader now
+rejects where ``map`` rejected it only for the mapped domain's concepts
+(``two curation rows``).
 
 Usage: python scripts/ingest_differential.py OLD_SRC NEW_SRC [--inputs N] [--seed S]
 
@@ -31,9 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
 
 # Per loader, how the second tree's message starts in the expected case.
-_MAPPING_COLUMNS = ("domain", "ontology", "category", "level", "logic", "targets", "target_labels", "score",
-                    "evidence", "unmapped_reason", "outcome")
-_EXPECTED = {"targets": "bad curie ", "mappings": tuple(f"bad {name}" for name in _MAPPING_COLUMNS)}
+_EXPECTED = {"curation": "two curation rows "}
 
 # Run in each tree: the verdict of every input file listed in argv[1].
 _VERDICT_SCRIPT = """

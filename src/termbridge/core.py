@@ -281,7 +281,6 @@ class MappingRecord:
 class ResultAssignment:
     outcome: MeasurementOutcome
     curie: str
-    negated: bool
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,9 @@ class ParseError(TermbridgeError):
 
     exit_code = 2
     codes = frozenset({
-        "BAD_CUI", "BAD_CURIE", "BAD_ENCODING", "BAD_PREFIX", "BOTH_TARGETS_AND_REASON", "CONFLICTING_PREFIX",
-        "CONFLICTING_RULE", "DUPLICATE_CURIE", "DUPLICATE_ID", "MALFORMED_LINE", "MALFORMED_ROW",
-        "MISSING_COLUMN", "NOT_FIXED_POINT", "SHORT_ROW", "UNKNOWN_ONTOLOGY", "UNKNOWN_REASON",
+        "BAD_CUI", "BAD_CURIE", "BAD_ENCODING", "BAD_PREFIX", "BOTH_TARGETS_AND_REASON", "CONFLICTING_CURATION",
+        "CONFLICTING_PREFIX", "CONFLICTING_RULE", "DUPLICATE_CURIE", "DUPLICATE_ID", "MALFORMED_LINE",
+        "MALFORMED_ROW", "MISSING_COLUMN", "NOT_FIXED_POINT", "SHORT_ROW", "UNKNOWN_ONTOLOGY", "UNKNOWN_REASON",
     })
 
     def __init__(self, code: str, message: str, path: str | None = None, line: int | None = None):
@@ -58,8 +58,8 @@ class DataError(TermbridgeError):
 
     exit_code = 3
     codes = frozenset({
-        "CONFLICTING_CURATION", "DEGENERATE_COHORT", "EMPTY_GROUP", "EMPTY_SITE_DATA", "INVALID_RECORD",
-        "MISSING_TARGET_FOR_RESULT", "NEGATIVE_WEIGHT", "OUTCOME_MISMATCH", "TOO_FEW_PATIENTS",
+        "DEGENERATE_COHORT", "EMPTY_GROUP", "EMPTY_SITE_DATA", "INVALID_RECORD", "MISSING_TARGET_FOR_RESULT",
+        "NEGATIVE_WEIGHT", "OUTCOME_MISMATCH", "TOO_FEW_PATIENTS",
     })
 
 

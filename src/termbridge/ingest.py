@@ -19,11 +19,12 @@ files is held; the other loaders return immutable indexes.
 The TSVs: concepts (synonyms pipe-delimited; the record count is
 validated only: >= 0, and > 0 for a concept used in practice, on rows of
 the domain being loaded), concept ancestors (header optional),
-routing policy, curation (targets pipe-delimited CURIEs), measurement
-scales and targets, ``mappings.tsv`` (each row one ``map`` writes),
-prevalence (one row per (site, concept); counts below 100 floored to
-100), weights (finite; one row per CURIE), patient phenotypes and cohort
-(one row per patient).  The other formats:
+routing policy, curation (targets pipe-delimited CURIEs; one row per
+(concept, ontology) in any domain), measurement scales and targets,
+``mappings.tsv`` (each row one ``map`` writes), prevalence (one row per
+(site, concept); counts below 100 floored to 100), weights (finite; one
+row per CURIE), patient phenotypes and cohort (one row per patient).  The
+other formats:
 
   ontology.jsonl        one JSON object per class:
                         {"curie","ontology","label","definition",
@@ -247,12 +248,6 @@ class ScaleRow:
 
 
 @dataclass(frozen=True)
-class AuxTarget:
-    ontology: str
-    curie: str
-
-
-@dataclass(frozen=True)
 class ConceptLoad:
     concepts: dict[int, ClinicalConcept]
     dangling_ancestors: int
@@ -290,7 +285,7 @@ class PrevalenceLoad:
 
 @dataclass(frozen=True)
 class CurationLoad:
-    rows: tuple[CurationRow, ...]
+    rows: dict[int, dict[str, CurationRow]]  # concept id -> ontology key -> its row
     unknown_targets: tuple[str, ...]
 
 
@@ -455,15 +450,20 @@ _CLASS_FIELDS = {
 _SYNONYM_KINDS = ("EXACT", "RELATED", "BROAD", "NARROW")
 
 
-def load_ontology_dump(path, dictionary: NormalizationDictionary | None = None) -> dict[str, OntologyClass]:
-    """Parse a JSON-Lines ontology dump, keyed by CURIE.
+def load_ontology_dump(
+    path, dictionary: NormalizationDictionary | None = None, classes: dict[str, OntologyClass] | None = None
+) -> dict[str, OntologyClass]:
+    """Parse a JSON-Lines ontology dump into ``classes``, the classes of the
+    dumps read before it (a new dict by default), keyed by CURIE, and
+    return them.  A CURIE already loaded, from this dump or an earlier
+    one, is ``DUPLICATE_CURIE`` naming its line.
 
     Xref strings are canonicalized through the prefix dictionary.
     Deprecated classes are loaded and flagged; target indexes built
     downstream must exclude them.
     """
     dictionary = dictionary or NormalizationDictionary.empty()
-    classes: dict[str, OntologyClass] = {}
+    classes = {} if classes is None else classes
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -622,10 +622,12 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
 
     Each target must be a CURIE whose prefix is the row's ontology.  Targets outside
     ``known_curies`` (when given) are reported, not rejected: curation may
-    legitimately reference classes newer than the loaded dump.
+    legitimately reference classes newer than the loaded dump.  A
+    (concept, ontology) pair has one row, in any domain: a second is
+    ``CONFLICTING_CURATION`` naming its line.
     """
     known = {o.upper() for o in known_ontologies}
-    rows = []
+    rows: dict[int, dict[str, CurationRow]] = {}
     unknown_targets = []
     for lineno, fields in _read_rows(path, CURATION_COLUMNS):
         concept_id, ontology, logic, targets, evidence, reason_raw = fields
@@ -644,8 +646,12 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
                 raise ParseError("MALFORMED_ROW", f"bad targets {t!r}: not a {ontology} class", str(path), lineno)
             if known_curies is not None and t not in known_curies:
                 unknown_targets.append(t)
-        rows.append(CurationRow(concept_id, ontology, targets, logic, evidence, reason))
-    return CurationLoad(rows=tuple(rows), unknown_targets=tuple(sorted(set(unknown_targets))))
+        by_ontology = rows.setdefault(concept_id, {})
+        if ontology in by_ontology:
+            message = f"two curation rows for concept {concept_id} / {ontology}"
+            raise ParseError("CONFLICTING_CURATION", message, str(path), lineno)
+        by_ontology[ontology] = CurationRow(concept_id, ontology, targets, logic, evidence, reason)
+    return CurationLoad(rows=rows, unknown_targets=tuple(sorted(set(unknown_targets))))
 
 
 def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
@@ -687,7 +693,7 @@ def load_measurement_scales(path) -> dict[int, ScaleRow]:
 
 
 def load_measurement_targets(path):
-    """Result assignments and auxiliary targets from one file.
+    """Result assignments and auxiliary target CURIEs, by concept id, from one file.
 
     A row whose second column is a result outcome is an assignment: its
     negated column is 1 for NORMAL and NEGATIVE and 0 for the others, and
@@ -698,7 +704,7 @@ def load_measurement_targets(path):
     """
     outcomes = {o.value for o in MeasurementOutcome}
     assignments: dict[int, list[ResultAssignment]] = defaultdict(list)
-    aux: dict[int, list[AuxTarget]] = defaultdict(list)
+    aux: dict[int, list[str]] = defaultdict(list)
     for lineno, (concept_id, key, curie, negated_raw) in _read_rows(path, TARGET_COLUMNS):
         if key in outcomes:
             outcome = MeasurementOutcome(key)
@@ -709,7 +715,7 @@ def load_measurement_targets(path):
             if any(a.outcome is outcome for a in assignments[concept_id]):
                 message = f"outcome {key} repeated for concept {concept_id}"
                 raise ParseError("DUPLICATE_ID", message, str(path), lineno)
-            assignments[concept_id].append(ResultAssignment(outcome, curie, negated))
+            assignments[concept_id].append(ResultAssignment(outcome, curie))
         else:
             if negated_raw not in {"", "0"}:
                 raise ParseError(
@@ -717,7 +723,7 @@ def load_measurement_targets(path):
                 )
             if curie.partition(":")[0].upper() != key:
                 raise ParseError("MALFORMED_ROW", f"bad curie {curie!r}: not a {key} class", str(path), lineno)
-            aux[concept_id].append(AuxTarget(ontology=key, curie=curie))
+            aux[concept_id].append(curie)
     return dict(assignments), dict(aux)
 
 

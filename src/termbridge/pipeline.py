@@ -39,7 +39,7 @@ from .core import (
     UnmappedReason,
     validate_record,
 )
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
 from .ingest import (
     MAPPING_COLUMNS,
     RoutingPolicy,
@@ -207,57 +207,38 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
+#: Each summary.json table by the ``totals`` count it adds to.
+_TABLES = {"mapped": "mapping_categories", "evidence": "mapping_evidence", "unmapped": "unmapped"}
+_WAVES = ("used_in_practice", "not_used_in_practice")
+
+
 class _Tally:
-    """Per-ontology, per-wave counts of categories, evidence, and reasons,
-    folded in one record at a time."""
+    """summary.json's per-ontology, per-wave counts of categories, evidence
+    and reasons, folded in one record at a time as one flat count."""
 
     def __init__(self, concepts):
         self._concepts = concepts
-        self._categories: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
-        self._evidence: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
-        self._unmapped: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
+        self._counts: dict = defaultdict(int)  # (total, ontology, wave, label) -> count
 
     def add(self, record: MappingRecord) -> None:
-        wave = (
-            "used_in_practice"
-            if self._concepts[record.concept_id].used_in_practice
-            else "not_used_in_practice"
-        )
+        ontology = record.ontology
+        wave = "used_in_practice" if self._concepts[record.concept_id].used_in_practice else "not_used_in_practice"
         if record.category is MappingCategory.UNMAPPED:
-            self._unmapped[record.ontology][wave][record.unmapped_reason.label] += 1
+            self._counts["unmapped", ontology, wave, record.unmapped_reason.label] += 1
             return
-        self._categories[record.ontology][wave][record.category.label] += 1
+        self._counts["mapped", ontology, wave, record.category.label] += 1
         for atom in record.evidence:
-            group = atom.kind.group
-            if group:
-                self._evidence[record.ontology][wave][group] += 1
+            if atom.kind.group:
+                self._counts["evidence", ontology, wave, atom.kind.group] += 1
 
     def tables(self) -> dict:
-        categories, evidence, unmapped = self._categories, self._evidence, self._unmapped
-
-        def materialize(tree):
-            return {
-                ontology: {
-                    wave: dict(sorted(counts.items())) for wave, counts in sorted(waves.items())
-                }
-                for ontology, waves in sorted(tree.items())
-            }
-
-        totals = {}
-        for ontology in sorted(set(categories) | set(unmapped)):
-            totals[ontology] = {}
-            for wave in ("used_in_practice", "not_used_in_practice"):
-                totals[ontology][wave] = {
-                    "mapped": sum(categories.get(ontology, {}).get(wave, {}).values()),
-                    "unmapped": sum(unmapped.get(ontology, {}).get(wave, {}).values()),
-                    "evidence": sum(evidence.get(ontology, {}).get(wave, {}).values()),
-                }
-        return {
-            "mapping_categories": materialize(categories),
-            "mapping_evidence": materialize(evidence),
-            "unmapped": materialize(unmapped),
-            "totals": totals,
-        }
+        """The tables and their totals; ``_write_json`` sorts every key."""
+        tables: dict = {table: {} for table in (*_TABLES.values(), "totals")}
+        for (total, ontology, wave, label), n in self._counts.items():
+            tables[_TABLES[total]].setdefault(ontology, {}).setdefault(wave, {})[label] = n
+            totals = tables["totals"].setdefault(ontology, {w: dict.fromkeys(_TABLES, 0) for w in _WAVES})
+            totals[wave][total] += n
+        return tables
 
 
 def run_map(cfg: RunConfig) -> Path:
@@ -277,11 +258,7 @@ def run_map(cfg: RunConfig) -> Path:
 
     classes = {}
     for dump in cfg.ontology_dumps:
-        loaded = load_ontology_dump(dump, dictionary)
-        for curie, cls in loaded.items():
-            if curie in classes:
-                raise ParseError("DUPLICATE_CURIE", f"class {curie} in two dumps", dump)
-            classes[curie] = cls
+        load_ontology_dump(dump, dictionary, classes)
     ontologies = sorted({cls.ontology for cls in classes.values()})
 
     if cfg.umls_mrconso:
@@ -295,13 +272,11 @@ def run_map(cfg: RunConfig) -> Path:
         if cfg.routing
         else RoutingPolicy.allow_all(ontologies)
     )
-    curation_by_concept: dict[int, list] = defaultdict(list)
+    curation: dict[int, dict] = {}
     unknown_curation_targets: tuple[str, ...] = ()
     if cfg.curation:
         curation_load = load_curation(cfg.curation, ontologies, set(classes))
-        unknown_curation_targets = curation_load.unknown_targets
-        for row in curation_load.rows:
-            curation_by_concept[row.concept_id].append(row)
+        curation, unknown_curation_targets = curation_load.rows, curation_load.unknown_targets
 
     scales = {}
     assignments: dict[int, list] = {}
@@ -337,12 +312,12 @@ def run_map(cfg: RunConfig) -> Path:
         def process(concept_id: int) -> list[MappingRecord]:
             concept = concepts[concept_id]
             decision = decisions[concept_id]
-            curation_rows = curation_by_concept.get(concept_id, [])
+            curated = curation.get(concept_id, {})
             claimed: dict[str, list[MappingRecord]] = defaultdict(list)
             if cfg.domain is Domain.MEASUREMENT:
                 unspecified = any(
                     row.unmapped_reason is UnmappedReason.UNSPECIFIED_SAMPLE
-                    for row in curation_rows
+                    for row in curated.values()
                 )
                 for record in expand_measurements(
                     concept,
@@ -364,7 +339,7 @@ def run_map(cfg: RunConfig) -> Path:
                 exact_c,
                 exact_a,
                 winners.for_concept(concept_id),
-                curation_rows,
+                curated,
                 decision,
                 ontologies,
                 claimed,

@@ -15,7 +15,8 @@ every domain:
 
 Multi-target logic defaults to AND; OR and NOT only arise from curation
 rows and from negated measurement result rows.  Every record is built
-with its evidence in canonical order, so a row joins it as it stands.
+by ``_record``, which picks its category and puts its evidence in
+canonical order, so a row joins it as it stands.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from .core import (
     EvidenceAtom,
     EvidenceKind,
     Justification,
-    MappingCategory,
     MappingLevel,
     MappingRecord,
     MeasurementOutcome,
     MeasurementResultSpec,
     MeasurementScale,
+    NEGATED_OUTCOMES,
     OUTCOME_ORDER,
     RESULT_TYPE_OUTCOMES,
     ResultAssignment,
@@ -46,7 +47,7 @@ from .core import (
     pick_category,
 )
 from .errors import DataError
-from .ingest import CurationRow, RoutingPolicy, ScaleRow
+from .ingest import RoutingPolicy, ScaleRow
 from .lexical import TokenizerConfig, normalize_string, tokenize
 
 
@@ -78,20 +79,30 @@ def route(concept: ClinicalConcept, policy: RoutingPolicy) -> RouteDecision:
     return RouteDecision(allowed=frozenset(allowed) & policy.default_ontologies)
 
 
-def _unmapped(concept, ontology, reason, extra_evidence=()) -> MappingRecord:
-    atoms = [EvidenceAtom(EvidenceKind.EXCLUSION_REASON, reason.evidence)]
-    atoms.extend(extra_evidence)
+def _record(
+    concept, ontology, justification, level, targets, evidence, logic=None, score=None, reason=None, outcome=None
+) -> MappingRecord:
+    """The one place a record is built: its category is picked from
+    ``justification``, ``level`` and the number of ``targets``, its logic
+    is AND over the targets unless given, and its evidence is put in
+    canonical order."""
     return MappingRecord(
         concept_id=concept.concept_id,
         domain=concept.domain,
         ontology=ontology,
-        category=MappingCategory.UNMAPPED,
-        logic="",
-        targets=(),
-        score=None,
-        evidence=canonical_evidence(atoms),
+        category=pick_category(justification, level, len(targets)),
+        logic=and_logic(len(targets)) if logic is None else logic,
+        targets=targets,
+        score=score,
+        evidence=canonical_evidence(evidence),
         unmapped_reason=reason,
+        outcome=outcome,
     )
+
+
+def _unmapped(concept, ontology, reason, *extra_evidence) -> MappingRecord:
+    atoms = (EvidenceAtom(EvidenceKind.EXCLUSION_REASON, reason.evidence), *extra_evidence)
+    return _record(concept, ontology, None, MappingLevel.NONE, (), atoms, reason=reason)
 
 
 def _fallback_reason(concept: ClinicalConcept, decision: RouteDecision) -> UnmappedReason:
@@ -102,46 +113,12 @@ def _fallback_reason(concept: ClinicalConcept, decision: RouteDecision) -> Unmap
     return UnmappedReason.NONE_FOUND
 
 
-def _record_from_curation(concept, row: CurationRow) -> MappingRecord:
-    if row.unmapped_reason is not None:
-        extra = (
-            [EvidenceAtom(EvidenceKind.MANUAL_SOURCE, row.evidence)] if row.evidence.strip() else []
-        )
-        return _unmapped(concept, row.ontology, row.unmapped_reason, extra)
-    payload = row.evidence.strip() or "manual curation"
-    return MappingRecord(
-        concept_id=concept.concept_id,
-        domain=concept.domain,
-        ontology=row.ontology,
-        category=pick_category(Justification.CURATION, MappingLevel.CONCEPT, len(row.targets)),
-        logic=row.logic,
-        targets=row.targets,
-        score=None,
-        evidence=(EvidenceAtom(EvidenceKind.MANUAL_SOURCE, payload),),
-    )
-
-
-def _record_from_hits(concept, ontology, hits, level) -> MappingRecord:
-    """The automatic record of one ontology's CURIE -> atoms hits."""
-    targets = tuple(sorted(hits))
-    return MappingRecord(
-        concept_id=concept.concept_id,
-        domain=concept.domain,
-        ontology=ontology,
-        category=pick_category(Justification.LEXICAL, level, len(targets)),
-        logic=and_logic(len(targets)),
-        targets=targets,
-        score=None,
-        evidence=canonical_evidence(chain.from_iterable(hits.values())),
-    )
-
-
 def synthesize(
     concept: ClinicalConcept,
     exact_concept,
     exact_ancestor,
     cosine_best,
-    curation_rows,
+    curation,
     decision: RouteDecision,
     ontologies,
     claimed=None,
@@ -151,58 +128,44 @@ def synthesize(
 
     ``exact_concept`` and ``exact_ancestor`` map ontology key -> CURIE ->
     evidence atoms, as the exact aligners return them; ``cosine_best``
-    maps ontology key -> ScoredPair; ``curation_rows`` are this concept's rows.
+    maps ontology key -> ScoredPair; ``curation`` maps ontology key ->
+    this concept's curation row.
     ``claimed`` maps ontology key -> the records measurement expansion
     built for it; they stand unless a curation row covers that ontology.
     Claimed ontologies outside the configured set are explicit curated
     data and are kept too.
     """
     claimed = claimed or {}
-    curation_by_ontology: dict[str, CurationRow] = {}
-    for row in curation_rows:
-        if row.ontology in curation_by_ontology:
-            raise DataError(
-                "CONFLICTING_CURATION",
-                f"two curation rows for concept {concept.concept_id} / {row.ontology}",
-            )
-        curation_by_ontology[row.ontology] = row
-
     configured = sorted(o.upper() for o in ontologies)
     records = []
     for ontology in configured:
-        curated = curation_by_ontology.get(ontology)
-        if curated is not None:
-            records.append(_record_from_curation(concept, curated))
-            continue
-        if ontology in claimed:
+        row = curation.get(ontology)
+        if row is None and ontology in claimed:
             records.extend(claimed[ontology])
             continue
-        if ontology in exact_concept:
-            records.append(
-                _record_from_hits(concept, ontology, exact_concept[ontology], MappingLevel.CONCEPT)
+        if row is not None and row.unmapped_reason is not None:
+            extra = [EvidenceAtom(EvidenceKind.MANUAL_SOURCE, row.evidence)] if row.evidence.strip() else []
+            record = _unmapped(concept, ontology, row.unmapped_reason, *extra)
+        elif row is not None:
+            source = EvidenceAtom(EvidenceKind.MANUAL_SOURCE, row.evidence.strip() or "manual curation")
+            record = _record(
+                concept, ontology, Justification.CURATION, MappingLevel.CONCEPT, row.targets, (source,), row.logic
             )
-            continue
-        if ontology in exact_ancestor:
-            records.append(
-                _record_from_hits(concept, ontology, exact_ancestor[ontology], MappingLevel.ANCESTOR)
+        elif ontology in exact_concept or ontology in exact_ancestor:
+            level = MappingLevel.CONCEPT if ontology in exact_concept else MappingLevel.ANCESTOR
+            hits = (exact_concept if level is MappingLevel.CONCEPT else exact_ancestor)[ontology]
+            evidence = chain.from_iterable(hits.values())
+            record = _record(concept, ontology, Justification.LEXICAL, level, tuple(sorted(hits)), evidence)
+        elif ontology in cosine_best:
+            pair = cosine_best[ontology]
+            evidence = (EvidenceAtom(EvidenceKind.COSINE_SCORE, f"{pair.score:.4f}"),)
+            record = _record(
+                concept, ontology, Justification.SIMILARITY, MappingLevel.CONCEPT, (pair.curie,), evidence,
+                score=pair.score,
             )
-            continue
-        pair = cosine_best.get(ontology)
-        if pair is not None:
-            records.append(
-                MappingRecord(
-                    concept_id=concept.concept_id,
-                    domain=concept.domain,
-                    ontology=ontology,
-                    category=MappingCategory.COSINE_ONE_TO_ONE_CONCEPT,
-                    logic="",
-                    targets=(pair.curie,),
-                    score=pair.score,
-                    evidence=(EvidenceAtom(EvidenceKind.COSINE_SCORE, f"{pair.score:.4f}"),),
-                )
-            )
-            continue
-        records.append(_unmapped(concept, ontology, _fallback_reason(concept, decision)))
+        else:
+            record = _unmapped(concept, ontology, _fallback_reason(concept, decision))
+        records.append(record)
     for ontology in sorted(claimed.keys() - set(configured)):
         records.extend(claimed[ontology])
     return records
@@ -245,9 +208,9 @@ def _derive_counterpart(assignments: list[ResultAssignment]) -> list[ResultAssig
     pos = next((a for a in assignments if a.outcome is MeasurementOutcome.POSITIVE), None)
     neg = next((a for a in assignments if a.outcome is MeasurementOutcome.NEGATIVE), None)
     if pos is not None and MeasurementOutcome.NEGATIVE not in present:
-        out.append(ResultAssignment(MeasurementOutcome.NEGATIVE, pos.curie, True))
+        out.append(ResultAssignment(MeasurementOutcome.NEGATIVE, pos.curie))
     if neg is not None and MeasurementOutcome.POSITIVE not in present:
-        out.append(ResultAssignment(MeasurementOutcome.POSITIVE, neg.curie, False))
+        out.append(ResultAssignment(MeasurementOutcome.POSITIVE, neg.curie))
     return out
 
 
@@ -309,38 +272,21 @@ def expand_measurements(
 
     records = []
     for a in rows:
-        ontology = curie_ontology(a.curie)
+        evidence = (EvidenceAtom(EvidenceKind.MANUAL_SOURCE, f"result {a.outcome.value} assignment"),)
+        logic = "NOT(0)" if a.outcome in NEGATED_OUTCOMES else None
         records.append(
-            MappingRecord(
-                concept_id=concept.concept_id,
-                domain=concept.domain,
-                ontology=ontology,
-                category=MappingCategory.MANUAL_ONE_TO_ONE_CONCEPT,
-                logic="NOT(0)" if a.negated else "",
-                targets=(a.curie,),
-                score=None,
-                evidence=(
-                    EvidenceAtom(EvidenceKind.MANUAL_SOURCE, f"result {a.outcome.value} assignment"),
-                ),
-                outcome=a.outcome,
+            _record(
+                concept, curie_ontology(a.curie), Justification.CURATION, MappingLevel.CONCEPT, (a.curie,), evidence,
+                logic, outcome=a.outcome,
             )
         )
 
-    aux_by_ontology: dict[str, list[str]] = defaultdict(list)
-    for target in aux_targets:
-        aux_by_ontology[target.ontology.upper()].append(target.curie)
-    for ontology in sorted(aux_by_ontology):
-        curies = tuple(sorted(set(aux_by_ontology[ontology])))
+    aux_by_ontology: dict[str, set[str]] = defaultdict(set)
+    for curie in aux_targets:
+        aux_by_ontology[curie_ontology(curie)].add(curie)
+    evidence = (EvidenceAtom(EvidenceKind.MANUAL_SOURCE, "measurement annotation"),)
+    for ontology, curies in sorted(aux_by_ontology.items()):
         records.append(
-            MappingRecord(
-                concept_id=concept.concept_id,
-                domain=concept.domain,
-                ontology=ontology,
-                category=pick_category(Justification.CURATION, MappingLevel.CONCEPT, len(curies)),
-                logic=and_logic(len(curies)),
-                targets=curies,
-                score=None,
-                evidence=(EvidenceAtom(EvidenceKind.MANUAL_SOURCE, "measurement annotation"),),
-            )
+            _record(concept, ontology, Justification.CURATION, MappingLevel.CONCEPT, tuple(sorted(curies)), evidence)
         )
     return records, spec

@@ -265,7 +265,7 @@ class TestMapCommand:
         assert err.startswith(f"error[MALFORMED_LINE]: field {field!r} ")
         assert f"[{ontology}:2]" in err
 
-    def test_conflicting_curation_is_data_error(self, tmp_path, condition_fixture):
+    def test_conflicting_curation_is_parse_error(self, tmp_path, condition_fixture, capsys):
         dup = tmp_path / "curation.tsv"
         dup.write_text(
             "concept_id\tontology\tlogic\ttargets\tevidence\tunmapped_reason\n"
@@ -274,7 +274,23 @@ class TestMapCommand:
         )
         paths = dict(condition_fixture)
         paths["curation"] = str(dup)
-        assert run_map_cli(paths, tmp_path / "out") == 3
+        assert run_map_cli(paths, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error[CONFLICTING_CURATION]: two curation rows for concept 22945 / HP [{dup}:3]" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_class_in_two_dumps_is_parse_error(self, tmp_path, condition_fixture, capsys):
+        """The second dump's line that repeats a class is named."""
+        lines = Path(condition_fixture["ontology"]).read_text().splitlines()
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        first.write_text("\n".join(lines[:4]) + "\n")
+        second.write_text("\n".join(lines[4:] + [lines[2]]) + "\n")
+        argv = map_args(dict(condition_fixture, ontology=str(first)), tmp_path / "out", ["--ontology", str(second)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[DUPLICATE_CURIE]: ")
+        assert err.rstrip().endswith(f" [{second}:{len(lines) - 3}]"), err
+        assert not (tmp_path / "out").exists()
 
     def test_delimiter_in_curation_evidence_is_data_error(self, tmp_path, condition_fixture, capsys):
         curation = tmp_path / "curation.tsv"
@@ -530,8 +546,10 @@ class TestMeasurementCommand:
             tmp_path,
             ["3000001\tCHEBI\t\tCHEBI:2679\ta\t", "3000001\tCHEBI\t\t\tb\tFINDING"],
         )
-        assert code == 3
-        assert "error[CONFLICTING_CURATION]" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error[CONFLICTING_CURATION]: two curation rows for concept 3000001 / CHEBI [{tmp_path}" in err
+        assert err.rstrip().endswith("curation.tsv:3]")
 
     def test_curated_reason_on_claimed_ontology(self, measurement_fixture, tmp_path):
         code, rows = self._run_curated(
@@ -549,8 +567,10 @@ class TestMeasurementCommand:
             tmp_path,
             ["3000001\tHP\t\tHP:0003154\ta\t", "3000001\tHP\t\tHP:0002920\tb\t"],
         )
-        assert code == 3
-        assert "error[CONFLICTING_CURATION]" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error[CONFLICTING_CURATION]: two curation rows for concept 3000001 / HP [{tmp_path}" in err
+        assert err.rstrip().endswith("curation.tsv:3]")
 
 
 def _write_prevalence(path, rows):

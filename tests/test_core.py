@@ -298,9 +298,9 @@ class TestMeasurementResultSpec:
             MeasurementScale.QUANTITATIVE,
             ResultType.NORMAL_LOW_HIGH,
             (
-                ResultAssignment(MeasurementOutcome.LOW, "HP:0002920", False),
-                ResultAssignment(MeasurementOutcome.HIGH, "HP:0003154", False),
-                ResultAssignment(MeasurementOutcome.NORMAL, "HP:0011043", True),
+                ResultAssignment(MeasurementOutcome.LOW, "HP:0002920"),
+                ResultAssignment(MeasurementOutcome.HIGH, "HP:0003154"),
+                ResultAssignment(MeasurementOutcome.NORMAL, "HP:0011043"),
             ),
         )
         assert len(spec.assignments) == 3

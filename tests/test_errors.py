@@ -145,6 +145,9 @@ CASES = {
     "BOTH_TARGETS_AND_REASON": lambda t, c, m: _map_with(
         c, t, "curation", "curation.tsv", _append("22945\tHP\t\tHP:0011095\tx\tINJURY")
     ),
+    "CONFLICTING_CURATION": lambda t, c, m: _map_with(
+        c, t, "curation", "curation.tsv", _append("4070954\tMONDO\t\tMONDO:0008533\tagain\t")
+    ),
     "CONFLICTING_PREFIX": lambda t, c, m: _map_with(c, t, "code_map", "map.csv", _append("foo,BAR", "FOO,BAZ")),
     "CONFLICTING_RULE": lambda t, c, m: _map_with(
         c, t, "routing", "routing.tsv", _append("Finding\tEXCLUDE\tINJURY", "Finding\tEXCLUDE\tFINDING")
@@ -160,9 +163,6 @@ CASES = {
     "SHORT_ROW": lambda t, c, m: _map_with(c, t, "mrconso", "MRCONSO.RRF", _append("C9999999|ENG")),
     "UNKNOWN_ONTOLOGY": lambda t, c, m: _map_with(c, t, "curation", "curation.tsv", _append("22945\tZZ\t\tZZ:1\tx\t")),
     "UNKNOWN_REASON": lambda t, c, m: _map_with(c, t, "routing", "routing.tsv", _append("Finding\tEXCLUDE\tNOPE")),
-    "CONFLICTING_CURATION": lambda t, c, m: _map_with(
-        c, t, "curation", "curation.tsv", _append("4070954\tMONDO\t\tMONDO:0008533\tagain\t")
-    ),
     "INVALID_RECORD": lambda t, c, m: _map_with(
         c, t, "curation", "curation.tsv", _append("22945\tHP\t\tHP:0011095\tPMID:1|PMID:2\t")
     ),

@@ -769,7 +769,7 @@ class TestLoadCuration:
             CURATION_HEADER + "\n4070954\tMONDO\t\tMONDO:0008533\tPMID:21998774\t\n"
         )
         load = load_curation(path, {"MONDO", "HP"})
-        row = load.rows[0]
+        row = load.rows[4070954]["MONDO"]
         assert row.targets == ("MONDO:0008533",)
         assert row.logic == ""
         assert row.evidence == "PMID:21998774"
@@ -779,7 +779,7 @@ class TestLoadCuration:
         path.write_text(
             CURATION_HEADER + "\n439140\tHP\t\tHP:0003623|HP:0001901\tcited\t\n"
         )
-        row = load_curation(path, {"HP"}).rows[0]
+        row = load_curation(path, {"HP"}).rows[439140]["HP"]
         assert row.targets == ("HP:0003623", "HP:0001901")
         assert row.logic == "AND(0,1)"
 
@@ -800,7 +800,7 @@ class TestLoadCuration:
     def test_reason_display_form_accepted(self, tmp_path):
         path = tmp_path / "cur.tsv"
         path.write_text(CURATION_HEADER + "\n1\tHP\t\t\tx\tNot Mapped Test Type\n")
-        row = load_curation(path, {"HP"}).rows[0]
+        row = load_curation(path, {"HP"}).rows[1]["HP"]
         assert row.unmapped_reason.name == "NOT_MAPPED_TEST_TYPE"
 
     def test_unknown_ontology(self, tmp_path):
@@ -980,6 +980,8 @@ _VERDICTS = [
     pytest.param("curation", ["1\thp\t\t\te\tnot mapped test type", "1\tMONDO\t\tMONDO:1|MONDO:2\te\t"], None, id="curation-accepted"),
     pytest.param("curation", ["1\thp\t\thp:1\te\t", "1\tHP\t\tHP:1|MONDO:1\te\t"], ("MALFORMED_ROW", 3), id="curation-target_in_another_ontology"),
     pytest.param("curation", ["1\tHP\t\tHP:1\te\t", "2\tHP\t\tHP:2|HP:\te\t"], ("MALFORMED_ROW", 3), id="curation-target_without_local_id"),
+    pytest.param("curation", ["5\tHP\t\tHP:1\ta\t", "5\tMONDO\t\tMONDO:1\ta\t", "6\tHP\t\tHP:1\ta\t", "5\thp\t\t\tb\tINJURY"],
+                 ("CONFLICTING_CURATION", 5), id="curation-conflicting"),
     pytest.param("routing", ["T047\tMAYBE\tHP"], ("MALFORMED_ROW", 2), id="routing-unknown_action"),
     pytest.param("routing", ["T047\tALLOW\t | "], ("MALFORMED_ROW", 2), id="routing-empty_allow"),
     pytest.param("routing", ["T047\tEXCLUDE\tNO_SUCH_REASON"], ("UNKNOWN_REASON", 2), id="routing-unknown_reason"),

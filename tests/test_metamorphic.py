@@ -1,13 +1,20 @@
-"""Metamorphic relation: the order of input rows does not change ``map``.
+"""Metamorphic relations of ``map``: changes to its inputs that must leave
+``mappings.tsv`` and ``summary.json`` byte for byte as they were.
 
-Each input file of a ``map`` run is rewritten with its data rows in a
-seeded random order, any header kept first: a TSV or CSV whose first
-line does not start with a digit has one (the ancestor file may not).
-Dumps, MRCONSO/MRSTY rows and stopwords are shuffled whole.  The run on
-the shuffled files must write ``mappings.tsv`` and ``summary.json``
-byte for byte as the run on the originals.  The inputs are the golden
-and measurement fixtures and perfbench's tiny map-cosine and map-ladder
-inputs.
+Row order: each input file of a ``map`` run is rewritten with its data
+rows in a seeded random order, any header kept first: a TSV or CSV whose
+first line does not start with a digit has one (the ancestor file may
+not).  Dumps, MRCONSO/MRSTY rows and stopwords are shuffled whole.  The
+inputs are the golden and measurement fixtures and perfbench's tiny
+map-cosine and map-ladder inputs.
+
+Another domain's rows: valid rows for concepts outside the domain being
+mapped are added to the golden (CONDITION) and measurement (MEASUREMENT)
+fixtures: the concepts, ancestor rows of which they are the child, one
+curation row per (concept, ontology) with targets in the loaded dumps,
+and, for the measurement run, scale and target rows.  The measurement
+fixture has no ancestor or curation file, so its run on the added rows
+is given files that hold only those.
 """
 
 import importlib
@@ -66,3 +73,64 @@ def test_row_order_leaves_map_outputs_unchanged(name, tmp_path, condition_fixtur
         assert main(moved) == 0
         for output in OUTPUTS:
             assert (after / output).read_bytes() == (before / output).read_bytes(), (name, i, output)
+
+
+_HEADERS = {
+    "ancestors": "concept_id\tancestor_concept_id",
+    "curation": "concept_id\tontology\tlogic\ttargets\tevidence\tunmapped_reason",
+}
+
+# Each fixture's added rows, by input.  The concepts' labels and synonyms
+# are those of the dumps' classes, so a row that reached the mapped
+# domain would add cosine scores, exact hits or records.
+_OTHER_DOMAIN = {
+    "golden": {
+        "concepts": [
+            "5000001\tRXNORM\t1191\tOverjet\tSore throat|Polycythemia\tDRUG\t1\t8",
+            "5000002\tLOINC\t12460-2\tOsteopoikilosis\t\tMEASUREMENT\t0\t0",
+        ],
+        "ancestors": ["5000001\t22945", "5000002\t5000001", "5000002\t90002"],
+        "curation": [
+            "5000001\tHP\t\tHP:0011095\tnote\t",
+            "5000001\tMONDO\tOR(0,1)\tMONDO:0001414|MONDO:0008157\tnote\t",
+            "5000002\tHP\t\t\tnote\tFINDING",
+        ],
+    },
+    "measurement": {
+        "concepts": [
+            "22945\tSNOMED\t70305005\tIncreased circulating ACTH level\tAmphetamine screen\tCONDITION\t1\t12",
+            "5000003\tRXNORM\t1191\tAmphetamine\t\tDRUG\t1\t8",
+        ],
+        "ancestors": ["22945\t3000001", "5000003\t22945"],
+        "curation": [
+            "22945\tHP\t\tHP:0003154\tnote\t",
+            "22945\tUBERON\t\tUBERON:0001969|UBERON:0001088\tnote\t",
+            "5000003\tCHEBI\t\t\tnote\tUNSPECIFIED_SAMPLE",
+        ],
+        "scales": ["22945\tQUANTITATIVE\tNUMERIC", "5000003\tORDINAL\tNONE"],
+        "targets": [
+            "22945\tHIGH\tHP:0003154\t0",
+            "22945\tNORMAL\tHP:0011043\t1",
+            "22945\tUBERON\tUBERON:0001969\t0",
+            "5000003\tPOSITIVE\tHP:0500112\t0",
+            "5000003\tCHEBI\tCHEBI:2679\t0",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["golden", "measurement"])
+def test_other_domain_rows_leave_map_outputs_unchanged(name, tmp_path, condition_fixture, measurement_fixture):
+    paths, args = (condition_fixture, map_args) if name == "golden" else (measurement_fixture, measurement_args)
+    assert main(args(paths, tmp_path / "before")) == 0
+    added = dict(paths)
+    for key, rows in _OTHER_DOMAIN[name].items():
+        lines = Path(paths[key]).read_text(encoding="utf-8").splitlines() if key in paths else [_HEADERS[key]]
+        added[key] = str(tmp_path / f"added-{key}.tsv")
+        Path(added[key]).write_text("\n".join(lines + rows) + "\n", encoding="utf-8")
+    argv = args(added, tmp_path / "after")
+    if name == "measurement":
+        argv += ["--ancestors", added["ancestors"], "--curation", added["curation"]]
+    assert main(argv) == 0
+    for output in OUTPUTS:
+        assert (tmp_path / "after" / output).read_bytes() == (tmp_path / "before" / output).read_bytes(), output

@@ -20,7 +20,6 @@ from termbridge.core import (
 from termbridge.errors import DataError, ParseError
 from termbridge.ingest import (
     MAPPING_COLUMNS,
-    AuxTarget,
     CurationRow,
     RoutingPolicy,
     ScaleRow,
@@ -153,7 +152,7 @@ def _synth(concept_obj, exact_c=None, exact_a=None, cosine=None, curation=(), de
             exact_c or {},
             exact_a or {},
             cosine or {},
-            list(curation),
+            {row.ontology: row for row in curation},
             decision or RouteDecision(allowed=frozenset(ONTOLOGIES)),
             ONTOLOGIES,
         )
@@ -266,16 +265,6 @@ class TestSynthesize:
         assert hp.category is C.UNMAPPED
         assert hp.unmapped_reason is UnmappedReason.CARRIER_STATUS
 
-    def test_conflicting_curation(self):
-        c = _concept(5)
-        rows = [
-            CurationRow(5, "HP", ("HP:1",), "", "a"),
-            CurationRow(5, "HP", ("HP:2",), "", "b"),
-        ]
-        with pytest.raises(DataError) as err:
-            _synth(c, curation=rows)
-        assert err.value.code == "CONFLICTING_CURATION"
-
     def test_unmapped_reason_ladder(self):
         used = _by_ontology(_synth(_concept(1, used=True)))["HP"]
         assert used.unmapped_reason is UnmappedReason.NONE_FOUND
@@ -309,9 +298,9 @@ def _scale(cid, scale, kind="NONE"):
 
 
 NLH_ASSIGNMENTS = [
-    ResultAssignment(MeasurementOutcome.HIGH, "HP:0003154", False),
-    ResultAssignment(MeasurementOutcome.LOW, "HP:0002920", False),
-    ResultAssignment(MeasurementOutcome.NORMAL, "HP:0011043", True),
+    ResultAssignment(MeasurementOutcome.HIGH, "HP:0003154"),
+    ResultAssignment(MeasurementOutcome.LOW, "HP:0002920"),
+    ResultAssignment(MeasurementOutcome.NORMAL, "HP:0011043"),
 ]
 
 
@@ -375,7 +364,7 @@ class TestExpandMeasurements:
         c = _concept(3000002, domain=Domain.MEASUREMENT)
         records, spec = _expand(
             c, _scale(3000002, MeasurementScale.ORDINAL),
-            [ResultAssignment(MeasurementOutcome.POSITIVE, "HP:0500112", False)], [], ("HP",),
+            [ResultAssignment(MeasurementOutcome.POSITIVE, "HP:0500112")], [], ("HP",),
         )
         by_outcome = {r.outcome: r for r in records}
         assert by_outcome[MeasurementOutcome.POSITIVE].targets == ("HP:0500112",)
@@ -418,7 +407,7 @@ class TestExpandMeasurements:
         c = _concept(8, domain=Domain.MEASUREMENT)
         records, _ = _expand(
             c, _scale(8, MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
-            [AuxTarget("UBERON", "UBERON:0001969"), AuxTarget("CHEBI", "CHEBI:1"), AuxTarget("CHEBI", "CHEBI:2")],
+            ["UBERON:0001969", "CHEBI:1", "CHEBI:2"],
             ("HP", "UBERON", "CHEBI"),
         )
         aux = {r.ontology: r for r in records if r.outcome is None}
@@ -439,7 +428,7 @@ class TestExpandMeasurements:
         with pytest.raises(DataError) as err:
             expand_measurements(
                 c, _scale(10, MeasurementScale.QUANTITATIVE),
-                [ResultAssignment(MeasurementOutcome.POSITIVE, "HP:1", False)], [], ("HP",),
+                [ResultAssignment(MeasurementOutcome.POSITIVE, "HP:1")], [], ("HP",),
             )
         assert err.value.code == "OUTCOME_MISMATCH"
 
@@ -447,7 +436,7 @@ class TestExpandMeasurements:
         c = _concept(11, domain=Domain.MEASUREMENT)
         records, _ = _expand(
             c, _scale(11, MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
-            [AuxTarget("UBERON", "UBERON:0001969")], ("HP", "UBERON", "CL"),
+            ["UBERON:0001969"], ("HP", "UBERON", "CL"),
         )
         for record in records:
             assert validate_record(record) is None
