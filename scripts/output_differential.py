@@ -152,7 +152,9 @@ def main() -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--workload", action="append", default=[], help="NAME:SEED[:SIZE]; repeatable")
     parser.add_argument("--jobs", action="append", type=int, default=[], help="map's --jobs; repeatable")
-    parser.add_argument("--work", type=Path, help="directory for inputs and outputs (default: a temporary one)")
+    parser.add_argument(
+        "--work", type=Path, help="directory for inputs and outputs, made if missing (default: a temporary one)"
+    )
     args = parser.parse_args()
     trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     jobs_values = args.jobs or [None]
@@ -167,6 +169,8 @@ def main() -> int:
             label = spec.replace(":", "-") + suffix
             sets.append((label, lambda inputs, s=spec, j=jobs: _workload_commands(s, inputs, j)))
 
+    if args.work:
+        args.work.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="output-differential-", dir=args.work) as tmp:
         differences = sum(compare(label, prepare, Path(tmp), trees) for label, prepare in sets)
     print(f"{differences} output(s) differ")

@@ -3,7 +3,8 @@
 Indexes are built once and never change afterwards.  Both aligners return
 ontology key -> CURIE -> the set of evidence atoms that tie the concept
 to that class, one atom per independent source, and every atom can be
-replayed against the raw inputs to reproduce the hit.
+replayed against the raw inputs to reproduce the hit.  A hit's ontology
+key is its CURIE's (``curie_ontology``).
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import replace
 
-from .core import ClinicalConcept, CodeRef, EvidenceAtom, EvidenceKind
+from .core import ClinicalConcept, CodeRef, EvidenceAtom, EvidenceKind, curie_ontology
 from .lexical import normalize_string
 
 
 class AlignmentIndexes:
-    """Frozen lookup tables from non-deprecated ontology classes.
+    """Frozen lookup tables from the classes given.
 
     Each table maps a key to the sorted tuple of distinct CURIEs that
     carry it:
@@ -26,11 +27,10 @@ class AlignmentIndexes:
         string only through a class definition (drives evidence kind)
     code_index : CodeRef -> CURIEs (from xrefs)
     cui_index : CUI -> CURIEs (from UMLS-prefixed xrefs)
-    ontology_of : CURIE -> ontology key
 
-    Classes are read in CURIE order and a CURIE is appended to a key's
-    tuple only if it is not already last, so every tuple is built sorted
-    and distinct in one pass.
+    The classes are ``pipeline.live_classes``, in CURIE order, and a CURIE
+    is appended to a key's tuple only if it is not already last, so every
+    tuple is built sorted and distinct in one pass.
     """
 
     def __init__(self, classes):
@@ -38,13 +38,9 @@ class AlignmentIndexes:
         self.definition_only: dict[str, tuple[str, ...]] = {}
         self.code_index: dict[CodeRef, tuple[str, ...]] = {}
         self.cui_index: dict[str, tuple[str, ...]] = {}
-        self.ontology_of: dict[str, str] = {}
 
-        for cls in sorted(classes, key=lambda k: k.curie):
-            if cls.deprecated:
-                continue
+        for cls in classes:
             curie = cls.curie
-            self.ontology_of[curie] = cls.ontology
             named = [normalize_string(text) for text in (cls.label, *cls.synonyms)]
             for key in named:
                 if key:
@@ -63,7 +59,7 @@ class AlignmentIndexes:
 def _add(table: dict, key, curie: str) -> None:
     """Append ``curie`` to ``key``'s tuple unless it ends it already.
 
-    CURIEs arrive in ascending order, so a repeat can only be the last.
+    Classes arrive in CURIE order, so a repeat can only be the last.
     """
     value = table.get(key, ())
     if not value or value[-1] != curie:
@@ -71,7 +67,7 @@ def _add(table: dict, key, curie: str) -> None:
 
 
 def build_indexes(classes) -> AlignmentIndexes:
-    """Index labels, synonyms, definitions, xrefs, and UMLS xref CUIs."""
+    """Index labels, synonyms, definitions, xrefs, and UMLS xref CUIs of the live ``classes``."""
     return AlignmentIndexes(classes)
 
 
@@ -134,7 +130,7 @@ def align_concept(
 
     by_ontology: dict[str, dict[str, set]] = {}
     for curie, atoms in hits.items():
-        ontology = indexes.ontology_of[curie]
+        ontology = curie_ontology(curie)
         if allowed is None or ontology in allowed:
             by_ontology.setdefault(ontology, {})[curie] = atoms
     return by_ontology

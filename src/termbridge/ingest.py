@@ -49,6 +49,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,6 +73,7 @@ from .core import (
     Violation,
     and_logic,
     check_mapping,
+    curie_ontology,
     is_code_prefix,
     parse_curie,
 )
@@ -458,12 +460,13 @@ def load_ontology_dump(
     return them.  A CURIE already loaded, from this dump or an earlier
     one, is ``DUPLICATE_CURIE`` naming its line.
 
-    Xref strings are canonicalized through the prefix dictionary.
-    Deprecated classes are loaded and flagged; target indexes built
-    downstream must exclude them.
+    Xref strings are canonicalized through the prefix dictionary, and the
+    classes of one ontology share one interned key string.  Deprecated
+    classes are loaded and flagged; ``run_map`` aligns against none.
     """
     dictionary = dictionary or NormalizationDictionary.empty()
     classes = {} if classes is None else classes
+    keys: dict[str, str] = {}  # each ``ontology`` as written -> its key
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -505,10 +508,13 @@ def load_ontology_dump(
                 xrefs = tuple(sorted(canonicalize_code(x, dictionary) for x in raw_xrefs))
             except ValueError as exc:
                 raise ParseError("MALFORMED_LINE", f"field 'xrefs': {exc}", str(path), lineno) from None
+            ontology = keys.get(obj["ontology"])
+            if ontology is None:
+                ontology = keys[obj["ontology"]] = sys.intern(obj["ontology"].upper())
             try:
                 classes[curie] = OntologyClass(
                     curie=curie,
-                    ontology=obj["ontology"].upper(),
+                    ontology=ontology,
                     label=obj["label"],
                     definition=obj.get("definition"),
                     synonyms=tuple(s["text"] for s in raw_synonyms),
@@ -518,6 +524,26 @@ def load_ontology_dump(
             except ValueError as exc:
                 raise ParseError("BAD_CURIE", str(exc), str(path), lineno) from None
     return classes
+
+
+def _rrf_rows(path, width: int):
+    """Yield (line number, fields) of each non-blank row of an RRF file.
+    A row splits on ``|`` into ``width`` fields and one more holding the
+    rest, and a trailing empty field is dropped.  Fewer than ``width``
+    fields is ``SHORT_ROW``, and a field 0 that is no CUI is ``BAD_CUI``."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            fields = line.split("|", width)
+            if fields[-1] == "":
+                fields.pop()
+            if len(fields) < width:
+                raise ParseError("SHORT_ROW", f"{len(fields)} fields, need >= {width}", str(path), lineno)
+            if not is_cui(fields[0]):
+                raise ParseError("BAD_CUI", f"bad CUI {fields[0]!r}", str(path), lineno)
+            yield lineno, fields
 
 
 def load_umls(
@@ -536,52 +562,25 @@ def load_umls(
     """
     prefixes: dict[str, str] = {}
     cuis: dict[tuple[str, str], set[str]] = defaultdict(set)
-    with open_text(mrconso_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            # Fields past 13 are never read: the 15th piece holds the rest.
-            fields = line.split("|", 14)
-            if fields and fields[-1] == "":
-                fields = fields[:-1]
-            if len(fields) < 15:
-                raise ParseError("SHORT_ROW", f"{len(fields)} fields, need >= 15", str(mrconso_path), lineno)
-            cui, sab, code = fields[0], fields[11], fields[13]
-            if not is_cui(cui):
-                raise ParseError("BAD_CUI", f"bad CUI {cui!r}", str(mrconso_path), lineno)
-            stripped_code = code.strip()
-            if not sab.strip() or not stripped_code:
-                raise ParseError("SHORT_ROW", "blank SAB or CODE", str(mrconso_path), lineno)
-            prefix = prefixes.get(sab)
-            if prefix is None:
-                prefix = dictionary.canonical_prefix(sab)
-                if not is_code_prefix(prefix):
-                    raise ParseError(
-                        "BAD_PREFIX", f"SAB {sab!r} is not a code prefix", str(mrconso_path), lineno
-                    )
-                prefixes[sab] = prefix
-            key = (prefix, stripped_code)
-            if key in codes:
-                cuis[key].add(cui)
+    for lineno, fields in _rrf_rows(mrconso_path, 15):
+        cui, sab, code = fields[0], fields[11], fields[13].strip()
+        if not sab.strip() or not code:
+            raise ParseError("SHORT_ROW", "blank SAB or CODE", str(mrconso_path), lineno)
+        prefix = prefixes.get(sab)
+        if prefix is None:
+            prefix = dictionary.canonical_prefix(sab)
+            if not is_code_prefix(prefix):
+                raise ParseError("BAD_PREFIX", f"SAB {sab!r} is not a code prefix", str(mrconso_path), lineno)
+            prefixes[sab] = prefix
+        key = (prefix, code)
+        if key in codes:
+            cuis[key].add(cui)
     kept_cuis = set().union(*cuis.values())
 
     sty: dict[str, set[str]] = defaultdict(set)
-    with open_text(mrsty_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("|", 4)
-            if fields and fields[-1] == "":
-                fields = fields[:-1]
-            if len(fields) < 4:
-                raise ParseError("SHORT_ROW", f"{len(fields)} fields, need >= 4", str(mrsty_path), lineno)
-            cui, name = fields[0], fields[3]
-            if not is_cui(cui):
-                raise ParseError("BAD_CUI", f"bad CUI {cui!r}", str(mrsty_path), lineno)
-            if cui in kept_cuis:
-                sty[cui].add(name)
+    for _, fields in _rrf_rows(mrsty_path, 4):
+        if fields[0] in kept_cuis:
+            sty[fields[0]].add(fields[3])
 
     return UmlsTables(
         atoms_by_code={key: tuple(sorted(group)) for key, group in cuis.items()},
@@ -620,9 +619,10 @@ def load_prevalence(path) -> PrevalenceLoad:
 def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     """Parse manually-derived mapping rows.
 
-    Each target must be a CURIE whose prefix is the row's ontology.  Targets outside
-    ``known_curies`` (when given) are reported, not rejected: curation may
-    legitimately reference classes newer than the loaded dump.  A
+    Each target must be a CURIE whose ontology is the row's.  Targets outside
+    ``known_curies`` (when given, as the loaded classes by CURIE) are
+    reported, not rejected: curation may legitimately reference classes
+    newer than the loaded dump.  A
     (concept, ontology) pair has one row, in any domain: a second is
     ``CONFLICTING_CURATION`` naming its line.
     """
@@ -642,7 +642,7 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
             raise ParseError("MALFORMED_ROW", "row has neither targets nor reason", str(path), lineno)
         logic = logic or and_logic(len(targets))
         for t in targets:
-            if t.partition(":")[0].upper() != ontology:
+            if curie_ontology(t) != ontology:
                 raise ParseError("MALFORMED_ROW", f"bad targets {t!r}: not a {ontology} class", str(path), lineno)
             if known_curies is not None and t not in known_curies:
                 unknown_targets.append(t)
@@ -721,18 +721,20 @@ def load_measurement_targets(path):
                 raise ParseError(
                     "MALFORMED_ROW", "auxiliary rows cannot be negated", str(path), lineno
                 )
-            if curie.partition(":")[0].upper() != key:
+            if curie_ontology(curie) != key:
                 raise ParseError("MALFORMED_ROW", f"bad curie {curie!r}: not a {key} class", str(path), lineno)
             aux[concept_id].append(curie)
     return dict(assignments), dict(aux)
 
 
-def mapping_line(record, labels) -> str:
-    """``record``'s row of mappings.tsv; ``labels`` maps a CURIE to its
-    class label, and a target it lacks gets an empty one."""
+def mapping_line(record, classes) -> str:
+    """``record``'s row of mappings.tsv.  Each target's label is read from
+    ``classes``, the loaded classes by CURIE, deprecated ones included (a
+    curation row may name one); a target not loaded gets an empty label."""
+    labels = tuple(classes[t].label if t in classes else "" for t in record.targets)
     fields = (
         record.concept_id, record.domain, record.ontology, record.category, record.category.level,
-        record.logic, record.targets, tuple(labels.get(t, "") for t in record.targets), record.score,
+        record.logic, record.targets, labels, record.score,
         record.evidence, record.unmapped_reason, record.outcome,
     )
     return "\t".join([render(value) for (_, _, render), value in zip(MAPPING_COLUMNS, fields)])

@@ -241,8 +241,17 @@ class _Tally:
         return tables
 
 
+def live_classes(classes) -> list:
+    """The classes ``map`` aligns against: the non-deprecated ones, in CURIE order."""
+    return sorted((cls for cls in classes if not cls.deprecated), key=lambda cls: cls.curie)
+
+
 def run_map(cfg: RunConfig) -> Path:
-    """Full mapping pass; writes mappings.tsv and summary.json to out_dir."""
+    """Full mapping pass; writes mappings.tsv and summary.json to out_dir.
+
+    Curation targets and target labels are looked up in the loaded classes
+    by CURIE, deprecated ones too.  The ``live_classes`` are chosen once
+    and are what the cosine corpus and the exact index both read."""
     _load("align", "similarity", "synthesize")
     check_inputs(cfg, "map")
     try:
@@ -267,15 +276,11 @@ def run_map(cfg: RunConfig) -> Path:
         bridge = CuiBridge(tables.atoms_by_code)
         concepts = enrich_concepts(concepts, bridge, tables.sty_by_cui)
 
-    policy = (
-        load_routing_policy(cfg.routing, ontologies)
-        if cfg.routing
-        else RoutingPolicy.allow_all(ontologies)
-    )
+    policy = load_routing_policy(cfg.routing, ontologies) if cfg.routing else RoutingPolicy.allow_all(ontologies)
     curation: dict[int, dict] = {}
     unknown_curation_targets: tuple[str, ...] = ()
     if cfg.curation:
-        curation_load = load_curation(cfg.curation, ontologies, set(classes))
+        curation_load = load_curation(cfg.curation, ontologies, classes)
         curation, unknown_curation_targets = curation_load.rows, curation_load.unknown_targets
 
     scales = {}
@@ -288,15 +293,15 @@ def run_map(cfg: RunConfig) -> Path:
             assignments, aux = load_measurement_targets(cfg.measurement_targets)
 
     out_dir = Path(cfg.out_dir)
-    target_labels = {curie: cls.label for curie, cls in classes.items()}
     tally = _Tally(concepts)
     rows = ()
 
     if concepts:
         decisions = {cid: route(c, policy) for cid, c in concepts.items()}
+        live = live_classes(classes.values())
 
         tok_cfg = TokenizerConfig(stopwords=stopwords, lemmatize=Lemmatize.SUFFIX_RULES)
-        model = fit(build_corpus(concepts.values(), classes.values(), tok_cfg))
+        model = fit(build_corpus(concepts.values(), live, tok_cfg))
         pairs = score_concept_pairs(
             model, routing=lambda cid: decisions[cid].allowed, score_floor=cfg.tau
         )
@@ -306,7 +311,7 @@ def run_map(cfg: RunConfig) -> Path:
         del pairs  # the per-ontology scores, freed before synthesis
         # Only the per-concept ladder reads the indexes, so they are built
         # after scoring and the cut have freed their arrays.
-        indexes = build_indexes(classes.values())
+        indexes = build_indexes(live)
         ancestor_hits: dict[int, dict] = {}
 
         def process(concept_id: int) -> list[MappingRecord]:
@@ -335,14 +340,7 @@ def run_map(cfg: RunConfig) -> Path:
                 align_via_ancestors(concept, concepts, indexes, remaining, memo=ancestor_hits) if remaining else {}
             )
             return synthesize(
-                concept,
-                exact_c,
-                exact_a,
-                winners.for_concept(concept_id),
-                curated,
-                decision,
-                ontologies,
-                claimed,
+                concept, exact_c, exact_a, winners.for_concept(concept_id), curated, decision, ontologies, claimed
             )
 
         def stream():
@@ -370,7 +368,7 @@ def run_map(cfg: RunConfig) -> Path:
                             f"{violation.rule} at {violation.field_path}",
                         )
                     tally.add(record)
-                    yield mapping_line(record, target_labels)
+                    yield mapping_line(record, classes)
 
         rows = stream()
 

@@ -12,8 +12,8 @@ per pair:
   token ids in first-seen order, one length per string, and each
   string's owner as an int32 index.  Concept rows come first, in concept
   id order, owned by indexes into the sorted concept ids; class rows
-  follow in CURIE order, owned by indexes into the sorted non-deprecated
-  CURIEs.  ``fit`` turns it into a CSR matrix, and the ``SimilarityModel``
+  follow, owned by indexes into ``pipeline.live_classes``, in CURIE
+  order.  ``fit`` turns it into a CSR matrix, and the ``SimilarityModel``
   keeps the two owner arrays beside it;
 * scoring joins the concept rows to the class rows over token postings
   (``join_rows``), so only string pairs sharing at least one token are
@@ -191,8 +191,9 @@ class _WordTokens(dict):
 def build_corpus(concepts, classes, cfg: TokenizerConfig) -> Corpus:
     """Every label and synonym string on both sides, tokenized into a ``Corpus``.
 
-    Concepts are taken in id order, then the non-deprecated classes in
-    CURIE order; each owner's label comes before its synonyms.  Tokens
+    Concepts are taken in id order, then ``classes``, the live classes in
+    CURIE order (``pipeline.live_classes``); each owner's label comes
+    before its synonyms.  Tokens
     are memoized per word: a normalized string is single-space separated
     and no token spans a space, so a string's tokens are its words'
     tokens in order.
@@ -216,7 +217,7 @@ def build_corpus(concepts, classes, cfg: TokenizerConfig) -> Corpus:
         concept_ids.append(concept.concept_id)
         add(concept_owner, i, (concept.label, *concept.synonyms))
     curies, class_owner = [], array("i")
-    for i, cls in enumerate(sorted((k for k in classes if not k.deprecated), key=lambda k: k.curie)):
+    for i, cls in enumerate(classes):
         curies.append(cls.curie)
         add(class_owner, i, (cls.label, *cls.synonyms))
 

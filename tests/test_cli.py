@@ -292,6 +292,26 @@ class TestMapCommand:
         assert err.rstrip().endswith(f" [{second}:{len(lines) - 3}]"), err
         assert not (tmp_path / "out").exists()
 
+    def test_deprecated_class_is_a_curation_target_only(self, tmp_path, condition_fixture):
+        """MONDO:0099999 is deprecated and shares its label with MONDO:0001414:
+        a curation row may target it and gets its label, but no exact or
+        cosine record does."""
+        curation = tmp_path / "curation.tsv"
+        lines = Path(condition_fixture["curation"]).read_text().splitlines()
+        curation.write_text("\n".join([*lines, "22945\tMONDO\t\tMONDO:0099999\tnote\t"]) + "\n")
+        out = tmp_path / "out"
+        assert run_map_cli(dict(condition_fixture, curation=str(curation)), out) == 0
+        by_key = {(r["concept_id"], r["ontology"]): r for r in read_rows(out / "mappings.tsv")}
+        curated = by_key[("22945", "MONDO")]
+        assert (curated["category"], curated["targets"]) == ("Manual One-to-One Concept", "MONDO:0099999")
+        assert curated["target_labels"] == "Osteopoikilosis"
+        assert by_key[("78854", "MONDO")]["targets"] == "MONDO:0001414|MONDO:0008157"
+        aligned = [r for r in by_key.values() if r["category"].startswith(("Automatic", "Cosine"))]
+        assert len(aligned) == 9
+        assert not [r for r in aligned if "MONDO:0099999" in r["targets"]]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ingest_warnings"]["unknown_curation_targets"] == []
+
     def test_delimiter_in_curation_evidence_is_data_error(self, tmp_path, condition_fixture, capsys):
         curation = tmp_path / "curation.tsv"
         curation.write_text(

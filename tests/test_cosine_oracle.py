@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from termbridge.core import Domain
 from termbridge.ingest import default_code_dictionary, load_concepts, load_ontology_dump
 from termbridge.lexical import Lemmatize, TokenizerConfig
-from termbridge.pipeline import RunConfig, run_map
+from termbridge.pipeline import RunConfig, live_classes, run_map
 from termbridge.similarity import (
     SimilarityConfig,
     best_per_concept,
@@ -148,7 +148,7 @@ def _model(root: Path):
     concepts = load_concepts(root / "concepts.tsv", Domain.CONDITION, None, dictionary).concepts
     classes = load_ontology_dump(root / "ontology.jsonl", dictionary)
     tok_cfg = TokenizerConfig(stopwords=frozenset(STOPWORDS), lemmatize=Lemmatize.SUFFIX_RULES)
-    return concepts, classes, fit(build_corpus(concepts.values(), classes.values(), tok_cfg))
+    return concepts, classes, fit(build_corpus(concepts.values(), live_classes(classes.values()), tok_cfg))
 
 
 def _reference(root: Path, allowed, tau, rho):

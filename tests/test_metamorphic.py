@@ -8,6 +8,11 @@ not).  Dumps, MRCONSO/MRSTY rows and stopwords are shuffled whole.  The
 inputs are the golden and measurement fixtures and perfbench's tiny
 map-cosine and map-ladder inputs.
 
+Dump grouping: the classes of a run's ontology dumps are pooled, shuffled
+and written as two dumps, and, where the run reads several (map-ladder's
+``hp.jsonl`` with ``mondo.jsonl`` or ``uberon.jsonl``), as one.  Which
+dump holds a class is no fact of the class.
+
 Another domain's rows: valid rows for concepts outside the domain being
 mapped are added to the golden (CONDITION) and measurement (MEASUREMENT)
 fixtures: the concepts, ancestor rows of which they are the child, one
@@ -73,6 +78,42 @@ def test_row_order_leaves_map_outputs_unchanged(name, tmp_path, condition_fixtur
         assert main(moved) == 0
         for output in OUTPUTS:
             assert (after / output).read_bytes() == (before / output).read_bytes(), (name, i, output)
+
+
+def _regrouped(argv, to: Path, files: int, rnd: random.Random) -> list[str]:
+    """``argv`` with the classes of its ``--ontology`` dumps pooled, shuffled
+    and written to ``files`` new dumps under ``to``, which it names instead."""
+    rest, dumps, args = [], [], iter(argv)
+    for arg in args:
+        if arg == "--ontology":
+            dumps.append(next(args))
+        else:
+            rest.append(arg)
+    lines = [line for dump in dumps for line in Path(dump).read_text(encoding="utf-8").splitlines() if line]
+    rnd.shuffle(lines)
+    for k in range(files):
+        dump = to / f"dump{k}.jsonl"
+        group = lines[k * len(lines) // files:(k + 1) * len(lines) // files]
+        dump.write_text("\n".join(group) + "\n", encoding="utf-8")
+        rest += ["--ontology", str(dump)]
+    return rest
+
+
+@pytest.mark.parametrize("name", ["golden", "measurement", "map-cosine", "map-ladder"])
+def test_dump_grouping_leaves_map_outputs_unchanged(
+    name, tmp_path, condition_fixture, measurement_fixture, monkeypatch
+):
+    runs = _fixture_runs(name, tmp_path, condition_fixture, measurement_fixture, monkeypatch)
+    for i, run in enumerate(runs):
+        argv, before = run(tmp_path / f"before{i}")
+        assert main(argv) == 0
+        for files in (2, 1) if argv.count("--ontology") > 1 else (2,):
+            regrouped = tmp_path / f"regrouped{i}-{files}"
+            regrouped.mkdir()
+            argv, after = run(tmp_path / f"after{i}-{files}")
+            assert main(_regrouped(argv, regrouped, files, random.Random(f"{name}:{i}:{files}"))) == 0
+            for output in OUTPUTS:
+                assert (after / output).read_bytes() == (before / output).read_bytes(), (name, i, files, output)
 
 
 _HEADERS = {

@@ -22,6 +22,7 @@ from termbridge.similarity import (
     score_concept_pairs,
 )
 from termbridge.lexical import TokenizerConfig
+from termbridge.pipeline import live_classes
 
 from reference_cosine import cosine_winners, kept_pairs, row_owners, winner_dict
 from test_align import concept, klass
@@ -555,5 +556,5 @@ class TestCorpusAndDump:
 
     def test_deprecated_classes_skipped(self):
         k = klass("HP:0000001", "Throat pain", deprecated=True)
-        corpus = build_corpus([], [k], TokenizerConfig())
+        corpus = build_corpus([], live_classes([k]), TokenizerConfig())
         assert len(corpus) == 0 and documents(corpus) == []
