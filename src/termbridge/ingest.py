@@ -14,7 +14,10 @@ read converted values and make only the checks that span fields or rows.
 column, so ``mapping_line`` and ``load_mappings`` are one codec.
 ``load_prevalence`` folds its rows as it reads them, and ``load_mappings``
 and ``load_patient_phenotypes`` yield rows, so no per-row table of those
-files is held; the other loaders return immutable indexes.
+files is held; the other loaders return immutable indexes.  Ontology
+keys are uppercased where they are read (a dump's ``ontology`` field, the
+curation ``ontology`` column, routing ALLOW values, auxiliary-target
+keys), and nothing downstream changes their case again.
 
 The TSVs: concepts (synonyms pipe-delimited; the record count is
 validated only: >= 0, and > 0 for a concept used in practice, on rows of
@@ -230,7 +233,9 @@ class RoutingPolicy:
     ``allow`` maps a semantic type to the ontologies its concepts may
     target; ``exclude`` maps a semantic type to an unmapped reason.
     Exclusion wins over allow rules.  Concepts whose semantic types carry
-    no allow rule fall back to the full configured ontology set.
+    no allow rule fall back to the full configured ontology set.  Every
+    key is uppercase: the configured keys as the dump loader settled them,
+    the ALLOW values as ``load_routing_policy`` read them.
     """
 
     allow: dict[str, frozenset[str]]
@@ -239,7 +244,7 @@ class RoutingPolicy:
 
     @classmethod
     def allow_all(cls, ontologies) -> "RoutingPolicy":
-        return cls(allow={}, exclude={}, default_ontologies=frozenset(o.upper() for o in ontologies))
+        return cls(allow={}, exclude={}, default_ontologies=frozenset(ontologies))
 
 
 @dataclass(frozen=True)
@@ -310,10 +315,11 @@ def _read_rows(path, columns, header_optional=False):
 
     The first line must be the declared names, in order; where the header
     is optional, a first line that starts with the first name is skipped
-    and any other is a row.  Every row must have one field per column.
-    Each field whose column declares a parser comes converted; a
-    ``ValueError`` or ``KeyError`` from the parser is ``MALFORMED_ROW``
-    naming the column.
+    and any other is a row.  A required header that starts with a UTF-8
+    byte-order mark is rejected as such.  Every row must have one field
+    per column.  Each field whose column declares a parser comes
+    converted; a ``ValueError`` or ``KeyError`` from the parser is
+    ``MALFORMED_ROW`` naming the column.
     """
     names = [column[0] for column in columns]
     parsers = [(i, column[1]) for i, column in enumerate(columns) if column[1] is not None]
@@ -324,6 +330,8 @@ def _read_rows(path, columns, header_optional=False):
             header = fh.readline()
             if not header:
                 raise ParseError("MISSING_COLUMN", "empty file, header required", str(path), 1)
+            if header.startswith("\ufeff"):
+                raise ParseError("MISSING_COLUMN", "the header starts with a UTF-8 byte-order mark", str(path), 1)
             cols = header.rstrip("\n").split("\t")
             for want in names:
                 if want not in cols:
@@ -619,19 +627,19 @@ def load_prevalence(path) -> PrevalenceLoad:
 def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     """Parse manually-derived mapping rows.
 
-    Each target must be a CURIE whose ontology is the row's.  Targets outside
-    ``known_curies`` (when given, as the loaded classes by CURIE) are
-    reported, not rejected: curation may legitimately reference classes
-    newer than the loaded dump.  A
+    A row's ontology, uppercased, must be one of ``known_ontologies``, the
+    keys the dump loader settled.  Each target must be a CURIE whose
+    ontology is the row's.  Targets outside ``known_curies`` (when given,
+    as the loaded classes by CURIE) are reported, not rejected: curation
+    may legitimately reference classes newer than the loaded dump.  A
     (concept, ontology) pair has one row, in any domain: a second is
     ``CONFLICTING_CURATION`` naming its line.
     """
-    known = {o.upper() for o in known_ontologies}
     rows: dict[int, dict[str, CurationRow]] = {}
     unknown_targets = []
     for lineno, fields in _read_rows(path, CURATION_COLUMNS):
         concept_id, ontology, logic, targets, evidence, reason_raw = fields
-        if ontology not in known:
+        if ontology not in known_ontologies:
             raise ParseError("UNKNOWN_ONTOLOGY", f"ontology {ontology!r}", str(path), lineno)
         reason = _parse_reason(reason_raw, path, lineno) if reason_raw.strip() else None
         if targets and reason is not None:
@@ -657,8 +665,10 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
 def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
     """Parse routing_policy.tsv (`semantic_type  action  value`).
 
-    ALLOW values are pipe-delimited ontology keys, EXCLUDE values an
-    unmapped reason.  A semantic type may carry at most one exclusion.
+    ALLOW values are pipe-delimited ontology keys, uppercased here, and
+    EXCLUDE values an unmapped reason.  A semantic type may carry at most
+    one exclusion.  ``configured_ontologies`` are the keys the dump
+    loader settled.
     """
     allow: dict[str, frozenset[str]] = {}
     exclude: dict[str, UnmappedReason] = {}
@@ -678,7 +688,7 @@ def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
     return RoutingPolicy(
         allow=allow,
         exclude=exclude,
-        default_ontologies=frozenset(o.upper() for o in configured_ontologies),
+        default_ontologies=frozenset(configured_ontologies),
     )
 
 

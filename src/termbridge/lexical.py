@@ -9,15 +9,8 @@ under different prefixes or symbols lands on one canonical form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
 
 from .core import CodeRef
-
-
-class Lemmatize(Enum):
-    OFF = "OFF"
-    SUFFIX_RULES = "SUFFIX_RULES"
 
 
 class NormalizationDictionary:
@@ -72,19 +65,8 @@ def normalize_string(s: str) -> str:
     return " ".join(s.lower().split())
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    stopwords: frozenset[str] = frozenset()
-    lemmatize: Lemmatize = Lemmatize.OFF
-
-    def __post_init__(self):
-        for w in self.stopwords:
-            if w != w.lower():
-                raise ValueError(f"stopword not lowercase: {w!r}")
-
-
 # Maximal alphanumeric runs; underscore is a boundary, not a word character.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 _SIBILANT_STEMS = ("s", "x", "z", "ch", "sh")
 _MIN_STEM = 3
@@ -114,21 +96,20 @@ def _apply_suffix_rules(token: str) -> str:
     return token
 
 
-def tokenize(s: str, cfg: TokenizerConfig) -> list[str]:
+def tokenize(s: str, stopwords: frozenset[str]) -> list[str]:
     """Word tokens of an already-normalized string.
 
-    Splits on non-alphanumeric boundaries, drops stopwords, then
-    optionally lemmatizes (dropping a stem that is a stopword).  Output
-    never contains stopwords, empty tokens, or uppercase: a suffix rule
-    always leaves at least three characters.
+    Splits on non-alphanumeric boundaries, drops stopwords, then applies
+    the suffix rules, dropping a stem that is a stopword.  ``stopwords``
+    are lowercase, as ``ingest.load_stopwords`` reads them.  Output never
+    contains stopwords, empty tokens, or uppercase: a suffix rule always
+    leaves at least three characters.
     """
     out = []
-    for token in _TOKEN_RE.findall(s):
-        if token in cfg.stopwords:
+    for token in TOKEN_RE.findall(s):
+        if token in stopwords:
             continue
-        if cfg.lemmatize is Lemmatize.SUFFIX_RULES:
-            token = _apply_suffix_rules(token)
-            if token in cfg.stopwords:
-                continue
-        out.append(token)
+        token = _apply_suffix_rules(token)
+        if token not in stopwords:
+            out.append(token)
     return out

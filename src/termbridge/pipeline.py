@@ -64,7 +64,6 @@ from .ingest import (
     load_weights,
     mapping_line,
 )
-from .lexical import Lemmatize, TokenizerConfig
 
 # The names a command uses from modules only it needs, bound as globals by
 # ``_load`` when it runs.  The table exists for perfbench's tracer (and
@@ -73,10 +72,7 @@ from .lexical import Lemmatize, TokenizerConfig
 # tracer stops patching pipeline names, these become function-local imports.
 STAGE_NAMES = {
     "align": ("CuiBridge", "align_concept", "align_via_ancestors", "build_indexes", "enrich_concepts"),
-    "similarity": (
-        "IDF_VARIANT", "SimilarityConfig", "best_per_concept", "build_corpus",
-        "filter_pairs", "fit", "score_concept_pairs",
-    ),
+    "similarity": ("IDF_VARIANT", "best_per_concept", "build_corpus", "filter_pairs", "fit", "score_concept_pairs"),
     "synthesize": ("expand_measurements", "route", "synthesize"),
     "evaluate": ("bucket_errors", "group_stats", "partition_coverage", "phers"),
     "stats": ("bonferroni_pairwise", "chi_square_yates"),
@@ -98,7 +94,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _flag(kind, commands, help=None, default=None, *, required=False, flag=None):
+def _flag(kind, commands, help=None, default=None, *, required=False, flag=None, within=None):
     """A RunConfig field that is a command-line flag and a ``--config`` key.
 
     ``kind`` is ``"input"`` (a file that must exist), ``"inputs"`` (such
@@ -106,10 +102,19 @@ def _flag(kind, commands, help=None, default=None, *, required=False, flag=None)
     ``int`` or ``Domain``.  The ``commands`` take the flag and, where it is
     ``required``, fail without it.  The flag is ``--`` and ``flag``, by
     default the field name, with ``-`` for ``_``.  ``help`` is one text or
-    one per command; ``%(default)s`` in it shows the default.
+    one per command; ``%(default)s`` in it shows the default.  A number's
+    value must lie ``within`` an interval, when one is written, as in
+    ``"(0, 1]"``.
     """
-    metadata = dict(kind=kind, commands=commands, required=required, flag=flag, help=help)
+    metadata = dict(kind=kind, commands=commands, required=required, flag=flag, help=help, within=within)
     return field(default=default, metadata=metadata)
+
+
+def _within(interval: str, value: float) -> bool:
+    """Whether ``value`` lies in ``interval``, written as ``"[0, 1)"``; nan lies in none."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    return above and (value <= high if interval[-1] == "]" else value < high)
 
 
 _MAP, _COVERAGE, _PHERS, _SSSOM = ("map",), ("coverage",), ("phers",), ("export-sssom",)
@@ -141,15 +146,15 @@ class RunConfig:
     measurement_scales: str | None = _flag("input", _MAP, "measurement scale table (TSV)")
     measurement_targets: str | None = _flag("input", _MAP, "measurement result/auxiliary targets (TSV)")
     domain: Domain = _flag(Domain, _MAP, None, Domain.CONDITION)
-    tau: float = _flag(float, _MAP, "cosine score floor (default %(default)s)", 0.25)
-    rho: float = _flag(float, _MAP, "kept fraction of survivors (default %(default)s)", 0.75)
+    tau: float = _flag(float, _MAP, "cosine score floor (default %(default)s)", 0.25, within="[0, 1]")
+    rho: float = _flag(float, _MAP, "kept fraction of survivors (default %(default)s)", 0.75, within="(0, 1]")
     jobs: int = _flag(int, _MAP, "accepted and ignored; runs are single-threaded", 0)
     mappings: str | None = _flag("input", _COVERAGE + _SSSOM, "mappings.tsv from the map command", required=True)
     prevalence: str | None = _flag("input", _COVERAGE, "per-site concept frequencies (TSV)", required=True)
     newer_cdm: str | None = _flag("input", _COVERAGE, "concept ids recovered in a newer CDM, one per line")
     excluded: str | None = _flag("input", _COVERAGE, "purposefully excluded concept ids, one per line")
     alpha: float = _flag(
-        float, _COVERAGE, "family-wise alpha, strictly between 0 and 1 (default %(default)s)", 0.05
+        float, _COVERAGE, "family-wise alpha, strictly between 0 and 1 (default %(default)s)", 0.05, within="(0, 1)"
     )
     weights: str | None = _flag("input", _PHERS, "phenotype weight table (TSV)", required=True)
     patients: str | None = _flag("input", _PHERS, "patient phenotype rows (TSV)", required=True)
@@ -163,7 +168,8 @@ FLAGS = {f.metadata["flag"] or f.name: f for f in fields(RunConfig)}
 
 def check_inputs(cfg: RunConfig, command: str) -> None:
     """Raise ``ConfigError`` unless ``cfg`` holds every input ``command``
-    requires, every input file it names exists, and its inputs agree."""
+    requires, every input file it names exists, its inputs agree, and
+    then each of its numbers lies within its flag's interval."""
     if not (cfg.out_dir or command == "export-sssom" and cfg.sssom_out):
         raise ConfigError("MISSING_INPUT", "--out is required")
     for key, f in FLAGS.items():
@@ -177,6 +183,10 @@ def check_inputs(cfg: RunConfig, command: str) -> None:
                 raise ConfigError("NO_SUCH_FILE", f"{flag}: {path} does not exist")
     if command == "map" and (cfg.umls_mrconso is None) != (cfg.umls_mrsty is None):
         raise ConfigError("MISSING_INPUT", "MRCONSO and MRSTY must be supplied together")
+    for key, f in FLAGS.items():
+        interval, value = f.metadata["within"], getattr(cfg, f.name)
+        if command in f.metadata["commands"] and interval and not _within(interval, value):
+            raise ConfigError("BAD_THRESHOLD", f"--{key.replace('_', '-')} must lie in {interval}, got {value}")
 
 
 # A plain loop, kept with its unused ``jobs`` because perfbench's tracer wraps this name.
@@ -254,10 +264,6 @@ def run_map(cfg: RunConfig) -> Path:
     and are what the cosine corpus and the exact index both read."""
     _load("align", "similarity", "synthesize")
     check_inputs(cfg, "map")
-    try:
-        sim_cfg = SimilarityConfig(score_floor=cfg.tau, keep_fraction=cfg.rho)
-    except ValueError as exc:
-        raise ConfigError("BAD_THRESHOLD", str(exc)) from None
 
     dictionary = load_code_dictionary(cfg.code_map) if cfg.code_map else default_code_dictionary()
     stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
@@ -300,14 +306,13 @@ def run_map(cfg: RunConfig) -> Path:
         decisions = {cid: route(c, policy) for cid, c in concepts.items()}
         live = live_classes(classes.values())
 
-        tok_cfg = TokenizerConfig(stopwords=stopwords, lemmatize=Lemmatize.SUFFIX_RULES)
-        model = fit(build_corpus(concepts.values(), live, tok_cfg))
+        model = fit(build_corpus(concepts.values(), live, stopwords))
         pairs = score_concept_pairs(
             model, routing=lambda cid: decisions[cid].allowed, score_floor=cfg.tau
         )
         del model  # the matrix is not read past scoring; free it before the cut
         # The keep-fraction cut is scoped per (domain, ontology) run.
-        winners = best_per_concept(filter_pairs(pairs, sim_cfg))
+        winners = best_per_concept(filter_pairs(pairs, cfg.tau, cfg.rho))
         del pairs  # the per-ontology scores, freed before synthesis
         # Only the per-concept ladder reads the indexes, so they are built
         # after scoring and the cut have freed their arrays.
@@ -398,8 +403,6 @@ def run_coverage(cfg: RunConfig) -> Path:
     """Coverage partition, omnibus + pairwise tests, and error buckets."""
     _load("evaluate", "stats")
     check_inputs(cfg, "coverage")
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ConfigError("BAD_THRESHOLD", f"alpha must lie in (0, 1), got {cfg.alpha}")
 
     mapped_ids = {
         concept_id

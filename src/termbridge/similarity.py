@@ -54,25 +54,13 @@ from dataclasses import dataclass, replace
 from itertools import chain, pairwise
 
 from .core import curie_ontology
-from .lexical import TokenizerConfig, normalize_string, tokenize
+from .lexical import normalize_string, tokenize
 
 # Before numpy loads: OpenBLAS would start a worker thread per core, and
 # the 1-D dot products here on short rows cannot use one.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 IDF_VARIANT = "ln((1+N)/(1+df))+1, tf=count, l2"
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    score_floor: float
-    keep_fraction: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.score_floor <= 1.0):
-            raise ValueError(f"score_floor out of range: {self.score_floor}")
-        if not (0.0 < self.keep_fraction <= 1.0):
-            raise ValueError(f"keep_fraction out of range: {self.keep_fraction}")
 
 
 @dataclass(frozen=True)
@@ -175,20 +163,20 @@ class _WordTokens(dict):
     """word -> its token ids, tokenized on first use.  ``ids`` numbers each
     token the first time a word yields it."""
 
-    def __init__(self, cfg: TokenizerConfig):
+    def __init__(self, stopwords: frozenset[str]):
         super().__init__()
-        self.cfg = cfg
+        self.stopwords = stopwords
         self.ids: dict[str, int] = {}
 
     def __missing__(self, word: str) -> tuple[int, ...]:
         ids = self.ids
         token_ids = self[word] = tuple(
-            ids.setdefault(token, len(ids)) for token in tokenize(word, self.cfg)
+            ids.setdefault(token, len(ids)) for token in tokenize(word, self.stopwords)
         )
         return token_ids
 
 
-def build_corpus(concepts, classes, cfg: TokenizerConfig) -> Corpus:
+def build_corpus(concepts, classes, stopwords: frozenset[str]) -> Corpus:
     """Every label and synonym string on both sides, tokenized into a ``Corpus``.
 
     Concepts are taken in id order, then ``classes``, the live classes in
@@ -200,7 +188,7 @@ def build_corpus(concepts, classes, cfg: TokenizerConfig) -> Corpus:
     """
     import numpy as np
 
-    words = _WordTokens(cfg)
+    words = _WordTokens(stopwords)
     token_ids = array("i")
     lengths = array("i")
 
@@ -481,7 +469,7 @@ def best_pairs(chunks, concept_ids, curies, class_ontology, ontologies, score_fl
     )
 
 
-def filter_pairs(pairs: BestPairs, cfg: SimilarityConfig) -> BestPairs:
+def filter_pairs(pairs: BestPairs, score_floor: float, keep_fraction: float) -> BestPairs:
     """Keep the winners that survive the floor and their ontology's cut.
 
     An ontology's k above-floor pairs rank by score descending, then
@@ -496,16 +484,14 @@ def filter_pairs(pairs: BestPairs, cfg: SimilarityConfig) -> BestPairs:
     """
     import numpy as np
 
-    if cfg.score_floor < pairs.score_floor:
-        raise ValueError(
-            f"score floor {cfg.score_floor} is under the {pairs.score_floor} pairs were scored at"
-        )
+    if score_floor < pairs.score_floor:
+        raise ValueError(f"score floor {score_floor} is under the {pairs.score_floor} pairs were scored at")
     keep = np.zeros(len(pairs.score), dtype=bool)
     kept = 0
     for o, scores in enumerate(pairs.scores):
-        above = scores[scores >= cfg.score_floor]
+        above = scores[scores >= score_floor]
         k = len(above)
-        m = math.ceil(cfg.keep_fraction * k)
+        m = math.ceil(keep_fraction * k)
         kept += m
         if m == 0:
             continue

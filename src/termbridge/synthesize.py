@@ -48,7 +48,7 @@ from .core import (
 )
 from .errors import DataError
 from .ingest import RoutingPolicy, ScaleRow
-from .lexical import TokenizerConfig, normalize_string, tokenize
+from .lexical import TOKEN_RE, normalize_string
 
 
 @dataclass(frozen=True)
@@ -126,19 +126,19 @@ def synthesize(
     """The MappingRecords of one concept: one per configured ontology, or
     its claimed records.
 
-    ``exact_concept`` and ``exact_ancestor`` map ontology key -> CURIE ->
-    evidence atoms, as the exact aligners return them; ``cosine_best``
-    maps ontology key -> ScoredPair; ``curation`` maps ontology key ->
-    this concept's curation row.
+    ``ontologies`` are the configured ontology keys, in order, as the dump
+    loader settled them.  ``exact_concept`` and ``exact_ancestor`` map
+    ontology key -> CURIE -> evidence atoms, as the exact aligners return
+    them; ``cosine_best`` maps ontology key -> ScoredPair; ``curation``
+    maps ontology key -> this concept's curation row.
     ``claimed`` maps ontology key -> the records measurement expansion
     built for it; they stand unless a curation row covers that ontology.
     Claimed ontologies outside the configured set are explicit curated
     data and are kept too.
     """
     claimed = claimed or {}
-    configured = sorted(o.upper() for o in ontologies)
     records = []
-    for ontology in configured:
+    for ontology in ontologies:
         row = curation.get(ontology)
         if row is None and ontology in claimed:
             records.extend(claimed[ontology])
@@ -166,7 +166,7 @@ def synthesize(
         else:
             record = _unmapped(concept, ontology, _fallback_reason(concept, decision))
         records.append(record)
-    for ontology in sorted(claimed.keys() - set(configured)):
+    for ontology in sorted(claimed.keys() - set(ontologies)):
         records.extend(claimed[ontology])
     return records
 
@@ -194,11 +194,9 @@ _PRESENCE_TOKENS = {"presence", "screen"}
 
 
 def _has_presence_screen_synonym(concept: ClinicalConcept) -> bool:
-    cfg = TokenizerConfig()
-    for text in concept.synonyms:
-        if _PRESENCE_TOKENS & set(tokenize(normalize_string(text), cfg)):
-            return True
-    return False
+    """Whether a synonym has the word presence or screen, as written: no
+    stopword is dropped and no suffix rule applies."""
+    return any(_PRESENCE_TOKENS.intersection(TOKEN_RE.findall(normalize_string(text))) for text in concept.synonyms)
 
 
 def _derive_counterpart(assignments: list[ResultAssignment]) -> list[ResultAssignment]:
@@ -227,13 +225,12 @@ def expand_measurements(
     Result rows target the assignment's ontology (one row per outcome,
     NORMAL/NEGATIVE rows logically negated).  Auxiliary targets attach
     once per concept.  Unspecified-sample and unknown-result-type are
-    concept-level exclusions covering every configured ontology.  The
-    caller hands these records to ``synthesize`` as its claimed records;
-    any ontology this expansion leaves untouched goes through the
-    standard per-ontology precedence.
+    concept-level exclusions covering every configured ontology, each
+    of ``ontologies`` (keys as the dump loader settled them).  The caller
+    hands these records to ``synthesize`` as its claimed records; any
+    ontology this expansion leaves untouched goes through the standard
+    per-ontology precedence.
     """
-    ontologies = sorted(o.upper() for o in ontologies)
-
     if unspecified_sample:
         records = [
             _unmapped(concept, ontology, UnmappedReason.UNSPECIFIED_SAMPLE)

@@ -5,12 +5,17 @@ and rows follow the file's ``*_COLUMNS`` declaration in
 ``termbridge.ingest``, each field drawn from valid values of its column,
 with corrupted fields, rows and headers mixed in.  ``read(loader, path,
 workdir)`` calls the loader on it, and ``verdict`` says what the call
-ends in: (exception type, code, line, message).  ``tests/test_fuzz.py``
-and ``scripts/ingest_differential.py`` share them.  ``read`` and
-``verdict`` use only loader names that every version of
-``termbridge.ingest`` has, so they also run against another source tree."""
+ends in: (exception type, code, line, message).  ``umls_files(rnd,
+directory)`` writes an MRCONSO.RRF and MRSTY.RRF pair the same way, which
+``read("umls", ...)`` hands to ``load_umls``; its verdict on success
+holds the tables loaded.  ``tests/test_fuzz.py`` and
+``scripts/ingest_differential.py`` share them.  ``read`` and ``verdict``
+use only loader names that every version of ``termbridge.ingest`` has,
+so they also run against another source tree."""
 
 from __future__ import annotations
+
+import json
 
 # Loader -> (its declaration in termbridge.ingest, whether the header is optional).
 DECLARATIONS = {
@@ -116,6 +121,48 @@ def text(loader: str, rnd, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The RRF fields ``load_umls`` reads, by index: MRCONSO's CUI, SAB and
+# CODE, and MRSTY's CUI and STY; the other fields are filler.  The codes
+# are the loaded concepts' (canonical prefix, code) pairs.
+RRF_FIELDS = {
+    "MRCONSO.RRF": (18, {0: "cui", 11: "sab", 13: "code"}),
+    "MRSTY.RRF": (6, {0: "cui", 3: "sty"}),
+}
+RRF_VALID = {
+    "cui": ["C0000001", "C0000002", "C0000003"],
+    "sab": ["SNOMEDCT_US", "SNOMED", "LNC", "LOINC", "MSH", "snomed"],
+    "code": ["11", " 12 ", "1-8", "D1"],
+    "sty": ["Finding", "Disease or Syndrome", ""],
+}
+RRF_CODES = frozenset({("SNOMED", "11"), ("SNOMED", "12"), ("LOINC", "1-8")})
+RRF_CORRUPT = ["", " ", "x", "C12", "c0000001", "X0000001", "BAD SAB", "HP:1", "é", "|"]
+
+
+def _rrf(rnd, width: int, used: dict[int, str]) -> str:
+    """One RRF file: rows of ``width`` fields, those in ``used`` drawn from
+    their pool, with corrupted fields, short rows and blank lines mixed in."""
+    rate = rnd.choice([0.0, 0.03, 0.15])
+    lines = []
+    for _ in range(rnd.randint(0, 6)):
+        fields = [rnd.choice(RRF_VALID[used[i]]) if i in used else "x" for i in range(width)]
+        fields = [rnd.choice(RRF_CORRUPT) if rnd.random() < rate else field for field in fields]
+        roll = rnd.random() / (rate or 1)
+        if roll < 0.02:
+            fields = fields[:rnd.randint(1, width - 1)]
+        elif roll < 0.03:
+            fields = []
+        lines.append("|".join(fields) + (rnd.choice(["|", "|", ""]) if fields else ""))
+    newline = rnd.choice(["\n", "\r\n"])
+    return newline.join(lines) + newline
+
+
+def umls_files(rnd, directory):
+    """Write an MRCONSO.RRF and MRSTY.RRF pair to ``directory``; return the MRCONSO path."""
+    for name, (width, used) in RRF_FIELDS.items():
+        (directory / name).write_text(_rrf(rnd, width, used), encoding="utf-8", newline="")
+    return directory / "MRCONSO.RRF"
+
+
 CHILDREN = (
     "concept_id\tvocabulary\tconcept_code\tlabel\tsynonyms\tdomain\tused_in_practice\trecord_count\n"
     "1\tSNOMED\t11\tA\t\tCONDITION\t1\t3\n"
@@ -152,20 +199,26 @@ def read(loader: str, path, workdir):
         return list(ingest.load_patient_phenotypes(path))
     if loader == "cohort":
         return ingest.load_cohort(path)
+    if loader == "umls":
+        return ingest.load_umls(path, workdir / "MRSTY.RRF", set(RRF_CODES), ingest.default_code_dictionary())
     raise KeyError(loader)
 
 
 def verdict(loader: str, path, workdir):
     """(exception type, code, line, message) of reading ``path``; ("ok",
-    None, None, "") when it loads.  An exception other than the package's
-    is returned by its type name, so a caller can tell it from a coded
-    error."""
+    None, None, tables) when it loads, where tables is "" but for ``umls``,
+    whose tables it gives as sorted JSON.  An exception other than the
+    package's is returned by its type name, so a caller can tell it from a
+    coded error."""
     from termbridge.errors import DataError, ParseError
 
     try:
-        read(loader, path, workdir)
+        result = read(loader, path, workdir)
     except (ParseError, DataError) as exc:
         return type(exc).__name__, exc.code, getattr(exc, "line", None), exc.message
     except Exception as exc:  # noqa: BLE001 - reported, not hidden
         return type(exc).__name__, None, None, str(exc)
-    return "ok", None, None, ""
+    if loader != "umls":
+        return "ok", None, None, ""
+    tables = [sorted(result.atoms_by_code.items()), sorted(result.sty_by_cui.items())]
+    return "ok", None, None, json.dumps(tables)

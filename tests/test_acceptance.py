@@ -23,11 +23,7 @@ from termbridge.align import build_indexes, align_concept
 from termbridge.core import Domain
 from termbridge.evaluate import bucket_errors, partition_coverage, phers
 from termbridge.pipeline import RunConfig, live_classes, run_map
-from termbridge.similarity import (
-    SimilarityConfig,
-    filter_pairs,
-    fit,
-)
+from termbridge.similarity import filter_pairs, fit
 from termbridge.stats import gamma_q, wilcoxon_rank_sum_one_sided
 
 from fixtures import write_condition_fixture, write_measurement_fixture
@@ -216,17 +212,15 @@ def test_criterion_4_similarity_oracle():
                 assert key not in got
 
     for trial in range(1000):
-        cfg = SimilarityConfig(
-            score_floor=rng.choice([0.0, 0.1, 0.25, 0.5]),
-            keep_fraction=rng.choice([0.25, 0.5, 0.75, 1.0]),
-        )
+        score_floor = rng.choice([0.0, 0.1, 0.25, 0.5])
+        keep_fraction = rng.choice([0.25, 0.5, 0.75, 1.0])
         pairs = [
             ScoredPair(i, f"HP:{i:07d}", round(rng.random(), 6))
             for i in range(rng.randint(0, 40))
         ]
-        kept = filter_pairs(best_pairs_of(pairs), cfg)
-        survivors = sum(1 for p in pairs if p.score >= cfg.score_floor)
-        assert len(kept) == math.ceil(cfg.keep_fraction * survivors)
+        kept = filter_pairs(best_pairs_of(pairs), score_floor, keep_fraction)
+        survivors = sum(1 for p in pairs if p.score >= score_floor)
+        assert len(kept) == math.ceil(keep_fraction * survivors)
 
 
 def test_criterion_5_exact_aligner_oracle():

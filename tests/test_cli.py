@@ -347,6 +347,47 @@ class TestMapCommand:
     def test_bad_threshold_is_config_error(self, condition_fixture, tmp_path):
         assert run_map_cli(condition_fixture, tmp_path / "out", extra=["--tau", "2.0"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, interval",
+        [("--tau", "-0.1", "[0, 1]"), ("--tau", "1.5", "[0, 1]"), ("--tau", "nan", "[0, 1]"),
+         ("--rho", "0", "(0, 1]"), ("--rho", "1.5", "(0, 1]"), ("--rho", "nan", "(0, 1]")],
+        ids=["tau-negative", "tau-above_one", "tau-nan", "rho-zero", "rho-above_one", "rho-nan"],
+    )
+    def test_threshold_outside_its_interval_is_config_error(
+        self, condition_fixture, tmp_path, capsys, flag, value, interval
+    ):
+        out = tmp_path / "out"
+        assert run_map_cli(condition_fixture, out, extra=[f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error[BAD_THRESHOLD]: {flag} must lie in {interval}, got {float(value)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("tau", 2), ("rho", 0.0)])
+    def test_threshold_from_config_is_range_checked(self, condition_fixture, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run_map_cli(condition_fixture, out, extra=["--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error[BAD_THRESHOLD]: --{key} must lie in ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [("concepts", "error[NO_SUCH_FILE]: --concepts: "),
+         ("mrsty", "error[MISSING_INPUT]: MRCONSO and MRSTY must be supplied together")],
+    )
+    def test_input_error_reported_before_bad_threshold(self, condition_fixture, tmp_path, capsys, change, error):
+        out = tmp_path / "out"
+        args = map_args(condition_fixture, out, ["--tau", "2"])
+        if change == "concepts":
+            args[args.index("--concepts") + 1] = str(tmp_path / "absent.tsv")
+        else:
+            i = args.index("--umls-mrsty")
+            del args[i:i + 2]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(error)
+        assert not out.exists()
+
     def test_config_file_supplies_flags(self, condition_fixture, tmp_path):
         config = {
             "concepts": condition_fixture["concepts"],

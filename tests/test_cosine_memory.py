@@ -12,7 +12,6 @@ import tracemalloc
 
 from termbridge.core import Domain
 from termbridge.ingest import load_concepts, load_ontology_dump
-from termbridge.lexical import Lemmatize, TokenizerConfig
 from termbridge.pipeline import live_classes
 from termbridge.similarity import build_corpus, fit, score_concept_pairs
 
@@ -25,12 +24,11 @@ def test_cosine_stages_peak_stays_bounded(tmp_path):
     root = _write_scale_fixture(tmp_path, n_concepts=1_000, n_classes=5_000, vocab=3_000)
     concepts = load_concepts(root / "concepts.tsv", Domain.CONDITION).concepts
     classes = live_classes(load_ontology_dump(root / "ontology.jsonl").values())
-    cfg = TokenizerConfig(lemmatize=Lemmatize.SUFFIX_RULES)
 
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        model = fit(build_corpus(concepts.values(), classes, cfg))
+        model = fit(build_corpus(concepts.values(), classes, frozenset()))
         pairs = score_concept_pairs(model, score_floor=0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

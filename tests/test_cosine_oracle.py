@@ -20,10 +20,8 @@ from hypothesis import strategies as st
 
 from termbridge.core import Domain
 from termbridge.ingest import default_code_dictionary, load_concepts, load_ontology_dump
-from termbridge.lexical import Lemmatize, TokenizerConfig
 from termbridge.pipeline import RunConfig, live_classes, run_map
 from termbridge.similarity import (
-    SimilarityConfig,
     best_per_concept,
     build_corpus,
     filter_pairs,
@@ -147,8 +145,7 @@ def _model(root: Path):
     dictionary = default_code_dictionary()
     concepts = load_concepts(root / "concepts.tsv", Domain.CONDITION, None, dictionary).concepts
     classes = load_ontology_dump(root / "ontology.jsonl", dictionary)
-    tok_cfg = TokenizerConfig(stopwords=frozenset(STOPWORDS), lemmatize=Lemmatize.SUFFIX_RULES)
-    return concepts, classes, fit(build_corpus(concepts.values(), live_classes(classes.values()), tok_cfg))
+    return concepts, classes, fit(build_corpus(concepts.values(), live_classes(classes.values()), frozenset(STOPWORDS)))
 
 
 def _reference(root: Path, allowed, tau, rho):
@@ -230,7 +227,7 @@ def test_scoring_in_small_chunks_matches_reference(case, chunk_products):
         chunk_products=chunk_products,
     )
     assert len(scored) == len(scores)
-    filtered = filter_pairs(scored, SimilarityConfig(tau, rho))
+    filtered = filter_pairs(scored, tau, rho)
     assert len(filtered) == len(kept_pairs(scores, tau, rho))
     best = best_per_concept(filtered)
     assert {key: (p.curie, p.score) for key, p in winner_dict(best).items()} == cosine_winners(scores, tau, rho)

@@ -28,6 +28,14 @@ def test_loader_returns_or_raises_a_coded_error(tmp_path, loader, rnd):
     assert kind in ("ok", "ParseError", "DataError"), (kind, message, path.read_text())
 
 
+@settings(max_examples=80, **_SETTINGS)
+@given(rnd=st.randoms(use_true_random=False))
+def test_umls_returns_or_raises_a_coded_error(tmp_path, rnd):
+    path = ingest_fuzz.umls_files(rnd, tmp_path)
+    kind, code, line, message = ingest_fuzz.verdict("umls", path, tmp_path)
+    assert kind in ("ok", "ParseError"), (kind, message, path.read_text())
+
+
 def _map(tmp_path, fixture, rnd):
     domain = rnd.choice(["CONDITION", "MEASUREMENT"])
     argv = [

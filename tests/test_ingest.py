@@ -906,6 +906,11 @@ class TestUndecodableInput:
         assert err.value.line == 3
 
 
+class TestLoadStopwords:
+    def test_words_read_lowercase(self, tmp_path):
+        assert load_stopwords(_write(tmp_path / "stop.txt", "The\nOF\n")) == {"the", "of"}
+
+
 # --- one verdict per loader check ---------------------------------------------
 
 _MAPPINGS_HEADER = (
@@ -1067,6 +1072,14 @@ class TestLoaderVerdicts:
         with pytest.raises(ParseError) as err:
             read(path, tmp_path)
         assert (err.value.code, err.value.line) == verdict
+
+    @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list", "code_map", "ontology"}))
+    def test_byte_order_mark_named(self, tmp_path, loader):
+        header, read = _VERDICT_LOADERS[loader]
+        with pytest.raises(ParseError) as err:
+            read(_write(tmp_path / f"{loader}.tsv", f"\ufeff{header}\n"), tmp_path)
+        assert (err.value.code, err.value.line) == ("MISSING_COLUMN", 1)
+        assert "the header starts with a UTF-8 byte-order mark" in err.value.message
 
     @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list", "code_map", "ontology"}))
     def test_header_checked(self, tmp_path, loader):

@@ -8,9 +8,7 @@ from termbridge.core import CodeRef
 from termbridge.errors import ParseError
 from termbridge.ingest import default_code_dictionary, load_code_dictionary
 from termbridge.lexical import (
-    Lemmatize,
     NormalizationDictionary,
-    TokenizerConfig,
     canonicalize_code,
     normalize_string,
     tokenize,
@@ -127,15 +125,16 @@ class TestNormalizeString:
 
 class TestTokenize:
     def test_plain_split(self):
-        assert tokenize("sore throat symptom", TokenizerConfig()) == ["sore", "throat", "symptom"]
+        assert tokenize("sore throat symptom", frozenset()) == ["sore", "throat", "symptom"]
 
     def test_stopwords_removed(self):
-        cfg = TokenizerConfig(stopwords=frozenset({"in", "the"}))
-        assert tokenize("pain in the throat", cfg) == ["pain", "throat"]
+        assert tokenize("pain in the throat", frozenset({"in", "the"})) == ["pain", "throat"]
 
     def test_suffix_rules_plural(self):
-        cfg = TokenizerConfig(lemmatize=Lemmatize.SUFFIX_RULES)
-        assert tokenize("fractures", cfg) == ["fracture"]
+        assert tokenize("fractures", frozenset()) == ["fracture"]
+
+    def test_stem_that_is_a_stopword_dropped(self):
+        assert tokenize("things thing bones", frozenset({"thing"})) == ["bone"]
 
     @pytest.mark.parametrize(
         "word,expected",
@@ -151,11 +150,10 @@ class TestTokenize:
         ],
     )
     def test_suffix_rule_table(self, word, expected):
-        cfg = TokenizerConfig(lemmatize=Lemmatize.SUFFIX_RULES)
-        assert tokenize(word, cfg) == [expected]
+        assert tokenize(word, frozenset()) == [expected]
 
     def test_punctuation_boundaries(self):
-        assert tokenize("amphetamine [presence] in-urine", TokenizerConfig()) == [
+        assert tokenize("amphetamine [presence] in-urine", frozenset()) == [
             "amphetamine",
             "presence",
             "in",
@@ -164,17 +162,12 @@ class TestTokenize:
 
     def test_output_invariants_random(self):
         stop = frozenset({"the", "of", "and"})
-        cfg = TokenizerConfig(stopwords=stop, lemmatize=Lemmatize.SUFFIX_RULES)
         rng = random.Random(3)
         pool = ["the", "of", "and", "bone", "fractures", "screening", "a1c", "x", ""]
         for _ in range(500):
             s = normalize_string(" ".join(rng.choice(pool) for _ in range(rng.randint(0, 12))))
-            out = tokenize(s, cfg)
+            out = tokenize(s, stop)
             for token in out:
                 assert token
                 assert token not in stop
                 assert token == token.lower()
-
-    def test_stopwords_must_be_lowercase(self):
-        with pytest.raises(ValueError):
-            TokenizerConfig(stopwords=frozenset({"The"}))

@@ -20,15 +20,24 @@ curation row per (concept, ontology) with targets in the loaded dumps,
 and, for the measurement run, scale and target rows.  The measurement
 fixture has no ancestor or curation file, so its run on the added rows
 is given files that hold only those.
+
+Key case: the ontology keys that a run's inputs write are written in
+lowercase: every dump's ``ontology`` field, the curation ``ontology``
+column, the routing ALLOW values and the auxiliary-target keys of the
+measurement targets.  The loaders settle each key's case as they read
+it.  The inputs are the golden and measurement fixtures and perfbench's
+tiny map-ladder inputs.
 """
 
 import importlib
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from termbridge.cli import main
+from termbridge.core import MeasurementOutcome
 
 from test_cli import map_args, measurement_args
 
@@ -175,3 +184,61 @@ def test_other_domain_rows_leave_map_outputs_unchanged(name, tmp_path, condition
     assert main(argv) == 0
     for output in OUTPUTS:
         assert (tmp_path / "after" / output).read_bytes() == (tmp_path / "before" / output).read_bytes(), output
+
+
+_OUTCOMES = {outcome.value for outcome in MeasurementOutcome}
+
+
+def _lower_dump(line: str) -> str:
+    obj = json.loads(line)
+    obj["ontology"] = obj["ontology"].lower()
+    return json.dumps(obj)
+
+
+def _lower_field(column: int, when=lambda fields: True):
+    """A row rewrite that lowercases field ``column`` of the rows ``when`` holds for."""
+    def rewrite(line: str) -> str:
+        fields = line.split("\t")
+        if when(fields):
+            fields[column] = fields[column].lower()
+        return "\t".join(fields)
+    return rewrite
+
+
+# Flag -> (whether its file has a header, the rewrite of each data line).
+_KEY_CASE = {
+    "--ontology": (False, _lower_dump),
+    "--curation": (True, _lower_field(1)),
+    "--routing": (True, _lower_field(2, lambda fields: fields[1].strip().upper() == "ALLOW")),
+    "--measurement-targets": (True, _lower_field(1, lambda fields: fields[1].strip().upper() not in _OUTCOMES)),
+}
+
+
+def _lowercased_keys(argv, to: Path) -> list[str]:
+    """``argv`` with each file that writes ontology keys rewritten under ``to``
+    with those keys in lowercase."""
+    moved = list(argv)
+    for k, (flag, path) in enumerate(zip(argv, argv[1:])):
+        if flag not in _KEY_CASE:
+            continue
+        header, rewrite = _KEY_CASE[flag]
+        lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
+        rewritten = lines[:header] + [rewrite(line) for line in lines[header:]]
+        assert rewritten != lines, (flag, path)
+        moved[k + 1] = str(to / f"{k}-{Path(path).name}")
+        Path(moved[k + 1]).write_text("\n".join(rewritten) + "\n", encoding="utf-8")
+    return moved
+
+
+@pytest.mark.parametrize("name", ["golden", "measurement", "map-ladder"])
+def test_key_case_leaves_map_outputs_unchanged(name, tmp_path, condition_fixture, measurement_fixture, monkeypatch):
+    runs = _fixture_runs(name, tmp_path, condition_fixture, measurement_fixture, monkeypatch)
+    for i, run in enumerate(runs):
+        argv, before = run(tmp_path / f"before{i}")
+        assert main(argv) == 0
+        lowered = tmp_path / f"lowered{i}"
+        lowered.mkdir()
+        argv, after = run(tmp_path / f"after{i}")
+        assert main(_lowercased_keys(argv, lowered)) == 0
+        for output in OUTPUTS:
+            assert (after / output).read_bytes() == (before / output).read_bytes(), (name, i, output)

@@ -12,7 +12,6 @@ from scipy import sparse
 from termbridge.similarity import (
     Corpus,
     ScoredPair,
-    SimilarityConfig,
     best_pairs,
     best_per_concept,
     build_corpus,
@@ -21,7 +20,6 @@ from termbridge.similarity import (
     join_rows,
     score_concept_pairs,
 )
-from termbridge.lexical import TokenizerConfig
 from termbridge.pipeline import live_classes
 
 from reference_cosine import cosine_winners, kept_pairs, row_owners, winner_dict
@@ -95,13 +93,13 @@ def winners_of(best):
     return {key: (p.curie, p.score) for key, p in winner_dict(best).items()}
 
 
-def fused_cut(pairs, cfg, chunk_concepts=1):
+def fused_cut(pairs, score_floor, keep_fraction, chunk_concepts=1):
     """The reference cut's kept table (ScoredPair objects, in rank order),
     after checking the fused ``filter_pairs`` against it: it stands for as
     many pairs, and its winners are the kept pairs' argmax."""
     scores = {(p.concept_id, p.curie): p.score for p in pairs}
-    kept = [ScoredPair(*row) for row in kept_pairs(scores, cfg.score_floor, cfg.keep_fraction)]
-    filtered = filter_pairs(best_pairs_of(pairs, chunk_concepts=chunk_concepts), cfg)
+    kept = [ScoredPair(*row) for row in kept_pairs(scores, score_floor, keep_fraction)]
+    filtered = filter_pairs(best_pairs_of(pairs, chunk_concepts=chunk_concepts), score_floor, keep_fraction)
     assert len(filtered) == len(kept)
     kept_scores = {(p.concept_id, p.curie): p.score for p in kept}
     assert winners_of(best_per_concept(filtered)) == cosine_winners(kept_scores, 0.0, 1.0)
@@ -417,29 +415,29 @@ def _pair(cid, curie, score):
 class TestFilterPairs:
     def test_worked_example(self):
         pairs = [_pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.5), _pair(3, "HP:3", 0.3), _pair(4, "HP:4", 0.2)]
-        kept = fused_cut(pairs, SimilarityConfig(0.25, 0.75))
+        kept = fused_cut(pairs, 0.25, 0.75)
         assert [p.score for p in kept] == [0.9, 0.5, 0.3]
 
     def test_all_below_floor(self):
         pairs = [_pair(1, "HP:1", 0.1), _pair(2, "HP:2", 0.2)]
-        assert fused_cut(pairs, SimilarityConfig(0.25, 0.75)) == []
+        assert fused_cut(pairs, 0.25, 0.75) == []
 
     def test_keep_fraction_one_is_identity_on_survivors(self):
         pairs = [_pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.1), _pair(3, "HP:3", 0.5)]
-        kept = fused_cut(pairs, SimilarityConfig(0.25, 1.0))
+        kept = fused_cut(pairs, 0.25, 1.0)
         assert [p.score for p in kept] == [0.9, 0.5]
 
     def test_size_formula_randomized(self):
         rng = random.Random(12)
-        cfgs = [SimilarityConfig(0.25, 0.75), SimilarityConfig(0.1, 0.5), SimilarityConfig(0.0, 1.0)]
+        cuts = [(0.25, 0.75), (0.1, 0.5), (0.0, 1.0)]
         for trial in range(1000):
-            cfg = cfgs[trial % len(cfgs)]
+            score_floor, keep_fraction = cuts[trial % len(cuts)]
             pairs = [
                 _pair(i, f"HP:{i:07d}", round(rng.random(), 6)) for i in range(rng.randint(0, 50))
             ]
-            kept = fused_cut(pairs, cfg, chunk_concepts=trial % 4 + 1)
-            survivors = [p for p in pairs if p.score >= cfg.score_floor]
-            assert len(kept) == math.ceil(cfg.keep_fraction * len(survivors))
+            kept = fused_cut(pairs, score_floor, keep_fraction, chunk_concepts=trial % 4 + 1)
+            survivors = [p for p in pairs if p.score >= score_floor]
+            assert len(kept) == math.ceil(keep_fraction * len(survivors))
             assert set(kept) <= set(pairs)
             assert all(kept[i].score >= kept[i + 1].score for i in range(len(kept) - 1))
 
@@ -448,16 +446,10 @@ class TestFilterPairs:
             _pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.8), _pair(3, "HP:3", 0.7), _pair(4, "HP:4", 0.6),
             _pair(1, "MONDO:1", 0.3),
         ]
-        kept = fused_cut(pairs, SimilarityConfig(0.25, 0.75))
+        kept = fused_cut(pairs, 0.25, 0.75)
         assert [(p.curie, p.score) for p in kept] == [
             ("HP:1", 0.9), ("HP:2", 0.8), ("HP:3", 0.7), ("MONDO:1", 0.3)
         ]
-
-    def test_bad_config(self):
-        with pytest.raises(ValueError):
-            SimilarityConfig(score_floor=1.5, keep_fraction=0.75)
-        with pytest.raises(ValueError):
-            SimilarityConfig(score_floor=0.25, keep_fraction=0.0)
 
 
 class TestBestPerConcept:
@@ -512,7 +504,7 @@ def cut_inputs(draw):
     score_floor = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
     filter_floor = draw(st.sampled_from([f for f in (0.0, 0.1, 0.25, 0.5, 0.7) if f >= score_floor]))
     keep_fraction = draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.75, 1.0]))
-    return scores, score_floor, SimilarityConfig(filter_floor, keep_fraction), draw(st.integers(1, 3))
+    return scores, score_floor, (filter_floor, keep_fraction), draw(st.integers(1, 3))
 
 
 class TestFusedCut:
@@ -524,28 +516,28 @@ class TestFusedCut:
     )
     @given(cut_inputs())
     def test_matches_reference(self, inputs):
-        scores, score_floor, cfg, chunk_concepts = inputs
+        scores, score_floor, (filter_floor, keep_fraction), chunk_concepts = inputs
         pairs = [ScoredPair(cid, curie, score) for (cid, curie), score in scores.items()]
         scored = best_pairs_of(pairs, score_floor, chunk_concepts)
         assert len(scored) == len(scores)
-        filtered = filter_pairs(scored, cfg)
-        assert len(filtered) == len(kept_pairs(scores, cfg.score_floor, cfg.keep_fraction))
+        filtered = filter_pairs(scored, filter_floor, keep_fraction)
+        assert len(filtered) == len(kept_pairs(scores, filter_floor, keep_fraction))
         best = best_per_concept(filtered)
-        winners = cosine_winners(scores, cfg.score_floor, cfg.keep_fraction)
+        winners = cosine_winners(scores, filter_floor, keep_fraction)
         assert winners_of(best) == winners
         assert len(best) == len(winners)
 
     def test_filter_floor_under_scoring_floor(self):
         scored = best_pairs_of([_pair(1, "HP:1", 0.3)], score_floor=0.25)
         with pytest.raises(ValueError):
-            filter_pairs(scored, SimilarityConfig(0.1, 0.75))
+            filter_pairs(scored, 0.1, 0.75)
 
 
 class TestCorpusAndDump:
     def test_build_corpus_covers_both_sides(self):
         c = concept(1, CodeRef("SNOMED", "1"), "Sore Throat", synonyms=["Pharyngitis pain"])
         k = klass("HP:0000001", "Throat pain")
-        docs = documents(build_corpus([c], [k], TokenizerConfig()))
+        docs = documents(build_corpus([c], [k], frozenset()))
         assert [owner for owner, _ in docs] == [1, 1, "HP:0000001"]
         # the label's row comes before the synonym's
         assert [tokens for _, tokens in docs] == [
@@ -556,5 +548,5 @@ class TestCorpusAndDump:
 
     def test_deprecated_classes_skipped(self):
         k = klass("HP:0000001", "Throat pain", deprecated=True)
-        corpus = build_corpus([], live_classes([k]), TokenizerConfig())
+        corpus = build_corpus([], live_classes([k]), frozenset())
         assert len(corpus) == 0 and documents(corpus) == []

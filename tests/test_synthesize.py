@@ -329,6 +329,11 @@ class TestDeriveResultType:
         c = _concept(1, domain=Domain.MEASUREMENT, synonyms=["Drug screen panel"])
         assert derive_result_type(c, None) is ResultType.POSITIVE_NEGATIVE
 
+    def test_presence_and_screen_read_as_written(self):
+        # The words are compared raw: no suffix rule turns these into the two words.
+        c = _concept(1, domain=Domain.MEASUREMENT, synonyms=["Drug screening", "Presences noted"])
+        assert derive_result_type(c, None) is ResultType.UNKNOWN_RESULT_TYPE
+
     def test_quantitative_scale(self):
         c = _concept(1, domain=Domain.MEASUREMENT)
         assert (

@@ -32,9 +32,9 @@ def winner_table(pairs):
 )
 @given(cut_inputs())
 def test_cursor_gives_each_concepts_winners(inputs):
-    scores, score_floor, cfg, chunk_concepts = inputs
+    scores, score_floor, (filter_floor, keep_fraction), chunk_concepts = inputs
     pairs = [ScoredPair(cid, curie, score) for (cid, curie), score in scores.items()]
-    filtered = filter_pairs(best_pairs_of(pairs, score_floor, chunk_concepts), cfg)
+    filtered = filter_pairs(best_pairs_of(pairs, score_floor, chunk_concepts), filter_floor, keep_fraction)
     table = winner_table(filtered)
     winners = best_per_concept(filtered)
     assert len(winners) == len(table)
