@@ -75,8 +75,8 @@ _ARGUMENTS = {
 
 def _build_parser(flags) -> _Parser:
     """The parser of every command, with the flags in ``flags`` (config key
-    -> RunConfig field) that each command takes.  A flag left out is not in
-    the parsed namespace."""
+    -> RunConfig field) that each command takes, each number's help ending
+    in its interval.  A flag left out is not in the parsed namespace."""
     # --help shows the docstring (absent under -OO) without its last paragraph, on imports.
     parser = _Parser(prog="termbridge", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -86,11 +86,12 @@ def _build_parser(flags) -> _Parser:
         for key, f in flags.items():
             if command not in f.metadata["commands"]:
                 continue
-            kind, text = f.metadata["kind"], f.metadata["help"]
+            kind, text, interval = f.metadata["kind"], f.metadata["help"], f.metadata["within"]
             if isinstance(text, dict):
                 text = text[command]
+            text = text and text % {"default": f.default} + (f"; must lie in {interval}" if interval else "")
             parse = _ARGUMENTS[kind] if kind in _ARGUMENTS else {"choices": [m.value for m in kind]}
-            p.add_argument("--" + key.replace("_", "-"), help=text and text % {"default": f.default}, **parse)
+            p.add_argument("--" + key.replace("_", "-"), help=text, **parse)
     return parser
 
 

@@ -283,16 +283,6 @@ class ResultAssignment:
     curie: str
 
 
-@dataclass(frozen=True)
-class MeasurementResultSpec:
-    """Scale/result typing of a measurement plus its per-outcome targets."""
-
-    concept_id: int
-    scale: MeasurementScale
-    result_type: ResultType
-    assignments: tuple[ResultAssignment, ...] = ()
-
-
 _ATOM_RE = re.compile(r"^(NOT\((\d+)\)|(\d+))$")
 _EXPR_RE = re.compile(r"^(AND|OR)\((.+)\)$")
 
@@ -327,6 +317,20 @@ def and_logic(n: int) -> str:
     return "AND(" + ",".join(str(i) for i in range(n)) + ")" if n >= 2 else ""
 
 
+def logic_rule(logic: str, n: int) -> str | None:
+    """The logic rule that ``logic`` over ``n`` targets breaks, or None:
+    it is empty for no target, empty or ``NOT(0)`` for one, and for more
+    refers to each target exactly once."""
+    # "" and NOT(0) need no parse: they suit one target, and "" suits none.
+    if n < 2 and logic in ("", "NOT(0)"):
+        return "logic coverage" if logic and not n else None
+    try:
+        refs = parse_logic(logic)
+    except ValueError:
+        return "logic syntax"
+    return "logic coverage" if n < 2 or sorted(refs) != list(range(n)) else None
+
+
 @dataclass(frozen=True)
 class Violation:
     """First invariant a record breaks, with the offending field path."""
@@ -354,16 +358,9 @@ def check_mapping(category, logic, targets, score, unmapped_reason, evidence) ->
     if (unmapped_reason is None) == (count == 0):
         return Violation("unmapped consistency", "unmapped_reason")
 
-    # "" and NOT(0) need no parse: they suit one target, and "" suits none.
-    if count == 2 or logic not in ("", "NOT(0)"):
-        try:
-            refs = parse_logic(logic)
-        except ValueError:
-            return Violation("logic syntax", "logic")
-        if count != 2 or sorted(refs) != list(range(n)):
-            return Violation("logic coverage", "logic")
-    elif logic and not count:
-        return Violation("logic coverage", "logic")
+    rule = logic_rule(logic, n)
+    if rule is not None:
+        return Violation(rule, "logic")
 
     if (score is None) == (category.justification is Justification.SIMILARITY):
         return Violation("score presence", "score")

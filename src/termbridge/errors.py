@@ -4,8 +4,8 @@ Every error carries a short machine-readable ``code`` (stable, uppercase),
 one of those its class declares with its CLI exit code, plus a human
 message.  Parse errors additionally carry the file and, where one row is
 at fault, its 1-based line number, so batch logs point at the offending
-row.  ``open_text`` opens every input file, so bytes that are not UTF-8
-end in a ``ParseError``.
+row.  ``open_text`` opens every input file, so bytes that are not UTF-8,
+and a leading byte-order mark, end in a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -65,11 +65,13 @@ class DataError(TermbridgeError):
 
 @contextmanager
 def open_text(path, newline=None):
-    """``path`` opened as UTF-8 text.  Bytes that do not decode, met while
-    the file is read, are ParseError ``BAD_ENCODING`` naming the file and
-    the line that holds them."""
+    """``path`` opened as UTF-8 text.  A leading UTF-8 byte-order mark is
+    ParseError ``BAD_ENCODING`` at line 1, and so are bytes that do not
+    decode, met while the file is read, at the line that holds them."""
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
+            if fh.buffer.peek(3).startswith(b"\xef\xbb\xbf"):
+                raise ParseError("BAD_ENCODING", "the file starts with a UTF-8 byte-order mark", str(path), 1)
             yield fh
     except UnicodeDecodeError as exc:
         line = _undecodable_line(path)

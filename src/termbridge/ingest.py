@@ -1,8 +1,9 @@
 """Parsers for every external input.
 
 All parsers stream line by line and carry 1-based line numbers on errors.
-Files are opened by ``errors.open_text``: bytes that are not UTF-8 are a
-``BAD_ENCODING`` error naming the file and line.
+Files are opened by ``errors.open_text``: bytes that are not UTF-8, and a
+leading UTF-8 byte-order mark, are a ``BAD_ENCODING`` error naming the
+file and line.
 
 Each TSV declares its columns once, below, as ``*_COLUMNS``: (name,
 parse) pairs in file order.  ``_read_rows`` checks the header against the
@@ -78,6 +79,7 @@ from .core import (
     check_mapping,
     curie_ontology,
     is_code_prefix,
+    logic_rule,
     parse_curie,
 )
 from .errors import ParseError, open_text
@@ -218,8 +220,8 @@ PREVALENCE_FLOOR = 100
 
 @dataclass(frozen=True)
 class CurationRow:
-    concept_id: int
-    ontology: str
+    """One curation row, filed under its concept id and ontology key."""
+
     targets: tuple[str, ...]
     logic: str
     evidence: str
@@ -249,7 +251,6 @@ class RoutingPolicy:
 
 @dataclass(frozen=True)
 class ScaleRow:
-    concept_id: int
     scale: MeasurementScale
     reference_range_kind: str  # NUMERIC | POS_NEG | NONE
 
@@ -315,11 +316,10 @@ def _read_rows(path, columns, header_optional=False):
 
     The first line must be the declared names, in order; where the header
     is optional, a first line that starts with the first name is skipped
-    and any other is a row.  A required header that starts with a UTF-8
-    byte-order mark is rejected as such.  Every row must have one field
-    per column.  Each field whose column declares a parser comes
-    converted; a ``ValueError`` or ``KeyError`` from the parser is
-    ``MALFORMED_ROW`` naming the column.
+    and any other is a row.  Every row must have one field per column.
+    Each field whose column declares a parser comes converted; a
+    ``ValueError`` or ``KeyError`` from the parser is ``MALFORMED_ROW``
+    naming the column.
     """
     names = [column[0] for column in columns]
     parsers = [(i, column[1]) for i, column in enumerate(columns) if column[1] is not None]
@@ -330,8 +330,6 @@ def _read_rows(path, columns, header_optional=False):
             header = fh.readline()
             if not header:
                 raise ParseError("MISSING_COLUMN", "empty file, header required", str(path), 1)
-            if header.startswith("\ufeff"):
-                raise ParseError("MISSING_COLUMN", "the header starts with a UTF-8 byte-order mark", str(path), 1)
             cols = header.rstrip("\n").split("\t")
             for want in names:
                 if want not in cols:
@@ -631,8 +629,10 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
     keys the dump loader settled.  Each target must be a CURIE whose
     ontology is the row's.  Targets outside ``known_curies`` (when given,
     as the loaded classes by CURIE) are reported, not rejected: curation
-    may legitimately reference classes newer than the loaded dump.  A
-    (concept, ontology) pair has one row, in any domain: a second is
+    may legitimately reference classes newer than the loaded dump.  The
+    logic must fit the targets as a mapping's does (``core.logic_rule``),
+    so a row with a reason, which has no targets, has none.  A (concept,
+    ontology) pair has one row, in any domain: a second is
     ``CONFLICTING_CURATION`` naming its line.
     """
     rows: dict[int, dict[str, CurationRow]] = {}
@@ -649,6 +649,9 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
         if not targets and reason is None:
             raise ParseError("MALFORMED_ROW", "row has neither targets nor reason", str(path), lineno)
         logic = logic or and_logic(len(targets))
+        rule = logic_rule(logic, len(targets))
+        if rule is not None:
+            raise ParseError("MALFORMED_ROW", f"bad logic {logic!r}: {rule}", str(path), lineno)
         for t in targets:
             if curie_ontology(t) != ontology:
                 raise ParseError("MALFORMED_ROW", f"bad targets {t!r}: not a {ontology} class", str(path), lineno)
@@ -658,7 +661,7 @@ def load_curation(path, known_ontologies, known_curies=None) -> CurationLoad:
         if ontology in by_ontology:
             message = f"two curation rows for concept {concept_id} / {ontology}"
             raise ParseError("CONFLICTING_CURATION", message, str(path), lineno)
-        by_ontology[ontology] = CurationRow(concept_id, ontology, targets, logic, evidence, reason)
+        by_ontology[ontology] = CurationRow(targets, logic, evidence, reason)
     return CurationLoad(rows=rows, unknown_targets=tuple(sorted(set(unknown_targets))))
 
 
@@ -694,11 +697,10 @@ def load_routing_policy(path, configured_ontologies) -> RoutingPolicy:
 
 def load_measurement_scales(path) -> dict[int, ScaleRow]:
     rows = {}
-    for lineno, fields in _read_rows(path, SCALE_COLUMNS):
-        row = ScaleRow(*fields)
-        if row.concept_id in rows:
-            raise ParseError("DUPLICATE_ID", f"concept {row.concept_id} repeated", str(path), lineno)
-        rows[row.concept_id] = row
+    for lineno, (concept_id, *fields) in _read_rows(path, SCALE_COLUMNS):
+        if concept_id in rows:
+            raise ParseError("DUPLICATE_ID", f"concept {concept_id} repeated", str(path), lineno)
+        rows[concept_id] = ScaleRow(*fields)
     return rows
 
 

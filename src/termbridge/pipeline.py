@@ -1,17 +1,17 @@
 """End-to-end batch runs behind the CLI: mapping, coverage, phenotype scores.
 
 The whole pipeline is seed-free, single-threaded and deterministic.
-``map`` streams its records: it takes concepts in ascending id, sorts
-each concept's records by (ontology, outcome, targets), and validates,
-writes and tallies them before it builds the next concept's, so rows
-come out in one global order without every record being held.  Per
-concept, the exact aligners return ontology key -> CURIE -> evidence
-atoms: concept-level hits for the routed ontologies, then ancestor hits
-for those still without one, each ancestor aligned once per run.
-``synthesize`` builds each record with its evidence in canonical order,
-and ``ingest.mapping_line`` renders its row once ``validate_record`` has
-checked it; ``coverage`` and ``export-sssom`` read rows back under the
-same rules.  All serialization is stable (sorted keys, fixed float
+``map`` streams its records: it takes concepts in ascending id, and
+``synthesize`` builds each concept's records in (ontology, outcome)
+order, which ``map`` validates, writes and tallies before it builds the
+next concept's, so rows come out in one global order without every
+record being held.  Per concept, the exact aligners return ontology key
+-> CURIE -> evidence atoms: concept-level hits for the routed
+ontologies, then ancestor hits for those still without one, each
+ancestor aligned once per run.  ``synthesize`` builds each record with
+its evidence in canonical order, and ``ingest.mapping_line`` renders its
+row once ``validate_record`` has checked it; ``coverage`` and
+``export-sssom`` read rows back under the same rules.  All serialization is stable (sorted keys, fixed float
 formatting).  Two runs on identical inputs produce byte-identical files.
 Every input is read by ``ingest``.
 
@@ -35,7 +35,6 @@ from .core import (
     Domain,
     MappingCategory,
     MappingRecord,
-    OUTCOME_ORDER,
     UnmappedReason,
     validate_record,
 )
@@ -153,9 +152,7 @@ class RunConfig:
     prevalence: str | None = _flag("input", _COVERAGE, "per-site concept frequencies (TSV)", required=True)
     newer_cdm: str | None = _flag("input", _COVERAGE, "concept ids recovered in a newer CDM, one per line")
     excluded: str | None = _flag("input", _COVERAGE, "purposefully excluded concept ids, one per line")
-    alpha: float = _flag(
-        float, _COVERAGE, "family-wise alpha, strictly between 0 and 1 (default %(default)s)", 0.05, within="(0, 1)"
-    )
+    alpha: float = _flag(float, _COVERAGE, "family-wise alpha (default %(default)s)", 0.05, within="(0, 1)")
     weights: str | None = _flag("input", _PHERS, "phenotype weight table (TSV)", required=True)
     patients: str | None = _flag("input", _PHERS, "patient phenotype rows (TSV)", required=True)
     cohort: str | None = _flag("input", _PHERS, "patient group assignments (TSV)", required=True)
@@ -351,19 +348,12 @@ def run_map(cfg: RunConfig) -> Path:
         def stream():
             """Each record's row, validated and tallied, one concept at a time.
 
-            Records sort by concept id first and concepts are taken in
-            ascending id, so sorting each concept's records gives the
-            global order.  Only one concept's records are alive at once.
+            Concepts are taken in ascending id and ``synthesize`` gives
+            each concept's records in row order, so the rows come out in
+            the global order.  Only one concept's records are alive at once.
             """
             for concept_id in sorted(concepts):
                 (records,) = _parallel_map(process, (concept_id,), cfg.jobs)
-                records.sort(
-                    key=lambda r: (
-                        r.ontology,
-                        OUTCOME_ORDER[r.outcome] if r.outcome else -1,
-                        r.targets,
-                    )
-                )
                 for record in records:
                     violation = validate_record(record)
                     if violation is not None:

@@ -65,7 +65,6 @@ IDF_VARIANT = "ln((1+N)/(1+df))+1, tf=count, l2"
 
 @dataclass(frozen=True)
 class ScoredPair:
-    concept_id: int
     curie: str
     score: float
 
@@ -544,7 +543,7 @@ class Winners:
             return {}
         a, b = self.start[i:i + 2].tolist()
         return {
-            self.ontologies[o]: ScoredPair(concept_id, self.curies[c], score)
+            self.ontologies[o]: ScoredPair(self.curies[c], score)
             for o, c, score in zip(
                 self.ontology[a:b].tolist(), self.cls[a:b].tolist(), self.score[a:b].tolist()
             )

@@ -33,7 +33,6 @@ from .core import (
     MappingLevel,
     MappingRecord,
     MeasurementOutcome,
-    MeasurementResultSpec,
     MeasurementScale,
     NEGATED_OUTCOMES,
     OUTCOME_ORDER,
@@ -123,22 +122,26 @@ def synthesize(
     ontologies,
     claimed=None,
 ) -> list[MappingRecord]:
-    """The MappingRecords of one concept: one per configured ontology, or
-    its claimed records.
+    """The MappingRecords of one concept, in ``mappings.tsv`` row order:
+    one per configured ontology, or its claimed records.
 
-    ``ontologies`` are the configured ontology keys, in order, as the dump
-    loader settled them.  ``exact_concept`` and ``exact_ancestor`` map
+    ``ontologies`` are the configured ontology keys, as the dump loader
+    settled them.  ``exact_concept`` and ``exact_ancestor`` map
     ontology key -> CURIE -> evidence atoms, as the exact aligners return
     them; ``cosine_best`` maps ontology key -> ScoredPair; ``curation``
     maps ontology key -> this concept's curation row.
     ``claimed`` maps ontology key -> the records measurement expansion
-    built for it; they stand unless a curation row covers that ontology.
-    Claimed ontologies outside the configured set are explicit curated
-    data and are kept too.
+    built for it, in row order; they stand unless a curation row covers
+    that ontology.  Claimed ontologies outside the configured set are
+    explicit curated data and are kept too.
+
+    The configured and claimed keys are walked in one ascending loop, and
+    each (ontology, outcome) holds at most one record, the one of no
+    outcome first, so the records need no sort.
     """
     claimed = claimed or {}
     records = []
-    for ontology in ontologies:
+    for ontology in sorted(claimed.keys() | set(ontologies)):
         row = curation.get(ontology)
         if row is None and ontology in claimed:
             records.extend(claimed[ontology])
@@ -166,8 +169,6 @@ def synthesize(
         else:
             record = _unmapped(concept, ontology, _fallback_reason(concept, decision))
         records.append(record)
-    for ontology in sorted(claimed.keys() - set(ontologies)):
-        records.extend(claimed[ontology])
     return records
 
 
@@ -219,35 +220,28 @@ def expand_measurements(
     aux_targets,
     ontologies,
     unspecified_sample: bool = False,
-) -> tuple[list[MappingRecord], MeasurementResultSpec | None]:
-    """Per-result mapping rows plus the measurement's result spec.
+) -> tuple[list[MappingRecord]]:
+    """The records measurement expansion claims for one concept.
 
     Result rows target the assignment's ontology (one row per outcome,
     NORMAL/NEGATIVE rows logically negated).  Auxiliary targets attach
-    once per concept.  Unspecified-sample and unknown-result-type are
-    concept-level exclusions covering every configured ontology, each
-    of ``ontologies`` (keys as the dump loader settled them).  The caller
-    hands these records to ``synthesize`` as its claimed records; any
-    ontology this expansion leaves untouched goes through the standard
-    per-ontology precedence.
+    once per concept, one record per ontology.  Unspecified-sample and
+    unknown-result-type are concept-level exclusions covering every
+    configured ontology, each of ``ontologies`` (keys as the dump loader
+    settled them).  The caller hands these records to ``synthesize`` as
+    its claimed records; any ontology this expansion leaves untouched goes
+    through the standard per-ontology precedence.
+
+    Within an ontology the records come in row order: its auxiliary
+    record, which has no outcome, then its result rows in outcome order.
     """
+    # The records are the only item of a tuple: perfbench's tracer reads item 0.
     if unspecified_sample:
-        records = [
-            _unmapped(concept, ontology, UnmappedReason.UNSPECIFIED_SAMPLE)
-            for ontology in ontologies
-        ]
-        return records, None
+        return ([_unmapped(concept, ontology, UnmappedReason.UNSPECIFIED_SAMPLE) for ontology in ontologies],)
 
     result_type = derive_result_type(concept, scale_row)
-    scale = scale_row.scale if scale_row is not None else MeasurementScale.UNKNOWN
-
     if result_type is ResultType.UNKNOWN_RESULT_TYPE:
-        spec = MeasurementResultSpec(concept.concept_id, scale, result_type, ())
-        records = [
-            _unmapped(concept, ontology, UnmappedReason.NOT_MAPPED_TEST_TYPE)
-            for ontology in ontologies
-        ]
-        return records, spec
+        return ([_unmapped(concept, ontology, UnmappedReason.NOT_MAPPED_TEST_TYPE) for ontology in ontologies],)
 
     wanted = RESULT_TYPE_OUTCOMES[result_type]
     rows = [a for a in assignments if a.outcome in wanted]
@@ -265,9 +259,15 @@ def expand_measurements(
             f"concept {concept.concept_id} typed {result_type.value} has no result targets",
         )
     rows.sort(key=lambda a: OUTCOME_ORDER[a.outcome])
-    spec = MeasurementResultSpec(concept.concept_id, scale, result_type, tuple(rows))
 
-    records = []
+    aux_by_ontology: dict[str, set[str]] = defaultdict(set)
+    for curie in aux_targets:
+        aux_by_ontology[curie_ontology(curie)].add(curie)
+    evidence = (EvidenceAtom(EvidenceKind.MANUAL_SOURCE, "measurement annotation"),)
+    records = [
+        _record(concept, ontology, Justification.CURATION, MappingLevel.CONCEPT, tuple(sorted(curies)), evidence)
+        for ontology, curies in sorted(aux_by_ontology.items())
+    ]
     for a in rows:
         evidence = (EvidenceAtom(EvidenceKind.MANUAL_SOURCE, f"result {a.outcome.value} assignment"),)
         logic = "NOT(0)" if a.outcome in NEGATED_OUTCOMES else None
@@ -277,13 +277,4 @@ def expand_measurements(
                 logic, outcome=a.outcome,
             )
         )
-
-    aux_by_ontology: dict[str, set[str]] = defaultdict(set)
-    for curie in aux_targets:
-        aux_by_ontology[curie_ontology(curie)].add(curie)
-    evidence = (EvidenceAtom(EvidenceKind.MANUAL_SOURCE, "measurement annotation"),)
-    for ontology, curies in sorted(aux_by_ontology.items()):
-        records.append(
-            _record(concept, ontology, Justification.CURATION, MappingLevel.CONCEPT, tuple(sorted(curies)), evidence)
-        )
-    return records, spec
+    return (records,)

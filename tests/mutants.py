@@ -1,0 +1,90 @@
+"""The mutation catalogue: named faults in ``src/termbridge``, each with the
+tests that catch it.
+
+A mutant names a file under ``src/termbridge``, an exact snippet of it,
+the snippet's replacement and the ids of the tests expected to fail once
+the replacement is made.  ``tests/test_mutants.py`` checks on every run
+that each snippet occurs exactly once in its file, so a refactor that
+rewrites guarded code must port or retire the mutant with it.  With
+``TERMBRIDGE_MUTANTS=1`` it also applies each mutant to a copy of
+``src/`` and runs the mutant's tests against the copy, which must fail.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/termbridge
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_ROW_ORDER = "tests/test_synthesize.py::TestExpandMeasurements::test_records_come_in_row_order"
+_BOM = "tests/test_ingest.py::TestLoaderVerdicts::test_byte_order_mark_named"
+_VERDICT = "tests/test_ingest.py::TestLoaderVerdicts::test_verdict"
+_LIVE = "return sorted((cls for cls in classes if not cls.deprecated), key=lambda cls: cls.curie)"
+
+MUTANTS = [
+    Mutant(
+        "synthesize-walks-configured-ontologies-only",
+        "synthesize.py",
+        "for ontology in sorted(claimed.keys() | set(ontologies)):",
+        "for ontology in sorted(ontologies):",
+        (_ROW_ORDER,),
+    ),
+    Mutant(
+        "expand-puts-auxiliary-records-last",
+        "synthesize.py",
+        "return (records,)",
+        "return (records[len(aux_by_ontology):] + records[:len(aux_by_ontology)],)",
+        (_ROW_ORDER,),
+    ),
+    Mutant(
+        "curation-logic-unchecked",
+        "ingest.py",
+        "rule = logic_rule(logic, len(targets))",
+        "rule = None",
+        (
+            f"{_VERDICT}[curation-logic_syntax]",
+            f"{_VERDICT}[curation-logic_misses_a_target]",
+            f"{_VERDICT}[curation-logic_over_one_target]",
+            f"{_VERDICT}[curation-logic_with_a_reason]",
+            "tests/test_ingest.py::TestLoadCuration::test_logic_named",
+        ),
+    ),
+    Mutant(
+        "byte-order-mark-read-as-text",
+        "errors.py",
+        'if fh.buffer.peek(3).startswith(b"\\xef\\xbb\\xbf"):',
+        "if False:",
+        (f"{_BOM}[stopwords]", f"{_BOM}[concepts]", f"{_BOM}[ontology]", f"{_BOM}[mrconso]"),
+    ),
+    Mutant(
+        "dump-ontology-key-kept-as-written",
+        "ingest.py",
+        'sys.intern(obj["ontology"].upper())',
+        'sys.intern(obj["ontology"])',
+        (
+            "tests/test_metamorphic.py::test_key_case_leaves_map_outputs_unchanged[golden]",
+            "tests/test_metamorphic.py::test_key_case_leaves_map_outputs_unchanged[measurement]",
+        ),
+    ),
+    Mutant(
+        "live-classes-keep-deprecated",
+        "pipeline.py",
+        _LIVE,
+        "return sorted(classes, key=lambda cls: cls.curie)",
+        ("tests/test_cli.py::TestMapCommand::test_deprecated_class_is_a_curation_target_only",),
+    ),
+    Mutant(
+        "live-classes-unsorted",
+        "pipeline.py",
+        _LIVE,
+        "return [cls for cls in classes if not cls.deprecated]",
+        ("tests/test_align.py::TestBuildIndexes::test_curies_sorted_whatever_the_class_order",),
+    ),
+]

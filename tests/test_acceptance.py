@@ -30,7 +30,7 @@ from fixtures import write_condition_fixture, write_measurement_fixture
 from reference_coverage import site_table
 from test_align import oracle_align, random_fixture
 from test_similarity import (
-    ScoredPair,
+    Pair,
     best_pairs_of,
     corpus_of,
     dense_best_scores,
@@ -215,7 +215,7 @@ def test_criterion_4_similarity_oracle():
         score_floor = rng.choice([0.0, 0.1, 0.25, 0.5])
         keep_fraction = rng.choice([0.25, 0.5, 0.75, 1.0])
         pairs = [
-            ScoredPair(i, f"HP:{i:07d}", round(rng.random(), 6))
+            Pair(i, f"HP:{i:07d}", round(rng.random(), 6))
             for i in range(rng.randint(0, 40))
         ]
         kept = filter_pairs(best_pairs_of(pairs), score_floor, keep_fraction)

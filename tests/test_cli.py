@@ -334,6 +334,20 @@ class TestMapCommand:
         assert f"error[MALFORMED_ROW]: bad targets 'MONDO:0001414': not a HP class [{curation}:{len(lines) + 1}]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", ["439140\tMONDO\tAND(0\tMONDO:0001414|MONDO:0008157\tx\t",
+                                     "9999999\tHP\tNOT(0)\t\tx\tINJURY"])
+    def test_curation_logic_that_does_not_fit_is_parse_error(self, row, tmp_path, condition_fixture, capsys):
+        # Checked where the file is read, also on a row no concept of the run reads.
+        curation = tmp_path / "curation.tsv"
+        lines = Path(condition_fixture["curation"]).read_text().splitlines()
+        curation.write_text("\n".join([*lines, row]) + "\n")
+        out = tmp_path / "out"
+        assert run_map_cli(dict(condition_fixture, curation=str(curation)), out) == 2
+        err = capsys.readouterr().err
+        assert f"error[MALFORMED_ROW]: bad logic '{row.split(chr(9))[2]}': " in err
+        assert f"[{curation}:{len(lines) + 1}]" in err
+        assert not out.exists()
+
     def test_curation_target_without_local_id_is_parse_error(self, tmp_path, condition_fixture, capsys):
         curation = tmp_path / "curation.tsv"
         lines = Path(condition_fixture["curation"]).read_text().splitlines()
@@ -1519,8 +1533,8 @@ _FLAGS = {
         ("--measurement-scales", "MEASUREMENT_SCALES", "measurement scale table (TSV)"),
         ("--measurement-targets", "MEASUREMENT_TARGETS", "measurement result/auxiliary targets (TSV)"),
         ("--domain", "{CONDITION,DRUG,MEASUREMENT}", ""),
-        ("--tau", "TAU", "cosine score floor (default 0.25)"),
-        ("--rho", "RHO", "kept fraction of survivors (default 0.75)"),
+        ("--tau", "TAU", "cosine score floor (default 0.25); must lie in [0, 1]"),
+        ("--rho", "RHO", "kept fraction of survivors (default 0.75); must lie in (0, 1]"),
         ("--jobs", "JOBS", "accepted and ignored; runs are single-threaded"),
     ],
     "coverage": [
@@ -1529,7 +1543,7 @@ _FLAGS = {
         ("--prevalence", "PREVALENCE", "per-site concept frequencies (TSV)"),
         ("--newer-cdm", "NEWER_CDM", "concept ids recovered in a newer CDM, one per line"),
         ("--excluded", "EXCLUDED", "purposefully excluded concept ids, one per line"),
-        ("--alpha", "ALPHA", "family-wise alpha, strictly between 0 and 1 (default 0.05)"),
+        ("--alpha", "ALPHA", "family-wise alpha (default 0.05); must lie in (0, 1)"),
     ],
     "phers": [
         ("--out", "OUT", "output directory"),

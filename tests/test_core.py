@@ -14,12 +14,7 @@ from termbridge.core import (
     MappingCategory,
     MappingLevel,
     MappingRecord,
-    MeasurementOutcome,
-    MeasurementResultSpec,
-    MeasurementScale,
     OntologyClass,
-    ResultAssignment,
-    ResultType,
     UnmappedReason,
     canonical_evidence,
     is_code_prefix,
@@ -291,16 +286,3 @@ class TestOntologyClass:
         assert cls.ontology == "NCBITAXON"
 
 
-class TestMeasurementResultSpec:
-    def test_worked_triple(self):
-        spec = MeasurementResultSpec(
-            3000001,
-            MeasurementScale.QUANTITATIVE,
-            ResultType.NORMAL_LOW_HIGH,
-            (
-                ResultAssignment(MeasurementOutcome.LOW, "HP:0002920"),
-                ResultAssignment(MeasurementOutcome.HIGH, "HP:0003154"),
-                ResultAssignment(MeasurementOutcome.NORMAL, "HP:0011043"),
-            ),
-        )
-        assert len(spec.assignments) == 3

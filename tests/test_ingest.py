@@ -817,6 +817,12 @@ class TestLoadCuration:
             load_curation(path, {"HP"})
         assert err.value.code == "MALFORMED_ROW"
 
+    def test_logic_named(self, tmp_path):
+        path = _write(tmp_path / "cur.tsv", CURATION_HEADER + "\n439140\tMONDO\tAND(0\tMONDO:1|MONDO:2\tx\t\n")
+        with pytest.raises(ParseError) as err:
+            load_curation(path, {"MONDO"})
+        assert err.value.message == f"bad logic 'AND(0': logic syntax [{path}:2]"
+
     def test_unknown_targets_reported(self, tmp_path):
         path = tmp_path / "cur.tsv"
         path.write_text(CURATION_HEADER + "\n1\tHP\t\tHP:999\tx\t\n")
@@ -954,6 +960,15 @@ _VERDICT_LOADERS = {
     "code_map": ("raw_prefix,canonical_prefix", lambda p, d: load_code_dictionary(p)),
 }
 
+# Every reader that opens its file through ``open_text``: those above and
+# those with no verdict case, as (a first line, a call that reads the file).
+_OPEN_TEXT_READERS = {
+    **_VERDICT_LOADERS,
+    "stopwords": ("the", lambda p, d: load_stopwords(p)),
+    "mrconso": ("", lambda p, d: load_umls(p, _write(d / "MRSTY.RRF", ""), set(), _dict())),
+    "mrsty": ("", lambda p, d: load_umls(_write(d / "MRCONSO.RRF", ""), p, set(), _dict())),
+}
+
 _KEPT = "1\tSNOMED\t11\tA\t\tCONDITION\t1\t3"
 
 # (loader, the lines after its header, expected (code, line); None when it loads).
@@ -987,6 +1002,13 @@ _VERDICTS = [
     pytest.param("curation", ["1\tHP\t\tHP:1\te\t", "2\tHP\t\tHP:2|HP:\te\t"], ("MALFORMED_ROW", 3), id="curation-target_without_local_id"),
     pytest.param("curation", ["5\tHP\t\tHP:1\ta\t", "5\tMONDO\t\tMONDO:1\ta\t", "6\tHP\t\tHP:1\ta\t", "5\thp\t\t\tb\tINJURY"],
                  ("CONFLICTING_CURATION", 5), id="curation-conflicting"),
+    pytest.param("curation", ["1\tHP\t\tHP:1\te\t", "439140\tMONDO\tAND(0\tMONDO:0001414|MONDO:0008157\tx\t"],
+                 ("MALFORMED_ROW", 3), id="curation-logic_syntax"),
+    pytest.param("curation", ["1\tHP\tAND(0,1)\tHP:1|HP:2|HP:3\te\t"], ("MALFORMED_ROW", 2), id="curation-logic_misses_a_target"),
+    pytest.param("curation", ["1\tHP\tOR(0,1)\tHP:1\te\t"], ("MALFORMED_ROW", 2), id="curation-logic_over_one_target"),
+    pytest.param("curation", ["1\tHP\tNOT(0)\t\te\tINJURY"], ("MALFORMED_ROW", 2), id="curation-logic_with_a_reason"),
+    pytest.param("curation", ["1\tHP\tNOT(0)\tHP:1\te\t", "1\tMONDO\t OR(1,NOT(0)) \tMONDO:1|MONDO:2\te\t",
+                              "2\tHP\t\tHP:1|HP:2\te\t", "3\tHP\t\t\te\tINJURY"], None, id="curation-logic_accepted"),
     pytest.param("routing", ["T047\tMAYBE\tHP"], ("MALFORMED_ROW", 2), id="routing-unknown_action"),
     pytest.param("routing", ["T047\tALLOW\t | "], ("MALFORMED_ROW", 2), id="routing-empty_allow"),
     pytest.param("routing", ["T047\tEXCLUDE\tNO_SUCH_REASON"], ("UNKNOWN_REASON", 2), id="routing-unknown_reason"),
@@ -1073,13 +1095,13 @@ class TestLoaderVerdicts:
             read(path, tmp_path)
         assert (err.value.code, err.value.line) == verdict
 
-    @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list", "code_map", "ontology"}))
+    @pytest.mark.parametrize("loader", sorted(_OPEN_TEXT_READERS))
     def test_byte_order_mark_named(self, tmp_path, loader):
-        header, read = _VERDICT_LOADERS[loader]
+        header, read = _OPEN_TEXT_READERS[loader]
         with pytest.raises(ParseError) as err:
             read(_write(tmp_path / f"{loader}.tsv", f"\ufeff{header}\n"), tmp_path)
-        assert (err.value.code, err.value.line) == ("MISSING_COLUMN", 1)
-        assert "the header starts with a UTF-8 byte-order mark" in err.value.message
+        assert (err.value.code, err.value.line) == ("BAD_ENCODING", 1)
+        assert "the file starts with a UTF-8 byte-order mark" in err.value.message
 
     @pytest.mark.parametrize("loader", sorted(set(_VERDICT_LOADERS) - {"ancestors", "id_list", "code_map", "ontology"}))
     def test_header_checked(self, tmp_path, loader):

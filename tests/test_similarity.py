@@ -2,6 +2,7 @@
 
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ from termbridge.pipeline import live_classes
 from reference_cosine import cosine_winners, kept_pairs, row_owners, winner_dict
 from test_align import concept, klass
 from termbridge.core import CodeRef, curie_ontology
+
+
+class Pair(NamedTuple):
+    """One scored (concept, class) pair, as the reference cut ranks them."""
+
+    concept_id: int
+    curie: str
+    score: float
 
 
 def doc(owner, text, tokens=None):
@@ -68,7 +77,7 @@ def documents(corpus):
 
 
 def best_pairs_of(pairs, score_floor=0.0, chunk_concepts=1):
-    """``best_pairs`` over ``pairs`` (ScoredPair objects, one per (concept,
+    """``best_pairs`` over ``pairs`` (``Pair`` tuples, one per (concept,
     CURIE)), fed to it in chunks of ``chunk_concepts`` concepts."""
     concept_ids = sorted({p.concept_id for p in pairs})
     curies = sorted({p.curie for p in pairs})
@@ -94,11 +103,11 @@ def winners_of(best):
 
 
 def fused_cut(pairs, score_floor, keep_fraction, chunk_concepts=1):
-    """The reference cut's kept table (ScoredPair objects, in rank order),
+    """The reference cut's kept table (``Pair`` tuples, in rank order),
     after checking the fused ``filter_pairs`` against it: it stands for as
     many pairs, and its winners are the kept pairs' argmax."""
     scores = {(p.concept_id, p.curie): p.score for p in pairs}
-    kept = [ScoredPair(*row) for row in kept_pairs(scores, score_floor, keep_fraction)]
+    kept = [Pair(*row) for row in kept_pairs(scores, score_floor, keep_fraction)]
     filtered = filter_pairs(best_pairs_of(pairs, chunk_concepts=chunk_concepts), score_floor, keep_fraction)
     assert len(filtered) == len(kept)
     kept_scores = {(p.concept_id, p.curie): p.score for p in kept}
@@ -408,22 +417,23 @@ class TestNumpyJoin:
 # --- filtering and argmax ----------------------------------------------------
 
 
-def _pair(cid, curie, score):
-    return ScoredPair(cid, curie, score)
+def _won(pair):
+    """The ``ScoredPair`` that ``Winners.for_concept`` gives for ``pair``."""
+    return ScoredPair(pair.curie, pair.score)
 
 
 class TestFilterPairs:
     def test_worked_example(self):
-        pairs = [_pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.5), _pair(3, "HP:3", 0.3), _pair(4, "HP:4", 0.2)]
+        pairs = [Pair(1, "HP:1", 0.9), Pair(2, "HP:2", 0.5), Pair(3, "HP:3", 0.3), Pair(4, "HP:4", 0.2)]
         kept = fused_cut(pairs, 0.25, 0.75)
         assert [p.score for p in kept] == [0.9, 0.5, 0.3]
 
     def test_all_below_floor(self):
-        pairs = [_pair(1, "HP:1", 0.1), _pair(2, "HP:2", 0.2)]
+        pairs = [Pair(1, "HP:1", 0.1), Pair(2, "HP:2", 0.2)]
         assert fused_cut(pairs, 0.25, 0.75) == []
 
     def test_keep_fraction_one_is_identity_on_survivors(self):
-        pairs = [_pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.1), _pair(3, "HP:3", 0.5)]
+        pairs = [Pair(1, "HP:1", 0.9), Pair(2, "HP:2", 0.1), Pair(3, "HP:3", 0.5)]
         kept = fused_cut(pairs, 0.25, 1.0)
         assert [p.score for p in kept] == [0.9, 0.5]
 
@@ -433,7 +443,7 @@ class TestFilterPairs:
         for trial in range(1000):
             score_floor, keep_fraction = cuts[trial % len(cuts)]
             pairs = [
-                _pair(i, f"HP:{i:07d}", round(rng.random(), 6)) for i in range(rng.randint(0, 50))
+                Pair(i, f"HP:{i:07d}", round(rng.random(), 6)) for i in range(rng.randint(0, 50))
             ]
             kept = fused_cut(pairs, score_floor, keep_fraction, chunk_concepts=trial % 4 + 1)
             survivors = [p for p in pairs if p.score >= score_floor]
@@ -443,8 +453,8 @@ class TestFilterPairs:
 
     def test_cut_is_per_ontology(self):
         pairs = [
-            _pair(1, "HP:1", 0.9), _pair(2, "HP:2", 0.8), _pair(3, "HP:3", 0.7), _pair(4, "HP:4", 0.6),
-            _pair(1, "MONDO:1", 0.3),
+            Pair(1, "HP:1", 0.9), Pair(2, "HP:2", 0.8), Pair(3, "HP:3", 0.7), Pair(4, "HP:4", 0.6),
+            Pair(1, "MONDO:1", 0.3),
         ]
         kept = fused_cut(pairs, 0.25, 0.75)
         assert [(p.curie, p.score) for p in kept] == [
@@ -454,25 +464,25 @@ class TestFilterPairs:
 
 class TestBestPerConcept:
     def test_single_pair(self):
-        only = _pair(1, "HP:0000001", 0.7)
+        only = Pair(1, "HP:0000001", 0.7)
         best = best_per_concept(best_pairs_of([only]))
-        assert best.for_concept(1) == {"HP": only} and len(best) == 1
+        assert best.for_concept(1) == {"HP": _won(only)} and len(best) == 1
 
     def test_tie_breaks_to_smallest_curie(self):
-        a = _pair(1, "HP:0000002", 0.7)
-        b = _pair(1, "HP:0000001", 0.7)
-        assert best_per_concept(best_pairs_of([a, b])).for_concept(1) == {"HP": b}
+        a = Pair(1, "HP:0000002", 0.7)
+        b = Pair(1, "HP:0000001", 0.7)
+        assert best_per_concept(best_pairs_of([a, b])).for_concept(1) == {"HP": _won(b)}
 
     def test_separate_ontologies_kept_apart(self):
-        a = _pair(1, "HP:0000001", 0.7)
-        b = _pair(1, "MONDO:0000001", 0.4)
+        a = Pair(1, "HP:0000001", 0.7)
+        b = Pair(1, "MONDO:0000001", 0.4)
         best = best_per_concept(best_pairs_of([a, b]))
-        assert best.for_concept(1) == {"HP": a, "MONDO": b}
+        assert best.for_concept(1) == {"HP": _won(a), "MONDO": _won(b)}
 
     def test_matches_argmax_oracle(self):
         rng = random.Random(8)
         pairs = [
-            _pair(cid, f"HP:{k:07d}", round(rng.random(), 6))
+            Pair(cid, f"HP:{k:07d}", round(rng.random(), 6))
             for cid in range(1, 6)
             for k in range(4)
         ]
@@ -517,7 +527,7 @@ class TestFusedCut:
     @given(cut_inputs())
     def test_matches_reference(self, inputs):
         scores, score_floor, (filter_floor, keep_fraction), chunk_concepts = inputs
-        pairs = [ScoredPair(cid, curie, score) for (cid, curie), score in scores.items()]
+        pairs = [Pair(cid, curie, score) for (cid, curie), score in scores.items()]
         scored = best_pairs_of(pairs, score_floor, chunk_concepts)
         assert len(scored) == len(scores)
         filtered = filter_pairs(scored, filter_floor, keep_fraction)
@@ -528,7 +538,7 @@ class TestFusedCut:
         assert len(best) == len(winners)
 
     def test_filter_floor_under_scoring_floor(self):
-        scored = best_pairs_of([_pair(1, "HP:1", 0.3)], score_floor=0.25)
+        scored = best_pairs_of([Pair(1, "HP:1", 0.3)], score_floor=0.25)
         with pytest.raises(ValueError):
             filter_pairs(scored, 0.1, 0.75)
 

@@ -65,8 +65,8 @@ def _canonical(records):
 
 
 def _expand(*args, **kwargs):
-    records, spec = expand_measurements(*args, **kwargs)
-    return _canonical(records), spec
+    (records,) = expand_measurements(*args, **kwargs)
+    return _canonical(records)
 
 
 def _policy(**kw):
@@ -145,14 +145,14 @@ class TestLoadRoutingPolicy:
         assert err.value.code == "CONFLICTING_RULE"
 
 
-def _synth(concept_obj, exact_c=None, exact_a=None, cosine=None, curation=(), decision=None):
+def _synth(concept_obj, exact_c=None, exact_a=None, cosine=None, curation=None, decision=None):
     return _canonical(
         synthesize(
             concept_obj,
             exact_c or {},
             exact_a or {},
             cosine or {},
-            {row.ontology: row for row in curation},
+            curation or {},
             decision or RouteDecision(allowed=frozenset(ONTOLOGIES)),
             ONTOLOGIES,
         )
@@ -210,7 +210,7 @@ class TestSynthesize:
 
     def test_cosine_fallback(self):
         c = _concept(4147326)
-        pair = ScoredPair(4147326, "HP:0033050", 0.66)
+        pair = ScoredPair("HP:0033050", 0.66)
         hp = _by_ontology(_synth(c, cosine={"HP": pair}))["HP"]
         assert hp.category is C.COSINE_ONE_TO_ONE_CONCEPT
         assert hp.score == 0.66
@@ -218,14 +218,14 @@ class TestSynthesize:
 
     def test_exact_beats_cosine(self):
         c = _concept(1)
-        pair = ScoredPair(1, "HP:0000002", 0.9)
+        pair = ScoredPair("HP:0000002", 0.9)
         hp = _by_ontology(_synth(c, exact_c=_hits("HP:0000001"), cosine={"HP": pair}))["HP"]
         assert hp.category is C.AUTO_ONE_TO_ONE_CONCEPT
         assert hp.score is None
 
     def test_ancestor_beats_cosine(self):
         c = _concept(1)
-        pair = ScoredPair(1, "HP:0000002", 0.9)
+        pair = ScoredPair("HP:0000002", 0.9)
         hp = _by_ontology(_synth(c, exact_a=_hits("HP:0000001"), cosine={"HP": pair}))["HP"]
         assert hp.category is C.AUTO_ONE_TO_ONE_ANCESTOR
 
@@ -243,9 +243,9 @@ class TestSynthesize:
 
     def test_manual_wins_over_exact(self):
         c = _concept(4070954)
-        row = CurationRow(4070954, "MONDO", ("MONDO:0008533",), "", "PMID:21998774")
+        row = CurationRow(("MONDO:0008533",), "", "PMID:21998774")
         mondo = _by_ontology(
-            _synth(c, exact_c=_hits("MONDO:0000001"), curation=[row])
+            _synth(c, exact_c=_hits("MONDO:0000001"), curation={"MONDO": row})
         )["MONDO"]
         assert mondo.category is C.MANUAL_ONE_TO_ONE_CONCEPT
         assert mondo.targets == ("MONDO:0008533",)
@@ -253,15 +253,15 @@ class TestSynthesize:
 
     def test_manual_one_to_many_keeps_row_order(self):
         c = _concept(439140)
-        row = CurationRow(439140, "HP", ("HP:0003623", "HP:0001901"), "AND(0,1)", "cited")
-        hp = _by_ontology(_synth(c, curation=[row]))["HP"]
+        row = CurationRow(("HP:0003623", "HP:0001901"), "AND(0,1)", "cited")
+        hp = _by_ontology(_synth(c, curation={"HP": row}))["HP"]
         assert hp.category is C.MANUAL_ONE_TO_MANY_CONCEPT
         assert hp.targets == ("HP:0003623", "HP:0001901")
 
     def test_curation_unmapped_reason(self):
         c = _concept(5)
-        row = CurationRow(5, "HP", (), "", "reviewed", unmapped_reason=UnmappedReason.CARRIER_STATUS)
-        hp = _by_ontology(_synth(c, curation=[row]))["HP"]
+        row = CurationRow((), "", "reviewed", unmapped_reason=UnmappedReason.CARRIER_STATUS)
+        hp = _by_ontology(_synth(c, curation={"HP": row}))["HP"]
         assert hp.category is C.UNMAPPED
         assert hp.unmapped_reason is UnmappedReason.CARRIER_STATUS
 
@@ -287,14 +287,14 @@ class TestSynthesize:
 
     def test_every_record_validates(self):
         c = _concept(1)
-        pair = ScoredPair(1, "MONDO:0000008", 0.5)
-        rows = [CurationRow(1, "HP", ("HP:1", "HP:2"), "AND(0,1)", "x")]
+        pair = ScoredPair("MONDO:0000008", 0.5)
+        rows = {"HP": CurationRow(("HP:1", "HP:2"), "AND(0,1)", "x")}
         for record in _synth(c, cosine={"MONDO": pair}, curation=rows):
             assert validate_record(record) is None
 
 
-def _scale(cid, scale, kind="NONE"):
-    return ScaleRow(cid, scale, kind)
+def _scale(scale, kind="NONE"):
+    return ScaleRow(scale, kind)
 
 
 NLH_ASSIGNMENTS = [
@@ -307,23 +307,23 @@ NLH_ASSIGNMENTS = [
 class TestDeriveResultType:
     def test_numeric_range_wins(self):
         c = _concept(1, domain=Domain.MEASUREMENT)
-        row = _scale(1, MeasurementScale.ORDINAL, "NUMERIC")
+        row = _scale(MeasurementScale.ORDINAL, "NUMERIC")
         assert derive_result_type(c, row) is ResultType.NORMAL_LOW_HIGH
 
     def test_pos_neg_range(self):
         c = _concept(1, domain=Domain.MEASUREMENT)
         assert (
-            derive_result_type(c, _scale(1, MeasurementScale.QUANTITATIVE, "POS_NEG"))
+            derive_result_type(c, _scale(MeasurementScale.QUANTITATIVE, "POS_NEG"))
             is ResultType.POSITIVE_NEGATIVE
         )
 
     def test_ordinal_scale(self):
         c = _concept(1, domain=Domain.MEASUREMENT)
-        assert derive_result_type(c, _scale(1, MeasurementScale.ORDINAL)) is ResultType.POSITIVE_NEGATIVE
+        assert derive_result_type(c, _scale(MeasurementScale.ORDINAL)) is ResultType.POSITIVE_NEGATIVE
 
     def test_presence_synonym(self):
         c = _concept(1, domain=Domain.MEASUREMENT, synonyms=["Presence of thing"])
-        assert derive_result_type(c, _scale(1, MeasurementScale.NOMINAL)) is ResultType.POSITIVE_NEGATIVE
+        assert derive_result_type(c, _scale(MeasurementScale.NOMINAL)) is ResultType.POSITIVE_NEGATIVE
 
     def test_screen_synonym(self):
         c = _concept(1, domain=Domain.MEASUREMENT, synonyms=["Drug screen panel"])
@@ -337,14 +337,14 @@ class TestDeriveResultType:
     def test_quantitative_scale(self):
         c = _concept(1, domain=Domain.MEASUREMENT)
         assert (
-            derive_result_type(c, _scale(1, MeasurementScale.QUANTITATIVE))
+            derive_result_type(c, _scale(MeasurementScale.QUANTITATIVE))
             is ResultType.NORMAL_LOW_HIGH
         )
 
     def test_everything_else_unknown(self):
         c = _concept(1, domain=Domain.MEASUREMENT)
         assert (
-            derive_result_type(c, _scale(1, MeasurementScale.NARRATIVE))
+            derive_result_type(c, _scale(MeasurementScale.NARRATIVE))
             is ResultType.UNKNOWN_RESULT_TYPE
         )
         assert derive_result_type(c, None) is ResultType.UNKNOWN_RESULT_TYPE
@@ -353,8 +353,8 @@ class TestDeriveResultType:
 class TestExpandMeasurements:
     def test_normal_low_high_worked_example(self):
         c = _concept(3000001, domain=Domain.MEASUREMENT)
-        records, spec = _expand(
-            c, _scale(3000001, MeasurementScale.QUANTITATIVE, "NUMERIC"),
+        records = _expand(
+            c, _scale(MeasurementScale.QUANTITATIVE, "NUMERIC"),
             NLH_ASSIGNMENTS, [], ("HP",),
         )
         by_outcome = {r.outcome: r for r in records if r.outcome}
@@ -363,12 +363,14 @@ class TestExpandMeasurements:
         assert by_outcome[MeasurementOutcome.LOW].targets == ("HP:0002920",)
         assert by_outcome[MeasurementOutcome.NORMAL].targets == ("HP:0011043",)
         assert by_outcome[MeasurementOutcome.NORMAL].logic == "NOT(0)"
-        assert spec.result_type is ResultType.NORMAL_LOW_HIGH
+        assert [r.outcome for r in records] == [
+            MeasurementOutcome.LOW, MeasurementOutcome.HIGH, MeasurementOutcome.NORMAL
+        ]
 
     def test_positive_negative_derives_counterpart(self):
         c = _concept(3000002, domain=Domain.MEASUREMENT)
-        records, spec = _expand(
-            c, _scale(3000002, MeasurementScale.ORDINAL),
+        records = _expand(
+            c, _scale(MeasurementScale.ORDINAL),
             [ResultAssignment(MeasurementOutcome.POSITIVE, "HP:0500112")], [], ("HP",),
         )
         by_outcome = {r.outcome: r for r in records}
@@ -376,18 +378,16 @@ class TestExpandMeasurements:
         assert by_outcome[MeasurementOutcome.POSITIVE].logic == ""
         assert by_outcome[MeasurementOutcome.NEGATIVE].targets == ("HP:0500112",)
         assert by_outcome[MeasurementOutcome.NEGATIVE].logic == "NOT(0)"
-        assert {a.outcome for a in spec.assignments} == {
+        assert {r.outcome for r in records} == {
             MeasurementOutcome.POSITIVE,
             MeasurementOutcome.NEGATIVE,
         }
 
     def test_unknown_type_unmaps_every_ontology(self):
         c = _concept(3000003, domain=Domain.MEASUREMENT)
-        records, spec = _expand(
-            c, _scale(3000003, MeasurementScale.NARRATIVE), [], [], ("HP", "UBERON"),
+        records = _expand(
+            c, _scale(MeasurementScale.NARRATIVE), [], [], ("HP", "UBERON"),
         )
-        assert spec.result_type is ResultType.UNKNOWN_RESULT_TYPE
-        assert spec.assignments == ()
         assert {(r.ontology, r.unmapped_reason) for r in records} == {
             ("HP", UnmappedReason.NOT_MAPPED_TEST_TYPE),
             ("UBERON", UnmappedReason.NOT_MAPPED_TEST_TYPE),
@@ -395,11 +395,10 @@ class TestExpandMeasurements:
 
     def test_unspecified_sample_flag(self):
         c = _concept(7, domain=Domain.MEASUREMENT)
-        records, spec = _expand(
-            c, _scale(7, MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS, [], ("HP", "CL"),
+        records = _expand(
+            c, _scale(MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS, [], ("HP", "CL"),
             unspecified_sample=True,
         )
-        assert spec is None
         assert {(r.ontology, r.unmapped_reason) for r in records} == {
             ("HP", UnmappedReason.UNSPECIFIED_SAMPLE),
             ("CL", UnmappedReason.UNSPECIFIED_SAMPLE),
@@ -410,8 +409,8 @@ class TestExpandMeasurements:
 
     def test_aux_targets_once_per_concept(self):
         c = _concept(8, domain=Domain.MEASUREMENT)
-        records, _ = _expand(
-            c, _scale(8, MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
+        records = _expand(
+            c, _scale(MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
             ["UBERON:0001969", "CHEBI:1", "CHEBI:2"],
             ("HP", "UBERON", "CHEBI"),
         )
@@ -425,26 +424,46 @@ class TestExpandMeasurements:
     def test_missing_target_for_result(self):
         c = _concept(9, domain=Domain.MEASUREMENT)
         with pytest.raises(DataError) as err:
-            expand_measurements(c, _scale(9, MeasurementScale.QUANTITATIVE), [], [], ("HP",))
+            expand_measurements(c, _scale(MeasurementScale.QUANTITATIVE), [], [], ("HP",))
         assert err.value.code == "MISSING_TARGET_FOR_RESULT"
 
     def test_outcome_mismatch(self):
         c = _concept(10, domain=Domain.MEASUREMENT)
         with pytest.raises(DataError) as err:
             expand_measurements(
-                c, _scale(10, MeasurementScale.QUANTITATIVE),
+                c, _scale(MeasurementScale.QUANTITATIVE),
                 [ResultAssignment(MeasurementOutcome.POSITIVE, "HP:1")], [], ("HP",),
             )
         assert err.value.code == "OUTCOME_MISMATCH"
 
     def test_expanded_records_validate(self):
         c = _concept(11, domain=Domain.MEASUREMENT)
-        records, _ = _expand(
-            c, _scale(11, MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
+        records = _expand(
+            c, _scale(MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
             ["UBERON:0001969"], ("HP", "UBERON", "CL"),
         )
         for record in records:
             assert validate_record(record) is None
+
+    def test_records_come_in_row_order(self):
+        # Grouped by ontology as run_map groups them, the claimed records
+        # leave synthesize in mappings.tsv order: ontology, then the record
+        # of no outcome before the result rows in outcome order.
+        c = _concept(12, domain=Domain.MEASUREMENT)
+        claimed = {}
+        for record in expand_measurements(
+            c, _scale(MeasurementScale.QUANTITATIVE), NLH_ASSIGNMENTS,
+            ["HP:0000118", "CHEBI:1"], ("HP", "UBERON"),
+        )[0]:
+            claimed.setdefault(record.ontology, []).append(record)
+        records = synthesize(
+            c, {}, {}, {}, {}, RouteDecision(allowed=frozenset({"HP", "UBERON"})), ("HP", "UBERON"), claimed
+        )
+        O = MeasurementOutcome
+        assert [(r.ontology, r.outcome) for r in records] == [
+            ("CHEBI", None), ("HP", None), ("HP", O.LOW), ("HP", O.HIGH), ("HP", O.NORMAL), ("UBERON", None),
+        ]
+        assert records[1].targets == ("HP:0000118",) and records[-1].category is C.UNMAPPED
 
 
 def parse_evidence(text: str) -> tuple[EvidenceAtom, ...]:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 
 from termbridge.similarity import ScoredPair, best_per_concept, filter_pairs
 
-from test_similarity import best_pairs_of, cut_inputs
+from test_similarity import Pair, best_pairs_of, cut_inputs
 
 
 def winner_table(pairs):
@@ -19,7 +19,7 @@ def winner_table(pairs):
     curies = [pairs.curies[i] for i in pairs.cls.tolist()]
     keys = [pairs.ontologies[i] for i in pairs.ontology.tolist()]
     return {
-        (cid, key): ScoredPair(cid, curie, score)
+        (cid, key): ScoredPair(curie, score)
         for cid, key, curie, score in zip(cids, keys, curies, pairs.score.tolist())
     }
 
@@ -33,7 +33,7 @@ def winner_table(pairs):
 @given(cut_inputs())
 def test_cursor_gives_each_concepts_winners(inputs):
     scores, score_floor, (filter_floor, keep_fraction), chunk_concepts = inputs
-    pairs = [ScoredPair(cid, curie, score) for (cid, curie), score in scores.items()]
+    pairs = [Pair(cid, curie, score) for (cid, curie), score in scores.items()]
     filtered = filter_pairs(best_pairs_of(pairs, score_floor, chunk_concepts), filter_floor, keep_fraction)
     table = winner_table(filtered)
     winners = best_per_concept(filtered)
