@@ -242,7 +242,7 @@ class EvidenceAtom(NamedTuple):
     """One unit of mapping support; payload must stay pipe-free so atoms can
     be joined into the serialized evidence string (checked by validate_record,
     not here: delimiter violations are reported as data).  A named tuple:
-    reading ``mappings.tsv`` builds many."""
+    ``map`` builds many."""
 
     kind: EvidenceKind
     payload: str
@@ -340,17 +340,24 @@ class Violation:
 
 
 def validate_record(record: MappingRecord) -> Violation | None:
-    """``check_mapping`` on a record's fields: ``map``'s check of each record it writes."""
-    return check_mapping(
+    """``map``'s check of each record it writes: ``check_mapping`` on its
+    fields, then no ``|`` in an evidence payload, which would split the
+    atom in the ``evidence`` column."""
+    violation = check_mapping(
         record.category, record.logic, record.targets, record.score, record.unmapped_reason, record.evidence
     )
+    if violation is None:
+        for i, atom in enumerate(record.evidence):
+            if "|" in atom.payload:
+                return Violation("evidence delimiter", f"evidence[{i}].payload")
+    return violation
 
 
 def check_mapping(category, logic, targets, score, unmapped_reason, evidence) -> Violation | None:
     """The first rule that a mapping's fields break, or None: the category
     fixes the number of targets and whether there is an unmapped reason,
     the logic refers to each target once, only a cosine mapping has a
-    score, in [0, 1], and there is evidence with no ``|`` in a payload.
+    score, in [0, 1], and there is evidence (atoms, or the column's text).
     Violations are data, not failures: callers decide whether to raise."""
     n, count = len(targets), category.target_count  # count: 0, 1, or 2 for two or more
     if (n if n < 2 else 2) != count:
@@ -369,8 +376,4 @@ def check_mapping(category, logic, targets, score, unmapped_reason, evidence) ->
 
     if not evidence:
         return Violation("evidence", "evidence")
-    for i, atom in enumerate(evidence):
-        if "|" in atom.payload:
-            return Violation("evidence delimiter", f"evidence[{i}].payload")
-
     return None

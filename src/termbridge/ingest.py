@@ -53,10 +53,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 
 from .core import (
@@ -64,7 +64,6 @@ from .core import (
     ClinicalConcept,
     CodeRef,
     Domain,
-    EvidenceAtom,
     EvidenceKind,
     MappingCategory,
     MappingLevel,
@@ -127,24 +126,21 @@ def _curies(raw: str) -> tuple[str, ...]:
     return tuple(raw.split("|")) if raw else ()
 
 
-_parse_kind, _render_kind = _named(EvidenceKind, "name")
+_ATOM = "(?:" + "|".join(kind.name for kind in EvidenceKind) + "):[^|]*"
+#: An ``evidence`` column: atoms written as ``KIND:payload``, separated by ``|``.
+_EVIDENCE_RE = re.compile(rf"{_ATOM}(?:\|{_ATOM})*")
 
 
-@lru_cache(maxsize=4096)  # the rows of unmapped concepts share a few evidence texts
-def _evidence(raw: str) -> tuple[EvidenceAtom, ...]:
-    """Evidence atoms written as ``KIND:payload``, separated by ``|``."""
-    atoms = []
-    for part in raw.split("|") if raw else ():
-        kind, colon, payload = part.partition(":")
-        if not colon:
-            raise ValueError(part)
-        atoms.append(EvidenceAtom(_parse_kind(kind), payload))
-    return tuple(atoms)
+def _evidence(raw: str) -> str:
+    """An ``evidence`` column, kept as written; an empty one stays empty."""
+    if raw and _EVIDENCE_RE.fullmatch(raw) is None:
+        raise ValueError(raw)
+    return raw
 
 
 def evidence_text(atoms) -> str:
     """The ``evidence`` column of ``atoms``."""
-    return "|".join([f"{_render_kind(kind)}:{payload}" for kind, payload in atoms])
+    return "|".join([f"{kind.name}:{payload}" for kind, payload in atoms])
 
 
 def _finite(raw: str) -> float:
@@ -190,6 +186,8 @@ SCALE_COLUMNS = (
 TARGET_COLUMNS = (_CONCEPT_ID, ("outcome", _key), ("curie", _curie), ("negated", str.strip))
 # mappings.tsv, which ``map`` writes, declares a renderer too: (name, parse,
 # render).  ``mapping_line`` writes a row and ``load_mappings`` reads one.
+# ``evidence`` is read as written; ``mapping_line`` writes a record's atoms
+# with ``evidence_text``.
 MAPPING_COLUMNS = (
     (*_CONCEPT_ID, str),
     ("domain", *_named(Domain)),
@@ -200,7 +198,7 @@ MAPPING_COLUMNS = (
     ("targets", _curies, "|".join),
     ("target_labels", lambda raw: tuple(raw.split("|")), lambda labels: "|".join(t.replace("|", "/") for t in labels)),
     ("score", lambda raw: float(raw) if raw else None, lambda score: "" if score is None else f"{score:.12g}"),
-    ("evidence", _evidence, evidence_text),
+    ("evidence", _evidence, str),
     ("unmapped_reason", *_named(UnmappedReason, "label", optional=True)),
     ("outcome", *_named(MeasurementOutcome, optional=True)),
 )
@@ -259,6 +257,7 @@ class ScaleRow:
 class ConceptLoad:
     concepts: dict[int, ClinicalConcept]
     dangling_ancestors: int
+    other_domain: set[int]  # the ids of the rows skipped for another domain
 
 
 @dataclass(frozen=True)
@@ -378,23 +377,23 @@ def _load_ancestor_pairs(path, children):
 
 
 def load_concepts(
-    path,
-    domain: Domain | None = None,
-    ancestors_path=None,
-    dictionary: NormalizationDictionary | None = None,
+    path, dictionary: NormalizationDictionary, domain: Domain | None = None, ancestors_path=None
 ) -> ConceptLoad:
-    """Parse a concept table, optionally joining an ancestor file.
+    """Parse a concept table, optionally joining an ancestor file.  Each
+    vocabulary is canonicalized through the prefix ``dictionary``.
 
-    When ``domain`` is given, rows from other domains are skipped so one
-    shared extract can feed per-domain runs.  Ancestor references that do
-    not resolve to a loaded concept are dropped and counted.
+    When ``domain`` is given, rows from other domains are skipped, and
+    their ids kept, so one shared extract can feed per-domain runs.
+    Ancestor references that do not resolve to a loaded concept are
+    dropped and counted.
     """
-    dictionary = dictionary or NormalizationDictionary.empty()
     # concept_id -> (prefix, code, label, synonyms, domain, used, record_count, lineno)
     rows: dict[int, tuple] = {}
+    other_domain = set()
     for lineno, fields in _read_rows(path, CONCEPT_COLUMNS):
         concept_id, vocabulary, code, label, raw_synonyms, row_domain, used, record_count = fields
         if domain is not None and row_domain is not domain:
+            other_domain.add(concept_id)
             continue
         if concept_id in rows:
             raise ParseError("DUPLICATE_ID", f"concept_id {concept_id} repeated", str(path), lineno)
@@ -439,7 +438,7 @@ def load_concepts(
             )
         except ValueError as exc:
             raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
-    return ConceptLoad(concepts=concepts, dangling_ancestors=dangling)
+    return ConceptLoad(concepts=concepts, dangling_ancestors=dangling, other_domain=other_domain)
 
 
 # The ontology JSONL object's fields: key -> (accepted types, what the error says).
@@ -459,7 +458,7 @@ _SYNONYM_KINDS = ("EXACT", "RELATED", "BROAD", "NARROW")
 
 
 def load_ontology_dump(
-    path, dictionary: NormalizationDictionary | None = None, classes: dict[str, OntologyClass] | None = None
+    path, dictionary: NormalizationDictionary, classes: dict[str, OntologyClass] | None = None
 ) -> dict[str, OntologyClass]:
     """Parse a JSON-Lines ontology dump into ``classes``, the classes of the
     dumps read before it (a new dict by default), keyed by CURIE, and
@@ -470,7 +469,6 @@ def load_ontology_dump(
     classes of one ontology share one interned key string.  Deprecated
     classes are loaded and flagged; ``run_map`` aligns against none.
     """
-    dictionary = dictionary or NormalizationDictionary.empty()
     classes = {} if classes is None else classes
     keys: dict[str, str] = {}  # each ``ontology`` as written -> its key
     with open_text(path) as fh:
@@ -747,7 +745,7 @@ def mapping_line(record, classes) -> str:
     fields = (
         record.concept_id, record.domain, record.ontology, record.category, record.category.level,
         record.logic, record.targets, labels, record.score,
-        record.evidence, record.unmapped_reason, record.outcome,
+        evidence_text(record.evidence), record.unmapped_reason, record.outcome,
     )
     return "\t".join([render(value) for (_, _, render), value in zip(MAPPING_COLUMNS, fields)])
 
@@ -812,14 +810,19 @@ def load_cohort(path) -> dict[str, str]:
     return groups
 
 
-def load_code_dictionary(path) -> NormalizationDictionary:
-    """The prefix dictionary in a CSV file headed raw_prefix,canonical_prefix.
+def load_code_dictionary(path=None) -> NormalizationDictionary:
+    """The prefix dictionary in a CSV file headed raw_prefix,canonical_prefix:
+    ``path``, or the one vendored with the package (common clinical
+    vocabularies) when ``path`` is None.
 
     A row needs both prefixes (``MALFORMED_ROW``), a raw prefix maps to one
     canonical prefix in any case (``CONFLICTING_PREFIX``), and no canonical
     prefix is itself remapped (``NOT_FIXED_POINT``); each names the line
     where the rows first break the rule.
     """
+    if path is None:
+        with resources.as_file(resources.files("termbridge.data").joinpath("source_code_vocab_map.csv")) as p:
+            return load_code_dictionary(p)
     canonical: dict[str, str] = {}  # raw prefix, lowercased -> canonical prefix
     by_key: dict[str, set[str]] = defaultdict(set)  # lowercased -> the canonical prefixes
     with open_text(path, newline="") as fh:
@@ -843,12 +846,6 @@ def load_code_dictionary(path) -> NormalizationDictionary:
                     raise ParseError("NOT_FIXED_POINT", message, str(path), lineno)
             by_key[canon.lower()].add(canon)
     return NormalizationDictionary(canonical.items())
-
-
-def default_code_dictionary() -> NormalizationDictionary:
-    """Prefix dictionary vendored with the package (common clinical vocabularies)."""
-    with resources.as_file(resources.files("termbridge.data").joinpath("source_code_vocab_map.csv")) as p:
-        return load_code_dictionary(p)
 
 
 def load_stopwords(path) -> frozenset[str]:

@@ -24,10 +24,6 @@ class NormalizationDictionary:
     def __init__(self, rows):
         self._map = {raw.strip().lower(): canonical.strip().upper() for raw, canonical in rows}
 
-    @classmethod
-    def empty(cls) -> "NormalizationDictionary":
-        return cls([])
-
     def canonical_prefix(self, raw: str) -> str:
         return self._map.get(raw.strip().lower(), raw.strip().upper())
 

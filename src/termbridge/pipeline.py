@@ -26,6 +26,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import sys
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, takewhile
@@ -42,9 +43,7 @@ from .errors import ConfigError, DataError
 from .ingest import (
     MAPPING_COLUMNS,
     RoutingPolicy,
-    default_code_dictionary,
     default_stopwords,
-    evidence_text,
     header_line,
     load_code_dictionary,
     load_cohort,
@@ -138,7 +137,7 @@ class RunConfig:
     )
     umls_mrconso: str | None = _flag("input", _MAP, "MRCONSO.RRF")
     umls_mrsty: str | None = _flag("input", _MAP, "MRSTY.RRF")
-    code_map: str | None = _flag("input", _MAP, "prefix normalization dictionary (CSV)")
+    code_map: str | None = _flag("input", _MAP + _SSSOM, "prefix normalization dictionary (CSV)")
     stopwords: str | None = _flag("input", _MAP, "stopword list, one per line")
     routing: str | None = _flag("input", _MAP, "semantic-type routing policy (TSV)")
     curation: str | None = _flag("input", _MAP, "manual curation rows (TSV)")
@@ -262,10 +261,10 @@ def run_map(cfg: RunConfig) -> Path:
     _load("align", "similarity", "synthesize")
     check_inputs(cfg, "map")
 
-    dictionary = load_code_dictionary(cfg.code_map) if cfg.code_map else default_code_dictionary()
+    dictionary = load_code_dictionary(cfg.code_map)
     stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
 
-    concept_load = load_concepts(cfg.concepts, cfg.domain, cfg.ancestors, dictionary)
+    concept_load = load_concepts(cfg.concepts, dictionary, cfg.domain, cfg.ancestors)
     concepts = concept_load.concepts
 
     classes = {}
@@ -294,6 +293,21 @@ def run_map(cfg: RunConfig) -> Path:
             scales = load_measurement_scales(cfg.measurement_scales)
         if cfg.measurement_targets:
             assignments, aux = load_measurement_targets(cfg.measurement_targets)
+
+    # Rows for a concept of another domain are rightly skipped; rows for a
+    # concept listed in no domain are reported.
+    def unlisted(ids):
+        return [cid for cid in ids if cid not in concepts and cid not in concept_load.other_domain]
+
+    for path, n in (
+        (cfg.curation, sum(len(curation[cid]) for cid in unlisted(curation))),
+        (cfg.measurement_scales, len(unlisted(scales))),
+        (cfg.measurement_targets, sum(len(table[cid]) for table in (assignments, aux) for cid in unlisted(table))),
+    ):
+        if n:
+            named = "1 row names" if n == 1 else f"{n} rows name"
+            print(f"warning: {Path(path).name}: {named} a concept that {Path(cfg.concepts).name} does not list",
+                  file=sys.stderr)
 
     out_dir = Path(cfg.out_dir)
     tally = _Tally(concepts)
@@ -532,17 +546,18 @@ def run_phers(cfg: RunConfig) -> Path:
 
 
 def _sssom_rows(mappings, concepts):
-    """SSSOM rows for each mapping row as it arrives, one per target."""
+    """SSSOM rows for each mapping row as it arrives, one per target, with
+    the row's ``evidence`` as read for the comment."""
     for concept_id, _, ontology, category, _, _, targets, labels, _, evidence, _, outcome in mappings:
         if category is MappingCategory.UNMAPPED:
             continue
         concept = concepts.get(concept_id)
         subject_id = str(concept.code) if concept else str(concept_id)
         subject_label = concept.label if concept else ""
-        justification, comment = category.justification.value, evidence_text(evidence)
+        justification = category.justification.value
         set_id = f"{concept_id}:{ontology}" + (f":{outcome.value}" if outcome else "")
         for target, label in zip(targets, labels):
-            yield "\t".join([subject_id, subject_label, target, label, justification, set_id, comment])
+            yield "\t".join([subject_id, subject_label, target, label, justification, set_id, evidence])
 
 
 def export_sssom(cfg: RunConfig) -> Path:
@@ -551,10 +566,12 @@ def export_sssom(cfg: RunConfig) -> Path:
 
     One-to-many records share a mapping_set_id so consumers can rebuild
     the grouping; unmapped records contribute no rows.  Mapping rows are
-    rendered and written as they are read.
+    rendered and written as they are read.  Each ``subject_id`` is spelled
+    as ``map`` spells the concept's code: through ``code_map``, or the
+    vendored prefix dictionary.
     """
     check_inputs(cfg, "export-sssom")
-    concepts = load_concepts(cfg.concepts).concepts
+    concepts = load_concepts(cfg.concepts, load_code_dictionary(cfg.code_map)).concepts
     rows = _sssom_rows(load_mappings(cfg.mappings), concepts)
     out = Path(cfg.sssom_out or Path(cfg.out_dir) / "mappings_sssom.tsv")
     header = "subject_id\tsubject_label\tobject_id\tobject_label\tmapping_justification\tmapping_set_id\tcomment"

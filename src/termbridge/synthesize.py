@@ -228,9 +228,11 @@ def expand_measurements(
     once per concept, one record per ontology.  Unspecified-sample and
     unknown-result-type are concept-level exclusions covering every
     configured ontology, each of ``ontologies`` (keys as the dump loader
-    settled them).  The caller hands these records to ``synthesize`` as
-    its claimed records; any ontology this expansion leaves untouched goes
-    through the standard per-ontology precedence.
+    settled them).  A result row whose outcome the result type does not
+    have, and any result or auxiliary row of a measurement of unknown
+    result type, is ``OUTCOME_MISMATCH``.  The caller hands these records
+    to ``synthesize`` as its claimed records; any ontology this expansion
+    leaves untouched goes through the standard per-ontology precedence.
 
     Within an ontology the records come in row order: its auxiliary
     record, which has no outcome, then its result rows in outcome order.
@@ -240,17 +242,17 @@ def expand_measurements(
         return ([_unmapped(concept, ontology, UnmappedReason.UNSPECIFIED_SAMPLE) for ontology in ontologies],)
 
     result_type = derive_result_type(concept, scale_row)
+    wanted = RESULT_TYPE_OUTCOMES[result_type]
+    stray = [a.outcome.value for a in assignments if a.outcome not in wanted]
+    if result_type is ResultType.UNKNOWN_RESULT_TYPE:
+        stray += aux_targets  # the measurement is unmapped on every ontology, so no row can target it
+    if stray:
+        message = f"concept {concept.concept_id}: rows {stray} not valid for {result_type.value}"
+        raise DataError("OUTCOME_MISMATCH", message)
     if result_type is ResultType.UNKNOWN_RESULT_TYPE:
         return ([_unmapped(concept, ontology, UnmappedReason.NOT_MAPPED_TEST_TYPE) for ontology in ontologies],)
 
-    wanted = RESULT_TYPE_OUTCOMES[result_type]
-    rows = [a for a in assignments if a.outcome in wanted]
-    if len(rows) != len(assignments):
-        stray = [a.outcome.value for a in assignments if a.outcome not in wanted]
-        raise DataError(
-            "OUTCOME_MISMATCH",
-            f"concept {concept.concept_id}: outcomes {stray} not valid for {result_type.value}",
-        )
+    rows = list(assignments)
     if result_type is ResultType.POSITIVE_NEGATIVE:
         rows = _derive_counterpart(rows)
     if not rows:

@@ -3,15 +3,17 @@
 ``text(loader, rnd, columns)`` returns a file for one loader: its header
 and rows follow the file's ``*_COLUMNS`` declaration in
 ``termbridge.ingest``, each field drawn from valid values of its column,
-with corrupted fields, rows and headers mixed in.  ``read(loader, path,
-workdir)`` calls the loader on it, and ``verdict`` says what the call
-ends in: (exception type, code, line, message).  ``umls_files(rnd,
-directory)`` writes an MRCONSO.RRF and MRSTY.RRF pair the same way, which
-``read("umls", ...)`` hands to ``load_umls``; its verdict on success
-holds the tables loaded.  ``tests/test_fuzz.py`` and
-``scripts/ingest_differential.py`` share them.  ``read`` and ``verdict``
-use only loader names that every version of ``termbridge.ingest`` has,
-so they also run against another source tree."""
+with corrupted fields, rows and headers mixed in, and some files
+starting with a byte-order mark.  ``read(loader, path, workdir)`` calls
+the loader on it, and ``verdict`` says what the call ends in: (exception
+type, code, line, message).  ``umls_files(rnd, directory)`` writes an
+MRCONSO.RRF and MRSTY.RRF pair the same way, which ``read("umls", ...)``
+hands to ``load_umls``; its verdict on success holds the tables loaded.
+``tests/test_fuzz.py`` and ``scripts/ingest_differential.py`` share them.
+``read`` and ``verdict`` call the loaders in a way that every version of
+``termbridge.ingest`` accepts (the prefix dictionary by keyword, read
+from the vendored file by path), so they also run against another
+source tree."""
 
 from __future__ import annotations
 
@@ -118,7 +120,12 @@ def text(loader: str, rnd, columns) -> str:
         elif roll < 0.03:
             fields = []
         lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
+    return _bom(rnd) + "\n".join(lines) + "\n"
+
+
+def _bom(rnd) -> str:
+    """A byte-order mark, as spreadsheet tools write one, for one file in twenty."""
+    return "\ufeff" if rnd.random() < 0.05 else ""
 
 
 # The RRF fields ``load_umls`` reads, by index: MRCONSO's CUI, SAB and
@@ -153,7 +160,7 @@ def _rrf(rnd, width: int, used: dict[int, str]) -> str:
             fields = []
         lines.append("|".join(fields) + (rnd.choice(["|", "|", ""]) if fields else ""))
     newline = rnd.choice(["\n", "\r\n"])
-    return newline.join(lines) + newline
+    return _bom(rnd) + newline.join(lines) + newline
 
 
 def umls_files(rnd, directory):
@@ -170,17 +177,27 @@ CHILDREN = (
 )
 
 
+def _dictionary():
+    """The prefix dictionary vendored with the package under test."""
+    from importlib import resources
+
+    from termbridge import ingest
+
+    with resources.as_file(resources.files("termbridge.data").joinpath("source_code_vocab_map.csv")) as p:
+        return ingest.load_code_dictionary(p)
+
+
 def read(loader: str, path, workdir):
     """Call ``loader`` on ``path``; ``workdir`` holds any second file it needs."""
     from termbridge import ingest
     from termbridge.core import Domain
 
     if loader == "concepts":
-        return ingest.load_concepts(path, Domain.CONDITION)
+        return ingest.load_concepts(path, domain=Domain.CONDITION, dictionary=_dictionary())
     if loader == "ancestors":
         children = workdir / "children.tsv"
         children.write_text(CHILDREN)
-        return ingest.load_concepts(children, Domain.CONDITION, path)
+        return ingest.load_concepts(children, domain=Domain.CONDITION, ancestors_path=path, dictionary=_dictionary())
     if loader == "routing":
         return ingest.load_routing_policy(path, ["HP"])
     if loader == "curation":
@@ -200,7 +217,7 @@ def read(loader: str, path, workdir):
     if loader == "cohort":
         return ingest.load_cohort(path)
     if loader == "umls":
-        return ingest.load_umls(path, workdir / "MRSTY.RRF", set(RRF_CODES), ingest.default_code_dictionary())
+        return ingest.load_umls(path, workdir / "MRSTY.RRF", set(RRF_CODES), _dictionary())
     raise KeyError(loader)
 
 

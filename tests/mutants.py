@@ -27,6 +27,10 @@ _ROW_ORDER = "tests/test_synthesize.py::TestExpandMeasurements::test_records_com
 _BOM = "tests/test_ingest.py::TestLoaderVerdicts::test_byte_order_mark_named"
 _VERDICT = "tests/test_ingest.py::TestLoaderVerdicts::test_verdict"
 _LIVE = "return sorted((cls for cls in classes if not cls.deprecated), key=lambda cls: cls.curie)"
+_SPELLED = "tests/test_cli.py::TestExportSssom::test_subject_id_spelled_as_map_spells_it"
+_UNKNOWN_TYPE = "tests/test_synthesize.py::TestExpandMeasurements::test_row_of_unknown_result_type_is_outcome_mismatch"
+_UNKNOWN_TYPE_CLI = "tests/test_cli.py::TestMeasurementCommand::test_row_for_unknown_result_type_is_data_error"
+_RENUMBERING = "tests/test_metamorphic.py::test_id_renumbering_changes_only_concept_ids"
 
 MUTANTS = [
     Mutant(
@@ -86,5 +90,55 @@ MUTANTS = [
         _LIVE,
         "return [cls for cls in classes if not cls.deprecated]",
         ("tests/test_align.py::TestBuildIndexes::test_curies_sorted_whatever_the_class_order",),
+    ),
+    Mutant(
+        "evidence-pattern-misses-a-kind",
+        "ingest.py",
+        '"|".join(kind.name for kind in EvidenceKind)',
+        '"|".join(kind.name for kind in EvidenceKind if kind is not EvidenceKind.MANUAL_SOURCE)',
+        (
+            "tests/test_mapping_codec.py::test_records_come_back_from_their_rows",
+            "tests/test_mapping_codec.py::test_rows_render_as_they_were_read",
+            "tests/test_cli.py::TestExportSssom::test_flattening",
+        ),
+    ),
+    Mutant(
+        "export-reads-concepts-with-an-empty-dictionary",
+        "pipeline.py",
+        "load_concepts(cfg.concepts, load_code_dictionary(cfg.code_map))",
+        'load_concepts(cfg.concepts, importlib.import_module(".lexical", __package__).NormalizationDictionary(()))',
+        (f"{_SPELLED}[vendored_map]", f"{_SPELLED}[run_map]"),
+    ),
+    Mutant(
+        "validate-record-without-delimiter-rule",
+        "core.py",
+        'if "|" in atom.payload:',
+        "if False:",
+        (
+            "tests/test_core.py::TestValidateRecord::test_evidence_delimiter",
+            "tests/test_cli.py::TestMapCommand::test_delimiter_in_curation_evidence_is_data_error",
+            "tests/test_errors.py::TestEveryCodeFromTheCommandLine::test_code[INVALID_RECORD]",
+        ),
+    ),
+    Mutant(
+        "unknown-result-type-rows-dropped",
+        "synthesize.py",
+        "stray += aux_targets",
+        "stray = []",
+        (
+            f"{_UNKNOWN_TYPE}[result_row]",
+            f"{_UNKNOWN_TYPE}[auxiliary_row]",
+            f"{_UNKNOWN_TYPE_CLI}[result]",
+            f"{_UNKNOWN_TYPE_CLI}[auxiliary]",
+        ),
+    ),
+    # Only the id-renumbering relation catches it: the oracles' ids, and
+    # the fixtures', all lie below 2**31.
+    Mutant(
+        "corpus-concept-ids-int32",
+        "similarity.py",
+        "concept_ids=np.array(concept_ids, dtype=np.int64)",
+        "concept_ids=np.array(concept_ids, dtype=np.int32)",
+        (f"{_RENUMBERING}[golden]", f"{_RENUMBERING}[measurement]", f"{_RENUMBERING}[map-ladder]"),
     ),
 ]

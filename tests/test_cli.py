@@ -220,6 +220,34 @@ class TestMapCommand:
         assert code == 1
         assert "error[" in capsys.readouterr().err
 
+    def test_rows_for_unlisted_concepts_are_reported(self, condition_fixture, measurement_fixture, tmp_path, capsys):
+        # Concepts 999999 and 999998 are in no domain of concepts.tsv; their
+        # rows make no record and change no output, and each input says so.
+        assert run_map_cli(condition_fixture, tmp_path / "golden") == 0
+        assert main(measurement_args(measurement_fixture, tmp_path / "measurement")) == 0
+        assert capsys.readouterr().err == ""
+        added = {}
+        for paths, key, rows in (
+            (condition_fixture, "curation", ["999999\tHP\t\tHP:0011095\tx\t"]),
+            (measurement_fixture, "scales", ["999998\tQUANTITATIVE\tNUMERIC"]),
+            (measurement_fixture, "targets", ["999998\tHIGH\tHP:0003154\t0", "999998\tUBERON\tUBERON:0001969\t0"]),
+        ):
+            added[key] = tmp_path / Path(paths[key]).name
+            added[key].write_text(Path(paths[key]).read_text() + "".join(row + "\n" for row in rows))
+        assert run_map_cli(dict(condition_fixture, curation=str(added["curation"])), tmp_path / "golden-added") == 0
+        assert capsys.readouterr().err == (
+            "warning: curation.tsv: 1 row names a concept that concepts.tsv does not list\n"
+        )
+        paths = dict(measurement_fixture, scales=str(added["scales"]), targets=str(added["targets"]))
+        assert main(measurement_args(paths, tmp_path / "measurement-added")) == 0
+        assert capsys.readouterr().err == (
+            "warning: measurement_scales.tsv: 1 row names a concept that concepts.tsv does not list\n"
+            "warning: measurement_targets.tsv: 2 rows name a concept that concepts.tsv does not list\n"
+        )
+        for run in ("golden", "measurement"):
+            for name in ("mappings.tsv", "summary.json"):
+                assert (tmp_path / f"{run}-added" / name).read_bytes() == (tmp_path / run / name).read_bytes()
+
     def test_malformed_concepts_is_parse_error(self, tmp_path, condition_fixture):
         bad = tmp_path / "bad.tsv"
         bad.write_text("concept_id\tnot_the_schema\n")
@@ -511,6 +539,19 @@ class TestMeasurementCommand:
                 if r["concept_id"] == "3000001":
                     by_ontology.setdefault(r["ontology"], []).append(r)
         return code, by_ontology
+
+    @pytest.mark.parametrize(
+        "row", ["3000003\tHIGH\tHP:0003154\t0", "3000003\tUBERON\tUBERON:0001969\t0"], ids=["result", "auxiliary"]
+    )
+    def test_row_for_unknown_result_type_is_data_error(self, measurement_fixture, tmp_path, capsys, row):
+        # 3000003 is NARRATIVE: it is Not Mapped Test Type on every ontology, so no row can target it.
+        targets = tmp_path / "measurement_targets.tsv"
+        targets.write_text(Path(measurement_fixture["targets"]).read_text() + row + "\n")
+        paths = dict(measurement_fixture, targets=str(targets))
+        assert main(measurement_args(paths, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[OUTCOME_MISMATCH]: concept 3000003: "), err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_result_curie_is_parse_error(self, measurement_fixture, tmp_path, capsys):
         targets = tmp_path / "measurement_targets.tsv"
@@ -1037,6 +1078,26 @@ class TestExportSssom:
         cosine = [r for r in rows if r["subject_id"] == "SNOMED:162397003"]
         assert cosine[0]["mapping_justification"] == "semapv:SemanticSimilarityThresholdMatching"
 
+    @pytest.mark.parametrize("code_map", [False, True], ids=["vendored_map", "run_map"])
+    def test_subject_id_spelled_as_map_spells_it(self, condition_fixture, tmp_path, code_map):
+        # A concepts.tsv that writes SNOMEDCT_US maps as one that writes
+        # SNOMED, and the export spells the subject as map spells the code.
+        assert run_map_cli(condition_fixture, tmp_path / "canonical") == 0
+        concepts = tmp_path / "concepts.tsv"
+        concepts.write_text(Path(condition_fixture["concepts"]).read_text().replace("\tSNOMED\t", "\tSNOMEDCT_US\t"))
+        assert run_map_cli(dict(condition_fixture, concepts=str(concepts)), tmp_path / "raw") == 0
+        for name in ("mappings.tsv", "summary.json"):
+            assert (tmp_path / "raw" / name).read_bytes() == (tmp_path / "canonical" / name).read_bytes()
+        argv = ["export-sssom", "--mappings", str(tmp_path / "raw" / "mappings.tsv"), "--concepts", str(concepts),
+                "--out", str(tmp_path / "sssom")]
+        assert main(argv + (["--code-map", condition_fixture["code_map"]] if code_map else [])) == 0
+        rows = read_rows(tmp_path / "sssom" / "mappings_sssom.tsv")
+        overjet = [r for r in rows if r["object_id"] == "HP:0011095"]
+        assert [(r["subject_id"], r["comment"]) for r in overjet] == [
+            ("SNOMED:70305005", "XREF_MATCH:SNOMED:70305005|CUI_MATCH:C0596028|SYNONYM_MATCH:overjet")
+        ]
+        assert all(r["subject_id"].startswith("SNOMED:") for r in rows)
+
     def test_sssom_out_without_out(self, condition_fixture, tmp_path):
         run = tmp_path / "run"
         assert run_map_cli(condition_fixture, run) == 0
@@ -1555,6 +1616,7 @@ _FLAGS = {
         ("--out", "OUT", "output directory"),
         ("--mappings", "MAPPINGS", "mappings.tsv from the map command"),
         ("--concepts", "CONCEPTS", "concept table used for the run"),
+        ("--code-map", "CODE_MAP", "prefix normalization dictionary (CSV)"),
         ("--sssom-out", "SSSOM_OUT", "output file path (default <out>/mappings_sssom.tsv)"),
     ],
 }

@@ -11,7 +11,7 @@ joining in chunks of 2^15 products peaked at 6.61 MiB on the same input.
 import tracemalloc
 
 from termbridge.core import Domain
-from termbridge.ingest import load_concepts, load_ontology_dump
+from termbridge.ingest import load_code_dictionary, load_concepts, load_ontology_dump
 from termbridge.pipeline import live_classes
 from termbridge.similarity import build_corpus, fit, score_concept_pairs
 
@@ -22,8 +22,9 @@ PEAK_BOUND_MIB = 2.44 * 1.25
 
 def test_cosine_stages_peak_stays_bounded(tmp_path):
     root = _write_scale_fixture(tmp_path, n_concepts=1_000, n_classes=5_000, vocab=3_000)
-    concepts = load_concepts(root / "concepts.tsv", Domain.CONDITION).concepts
-    classes = live_classes(load_ontology_dump(root / "ontology.jsonl").values())
+    dictionary = load_code_dictionary()
+    concepts = load_concepts(root / "concepts.tsv", dictionary, Domain.CONDITION).concepts
+    classes = live_classes(load_ontology_dump(root / "ontology.jsonl", dictionary).values())
 
     tracemalloc.start()
     try:

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from termbridge.core import Domain
-from termbridge.ingest import default_code_dictionary, load_concepts, load_ontology_dump
+from termbridge.ingest import load_code_dictionary, load_concepts, load_ontology_dump
 from termbridge.pipeline import RunConfig, live_classes, run_map
 from termbridge.similarity import (
     best_per_concept,
@@ -142,8 +142,8 @@ def _allowed(concepts, classes, rules):
 
 def _model(root: Path):
     """The inputs' concepts and classes, and the model ``map`` fits on them."""
-    dictionary = default_code_dictionary()
-    concepts = load_concepts(root / "concepts.tsv", Domain.CONDITION, None, dictionary).concepts
+    dictionary = load_code_dictionary()
+    concepts = load_concepts(root / "concepts.tsv", dictionary, Domain.CONDITION).concepts
     classes = load_ontology_dump(root / "ontology.jsonl", dictionary)
     return concepts, classes, fit(build_corpus(concepts.values(), live_classes(classes.values()), frozenset(STOPWORDS)))
 

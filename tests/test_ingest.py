@@ -17,7 +17,6 @@ from termbridge.core import ClinicalConcept, CodeRef, Domain
 from termbridge.errors import ParseError
 from termbridge.ingest import (
     CONCEPT_COLUMNS,
-    default_code_dictionary,
     header_line,
     is_cui,
     load_code_dictionary,
@@ -99,7 +98,7 @@ class TestLoadConcepts:
         path.write_text(
             HEADER + "\n22945\tSNOMED\t70305005\tHorizontal overbite\toverjet\tCONDITION\t1\t12\n"
         )
-        load = load_concepts(path)
+        load = load_concepts(path, _dict())
         concept = load.concepts[22945]
         assert concept.synonyms == ("overjet",)
         assert concept.code == CodeRef("SNOMED", "70305005")
@@ -109,14 +108,14 @@ class TestLoadConcepts:
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text(HEADER + "\n")
-        assert load_concepts(path).concepts == {}
+        assert load_concepts(path, _dict()).concepts == {}
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "c.tsv"
         row = "1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n"
         path.write_text(HEADER + "\n" + row + row)
         with pytest.raises(ParseError) as err:
-            load_concepts(path)
+            load_concepts(path, _dict())
         assert err.value.code == "DUPLICATE_ID"
         assert err.value.line == 3
 
@@ -124,7 +123,7 @@ class TestLoadConcepts:
         path = tmp_path / "c.tsv"
         path.write_text("concept_id\tlabel\n")
         with pytest.raises(ParseError) as err:
-            load_concepts(path)
+            load_concepts(path, _dict())
         assert err.value.code == "MISSING_COLUMN"
         assert err.value.line == 1
 
@@ -135,7 +134,7 @@ class TestLoadConcepts:
             + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n2\tSNOMED\ty\tB\t\tBAD_DOMAIN\t1\t3\n"
         )
         with pytest.raises(ParseError) as err:
-            load_concepts(path)
+            load_concepts(path, _dict())
         assert err.value.code == "MALFORMED_ROW"
         assert err.value.line == 3
 
@@ -145,7 +144,7 @@ class TestLoadConcepts:
             HEADER
             + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n2\tRXNORM\ty\tB\t\tDRUG\t1\t3\n"
         )
-        load = load_concepts(path, domain=Domain.DRUG)
+        load = load_concepts(path, _dict(), domain=Domain.DRUG)
         assert set(load.concepts) == {2}
 
     def test_ancestors_joined_and_dangling_counted(self, tmp_path):
@@ -155,7 +154,7 @@ class TestLoadConcepts:
         )
         anc = tmp_path / "a.tsv"
         anc.write_text("concept_id\tancestor_concept_id\n1\t2\n1\t999\n")
-        load = load_concepts(path, ancestors_path=anc)
+        load = load_concepts(path, _dict(), ancestors_path=anc)
         assert load.concepts[1].ancestors == (2,)
         assert load.dangling_ancestors == 1
 
@@ -165,7 +164,7 @@ class TestLoadConcepts:
         anc = tmp_path / "a.tsv"
         anc.write_text("concept_id\tancestor_concept_id\n1\t1\n")
         with pytest.raises(ParseError) as err:
-            load_concepts(path, ancestors_path=anc)
+            load_concepts(path, _dict(), ancestors_path=anc)
         assert err.value.code == "MALFORMED_ROW"
         assert err.value.line == 2
 
@@ -184,7 +183,7 @@ class TestLoadConcepts:
         anc = tmp_path / "a.tsv"
         anc.write_text("concept_id\tancestor_concept_id\n1\t2\n" + bad_row + "\n3\t1\n")
         with pytest.raises(ParseError) as err:
-            load_concepts(path, domain=Domain.CONDITION, ancestors_path=anc)
+            load_concepts(path, _dict(), domain=Domain.CONDITION, ancestors_path=anc)
         assert (err.value.code, err.value.line) == ("MALFORMED_ROW", 3)
 
     def test_dangling_counts_only_loaded_children(self, tmp_path):
@@ -198,7 +197,7 @@ class TestLoadConcepts:
         )
         anc = tmp_path / "a.tsv"
         anc.write_text("1\t2\n1\t999\n1\t999\n2\t1\n2\t3\n3\t1\n999\t998\n")
-        load = load_concepts(path, domain=Domain.CONDITION, ancestors_path=anc)
+        load = load_concepts(path, _dict(), domain=Domain.CONDITION, ancestors_path=anc)
         assert {cid: c.ancestors for cid, c in load.concepts.items()} == {1: (), 3: (1,)}
         assert load.dangling_ancestors == 2
 
@@ -206,7 +205,7 @@ class TestLoadConcepts:
         path = tmp_path / "c.tsv"
         path.write_text(HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t0\n")
         with pytest.raises(ParseError) as err:
-            load_concepts(path)
+            load_concepts(path, _dict())
         assert err.value.code == "MALFORMED_ROW"
 
     @pytest.mark.parametrize(
@@ -221,7 +220,7 @@ class TestLoadConcepts:
             + bad_row + "\n"
         )
         with pytest.raises(ParseError) as err:
-            load_concepts(path, domain=Domain.CONDITION)
+            load_concepts(path, _dict(), domain=Domain.CONDITION)
         assert (err.value.code, err.value.line) == ("MALFORMED_ROW", 4)
 
     @pytest.mark.parametrize("count", ["0", "-1"])
@@ -231,7 +230,7 @@ class TestLoadConcepts:
             HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n"
             + f"2\tRXNORM\ty\tB\t\tDRUG\t1\t{count}\n"
         )
-        assert set(load_concepts(path, domain=Domain.CONDITION).concepts) == {1}
+        assert set(load_concepts(path, _dict(), domain=Domain.CONDITION).concepts) == {1}
 
     def test_duplicate_id_reported_before_a_later_checked_value(self, tmp_path):
         # Duplicates are found while rows are read; record_count, like the
@@ -242,7 +241,7 @@ class TestLoadConcepts:
             + "2\tSNOMED\ty\tB\t\tCONDITION\t1\t3\n"
         )
         with pytest.raises(ParseError) as err:
-            load_concepts(path)
+            load_concepts(path, _dict())
         assert (err.value.code, err.value.line) == ("DUPLICATE_ID", 4)
 
     def test_round_trip(self, tmp_path):
@@ -253,7 +252,7 @@ class TestLoadConcepts:
         )
         path = tmp_path / "c.tsv"
         path.write_text(text)
-        assert serialize_concepts(load_concepts(path).concepts, {1: 3, 2: 0}) == text
+        assert serialize_concepts(load_concepts(path, _dict()).concepts, {1: 3, 2: 0}) == text
 
 
 class TestLoadOntologyDump:
@@ -668,7 +667,7 @@ class TestConceptFirstUmlsDifferential:
     @given(umls_inputs())
     def test_enrichment_matches_all_keys_oracle(self, case):
         conso_rows, sty_rows, codes = case
-        dictionary = default_code_dictionary()
+        dictionary = load_code_dictionary()
         concepts = {
             concept_id: ClinicalConcept(
                 concept_id=concept_id,
@@ -841,14 +840,14 @@ _READERS = {
         "anc.tsv",
         "concept_id\tancestor_concept_id\n1\t2",
         lambda p, d: load_concepts(
-            _write(d / "c.tsv", f"{HEADER}\n1\tSNOMED\t11\tA\t\tCONDITION\t1\t3\n"), ancestors_path=p
+            _write(d / "c.tsv", f"{HEADER}\n1\tSNOMED\t11\tA\t\tCONDITION\t1\t3\n"), _dict(), ancestors_path=p
         ),
     ),
     "ontology_dump": (
         "o.jsonl",
         '{"curie": "HP:1", "ontology": "HP", "label": "a"}\n'
         '{"curie": "HP:2", "ontology": "HP", "label": "b"}',
-        lambda p, d: load_ontology_dump(p),
+        lambda p, d: load_ontology_dump(p, _dict()),
     ),
     "mrconso": (
         "MRCONSO.RRF",
@@ -944,8 +943,8 @@ def _ancestor_children(tmp_path):
 
 # Each loader: (the header its file starts with, a call that reads the file).
 _VERDICT_LOADERS = {
-    "concepts": (HEADER, lambda p, d: load_concepts(p, Domain.CONDITION)),
-    "ancestors": ("", lambda p, d: load_concepts(_ancestor_children(d), Domain.CONDITION, p)),
+    "concepts": (HEADER, lambda p, d: load_concepts(p, _dict(), Domain.CONDITION)),
+    "ancestors": ("", lambda p, d: load_concepts(_ancestor_children(d), _dict(), Domain.CONDITION, p)),
     "curation": (CURATION_HEADER, lambda p, d: load_curation(p, {"HP", "MONDO"})),
     "routing": ("semantic_type\taction\tvalue", lambda p, d: load_routing_policy(p, ["HP"])),
     "scales": ("concept_id\tscale\treference_range_kind", lambda p, d: load_measurement_scales(p)),
@@ -956,7 +955,7 @@ _VERDICT_LOADERS = {
     "patients": ("patient_id\thpo_curie", lambda p, d: list(load_patient_phenotypes(p))),
     "cohort": ("patient_id\tgroup", lambda p, d: load_cohort(p)),
     "id_list": ("", lambda p, d: load_id_list(p)),
-    "ontology": ("", lambda p, d: load_ontology_dump(p)),
+    "ontology": ("", lambda p, d: load_ontology_dump(p, _dict())),
     "code_map": ("raw_prefix,canonical_prefix", lambda p, d: load_code_dictionary(p)),
 }
 

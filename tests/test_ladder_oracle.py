@@ -114,10 +114,11 @@ def ladder_inputs(draw):
                 if outcomes:
                     chosen = draw(st.lists(st.sampled_from(outcomes), min_size=1, unique=True))
                     case.results[concept.concept_id] = [(o, draw(result_curies)) for o in chosen]
-            aux = st.tuples(st.sampled_from(ONTOLOGIES), st.integers(1, 3))
-            case.aux[concept.concept_id] = [
-                (key, f"{key}:000000{i}") for key, i in draw(st.lists(aux, max_size=2))
-            ]
+                    # A measurement of unknown result type takes no row: ``map`` rejects one.
+                    aux = st.tuples(st.sampled_from(ONTOLOGIES), st.integers(1, 3))
+                    case.aux[concept.concept_id] = [
+                        (key, f"{key}:000000{i}") for key, i in draw(st.lists(aux, max_size=2))
+                    ]
     return case
 
 

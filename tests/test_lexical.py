@@ -6,7 +6,7 @@ import pytest
 
 from termbridge.core import CodeRef
 from termbridge.errors import ParseError
-from termbridge.ingest import default_code_dictionary, load_code_dictionary
+from termbridge.ingest import load_code_dictionary
 from termbridge.lexical import (
     NormalizationDictionary,
     canonicalize_code,
@@ -97,7 +97,7 @@ class TestNormalizationDictionary:
         assert (err.value.code, err.value.path, err.value.line) == ("CONFLICTING_PREFIX", str(path), 3)
 
     def test_packaged_dictionary_is_fixed_point(self):
-        d = default_code_dictionary()
+        d = load_code_dictionary()
         assert d.canonical_prefix("snomedct_us") == "SNOMED"
         assert d.canonical_prefix("SNOMED") == "SNOMED"
 

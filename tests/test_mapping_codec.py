@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 
 from termbridge import pipeline
 from termbridge.cli import main
-from termbridge.ingest import MAPPING_COLUMNS, load_mappings
+from termbridge.ingest import MAPPING_COLUMNS, evidence_text, load_mappings
 from termbridge.pipeline import run_map
 
 from test_cli import map_args, measurement_args
@@ -50,7 +50,7 @@ def test_records_come_back_from_their_rows(case):
         score = None if r.score is None else float(f"{r.score:.12g}")
         assert fields == [
             r.concept_id, r.domain, r.ontology, r.category, r.category.level, r.logic, r.targets,
-            tuple(labels.get(t, "") for t in r.targets), score, r.evidence, r.unmapped_reason, r.outcome,
+            tuple(labels.get(t, "") for t in r.targets), score, evidence_text(r.evidence), r.unmapped_reason, r.outcome,
         ]
 
 

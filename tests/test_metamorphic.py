@@ -27,6 +27,15 @@ column, the routing ALLOW values and the auxiliary-target keys of the
 measurement targets.  The loaders settle each key's case as they read
 it.  The inputs are the golden and measurement fixtures and perfbench's
 tiny map-ladder inputs.
+
+Id renumbering: every concept id that a run's inputs name (concepts,
+ancestor pairs, curation, measurement scales and targets) is replaced by
+a new id, in an order-preserving way, past 2**31: a concept id is any
+positive integer.  Then ``summary.json`` stays as it was, and
+``mappings.tsv`` and the ``export-sssom`` file change only in the
+concept id, which heads ``concept_id`` and ``mapping_set_id``.  The
+inputs are the golden and measurement fixtures and perfbench's tiny
+map-ladder inputs.
 """
 
 import importlib
@@ -170,7 +179,9 @@ _OTHER_DOMAIN = {
 
 
 @pytest.mark.parametrize("name", ["golden", "measurement"])
-def test_other_domain_rows_leave_map_outputs_unchanged(name, tmp_path, condition_fixture, measurement_fixture):
+def test_other_domain_rows_leave_map_outputs_unchanged(
+    name, tmp_path, condition_fixture, measurement_fixture, capsys
+):
     paths, args = (condition_fixture, map_args) if name == "golden" else (measurement_fixture, measurement_args)
     assert main(args(paths, tmp_path / "before")) == 0
     added = dict(paths)
@@ -181,7 +192,9 @@ def test_other_domain_rows_leave_map_outputs_unchanged(name, tmp_path, condition
     argv = args(added, tmp_path / "after")
     if name == "measurement":
         argv += ["--ancestors", added["ancestors"], "--curation", added["curation"]]
+    capsys.readouterr()
     assert main(argv) == 0
+    assert capsys.readouterr().err == ""  # another domain's rows are not reported
     for output in OUTPUTS:
         assert (tmp_path / "after" / output).read_bytes() == (tmp_path / "before" / output).read_bytes(), output
 
@@ -242,3 +255,73 @@ def test_key_case_leaves_map_outputs_unchanged(name, tmp_path, condition_fixture
         assert main(_lowercased_keys(argv, lowered)) == 0
         for output in OUTPUTS:
             assert (after / output).read_bytes() == (before / output).read_bytes(), (name, i, output)
+
+
+# Flag -> the columns of its file that hold concept ids.
+_ID_COLUMNS = {
+    "--concepts": (0,),
+    "--ancestors": (0, 1),
+    "--curation": (0,),
+    "--measurement-scales": (0,),
+    "--measurement-targets": (0,),
+}
+
+
+def _renumbered(argv, to: Path, rnd: random.Random):
+    """``argv`` with each file that names concept ids rewritten under ``to``
+    with every id replaced, order kept, by one past 2**31; and the map from
+    each new id back to the id it replaced."""
+    files = {k + 1: _ID_COLUMNS[flag] for k, flag in enumerate(argv[:-1]) if flag in _ID_COLUMNS}
+    tables = {k: [line.split("\t") for line in Path(argv[k]).read_text(encoding="utf-8").splitlines()] for k in files}
+    ids = {
+        int(row[c]) for k, columns in files.items() for row in tables[k] for c in columns if row[c].strip().isdigit()
+    }
+    new, last = {}, 2**31
+    for old in sorted(ids):
+        last = new[old] = last + rnd.randint(1, 10**6)
+    moved = list(argv)
+    for k, columns in files.items():
+        for row in tables[k]:
+            for c in columns:
+                if row[c].strip().isdigit():
+                    row[c] = str(new[int(row[c])])
+        moved[k] = str(to / f"{k}-{Path(argv[k]).name}")
+        Path(moved[k]).write_text("".join("\t".join(row) + "\n" for row in tables[k]), encoding="utf-8")
+    return moved, {n: old for old, n in new.items()}
+
+
+def _ids_back(path: Path, column: int, back) -> str:
+    """A TSV output's text with the concept id that heads field ``column``
+    of each data row mapped through ``back``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i, line in enumerate(lines[1:], start=1):
+        fields = line.split("\t")
+        concept_id, colon, rest = fields[column].partition(":")
+        fields[column] = f"{back[int(concept_id)]}{colon}{rest}"
+        lines[i] = "\t".join(fields)
+    return "".join(lines)
+
+
+def _export(argv, out: Path) -> int:
+    """``export-sssom`` of the ``map`` run ``argv``, which wrote to ``out``."""
+    given = {flag: argv[argv.index(flag) + 1] for flag in ("--concepts", "--code-map") if flag in argv}
+    return main(["export-sssom", "--mappings", str(out / "mappings.tsv"), "--out", str(out),
+                 *(part for item in given.items() for part in item)])
+
+
+@pytest.mark.parametrize("name", ["golden", "measurement", "map-ladder"])
+def test_id_renumbering_changes_only_concept_ids(name, tmp_path, condition_fixture, measurement_fixture, monkeypatch):
+    runs = _fixture_runs(name, tmp_path, condition_fixture, measurement_fixture, monkeypatch)
+    for i, run in enumerate(runs):
+        argv, before = run(tmp_path / f"before{i}")
+        assert main(argv) == 0 and _export(argv, before) == 0
+        renumbered = tmp_path / f"renumbered{i}"
+        renumbered.mkdir()
+        argv, after = run(tmp_path / f"after{i}")
+        argv, back = _renumbered(argv, renumbered, random.Random(f"{name}:{i}"))
+        assert main(argv) == 0 and _export(argv, after) == 0
+        assert (after / "summary.json").read_bytes() == (before / "summary.json").read_bytes(), (name, i)
+        for output, column in (("mappings.tsv", 0), ("mappings_sssom.tsv", 5)):
+            assert _ids_back(after / output, column, back) == (before / output).read_text(encoding="utf-8"), (
+                name, i, output
+            )

@@ -436,6 +436,18 @@ class TestExpandMeasurements:
             )
         assert err.value.code == "OUTCOME_MISMATCH"
 
+    @pytest.mark.parametrize(
+        "assignments, aux",
+        [([ResultAssignment(MeasurementOutcome.HIGH, "HP:1")], []), ([], ["UBERON:0001969"])],
+        ids=["result_row", "auxiliary_row"],
+    )
+    def test_row_of_unknown_result_type_is_outcome_mismatch(self, assignments, aux):
+        c = _concept(12, domain=Domain.MEASUREMENT)
+        with pytest.raises(DataError) as err:
+            expand_measurements(c, _scale(MeasurementScale.NARRATIVE), assignments, aux, ("HP", "UBERON"))
+        assert err.value.code == "OUTCOME_MISMATCH"
+        assert err.value.message.startswith("concept 12: ")
+
     def test_expanded_records_validate(self):
         c = _concept(11, domain=Domain.MEASUREMENT)
         records = _expand(
