@@ -6,7 +6,11 @@ Generates inputs for every declared TSV loader with ``tests/ingest_fuzz.py``
 MRCONSO.RRF/MRSTY.RRF pairs for ``load_umls`` (the ``umls`` family), reads
 each one with each tree's loaders in a subprocess, and reports every input
 whose (exception type, code, line) differs between the trees, or, for a
-pair both trees load, whose UMLS tables differ.
+pair both trees load, whose UMLS tables differ.  Each difference is
+classed: both trees raise a ParseError in the same file and the new one
+names an earlier line (``earlier_line``), the same line (``same_line``) or
+a later line (``later_line``) than the old one, or the outcome differs in
+another way (``other``).  The summary counts each class per family.
 
 Usage: python scripts/ingest_differential.py OLD_SRC NEW_SRC [--inputs N] [--seed S]
 
@@ -61,6 +65,22 @@ def _generate(work: Path, count: int, seed: int) -> list[tuple[str, str]]:
     return inputs
 
 
+_KINDS = ("earlier_line", "same_line", "later_line", "other")
+
+
+def _file(verdict) -> str:
+    """The file a ParseError verdict names: its message ends ``[file:line]``."""
+    return verdict[3].rsplit(" [", 1)[-1].rsplit(":", 1)[0]
+
+
+def _kind(before, after) -> str:
+    """The class of a differing verdict pair, one of ``_KINDS``."""
+    if any(v[0] != "ParseError" or v[2] is None for v in (before, after)) or _file(before) != _file(after):
+        return "other"
+    old, new = before[2], after[2]
+    return "earlier_line" if new < old else "same_line" if new == old else "later_line"
+
+
 def _verdicts(src: Path, manifest: Path) -> list:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TESTS)]))
     proc = subprocess.run(
@@ -88,14 +108,16 @@ def main() -> int:
         summary: dict[str, dict[str, int]] = {}
         differ = 0
         for (loader, path), before, after in zip(inputs, old, new):
-            row = summary.setdefault(loader, {"inputs": 0, "differ": 0})
+            row = summary.setdefault(loader, {"inputs": 0, "differ": 0, **dict.fromkeys(_KINDS, 0)})
             row["inputs"] += 1
             # A load's tables are compared; an error's message is not.
             if before[:3] == after[:3] and (before[0] != "ok" or before[3] == after[3]):
                 continue
+            kind = _kind(before, after)
             row["differ"] += 1
+            row[kind] += 1
             differ += 1
-            print(f"{loader} {Path(path).parent.name}: {before} -> {after}")
+            print(f"{loader} {Path(path).parent.name} ({kind}): {before} -> {after}")
             for name in ("MRCONSO.RRF", "MRSTY.RRF") if loader == "umls" else (Path(path).name,):
                 text = (Path(path).parent / name).read_text(encoding="utf-8")
                 print(f"    {name}:\n    " + text.replace("\n", "\n    ").rstrip())

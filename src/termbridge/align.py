@@ -137,7 +137,7 @@ def align_concept(
 
 
 def align_via_ancestors(
-    concept: ClinicalConcept,
+    ancestor_ids,
     concept_table: dict[int, ClinicalConcept],
     indexes: AlignmentIndexes,
     allowed=None,
@@ -145,8 +145,8 @@ def align_via_ancestors(
     memo: dict,
 ) -> dict[str, dict[str, set]]:
     """Ancestor-level exact hits, in ``align_concept``'s shape: the hits of
-    every loaded ancestor, with the atoms of a CURIE that several ancestors
-    hit taken together and no ancestor preferred.
+    each of a concept's loaded ``ancestor_ids``, with the atoms of a CURIE
+    that several ancestors hit taken together and no ancestor preferred.
 
     ``memo`` keeps each ancestor's unfiltered hits by id across one run's
     calls, so an ancestor is aligned once; each call keeps its ``allowed``
@@ -154,7 +154,7 @@ def align_via_ancestors(
     concept-level alignment came back empty.
     """
     merged: dict[str, dict[str, set]] = {}
-    for ancestor_id in concept.ancestors:
+    for ancestor_id in ancestor_ids:
         hits = memo.get(ancestor_id)
         if hits is None:
             ancestor = concept_table.get(ancestor_id)

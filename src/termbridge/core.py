@@ -177,7 +177,7 @@ class CodeRef:
 
 @dataclass(frozen=True, slots=True)
 class ClinicalConcept:
-    """One clinical vocabulary concept with its hierarchy and usage metadata."""
+    """One clinical vocabulary concept with its usage metadata."""
 
     concept_id: int
     code: CodeRef
@@ -185,15 +185,12 @@ class ClinicalConcept:
     synonyms: tuple[str, ...]
     domain: Domain
     used_in_practice: bool
-    ancestors: tuple[int, ...] = ()
     semantic_types: tuple[str, ...] = ()
     cuis: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.concept_id <= 0:
             raise ValueError(f"concept_id must be positive: {self.concept_id}")
-        if self.concept_id in self.ancestors:
-            raise ValueError(f"concept {self.concept_id}: self-loop in ancestors")
 
 
 _PREFIX, _LOCAL = r"[A-Za-z][A-Za-z0-9]*", r"[^\s|]+"
@@ -229,9 +226,7 @@ class OntologyClass:
     deprecated: bool = False
 
     def __post_init__(self):
-        prefix, local = parse_curie(self.curie)
-        if not local:
-            raise ValueError(f"empty local id in CURIE: {self.curie!r}")
+        prefix, _ = parse_curie(self.curie)
         if prefix.upper() != self.ontology.upper():
             raise ValueError(
                 f"CURIE prefix {prefix!r} does not match ontology key {self.ontology!r}"

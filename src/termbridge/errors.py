@@ -59,7 +59,7 @@ class DataError(TermbridgeError):
     exit_code = 3
     codes = frozenset({
         "DEGENERATE_COHORT", "EMPTY_GROUP", "EMPTY_SITE_DATA", "INVALID_RECORD", "MISSING_TARGET_FOR_RESULT",
-        "NEGATIVE_WEIGHT", "OUTCOME_MISMATCH", "TOO_FEW_PATIENTS",
+        "NEGATIVE_WEIGHT", "OUTCOME_MISMATCH", "TOO_FEW_PATIENTS", "UNKNOWN_CONCEPT",
     })
 
 

@@ -20,15 +20,17 @@ keys are uppercased where they are read (a dump's ``ontology`` field, the
 curation ``ontology`` column, routing ALLOW values, auxiliary-target
 keys), and nothing downstream changes their case again.
 
-The TSVs: concepts (synonyms pipe-delimited; the record count is
-validated only: >= 0, and > 0 for a concept used in practice, on rows of
-the domain being loaded), concept ancestors (header optional),
-routing policy, curation (targets pipe-delimited CURIEs; one row per
-(concept, ontology) in any domain), measurement scales and targets,
-``mappings.tsv`` (each row one ``map`` writes), prevalence (one row per
-(site, concept); counts below 100 floored to 100), weights (finite; one
-row per CURIE), patient phenotypes and cohort (one row per patient).  The
-other formats:
+The TSVs: concepts (synonyms pipe-delimited; read in one pass, each row
+of the domain being loaded checked and built where it stands; the record
+count is validated only: >= 0, and > 0 for a concept used in practice),
+concept ancestors (header optional; read after the concepts, every row
+checked, and the loaded concepts' ancestors kept in a table of their
+own, ``ConceptLoad.ancestors``), routing policy, curation (targets
+pipe-delimited CURIEs; one row per (concept, ontology) in any domain),
+measurement scales and targets, ``mappings.tsv`` (each row one ``map``
+writes), prevalence (one row per (site, concept); counts below 100
+floored to 100), weights (finite; one row per CURIE), patient phenotypes
+and cohort (one row per patient).  The other formats:
 
   ontology.jsonl        one JSON object per class:
                         {"curie","ontology","label","definition",
@@ -58,6 +60,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .core import (
     CURIE_LIST_RE,
@@ -253,10 +256,11 @@ class ScaleRow:
     reference_range_kind: str  # NUMERIC | POS_NEG | NONE
 
 
-@dataclass(frozen=True)
-class ConceptLoad:
+class ConceptLoad(NamedTuple):
     concepts: dict[int, ClinicalConcept]
+    ancestors: dict[int, tuple[int, ...]]  # loaded child id -> its sorted loaded ancestor ids
     dangling_ancestors: int
+    unlisted_ancestor_rows: int  # ancestor rows whose child is listed in no domain
     other_domain: set[int]  # the ids of the rows skipped for another domain
 
 
@@ -362,66 +366,29 @@ def _parse_reason(raw: str, path, lineno) -> UnmappedReason:
         raise ParseError("UNKNOWN_REASON", f"reason {raw!r}", str(path), lineno) from None
 
 
-def _load_ancestor_pairs(path, children):
-    """concept_id -> the ids of its ancestors, for the ids in ``children``.
-
-    Every row is validated; rows for other children are then skipped.
-    """
-    pairs = defaultdict(set)
-    for lineno, (child, ancestor) in _read_rows(path, ANCESTOR_COLUMNS, header_optional=True):
-        if child == ancestor:
-            raise ParseError("MALFORMED_ROW", f"self-loop ancestor for {child}", str(path), lineno)
-        if child in children:
-            pairs[child].add(ancestor)
-    return pairs
-
-
 def load_concepts(
     path, dictionary: NormalizationDictionary, domain: Domain | None = None, ancestors_path=None
 ) -> ConceptLoad:
     """Parse a concept table, optionally joining an ancestor file.  Each
     vocabulary is canonicalized through the prefix ``dictionary``.
 
-    When ``domain`` is given, rows from other domains are skipped, and
-    their ids kept, so one shared extract can feed per-domain runs.
-    Ancestor references that do not resolve to a loaded concept are
-    dropped and counted.
+    Each kept row is checked and its concept built on that row, so the
+    first bad row in file order is the one reported.  When ``domain`` is
+    given, rows from other domains are skipped, and their ids kept, so one
+    shared extract can feed per-domain runs.  Every ancestor row is then
+    validated, and the loaded children's ancestors kept; ancestors that
+    are not loaded concepts are dropped and counted, and rows whose child
+    is listed in no domain are counted.
     """
-    # concept_id -> (prefix, code, label, synonyms, domain, used, record_count, lineno)
-    rows: dict[int, tuple] = {}
+    concepts: dict[int, ClinicalConcept] = {}
     other_domain = set()
     for lineno, fields in _read_rows(path, CONCEPT_COLUMNS):
-        concept_id, vocabulary, code, label, raw_synonyms, row_domain, used, record_count = fields
+        concept_id, vocabulary, code, label, synonyms, row_domain, used, record_count = fields
         if domain is not None and row_domain is not domain:
             other_domain.add(concept_id)
             continue
-        if concept_id in rows:
+        if concept_id in concepts:
             raise ParseError("DUPLICATE_ID", f"concept_id {concept_id} repeated", str(path), lineno)
-        synonyms = tuple(s for s in raw_synonyms.split("|") if s) if raw_synonyms else ()
-        rows[concept_id] = (
-            dictionary.canonical_prefix(vocabulary),
-            code.strip(),
-            label,
-            synonyms,
-            row_domain,
-            used,
-            record_count,
-            lineno,
-        )
-
-    ancestor_map = {}
-    if ancestors_path is not None:
-        ancestor_map = _load_ancestor_pairs(ancestors_path, rows)
-
-    dangling = 0
-    concepts: dict[int, ClinicalConcept] = {}
-    for concept_id, (prefix, code, label, synonyms, row_domain, used, record_count, lineno) in rows.items():
-        resolved = []
-        for anc in sorted(ancestor_map.get(concept_id, ())):
-            if anc in rows:
-                resolved.append(anc)
-            else:
-                dangling += 1
         try:
             if record_count < 0:
                 raise ValueError(f"record_count must be >= 0: {record_count}")
@@ -429,16 +396,31 @@ def load_concepts(
                 raise ValueError(f"concept {concept_id}: record_count 0 requires used_in_practice false")
             concepts[concept_id] = ClinicalConcept(
                 concept_id=concept_id,
-                code=CodeRef(prefix, code),
+                code=CodeRef(dictionary.canonical_prefix(vocabulary), code.strip()),
                 label=label,
-                synonyms=synonyms,
+                synonyms=tuple(s for s in synonyms.split("|") if s),
                 domain=row_domain,
                 used_in_practice=used,
-                ancestors=tuple(resolved),
             )
         except ValueError as exc:
             raise ParseError("MALFORMED_ROW", str(exc), str(path), lineno) from None
-    return ConceptLoad(concepts=concepts, dangling_ancestors=dangling, other_domain=other_domain)
+
+    listed: dict[int, list[int]] = defaultdict(list)  # loaded child -> its ancestors as listed
+    unlisted = 0
+    if ancestors_path is not None:
+        for lineno, (child, ancestor) in _read_rows(ancestors_path, ANCESTOR_COLUMNS, header_optional=True):
+            if child == ancestor:
+                raise ParseError("MALFORMED_ROW", f"self-loop ancestor for {child}", str(ancestors_path), lineno)
+            if child in concepts:
+                listed[child].append(ancestor)
+            elif child not in other_domain:
+                unlisted += 1
+    ancestors, dangling = {}, 0
+    for child, ids in listed.items():
+        distinct = set(ids)
+        ancestors[child] = tuple(sorted(a for a in distinct if a in concepts))
+        dangling += len(distinct) - len(ancestors[child])
+    return ConceptLoad(concepts, ancestors, dangling, unlisted, other_domain)
 
 
 # The ontology JSONL object's fields: key -> (accepted types, what the error says).
@@ -537,7 +519,7 @@ def _rrf_rows(path, width: int):
     fields is ``SHORT_ROW``, and a field 0 that is no CUI is ``BAD_CUI``."""
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+            line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("|", width)

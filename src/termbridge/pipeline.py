@@ -264,8 +264,10 @@ def run_map(cfg: RunConfig) -> Path:
     dictionary = load_code_dictionary(cfg.code_map)
     stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
 
-    concept_load = load_concepts(cfg.concepts, dictionary, cfg.domain, cfg.ancestors)
-    concepts = concept_load.concepts
+    # Unpacked, so that no name holds the loaded concepts once ``enrich_concepts`` has copied them.
+    concepts, ancestors, dangling_ancestors, unlisted_ancestor_rows, other_domain = load_concepts(
+        cfg.concepts, dictionary, cfg.domain, cfg.ancestors
+    )
 
     classes = {}
     for dump in cfg.ontology_dumps:
@@ -297,9 +299,10 @@ def run_map(cfg: RunConfig) -> Path:
     # Rows for a concept of another domain are rightly skipped; rows for a
     # concept listed in no domain are reported.
     def unlisted(ids):
-        return [cid for cid in ids if cid not in concepts and cid not in concept_load.other_domain]
+        return [cid for cid in ids if cid not in concepts and cid not in other_domain]
 
     for path, n in (
+        (cfg.ancestors, unlisted_ancestor_rows),
         (cfg.curation, sum(len(curation[cid]) for cid in unlisted(curation))),
         (cfg.measurement_scales, len(unlisted(scales))),
         (cfg.measurement_targets, sum(len(table[cid]) for table in (assignments, aux) for cid in unlisted(table))),
@@ -353,7 +356,8 @@ def run_map(cfg: RunConfig) -> Path:
             exact_c = align_concept(concept, indexes, allowed) if allowed else {}
             remaining = allowed - exact_c.keys()
             exact_a = (
-                align_via_ancestors(concept, concepts, indexes, remaining, memo=ancestor_hits) if remaining else {}
+                align_via_ancestors(ancestors.get(concept_id, ()), concepts, indexes, remaining, memo=ancestor_hits)
+                if remaining else {}
             )
             return synthesize(
                 concept, exact_c, exact_a, winners.for_concept(concept_id), curated, decision, ontologies, claimed
@@ -394,7 +398,7 @@ def run_map(cfg: RunConfig) -> Path:
             "idf_variant": IDF_VARIANT,
         },
         "ingest_warnings": {
-            "dangling_ancestors": concept_load.dangling_ancestors,
+            "dangling_ancestors": dangling_ancestors,
             "unknown_curation_targets": list(unknown_curation_targets),
         },
     }
@@ -545,15 +549,18 @@ def run_phers(cfg: RunConfig) -> Path:
     return out_dir
 
 
-def _sssom_rows(mappings, concepts):
+def _sssom_rows(mappings, concepts, concepts_name):
     """SSSOM rows for each mapping row as it arrives, one per target, with
-    the row's ``evidence`` as read for the comment."""
+    the row's ``evidence`` as read for the comment.  A row for a concept
+    not in ``concepts`` is ``UNKNOWN_CONCEPT``."""
     for concept_id, _, ontology, category, _, _, targets, labels, _, evidence, _, outcome in mappings:
+        concept = concepts.get(concept_id)
+        if concept is None:
+            message = f"a mapping row names concept {concept_id}, which {concepts_name} does not list"
+            raise DataError("UNKNOWN_CONCEPT", message)
         if category is MappingCategory.UNMAPPED:
             continue
-        concept = concepts.get(concept_id)
-        subject_id = str(concept.code) if concept else str(concept_id)
-        subject_label = concept.label if concept else ""
+        subject_id, subject_label = str(concept.code), concept.label
         justification = category.justification.value
         set_id = f"{concept_id}:{ontology}" + (f":{outcome.value}" if outcome else "")
         for target, label in zip(targets, labels):
@@ -568,11 +575,12 @@ def export_sssom(cfg: RunConfig) -> Path:
     the grouping; unmapped records contribute no rows.  Mapping rows are
     rendered and written as they are read.  Each ``subject_id`` is spelled
     as ``map`` spells the concept's code: through ``code_map``, or the
-    vendored prefix dictionary.
+    vendored prefix dictionary.  Every row's concept must be listed in
+    ``concepts``; a row for another leaves no file.
     """
     check_inputs(cfg, "export-sssom")
     concepts = load_concepts(cfg.concepts, load_code_dictionary(cfg.code_map)).concepts
-    rows = _sssom_rows(load_mappings(cfg.mappings), concepts)
+    rows = _sssom_rows(load_mappings(cfg.mappings), concepts, Path(cfg.concepts).name)
     out = Path(cfg.sssom_out or Path(cfg.out_dir) / "mappings_sssom.tsv")
     header = "subject_id\tsubject_label\tobject_id\tobject_label\tmapping_justification\tmapping_set_id\tcomment"
     _write_text(out, chain([header], rows))

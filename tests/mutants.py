@@ -132,6 +132,31 @@ MUTANTS = [
             f"{_UNKNOWN_TYPE_CLI}[auxiliary]",
         ),
     ),
+    Mutant(
+        "ancestor-self-loop-checked-for-loaded-children-only",
+        "ingest.py",
+        "if child == ancestor:",
+        "if child == ancestor and child in concepts:",
+        (
+            f"{_VERDICT}[ancestors-self_loop_unloaded_child]",
+            "tests/test_ingest.py::TestLoadConcepts::test_malformed_ancestor_row_of_unloaded_child_fails_on_its_line"
+            "[unknown_self_loop]",
+        ),
+    ),
+    Mutant(
+        "concepts-of-every-domain-loaded",
+        "ingest.py",
+        "if domain is not None and row_domain is not domain:",
+        "if False:",
+        ("tests/test_metamorphic.py::test_other_domain_rows_leave_map_outputs_unchanged[golden]",),
+    ),
+    Mutant(
+        "ancestor-memo-keeps-filtered-hits",
+        "align.py",
+        "hits = memo[ancestor_id] = align_concept(ancestor, indexes)",
+        "hits = memo[ancestor_id] = align_concept(ancestor, indexes, allowed)",
+        ("tests/test_align.py::TestAlignViaAncestors::test_memo_keeps_each_ancestor_unfiltered",),
+    ),
     # Only the id-renumbering relation catches it: the oracles' ids, and
     # the fixtures', all lie below 2**31.
     Mutant(

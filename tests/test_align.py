@@ -21,7 +21,7 @@ from termbridge.lexical import normalize_string
 from termbridge.pipeline import live_classes
 
 
-def concept(cid, code, label, synonyms=(), ancestors=(), cuis=(), used=True):
+def concept(cid, code, label, synonyms=(), cuis=(), used=True):
     return ClinicalConcept(
         concept_id=cid,
         code=code,
@@ -29,7 +29,6 @@ def concept(cid, code, label, synonyms=(), ancestors=(), cuis=(), used=True):
         synonyms=tuple(synonyms),
         domain=Domain.CONDITION,
         used_in_practice=used,
-        ancestors=tuple(ancestors),
         cuis=tuple(cuis),
     )
 
@@ -195,10 +194,9 @@ class TestAlignViaAncestors:
         )
         anc = concept(90001, CodeRef("SNOMED", "10890000"), "Disorder of salivary gland",
                       cuis=["C0036093"], used=False)
-        child = concept(22722, CodeRef("SNOMED", "5055000"), "Accessory salivary gland",
-                        ancestors=[90001])
+        child = concept(22722, CodeRef("SNOMED", "5055000"), "Accessory salivary gland")
         idx = build_indexes([salivary])
-        out = align_via_ancestors(child, {90001: anc, 22722: child}, idx, memo={})
+        out = align_via_ancestors((90001,), {90001: anc, 22722: child}, idx, memo={})
         assert out == {
             "HP": {
                 "HP:0010286": {
@@ -213,12 +211,9 @@ class TestAlignViaAncestors:
         foot = klass("MONDO:0044989", "Foot disease", synonyms=["Disorder of foot"])
         anc1 = concept(90002, CodeRef("SNOMED", "125605004"), "Fracture of bone", used=False)
         anc2 = concept(90003, CodeRef("SNOMED", "118932009"), "Disorder of foot", used=False)
-        child = concept(
-            74185, CodeRef("SNOMED", "209271004"), "Open fracture of cuboid bone of foot",
-            ancestors=[90002, 90003],
-        )
+        child = concept(74185, CodeRef("SNOMED", "209271004"), "Open fracture of cuboid bone of foot")
         table = {c.concept_id: c for c in (anc1, anc2, child)}
-        out = align_via_ancestors(child, table, build_indexes([bone, foot]), memo={})
+        out = align_via_ancestors((90002, 90003), table, build_indexes([bone, foot]), memo={})
         assert out == {
             "MONDO": {
                 "MONDO:0005315": {
@@ -233,9 +228,9 @@ class TestAlignViaAncestors:
     def test_two_ancestors_on_one_curie_pool_their_atoms(self):
         anc1 = concept(2, CodeRef("SNOMED", "70305005"), "first", used=False)
         anc2 = concept(3, CodeRef("SNOMED", "3"), "Overjet", used=False)
-        child = concept(4, CodeRef("SNOMED", "4"), "leaf", ancestors=[2, 3])
+        child = concept(4, CodeRef("SNOMED", "4"), "leaf")
         table = {c.concept_id: c for c in (anc1, anc2, child)}
-        assert align_via_ancestors(child, table, build_indexes([OVERJET]), memo={}) == {
+        assert align_via_ancestors((2, 3), table, build_indexes([OVERJET]), memo={}) == {
             "HP": {
                 "HP:0011095": {
                     EvidenceAtom(EvidenceKind.XREF_MATCH, "SNOMED:70305005"),
@@ -248,22 +243,22 @@ class TestAlignViaAncestors:
         # Two descendants routed to different ontologies share one ancestor.
         hp, mondo = klass("HP:0000001", "Bone fracture"), klass("MONDO:0000001", "Bone fracture")
         anc = concept(2, CodeRef("SNOMED", "2"), "Bone fracture", used=False)
-        to_hp = concept(3, CodeRef("SNOMED", "3"), "leaf", ancestors=[2])
-        to_mondo = concept(4, CodeRef("SNOMED", "4"), "other leaf", ancestors=[2])
+        to_hp = concept(3, CodeRef("SNOMED", "3"), "leaf")
+        to_mondo = concept(4, CodeRef("SNOMED", "4"), "other leaf")
         table = {c.concept_id: c for c in (anc, to_hp, to_mondo)}
         idx, memo = build_indexes([hp, mondo]), {}
         atoms = {EvidenceAtom(EvidenceKind.LABEL_MATCH, "bone fracture")}
-        assert align_via_ancestors(to_hp, table, idx, {"HP"}, memo=memo) == {"HP": {"HP:0000001": atoms}}
-        assert align_via_ancestors(to_mondo, table, idx, {"MONDO"}, memo=memo) == {"MONDO": {"MONDO:0000001": atoms}}
+        assert align_via_ancestors((2,), table, idx, {"HP"}, memo=memo) == {"HP": {"HP:0000001": atoms}}
+        assert align_via_ancestors((2,), table, idx, {"MONDO"}, memo=memo) == {"MONDO": {"MONDO:0000001": atoms}}
         assert memo == {2: align_concept(anc, idx)}
 
     def test_no_ancestors(self):
         child = concept(1, CodeRef("SNOMED", "1"), "leaf")
-        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET]), memo={}) == {}
+        assert align_via_ancestors((), {1: child}, build_indexes([OVERJET]), memo={}) == {}
 
     def test_missing_ancestor_skipped(self):
-        child = concept(1, CodeRef("SNOMED", "1"), "leaf", ancestors=[999])
-        assert align_via_ancestors(child, {1: child}, build_indexes([OVERJET]), memo={}) == {}
+        child = concept(1, CodeRef("SNOMED", "1"), "leaf")
+        assert align_via_ancestors((999,), {1: child}, build_indexes([OVERJET]), memo={}) == {}
 
 
 # --- oracle equivalence ------------------------------------------------------

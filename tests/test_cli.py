@@ -223,19 +223,23 @@ class TestMapCommand:
     def test_rows_for_unlisted_concepts_are_reported(self, condition_fixture, measurement_fixture, tmp_path, capsys):
         # Concepts 999999 and 999998 are in no domain of concepts.tsv; their
         # rows make no record and change no output, and each input says so.
+        # An ancestor row's child 999999 is listed in no domain either.
         assert run_map_cli(condition_fixture, tmp_path / "golden") == 0
         assert main(measurement_args(measurement_fixture, tmp_path / "measurement")) == 0
         assert capsys.readouterr().err == ""
         added = {}
         for paths, key, rows in (
+            (condition_fixture, "ancestors", ["999999\t22945"]),
             (condition_fixture, "curation", ["999999\tHP\t\tHP:0011095\tx\t"]),
             (measurement_fixture, "scales", ["999998\tQUANTITATIVE\tNUMERIC"]),
             (measurement_fixture, "targets", ["999998\tHIGH\tHP:0003154\t0", "999998\tUBERON\tUBERON:0001969\t0"]),
         ):
             added[key] = tmp_path / Path(paths[key]).name
             added[key].write_text(Path(paths[key]).read_text() + "".join(row + "\n" for row in rows))
-        assert run_map_cli(dict(condition_fixture, curation=str(added["curation"])), tmp_path / "golden-added") == 0
+        paths = dict(condition_fixture, ancestors=str(added["ancestors"]), curation=str(added["curation"]))
+        assert run_map_cli(paths, tmp_path / "golden-added") == 0
         assert capsys.readouterr().err == (
+            "warning: concept_ancestors.tsv: 1 row names a concept that concepts.tsv does not list\n"
             "warning: curation.tsv: 1 row names a concept that concepts.tsv does not list\n"
         )
         paths = dict(measurement_fixture, scales=str(added["scales"]), targets=str(added["targets"]))
@@ -708,6 +712,13 @@ def _small_mappings(path):
     Path(path).write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
+def _small_concepts(path):
+    """A concepts.tsv listing concepts 1 to 4: those of ``_small_mappings``
+    and of the rows appended to it."""
+    rows = [f"{cid}\tSNOMED\t{cid}{cid}\tconcept {cid}\t\tCONDITION\t1\t3" for cid in range(1, 5)]
+    Path(path).write_text(header_line(CONCEPT_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+
+
 class TestCoverageCommand:
     def test_partition_and_outputs(self, tmp_path):
         mappings = tmp_path / "mappings.tsv"
@@ -1108,6 +1119,21 @@ class TestExportSssom:
         ) == 0
         assert read_rows(target)
 
+    def test_row_for_an_unlisted_concept_is_data_error(self, condition_fixture, tmp_path, capsys):
+        # Concept 22945 maps in the run, but the concepts.tsv given to the
+        # export does not list it: the row names no subject.
+        run = tmp_path / "run"
+        assert run_map_cli(condition_fixture, run) == 0
+        concepts = tmp_path / "concepts.tsv"
+        lines = Path(condition_fixture["concepts"]).read_text().splitlines(keepends=True)
+        concepts.write_text("".join(line for line in lines if not line.startswith("22945\t")))
+        out = tmp_path / "out"
+        argv = ["export-sssom", "--mappings", str(run / "mappings.tsv"), "--concepts", str(concepts), "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error[UNKNOWN_CONCEPT]: a mapping row names concept 22945, which concepts.tsv does not list\n"
+        assert not out.exists()
+
     def test_non_integer_concept_id_is_parse_error(self, condition_fixture, tmp_path, capsys):
         run = tmp_path / "run"
         assert run_map_cli(condition_fixture, run) == 0
@@ -1199,7 +1225,7 @@ def test_broken_mapping_row_is_parse_error(tmp_path, capsys, command, row):
     if command == "coverage":
         _write_prevalence(inputs, [("a", 1, 100), ("b", 4, 100)])
     else:
-        inputs.write_text(f"{header_line(CONCEPT_COLUMNS)}\n4\tSNOMED\t44\tD\t\tCONDITION\t1\t3\n")
+        _small_concepts(inputs)
     flag = "--prevalence" if command == "coverage" else "--concepts"
     out = tmp_path / "out"
     assert main([command, "--mappings", str(mappings), flag, str(inputs), "--out", str(out)]) == 2
@@ -1391,9 +1417,10 @@ def modules_after(*commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _evaluate_commands(paths, tmp_path):
-    mappings = tmp_path / "mappings.tsv"
+def _evaluate_commands(tmp_path):
+    mappings, concepts = tmp_path / "mappings.tsv", tmp_path / "concepts.tsv"
     _small_mappings(mappings)
+    _small_concepts(concepts)
     prevalence = tmp_path / "prevalence.tsv"
     _write_prevalence(prevalence, [("a", 1, 500), ("a", 9, 100), ("b", 1, 300), ("b", 8, 100)])
     weights, patients, cohort = _write_phers_inputs(
@@ -1407,8 +1434,7 @@ def _evaluate_commands(paths, tmp_path):
          "--out", str(tmp_path / "coverage")],
         ["phers", "--weights", str(weights), "--patients", str(patients),
          "--cohort", str(cohort), "--out", str(tmp_path / "phers")],
-        ["export-sssom", "--mappings", str(mappings), "--concepts", paths["concepts"],
-         "--out", str(tmp_path / "sssom")],
+        ["export-sssom", "--mappings", str(mappings), "--concepts", str(concepts), "--out", str(tmp_path / "sssom")],
     ]
 
 
@@ -1424,8 +1450,8 @@ class TestImportCost:
     def test_import_loads_errors_only(self):
         assert modules_after() == [["termbridge", "termbridge.cli", "termbridge.errors"]]
 
-    def test_evaluate_commands_load_neither(self, condition_fixture, tmp_path):
-        for argv in _evaluate_commands(condition_fixture, tmp_path):
+    def test_evaluate_commands_load_neither(self, tmp_path):
+        for argv in _evaluate_commands(tmp_path):
             _, code, modules = modules_after(argv)
             assert code == 0, argv[0]
             assert not (_MAP_MODULES | {"scipy"}) & set(modules), (argv[0], modules)
@@ -1484,7 +1510,7 @@ codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 kept = [getattr(module, name) is wrapper for (module, name), wrapper in wrappers.items()]
 print(json.dumps([loaded_before, codes, calls, kept]))
 """
-        coverage = _evaluate_commands(condition_fixture, tmp_path)[0]
+        coverage = _evaluate_commands(tmp_path)[0]
         commands = [map_args(condition_fixture, tmp_path / "map"), coverage]
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(commands)],
@@ -1503,7 +1529,7 @@ class TestExitCodes:
             raise RuntimeError("stage fault")
 
         monkeypatch.setattr(pipeline, "partition_coverage", broken)
-        argv = _evaluate_commands({"concepts": ""}, tmp_path)[0]
+        argv = _evaluate_commands(tmp_path)[0]
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error[INTERNAL]: RuntimeError: stage fault\n")
@@ -1515,12 +1541,12 @@ class TestExitCodes:
 
         monkeypatch.setattr(pipeline, "partition_coverage", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            main(_evaluate_commands({"concepts": ""}, tmp_path)[0])
+            main(_evaluate_commands(tmp_path)[0])
 
     def test_runs_under_cprofile(self, tmp_path):
         # cProfile runs the module through runpy, in a namespace that is not
         # the module ``termbridge.cli``.
-        argv = _evaluate_commands({"concepts": ""}, tmp_path)[0]
+        argv = _evaluate_commands(tmp_path)[0]
         proc = subprocess.run(
             [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"), "-m", "termbridge.cli", *argv],
             env=subprocess_env(), capture_output=True, text=True, timeout=60,
@@ -1539,7 +1565,7 @@ class TestExitCodes:
             "    assert done.code == 0, done.code\n"
             "assert 'termbridge.cli' not in sys.modules\n"
         )
-        argv = _evaluate_commands({"concepts": ""}, tmp_path)[0]
+        argv = _evaluate_commands(tmp_path)[0]
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv], env=subprocess_env(), capture_output=True, text=True, timeout=60,
         )
@@ -1564,7 +1590,7 @@ class TestUndecodableInput:
         if command == "map":
             argv = map_args(condition_fixture, tmp_path / "out")
         else:
-            argv = next(a for a in _evaluate_commands(condition_fixture, tmp_path) if a[0] == command)
+            argv = next(a for a in _evaluate_commands(tmp_path) if a[0] == command)
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(b"\xff\xfe bad\n")
         argv[argv.index(flag) + 1] = str(bad)

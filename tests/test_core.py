@@ -254,24 +254,6 @@ class TestSlottedTypes:
         assert not hasattr(value, "__dict__")
 
 
-class TestClinicalConcept:
-    def _concept(self, **overrides):
-        base = dict(
-            concept_id=1,
-            code=CodeRef("SNOMED", "123"),
-            label="x",
-            synonyms=(),
-            domain=Domain.CONDITION,
-            used_in_practice=True,
-        )
-        base.update(overrides)
-        return ClinicalConcept(**base)
-
-    def test_no_self_loop(self):
-        with pytest.raises(ValueError):
-            self._concept(ancestors=(1,))
-
-
 class TestOntologyClass:
     def test_prefix_must_match_ontology(self):
         with pytest.raises(ValueError):

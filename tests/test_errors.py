@@ -101,6 +101,15 @@ def _coverage(tmp_path, sites):
     return argv, None, None
 
 
+def _export_unlisted(cond, tmp_path):
+    """``export-sssom`` of mapping rows for concepts 1 to 3, which the
+    condition inputs' concepts.tsv does not list."""
+    mappings = tmp_path / "mappings.tsv"
+    _small_mappings(mappings)
+    argv = ["export-sssom", "--mappings", str(mappings), "--concepts", cond["concepts"]]
+    return argv + ["--out", str(tmp_path / "out")], None, None
+
+
 def _phers(tmp_path, cohort_rows, phenotype_rows, weight_rows):
     weights, patients, cohort = _write_phers_inputs(tmp_path, cohort_rows, phenotype_rows, weight_rows)
     argv = ["phers", "--weights", str(weights), "--patients", str(patients), "--cohort", str(cohort)]
@@ -170,6 +179,7 @@ CASES = {
         m, t, lambda lines: [line for line in lines if not re.match(r"3000001\t(HIGH|LOW|NORMAL)\t", line)]
     ),
     "OUTCOME_MISMATCH": lambda t, c, m: _measurement_with(m, t, _append("3000001\tPOSITIVE\tHP:0003154\t0")),
+    "UNKNOWN_CONCEPT": lambda t, c, m: _export_unlisted(c, t),
     "EMPTY_SITE_DATA": lambda t, c, m: _coverage(t, []),
     "NEGATIVE_WEIGHT": lambda t, c, m: _phers(
         t, [("p1", "CASE"), ("p2", "CONTROL")], [("p1", "HP:1")], [("HP:1", 1.0), ("HP:2", -1.0)]

@@ -155,7 +155,7 @@ class TestLoadConcepts:
         anc = tmp_path / "a.tsv"
         anc.write_text("concept_id\tancestor_concept_id\n1\t2\n1\t999\n")
         load = load_concepts(path, _dict(), ancestors_path=anc)
-        assert load.concepts[1].ancestors == (2,)
+        assert load.ancestors == {1: (2,)}
         assert load.dangling_ancestors == 1
 
     def test_self_loop_ancestor_rejected(self, tmp_path):
@@ -189,7 +189,8 @@ class TestLoadConcepts:
     def test_dangling_counts_only_loaded_children(self, tmp_path):
         # Loaded: 1 and 3.  Concept 1's ancestors 2 (another domain) and 999
         # (no row; listed twice) dangle; the rows of children 2 and 999,
-        # which are not loaded, count for nothing.
+        # which are not loaded, are not dangling, and the one of 999, which
+        # no domain lists, is counted apart.
         path = tmp_path / "c.tsv"
         path.write_text(
             HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t3\n2\tRXNORM\ty\tB\t\tDRUG\t1\t3\n"
@@ -198,8 +199,9 @@ class TestLoadConcepts:
         anc = tmp_path / "a.tsv"
         anc.write_text("1\t2\n1\t999\n1\t999\n2\t1\n2\t3\n3\t1\n999\t998\n")
         load = load_concepts(path, _dict(), domain=Domain.CONDITION, ancestors_path=anc)
-        assert {cid: c.ancestors for cid, c in load.concepts.items()} == {1: (), 3: (1,)}
+        assert load.ancestors == {1: (), 3: (1,)}
         assert load.dangling_ancestors == 2
+        assert load.unlisted_ancestor_rows == 1
 
     def test_zero_count_used_concept_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -232,9 +234,9 @@ class TestLoadConcepts:
         )
         assert set(load_concepts(path, _dict(), domain=Domain.CONDITION).concepts) == {1}
 
-    def test_duplicate_id_reported_before_a_later_checked_value(self, tmp_path):
-        # Duplicates are found while rows are read; record_count, like the
-        # code, is checked once every row is in.
+    def test_first_bad_row_reported_before_a_later_duplicate_id(self, tmp_path):
+        # Each row is checked whole as it is read, so a bad record_count is
+        # reported before a later duplicate id.
         path = tmp_path / "c.tsv"
         path.write_text(
             HEADER + "\n1\tSNOMED\tx\tA\t\tCONDITION\t1\t-1\n2\tSNOMED\ty\tB\t\tCONDITION\t1\t3\n"
@@ -242,7 +244,7 @@ class TestLoadConcepts:
         )
         with pytest.raises(ParseError) as err:
             load_concepts(path, _dict())
-        assert (err.value.code, err.value.line) == ("DUPLICATE_ID", 4)
+        assert (err.value.code, err.value.line) == ("MALFORMED_ROW", 2)
 
     def test_round_trip(self, tmp_path):
         text = (
